@@ -18,15 +18,17 @@ from pathlib import Path
 
 from .complexes import (
     complex_to_json,
+    compose,
     homology_dims,
+    is_quasi_isomorphism,
     is_surjective,
-    mapping_cone,
     page_dims,
     verify_chain_map,
     verify_d_squared,
 )
 from .fiber import (
     DEFAULT_FIBER_CAP,
+    FiberComplex,
     build_fiber,
     fiber_to_simplex,
     koszul_check,
@@ -138,100 +140,77 @@ def _homology_detail(h: dict) -> str:
     return " ".join(f"H_{r}={d}" for r, d in nonzero.items()) or "zero"
 
 
-def _run_perm_checks(col: Collector, name: str, perm, checks, pages: int,
-                     simplex=None) -> None:
-    col.say(f"object: {name}")
-    col.dims(name, perm.complex)
-    col.say("dims: " + " ".join(f"r={r}:{perm.complex.dim(r)}"
-                                for r in perm.complex.degrees()))
-    d2_ok = True
-    if "d2" in checks:
-        rep = verify_d_squared(perm.complex)
-        d2_ok = rep.passed
-        col.check(name, "d2", rep.passed,
-                  "" if rep.passed else f"fails at degree {rep.degree}")
-    if "homology" in checks:
-        if not d2_ok:
-            col.check(name, "homology", False, "skipped: d2 failed")
-        else:
-            h = homology_dims(perm.complex)
-            want = {r: (1 if r == 0 else 0) for r in perm.complex.degrees()}
-            col.check(name, "homology", h == want, _homology_detail(h))
-    if pages >= 0:
-        col.pages(name, perm.filtered, pages)
-    if "koszul" in checks:
-        from math import comb
-        e1 = page_dims(perm.filtered, 1)
-        e2 = page_dims(perm.filtered, 2)
-        n = perm.n
-        e1_ok = e1.dims == {(p, -1): comb(n, p) for p in range(1, n + 1)}
-        e2_ok = e2.dims == {(1, -1): 1}
-        col.check(name, "koszul", e1_ok and e2_ok,
-                  "E1 binomial row at q=-1, E2 single class at p=1")
-    if "maps" in checks:
-        f = perm_to_simplex(perm.n, perm=perm, simplex=simplex)
-        rep = verify_chain_map(f)
-        surj = is_surjective(f)
-        cone_ok = False
-        if rep.passed:
-            cone_ok = all(v == 0 for v in homology_dims(mapping_cone(f)).values())
-        col.check(name, "maps", rep.passed and surj and cone_ok,
-                  f"blow-down [{f.note}], surjective={str(surj).lower()}, "
-                  f"cone acyclic={str(cone_ok).lower()}")
+def _perm_maps(perm) -> tuple:
+    f = perm_to_simplex(perm.n, perm=perm)
+    commutes = verify_chain_map(f).passed
+    surj = is_surjective(f)
+    cone_ok = commutes and is_quasi_isomorphism(f)
+    return (commutes and surj and cone_ok,
+            f"blow-down [{f.note}], surjective={str(surj).lower()}, "
+            f"cone acyclic={str(cone_ok).lower()}")
 
 
-def _run_fiber_checks(col: Collector, name: str, fib, checks, pages: int) -> None:
+def _fiber_maps(fib) -> tuple:
     n = fib.n
+    perm = build_perm(n, cap=max(n, DEFAULT_PERM_CAP))
+    simplex = build_simplex(n)
+    p2f = perm_to_fiber(fib, perm=perm)
+    f2s = fiber_to_simplex(fib, simplex=simplex)
+    ok_p2f = verify_chain_map(p2f).passed and is_surjective(p2f)
+    ok_f2s = verify_chain_map(f2s).passed and is_surjective(f2s)
+    cones_ok = factor_ok = False
+    if ok_p2f and ok_f2s:
+        cones_ok = is_quasi_isomorphism(p2f) and is_quasi_isomorphism(f2s)
+        p2s = perm_to_simplex(n, perm=perm, simplex=simplex)
+        comp = compose(f2s, p2f)
+        factor_ok = all(comp.matrix(r) == p2s.matrix(r)
+                        for r in perm.complex.degrees())
+    welldef_ok = all(push_forward_well_defined(fib, lab).passed
+                     for lab in sorted(fib.trees))
+    return (ok_p2f and ok_f2s and cones_ok and factor_ok and welldef_ok,
+            f"chain maps={str(ok_p2f and ok_f2s).lower()}, "
+            f"cones acyclic={str(cones_ok).lower()}, "
+            f"factorization={str(factor_ok).lower()}, "
+            f"well-defined={str(welldef_ok).lower()}")
+
+
+def _run_checks(col: Collector, name: str, obj, checks, pages: int = -1) -> None:
+    """The check battery for a PermComplex, SimplexComplex or
+    FiberComplex: d2, homology (one class in the lowest degree), pages,
+    koszul, maps.  Only the dims heading, the Koszul detail text and
+    the maps check depend on the kind of object; a simplex has neither
+    pages, a Koszul check nor maps."""
+    c = obj.complex
+    fiber = isinstance(obj, FiberComplex)
     col.say(f"object: {name}")
-    col.dims(name, fib.complex)
-    col.say("dims by blocks: " + " ".join(
-        f"k={-r}:{fib.complex.dim(r)}" for r in sorted(fib.complex.degrees(),
-                                                       reverse=True)))
-    d2_ok = True
+    col.dims(name, c)
+    if fiber:
+        col.say("dims by blocks: " + " ".join(
+            f"k={-r}:{c.dim(r)}" for r in reversed(c.degrees())))
+    else:
+        col.say("dims: " + " ".join(f"r={r}:{c.dim(r)}" for r in c.degrees()))
     if "d2" in checks:
-        rep = verify_d_squared(fib.complex)
-        d2_ok = rep.passed
+        rep = verify_d_squared(c)
         col.check(name, "d2", rep.passed,
                   "" if rep.passed else f"fails at degree {rep.degree}")
     if "homology" in checks:
-        if not d2_ok:
+        if not verify_d_squared(c).passed:
             col.check(name, "homology", False, "skipped: d2 failed")
         else:
-            h = homology_dims(fib.complex)
-            want = {r: (1 if r == -n else 0) for r in fib.complex.degrees()}
+            h = homology_dims(c)
+            bottom = c.degrees()[0]
+            want = {r: int(r == bottom) for r in c.degrees()}
             col.check(name, "homology", h == want, _homology_detail(h))
     if pages >= 0:
-        col.pages(name, fib.filtered, pages)
+        col.pages(name, obj.filtered, pages)
     if "koszul" in checks:
-        rep = koszul_check(fib)
-        col.check(name, "koszul", rep.passed,
-                  f"homology {_homology_detail(rep.homology)}; {rep.note}")
+        rep = koszul_check(obj)
+        detail = (f"homology {_homology_detail(rep.homology)}; {rep.note}" if fiber
+                  else "E1 binomial row at q=-1, E2 single class at p=1")
+        col.check(name, "koszul", rep.passed, detail)
     if "maps" in checks:
-        perm = build_perm(n, cap=max(n, DEFAULT_PERM_CAP))
-        simplex = build_simplex(n)
-        p2f = perm_to_fiber(fib, perm=perm)
-        f2s = fiber_to_simplex(fib, simplex=simplex)
-        p2s = perm_to_simplex(n, perm=perm, simplex=simplex)
-        ok_p2f = verify_chain_map(p2f).passed and is_surjective(p2f)
-        ok_f2s = verify_chain_map(f2s).passed and is_surjective(f2s)
-        cones_ok = False
-        factor_ok = False
-        if ok_p2f and ok_f2s:
-            cones_ok = (
-                all(v == 0 for v in homology_dims(mapping_cone(p2f)).values())
-                and all(v == 0 for v in homology_dims(mapping_cone(f2s)).values()))
-            from .complexes import compose
-            comp = compose(f2s, p2f)
-            factor_ok = all(comp.matrix(r) == p2s.matrix(r)
-                            for r in perm.complex.degrees())
-        welldef_ok = all(push_forward_well_defined(fib, lab).passed
-                         for lab in sorted(fib.trees))
-        col.check(name, "maps", ok_p2f and ok_f2s and cones_ok and factor_ok
-                  and welldef_ok,
-                  f"chain maps={str(ok_p2f and ok_f2s).lower()}, "
-                  f"cones acyclic={str(cones_ok).lower()}, "
-                  f"factorization={str(factor_ok).lower()}, "
-                  f"well-defined={str(welldef_ok).lower()}")
+        passed, detail = (_fiber_maps if fiber else _perm_maps)(obj)
+        col.check(name, "maps", passed, detail)
 
 
 def cmd_perm(args) -> int:
@@ -241,29 +220,20 @@ def cmd_perm(args) -> int:
     checks = _parse_checks(args.checks)
     col = Collector()
     perm = build_perm(args.n, cap=cap)
-    _run_perm_checks(col, f"P{args.n}", perm, checks, args.pages)
+    _run_checks(col, f"P{args.n}", perm, checks, args.pages)
     col.json_docs[f"P{args.n}"] = complex_to_json(perm.complex, perm.filtered.levels)
     return _finish(col, args)
 
 
 def cmd_simplex(args) -> int:
-    if args.n < 1:
-        raise InvalidInput(f"--n must be at least 1, got {args.n}")
+    cap = _default_cap(DEFAULT_FIBER_CAP)
+    if not 1 <= args.n <= cap:
+        raise InvalidInput(f"--n must satisfy 1 <= n <= cap ({cap}), got {args.n}")
     checks = _parse_checks(args.checks, allowed=("d2", "homology"))
     col = Collector()
     simplex = build_simplex(args.n)
     name = f"D{args.n - 1}"
-    col.say(f"object: {name}")
-    col.dims(name, simplex.complex)
-    col.say("dims: " + " ".join(f"r={r}:{simplex.complex.dim(r)}"
-                                for r in simplex.complex.degrees()))
-    if "d2" in checks:
-        rep = verify_d_squared(simplex.complex)
-        col.check(name, "d2", rep.passed)
-    if "homology" in checks:
-        h = homology_dims(simplex.complex)
-        want = {r: (1 if r == 0 else 0) for r in simplex.complex.degrees()}
-        col.check(name, "homology", h == want, _homology_detail(h))
+    _run_checks(col, name, simplex, checks)
     col.json_docs[name] = complex_to_json(simplex.complex)
     return _finish(col, args)
 
@@ -275,6 +245,8 @@ def cmd_fiber(args) -> int:
         raise InvalidInput(f"graph file not found: {path}")
     try:
         graph = load_graph(path)
+    except OSError as exc:
+        raise InvalidInput(f"cannot read graph file {path}: {exc.strerror}")
     except ValueError as exc:
         raise InvalidInput(f"bad graph file {path}: {exc}")
     if graph.n > cap:
@@ -283,7 +255,7 @@ def cmd_fiber(args) -> int:
     col = Collector()
     fib = build_fiber(graph, cap=cap)
     name = path.stem
-    _run_fiber_checks(col, name, fib, checks, args.pages)
+    _run_checks(col, name, fib, checks, args.pages)
     col.json_docs[name] = complex_to_json(fib.complex, fib.filtered.levels)
     return _finish(col, args)
 
@@ -296,8 +268,13 @@ def cmd_suite(args) -> int:
     manifest_path = corpus / "manifest.json"
     if not manifest_path.exists():
         raise InvalidInput(f"missing manifest: {manifest_path}")
-    with open(manifest_path, encoding="utf-8") as handle:
-        manifest = json.load(handle)
+    try:
+        with open(manifest_path, encoding="utf-8") as handle:
+            manifest = json.load(handle)
+    except OSError as exc:
+        raise InvalidInput(f"cannot read manifest {manifest_path}: {exc.strerror}")
+    except ValueError as exc:
+        raise InvalidInput(f"bad manifest {manifest_path}: {exc}")
     graph_files = sorted(p for p in corpus.glob("*.edges"))
     if not graph_files:
         raise InvalidInput(f"no .edges files in {corpus}")
@@ -311,7 +288,7 @@ def cmd_suite(args) -> int:
             continue
         try:
             graph = load_graph(path)
-        except ValueError as exc:
+        except (OSError, ValueError) as exc:
             col.say(f"object: {name}")
             col.check(name, "load", False, str(exc))
             continue
@@ -321,7 +298,7 @@ def cmd_suite(args) -> int:
                       f"graph has {graph.n} edges, above the cap {cap}")
             continue
         fib = build_fiber(graph, cap=cap)
-        _run_fiber_checks(col, name, fib, CHECK_TOKENS, pages=-1)
+        _run_checks(col, name, fib, CHECK_TOKENS)
         got = {str(r): fib.complex.dim(r) for r in fib.complex.degrees()}
         want = {str(k): int(v) for k, v in entry.get("dims", {}).items()}
         if got == want:
@@ -338,7 +315,7 @@ def cmd_suite(args) -> int:
         col.check(name, "manifest", False, "manifest entry has no graph file")
     for n in range(1, min(6, cap) + 1):
         perm = build_perm(n, cap=max(n, cap))
-        _run_perm_checks(col, f"P{n}", perm, CHECK_TOKENS, pages=-1)
+        _run_checks(col, f"P{n}", perm, CHECK_TOKENS)
     return _finish(col, args)
 
 
@@ -347,7 +324,10 @@ def _finish(col: Collector, args) -> int:
     col.say(f"result: {result}")
     out = getattr(args, "out", None)
     if out:
-        col.write_outputs(Path(out))
+        try:
+            col.write_outputs(Path(out))
+        except OSError as exc:
+            raise InvalidInput(f"cannot write --out {out}: {exc.strerror}")
     print("\n".join(col.lines))
     return EXIT_CHECK_FAILED if col.failed else EXIT_OK
 

@@ -63,9 +63,6 @@ class ChainComplex:
             self._cache[key] = rank(self.d(r))
         return self._cache[key]
 
-    def total_dim(self) -> int:
-        return sum(len(labs) for labs in self.basis.values())
-
 
 @dataclass(frozen=True)
 class D2Report:
@@ -75,15 +72,22 @@ class D2Report:
 
 
 def verify_d_squared(c: ChainComplex) -> D2Report:
-    """Pass iff d_r . d_{r+1} vanishes in every degree."""
+    """Pass iff d_r . d_{r+1} vanishes in every degree.  The report is
+    cached on the complex, like the ranks of its differentials."""
+    if "d2" in c._cache:
+        return c._cache["d2"]
+    report = D2Report(True)
     for r in c.degrees():
         if c.dim(r + 1) == 0 or c.dim(r - 1) == 0:
             continue
         product = multiply(c.d(r), c.d(r + 1))
         if not product.is_zero():
             (i, j), value = min(product.entries.items())
-            return D2Report(False, r + 1, (c.labels(r - 1)[i], c.labels(r + 1)[j], value))
-    return D2Report(True)
+            report = D2Report(False, r + 1,
+                              (c.labels(r - 1)[i], c.labels(r + 1)[j], value))
+            break
+    c._cache["d2"] = report
+    return report
 
 
 def homology_dims(c: ChainComplex) -> dict:
@@ -142,9 +146,6 @@ class PageTable:
 
     def csv_rows(self) -> list:
         return [f"{self.r},{p},{q},{d}" for (p, q), d in sorted(self.dims.items())]
-
-    def total(self) -> int:
-        return sum(self.dims.values())
 
 
 def _sub_kernel_dim(fc: FilteredComplex, n: int, a: int, b: int) -> int:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 from typing import Iterable, Sequence
 
 from .complexes import (
@@ -40,6 +41,7 @@ from .topartitions import (
     differential_terms,
     enumerate_topartitions,
     format_block,
+    parity,
 )
 
 DEFAULT_FIBER_CAP = 8
@@ -115,11 +117,15 @@ def load_graph(path) -> MultiGraph:
         return parse_graph(handle.read())
 
 
-def _parity(sequence: Sequence[int]) -> int:
-    inversions = sum(1 for i in range(len(sequence))
-                     for j in range(i + 1, len(sequence))
-                     if sequence[i] > sequence[j])
-    return -1 if inversions % 2 else 1
+def _find(parent: dict, x):
+    """Union-find root of x in ``parent`` (absent keys are roots), with
+    path compression."""
+    root = x
+    while parent.get(root, root) != root:
+        root = parent[root]
+    while parent.get(x, x) != x:
+        parent[x], x = root, parent[x]
+    return root
 
 
 @dataclass(frozen=True, eq=True)
@@ -141,7 +147,7 @@ class FiberTree:
 
     @property
     def sign(self) -> int:
-        return _parity(self.order)
+        return parity(self.order)
 
     @property
     def root_index(self) -> int:
@@ -186,27 +192,18 @@ def flowchart(g: MultiGraph, order: Sequence[int]) -> FiberTree:
     if sorted(order) != list(range(1, n + 1)):
         raise ValueError(f"order must be a permutation of 1..{n}")
     uf_parent: dict = {}
-
-    def find(x):
-        root = x
-        while uf_parent.get(root, root) != root:
-            root = uf_parent[root]
-        while uf_parent.get(x, x) != x:
-            uf_parent[x], x = root, uf_parent[x]
-        return root
-
     last_event: dict = {}
     parent_event = [None] * n
     for t, edge in enumerate(order):
         u, v = g.edges[edge - 1]
-        ru, rv = find(u), find(v)
+        ru, rv = _find(uf_parent, u), _find(uf_parent, v)
         for r in {ru, rv}:
             prior = last_event.pop(r, None)
             if prior is not None:
                 parent_event[prior] = t
         if ru != rv:
             uf_parent[ru] = rv
-        last_event[find(u)] = t
+        last_event[_find(uf_parent, u)] = t
     # canonical index of event t is order[t]-1 since blocks are singletons
     parent = [None] * n
     for t in range(n):
@@ -254,15 +251,6 @@ def fiber_element(g: MultiGraph, alpha: TOPartition,
             block_of_edge[e] = b
     # fuse tree edges joining events of the same block (union-find on edges)
     fuse: dict = {}
-
-    def find(x):
-        root = x
-        while fuse.get(root, root) != root:
-            root = fuse[root]
-        while fuse.get(x, x) != x:
-            fuse[x], x = root, fuse[x]
-        return root
-
     chart_parent_edge = {}
     for i, p in enumerate(chart.parent):
         e = chart.blocks[i][0]
@@ -270,10 +258,10 @@ def fiber_element(g: MultiGraph, alpha: TOPartition,
             chart_parent_edge[e] = chart.blocks[p][0]
     for e, pe in chart_parent_edge.items():
         if block_of_edge[e] == block_of_edge[pe]:
-            fuse[find(e)] = find(pe)
+            fuse[_find(fuse, e)] = _find(fuse, pe)
     pieces: dict = {}
     for e in range(1, g.n + 1):
-        pieces.setdefault(find(e), []).append(e)
+        pieces.setdefault(_find(fuse, e), []).append(e)
     piece_blocks = sorted((tuple(sorted(v)) for v in pieces.values()))
     piece_index = {b: i for i, b in enumerate(piece_blocks)}
     piece_of_edge = {e: piece_index[b] for b in piece_blocks for e in b}
@@ -372,7 +360,7 @@ def build_fiber(g: MultiGraph, cap: int = DEFAULT_FIBER_CAP) -> FiberComplex:
         for j, lab in enumerate(basis[r]):
             tree = trees[lab]
             alpha = canonical_representative(tree)
-            eps = _parity([tree.blocks.index(b) for b in alpha.blocks])
+            eps = parity([tree.blocks.index(b) for b in alpha.blocks])
             for target_lab, value in _pushforward(g, alpha).items():
                 entries[(index[r - 1][target_lab], j)] = eps * value
         m = SparseMatrix.from_entries(len(basis[r - 1]), len(basis[r]), entries)
@@ -430,7 +418,7 @@ def fiber_to_simplex(g, simplex: SimplexComplex | None = None) -> ChainMap:
             if any(len(b) != 1 for i, b in enumerate(tree.blocks) if i != root):
                 continue
             alpha = canonical_representative(tree)
-            eps = _parity([tree.blocks.index(b) for b in alpha.blocks])
+            eps = parity([tree.blocks.index(b) for b in alpha.blocks])
             coeff = eps * blowdown_coefficient(alpha)
             row = sidx[tree.width][subset_label(tree.root_block, n)]
             entries_by_degree.setdefault(r, {})[(row, j)] = coeff
@@ -476,40 +464,48 @@ def push_forward_well_defined(g, label: str) -> WellDefinednessReport:
     return WellDefinednessReport(label, True, checked)
 
 
+_PAGES_NOTE = ("pages indexed by (p, q) = (width, degree - width); "
+               "the binomial row sits at q = {}")
+
+
 @dataclass(frozen=True)
 class KoszulReport:
     n: int
     d_squared_ok: bool
     homology: dict
     homology_ok: bool
-    pages: dict            # r -> PageTable for r = 0, 1, 2
+    pages: dict            # r -> PageTable for r = 1, 2; empty if d^2 != 0
     e1_ok: bool
     e2_ok: bool
-    note: str = ("pages indexed by (p, q) = (width, degree - width); "
-                 "the binomial row sits at q = -n-1")
+    note: str = _PAGES_NOTE.format("-n-1")
 
     @property
     def passed(self) -> bool:
         return self.d_squared_ok and self.homology_ok and self.e1_ok and self.e2_ok
 
 
-def _binomial(n: int, p: int) -> int:
-    from math import comb
-    return comb(n, p)
-
-
 def koszul_check(g) -> KoszulReport:
-    """The fiber has one-dimensional homology in degree -n, its E^1 page
-    is a single row of binomial dimensions and E^2 a single class at
-    width 1."""
-    fiber = _as_fiber(g)
-    n = fiber.n
-    d2 = verify_d_squared(fiber.complex)
-    homology = homology_dims(fiber.complex) if d2.passed else {}
-    expected = {r: (1 if r == -n else 0) for r in fiber.complex.degrees()}
-    homology_ok = d2.passed and homology == expected
-    pages = {r: page_dims(fiber.filtered, r) for r in (0, 1, 2)}
-    e1_expected = {(p, -n - 1): _binomial(n, p) for p in range(1, n + 1)}
-    e1_ok = pages[1].dims == e1_expected
-    e2_ok = pages[2].dims == {(1, -n - 1): 1}
-    return KoszulReport(n, d2.passed, homology, homology_ok, pages, e1_ok, e2_ok)
+    """One homology class in the bottom degree, an E^1 page that is a
+    single row of binomial dimensions at q = bottom - 1, and an E^2 page
+    with a single class at width 1.
+
+    ``g`` is a PermComplex (bottom degree 0), a FiberComplex or a graph
+    to build one from (bottom degree -n).  Only the E^1 and E^2 pages
+    are computed, and none when d^2 != 0.
+    """
+    if isinstance(g, PermComplex):
+        n, filtered, row = g.n, g.filtered, "-1"
+    else:
+        fiber = _as_fiber(g)
+        n, filtered, row = fiber.n, fiber.filtered, "-n-1"
+    c = filtered.complex
+    bottom = c.degrees()[0]
+    d2_ok = verify_d_squared(c).passed
+    homology = homology_dims(c) if d2_ok else {}
+    homology_ok = homology == {r: int(r == bottom) for r in c.degrees()}
+    pages = {r: page_dims(filtered, r) for r in (1, 2)} if d2_ok else {}
+    e1_ok = d2_ok and pages[1].dims == {(p, bottom - 1): comb(n, p)
+                                        for p in range(1, n + 1)}
+    e2_ok = d2_ok and pages[2].dims == {(1, bottom - 1): 1}
+    return KoszulReport(n, d2_ok, homology, homology_ok, pages, e1_ok, e2_ok,
+                        note=_PAGES_NOTE.format(row))

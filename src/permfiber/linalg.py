@@ -1,9 +1,10 @@
 """Exact sparse linear algebra over the rationals.
 
 Ranks, kernel dimensions and products of sparse matrices with Fraction
-entries.  Everything is exact: rank computations run fraction-free over
-the integers after clearing denominators row by row (a rank-preserving
-rescaling), so no tolerance ever enters a rank decision.
+entries.  Everything is exact: rank runs one sparse, fraction-free
+elimination over the integers after clearing denominators row by row
+(a rank-preserving rescaling), so no tolerance ever enters a rank
+decision.
 """
 
 from __future__ import annotations
@@ -15,11 +16,6 @@ from math import gcd, lcm
 from typing import Mapping
 
 Rational = Fraction
-
-# Matrices whose larger dimension is at most this take the dense
-# fraction-free (Bareiss) route; bigger ones go through sparse
-# elimination with Markowitz-style pivoting.
-DENSE_RANK_THRESHOLD = 64
 
 
 def _as_fraction(value) -> Fraction:
@@ -68,10 +64,6 @@ class SparseMatrix:
     def get(self, i: int, j: int) -> Fraction:
         return self.entries.get((i, j), Fraction(0))
 
-    def negate(self) -> SparseMatrix:
-        return SparseMatrix(self.rows, self.cols,
-                            {k: -v for k, v in self.entries.items()})
-
     def restrict(self, row_keep, col_keep) -> SparseMatrix:
         """Submatrix on the given row/column index sets, reindexed densely."""
         row_pos = {r: i for i, r in enumerate(sorted(set(row_keep)))}
@@ -105,15 +97,6 @@ def multiply(a: SparseMatrix, b: SparseMatrix) -> SparseMatrix:
     return SparseMatrix(a.rows, b.cols, {k: v for k, v in acc.items() if v != 0})
 
 
-def rank(m: SparseMatrix) -> int:
-    """Rank of m over the rationals, exactly and deterministically."""
-    if not m.entries:
-        return 0
-    if max(m.rows, m.cols) <= DENSE_RANK_THRESHOLD:
-        return _rank_dense(m)
-    return _rank_sparse(m)
-
-
 def kernel_dim(m: SparseMatrix) -> int:
     return m.cols - rank(m)
 
@@ -135,49 +118,13 @@ def _integer_rows(m: SparseMatrix) -> dict:
     return out
 
 
-def _rank_dense(m: SparseMatrix) -> int:
-    """Fraction-free (Bareiss) elimination on a dense integer copy."""
-    int_rows = _integer_rows(m)
-    a = [[0] * m.cols for _ in range(m.rows)]
-    for i, row in int_rows.items():
-        for j, v in row.items():
-            a[i][j] = v
-    nrows, ncols = m.rows, m.cols
-    prev = 1
-    r = 0
-    for step in range(min(nrows, ncols)):
-        pivot = None
-        for j in range(step, ncols):
-            for i in range(step, nrows):
-                if a[i][j]:
-                    pivot = (i, j)
-                    break
-            if pivot:
-                break
-        if pivot is None:
-            break
-        pi, pj = pivot
-        if pi != step:
-            a[pi], a[step] = a[step], a[pi]
-        if pj != step:
-            for row in a:
-                row[pj], row[step] = row[step], row[pj]
-        p = a[step][step]
-        for i in range(step + 1, nrows):
-            head = a[i][step]
-            for j in range(step + 1, ncols):
-                a[i][j] = (p * a[i][j] - head * a[step][j]) // prev
-            a[i][step] = 0
-        prev = p
-        r += 1
-    return r
+def rank(m: SparseMatrix) -> int:
+    """Rank of m over the rationals, exactly and deterministically.
 
-
-def _rank_sparse(m: SparseMatrix) -> int:
-    """Sparse integer elimination.  Pivots are chosen Markowitz-style:
-    the sparsest live column, then within it a unit entry on the
-    sparsest row.  Updated rows are renormalised by their gcd to keep
-    entry growth down."""
+    Sparse integer elimination.  Pivots are chosen Markowitz-style: the
+    sparsest live column, then within it a unit entry on the sparsest
+    row.  Updated rows are renormalised by their gcd to keep entry
+    growth down."""
     rows = _integer_rows(m)
     col_rows: dict = defaultdict(set)
     for i, row in rows.items():

@@ -7,13 +7,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .complexes import ChainComplex, ChainMap, FilteredComplex, verify_chain_map
+from .complexes import ChainComplex, ChainMap, FilteredComplex
 from .linalg import SparseMatrix
 from .topartitions import (
     TOPartition,
     differential_terms,
     enumerate_topartitions,
     format_block,
+    parity,
     parse_topartition,
     width,
 )
@@ -110,30 +111,14 @@ def blowdown_support(alpha: TOPartition):
     return alpha.blocks[-1]
 
 
-def _singleton_parity(alpha: TOPartition) -> int:
-    """Parity of the singleton prefix read as an ordering of its set."""
-    seq = [b[0] for b in alpha.blocks[:-1]]
-    inversions = sum(1 for i in range(len(seq))
-                     for j in range(i + 1, len(seq)) if seq[i] > seq[j])
-    return -1 if inversions % 2 else 1
-
-
 def blowdown_coefficient(alpha: TOPartition) -> int:
     """Sign on the image of a supported cell making the blow-down a chain
     map: the parity of the singleton ordering times a sign depending on
     which elements were split off the least block.  Normalised so the
     top cell maps with coefficient +1."""
     outside = sum(y + 1 for b in alpha.blocks[:-1] for y in b)
-    return _singleton_parity(alpha) * (-1 if outside % 2 else 1)
-
-
-# Candidate sign rules for the blow-down, tried in order; the first one
-# that commutes with the differentials wins and is recorded on the map.
-_BLOWDOWN_CONVENTIONS = (
-    ("unit", lambda alpha, degree: 1),
-    ("alternating_by_degree", lambda alpha, degree: -1 if degree % 2 else 1),
-    ("ordering_parity", lambda alpha, degree: blowdown_coefficient(alpha)),
-)
+    singletons = [b[0] for b in alpha.blocks[:-1]]
+    return parity(singletons) * (-1 if outside % 2 else 1)
 
 
 def perm_to_simplex(n: int,
@@ -141,33 +126,29 @@ def perm_to_simplex(n: int,
                     simplex: SimplexComplex | None = None) -> ChainMap:
     """Surjective chain map from the permutohedron complex onto the
     simplex complex: a cell with least block of size p+1 and all other
-    blocks singletons goes to its least block in degree p, everything
-    else to zero."""
+    blocks singletons goes to its least block in degree p with
+    coefficient ``blowdown_coefficient``, everything else to zero.
+    The map is not checked here; ``verify_chain_map`` does that."""
     perm = perm or build_perm(n)
     simplex = simplex or build_simplex(n)
     sidx = {}
     for p in range(1, n + 1):
         labels = simplex.complex.labels(p - 1)
         sidx[p] = {lab: i for i, lab in enumerate(labels)}
-    failure = None
-    for name, coeff in _BLOWDOWN_CONVENTIONS:
-        matrices = {}
-        for r in perm.complex.degrees():
-            entries = {}
-            for j, lab in enumerate(perm.complex.labels(r)):
-                alpha = parse_topartition(lab, n)
-                block = blowdown_support(alpha)
-                if block is None:
-                    continue
-                row = sidx[len(block)][subset_label(block, n)]
-                entries[(row, j)] = coeff(alpha, r)
-            if entries:
-                matrices[r] = SparseMatrix.from_entries(
-                    simplex.complex.dim(r), perm.complex.dim(r), entries)
-        f = ChainMap.build(perm.complex, simplex.complex, 0, matrices,
-                           note=f"sign convention: {name}")
-        report = verify_chain_map(f)
-        if report.passed:
-            return f
-        failure = (name, report)
-    raise AssertionError(f"no blow-down sign convention commutes: last tried {failure}")
+    matrices = {}
+    for r in perm.complex.degrees():
+        entries = {}
+        for j, lab in enumerate(perm.complex.labels(r)):
+            alpha = parse_topartition(lab, n)
+            block = blowdown_support(alpha)
+            if block is None:
+                continue
+            row = sidx[len(block)][subset_label(block, n)]
+            entries[(row, j)] = blowdown_coefficient(alpha)
+        if entries:
+            matrices[r] = SparseMatrix.from_entries(
+                simplex.complex.dim(r), perm.complex.dim(r), entries)
+    # P1 has a single cell, mapped with +1: the unit sign.
+    convention = "unit" if n == 1 else "ordering_parity"
+    return ChainMap.build(perm.complex, simplex.complex, 0, matrices,
+                          note=f"sign convention: {convention}")

@@ -105,6 +105,15 @@ def width(alpha: TOPartition) -> int:
     return len(alpha.blocks[-1])
 
 
+def parity(sequence) -> int:
+    """Sign of a sequence of distinct numbers read as an ordering of its
+    set: +1 for an even number of inversions, -1 for an odd one."""
+    inversions = sum(1 for i in range(len(sequence))
+                     for j in range(i + 1, len(sequence))
+                     if sequence[i] > sequence[j])
+    return -1 if inversions % 2 else 1
+
+
 def shape(alpha: TOPartition) -> tuple:
     return tuple(len(b) for b in alpha.blocks)
 

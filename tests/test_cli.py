@@ -1,7 +1,11 @@
+import dataclasses
 import json
 import shutil
 
-from permfiber.cli import main
+from permfiber.cli import CHECK_TOKENS, Collector, _run_checks, main
+from permfiber.complexes import ChainComplex, FilteredComplex
+from permfiber.linalg import SparseMatrix
+from permfiber.polytopes import PermComplex, SimplexComplex
 
 
 def run_cli(capsys, *argv):
@@ -49,6 +53,94 @@ def test_simplex_command(capsys):
     code, out, _ = run_cli(capsys, "simplex", "--n", "4")
     assert code == 0
     assert "check homology: pass" in out
+
+
+def test_perm_koszul_and_maps_lines_are_pinned(capsys):
+    # the benchmark hashes these bytes; a drift should fail here first
+    koszul = "check koszul: pass (E1 binomial row at q=-1, E2 single class at p=1)"
+    maps = {
+        1: "check maps: pass (blow-down [sign convention: unit], "
+           "surjective=true, cone acyclic=true)",
+        2: "check maps: pass (blow-down [sign convention: ordering_parity], "
+           "surjective=true, cone acyclic=true)",
+        3: "check maps: pass (blow-down [sign convention: ordering_parity], "
+           "surjective=true, cone acyclic=true)",
+    }
+    for n, maps_line in maps.items():
+        code, out, _ = run_cli(capsys, "perm", "--n", str(n), "--checks", "all")
+        assert code == 0
+        lines = out.splitlines()
+        assert [line for line in lines if line.startswith("check koszul")] == [koszul]
+        assert [line for line in lines if line.startswith("check maps")] == [maps_line]
+
+
+def test_simplex_out_of_cap(capsys, monkeypatch):
+    code, out, err = run_cli(capsys, "simplex", "--n", "30")
+    assert code == 2 and out == ""
+    assert "cap" in err
+    monkeypatch.setenv("PERMFIBER_CAP", "2")
+    code, _, err = run_cli(capsys, "simplex", "--n", "3")
+    assert code == 2
+    assert "cap (2)" in err
+
+
+def test_out_naming_an_existing_file(capsys, tmp_path):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    code, out, err = run_cli(capsys, "simplex", "--n", "2", "--out", str(taken))
+    assert code == 2 and out == ""
+    assert err.startswith("error: cannot write --out")
+    assert len(err.splitlines()) == 1
+
+
+def test_fiber_graph_is_a_directory(capsys, tmp_path):
+    code, _, err = run_cli(capsys, "fiber", "--graph", str(tmp_path))
+    assert code == 2
+    assert err.startswith("error: cannot read graph file")
+
+
+def test_fiber_graph_unreadable(capsys, tmp_path, monkeypatch):
+    # chmod cannot lock a file against root, so a stub refuses the read
+    graph = tmp_path / "locked.edges"
+    graph.write_text("0 1\n")
+
+    def refuse(path):
+        raise PermissionError(13, "Permission denied", str(path))
+
+    monkeypatch.setattr("permfiber.cli.load_graph", refuse)
+    code, _, err = run_cli(capsys, "fiber", "--graph", str(graph))
+    assert code == 2
+    assert err.startswith("error: cannot read graph file") and "Permission denied" in err
+
+
+def _flip_one_sign(c: ChainComplex, degree: int) -> ChainComplex:
+    d = c.d(degree)
+    entries = dict(d.entries)
+    key = min(entries)
+    entries[key] = -entries[key]
+    diffs = dict(c.differentials)
+    diffs[degree] = SparseMatrix(d.rows, d.cols, entries)
+    return ChainComplex.build(c.basis, diffs)
+
+
+def test_battery_reports_a_flipped_sign(perms, simplexes, corpus_fibers):
+    perm = perms[3]
+    fib = corpus_fibers["path3"]
+    cases = [
+        ("P3", PermComplex(3, FilteredComplex.build(
+            _flip_one_sign(perm.complex, 1), perm.filtered.levels)), CHECK_TOKENS, 2),
+        ("path3", dataclasses.replace(fib, filtered=FilteredComplex.build(
+            _flip_one_sign(fib.complex, -2), fib.filtered.levels)), CHECK_TOKENS, -1),
+        ("D2", SimplexComplex(3, _flip_one_sign(simplexes[3].complex, 1)),
+         ("d2", "homology"), 2),
+    ]
+    for name, obj, checks, degree in cases:
+        col = Collector()
+        _run_checks(col, name, obj, checks)
+        assert col.failed, name
+        assert f"check d2: FAIL (fails at degree {degree})" in col.lines, name
+        assert "check homology: FAIL (skipped: d2 failed)" in col.lines, name
+        assert all(f"{name},{check},false" in col.checks_rows for check in checks), name
 
 
 def test_fiber_koszul(capsys, corpus_dir):

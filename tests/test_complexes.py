@@ -74,6 +74,25 @@ def test_homology_rejects_non_complex(perms):
         homology_dims(broken)
 
 
+def test_d_squared_verdict_is_cached(perms, monkeypatch):
+    import permfiber.complexes as complexes
+    c = ChainComplex.build(perms[3].complex.basis, perms[3].complex.differentials)
+    products = []
+    real = complexes.multiply
+
+    def counting(a, b):
+        products.append((a.rows, b.cols))
+        return real(a, b)
+
+    monkeypatch.setattr(complexes, "multiply", counting)
+    first = verify_d_squared(c)
+    computed = len(products)
+    assert computed > 0
+    homology_dims(c)
+    assert verify_d_squared(c) is first
+    assert len(products) == computed
+
+
 def test_build_rejects_shape_mismatch():
     with pytest.raises(ValueError):
         ChainComplex.build({0: ("a",), 1: ("e",)},

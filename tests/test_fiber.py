@@ -1,5 +1,6 @@
 import random
 from itertools import permutations
+from math import comb
 
 import pytest
 
@@ -358,6 +359,17 @@ def test_koszul_check_star4_pages_match_perm(perms, corpus_fibers):
         # same tables after shifting the total degree by n
         shifted = {(p, q - 4): d for (p, q), d in perm_page.dims.items()}
         assert fiber_page.dims == shifted
+
+
+def test_koszul_check_accepts_perm_complexes(perms):
+    for n in range(1, 6):
+        report = koszul_check(perms[n])
+        assert report.passed, n
+        assert report.homology == {r: int(r == 0) for r in range(n)}
+        assert sorted(report.pages) == [1, 2]
+        assert report.pages[1].dims == {(p, -1): comb(n, p) for p in range(1, n + 1)}
+        assert report.pages[2].dims == {(1, -1): 1}
+        assert report.note.endswith("q = -1")
 
 
 def test_koszul_single_edge_trivial(corpus_fibers):

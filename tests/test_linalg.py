@@ -3,15 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from permfiber.linalg import (
-    DENSE_RANK_THRESHOLD,
-    SparseMatrix,
-    kernel_dim,
-    multiply,
-    rank,
-    _rank_dense,
-    _rank_sparse,
-)
+from permfiber.linalg import SparseMatrix, kernel_dim, multiply, rank
 
 from oracles import dense_multiply, dense_rank
 
@@ -47,7 +39,7 @@ def test_dense_and_sparse_paths_agree():
                           density=0.5, values=(-2, -1, 1, 2, 3))
         if not m.entries:
             continue
-        assert _rank_dense(m) == _rank_sparse(m) == dense_rank(m.dense())
+        assert rank(m) == dense_rank(m.dense())
 
 
 def test_rank_of_rational_entries():
@@ -114,11 +106,11 @@ def test_out_of_range_entry_rejected():
 
 
 def test_dense_threshold_crossover_consistency():
-    # identical matrix embedded just below and above the dense cutoff
+    # identical matrix, alone and zero-padded to 69x69
     rng = random.Random(77)
     small = random_matrix(rng, 12, 12, density=0.4)
     big_entries = dict(small.entries)
-    n = DENSE_RANK_THRESHOLD + 5
+    n = 69
     big = SparseMatrix.from_entries(n, n, big_entries)
     assert rank(big) == rank(small)
 

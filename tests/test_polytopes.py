@@ -104,10 +104,26 @@ def test_perm_to_simplex_is_surjective_chain_map(perms, simplexes):
 
 
 def test_perm_to_simplex_records_working_convention(perms, simplexes):
-    f = perm_to_simplex(4, perm=perms[4], simplex=simplexes[4])
-    assert "ordering_parity" in f.note
-    f1 = perm_to_simplex(1)
-    assert "unit" in f1.note  # at n=1 the first candidate already commutes
+    # every supported cell maps with the derived coefficient, and that
+    # one sign rule gives a chain map; no other rule is tried
+    for n in range(1, 7):
+        perm, simplex = perms[n], simplexes[n]
+        f = perm_to_simplex(n, perm=perm, simplex=simplex)
+        for r in perm.complex.degrees():
+            m = f.matrix(r)
+            targets = simplex.complex.labels(r)
+            for j, lab in enumerate(perm.complex.labels(r)):
+                alpha = parse_topartition(lab, n)
+                block = blowdown_support(alpha)
+                column = {targets[i]: v for (i, c), v in m.entries.items() if c == j}
+                if block is None:
+                    assert column == {}, lab
+                else:
+                    label = "".join(map(str, block))
+                    assert column == {label: blowdown_coefficient(alpha)}, lab
+        assert verify_chain_map(f).passed, n
+        assert f.note == ("sign convention: unit" if n == 1
+                          else "sign convention: ordering_parity")
 
 
 def test_perm_to_simplex_cone_acyclic_small(perms, simplexes):
