@@ -140,14 +140,22 @@ def _homology_detail(h: dict) -> str:
     return " ".join(f"H_{r}={d}" for r, d in nonzero.items()) or "zero"
 
 
+def _not_commuting(name: str, report) -> str:
+    """Witness suffix for a maps line: where a chain map fails to commute."""
+    if report.passed:
+        return ""
+    return f"; {name} does not commute at degree {report.degree}, cell {report.label}"
+
+
 def _perm_maps(perm) -> tuple:
     f = perm_to_simplex(perm.n, perm=perm)
-    commutes = verify_chain_map(f).passed
+    commutes = verify_chain_map(f)
     surj = is_surjective(f)
-    cone_ok = commutes and is_quasi_isomorphism(f)
-    return (commutes and surj and cone_ok,
+    cone_ok = commutes.passed and is_quasi_isomorphism(f)
+    return (commutes.passed and surj and cone_ok,
             f"blow-down [{f.note}], surjective={str(surj).lower()}, "
-            f"cone acyclic={str(cone_ok).lower()}")
+            f"cone acyclic={str(cone_ok).lower()}"
+            + _not_commuting("blow-down", commutes))
 
 
 def _fiber_maps(fib) -> tuple:
@@ -156,8 +164,10 @@ def _fiber_maps(fib) -> tuple:
     simplex = build_simplex(n)
     p2f = perm_to_fiber(fib, perm=perm)
     f2s = fiber_to_simplex(fib, simplex=simplex)
-    ok_p2f = verify_chain_map(p2f).passed and is_surjective(p2f)
-    ok_f2s = verify_chain_map(f2s).passed and is_surjective(f2s)
+    p2f_commutes = verify_chain_map(p2f)
+    f2s_commutes = verify_chain_map(f2s)
+    ok_p2f = p2f_commutes.passed and is_surjective(p2f)
+    ok_f2s = f2s_commutes.passed and is_surjective(f2s)
     cones_ok = factor_ok = False
     if ok_p2f and ok_f2s:
         cones_ok = is_quasi_isomorphism(p2f) and is_quasi_isomorphism(f2s)
@@ -165,13 +175,15 @@ def _fiber_maps(fib) -> tuple:
         comp = compose(f2s, p2f)
         factor_ok = all(comp.matrix(r) == p2s.matrix(r)
                         for r in perm.complex.degrees())
-    welldef_ok = all(push_forward_well_defined(fib, lab).passed
-                     for lab in sorted(fib.trees))
-    return (ok_p2f and ok_f2s and cones_ok and factor_ok and welldef_ok,
+    welldef = push_forward_well_defined(fib)
+    return (ok_p2f and ok_f2s and cones_ok and factor_ok and welldef.passed,
             f"chain maps={str(ok_p2f and ok_f2s).lower()}, "
             f"cones acyclic={str(cones_ok).lower()}, "
             f"factorization={str(factor_ok).lower()}, "
-            f"well-defined={str(welldef_ok).lower()}")
+            f"well-defined={str(welldef.passed).lower()}"
+            + _not_commuting("perm->fiber", p2f_commutes)
+            + _not_commuting("fiber->simplex", f2s_commutes)
+            + ("" if welldef.passed else f"; not well defined at tree {welldef.label}"))
 
 
 def _run_checks(col: Collector, name: str, obj, checks, pages: int = -1) -> None:
@@ -213,12 +225,23 @@ def _run_checks(col: Collector, name: str, obj, checks, pages: int = -1) -> None
         col.check(name, "maps", passed, detail)
 
 
+def _collector(args) -> Collector:
+    """A fresh Collector, once the --out directory exists, so an
+    unusable --out is refused before any complex is built."""
+    if args.out:
+        try:
+            Path(args.out).mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise InvalidInput(f"cannot write --out {args.out}: {exc.strerror}")
+    return Collector()
+
+
 def cmd_perm(args) -> int:
     cap = args.cap if args.cap is not None else _default_cap(DEFAULT_PERM_CAP)
     if not 1 <= args.n <= cap:
         raise InvalidInput(f"--n must satisfy 1 <= n <= cap ({cap}), got {args.n}")
     checks = _parse_checks(args.checks)
-    col = Collector()
+    col = _collector(args)
     perm = build_perm(args.n, cap=cap)
     _run_checks(col, f"P{args.n}", perm, checks, args.pages)
     col.json_docs[f"P{args.n}"] = complex_to_json(perm.complex, perm.filtered.levels)
@@ -230,7 +253,7 @@ def cmd_simplex(args) -> int:
     if not 1 <= args.n <= cap:
         raise InvalidInput(f"--n must satisfy 1 <= n <= cap ({cap}), got {args.n}")
     checks = _parse_checks(args.checks, allowed=("d2", "homology"))
-    col = Collector()
+    col = _collector(args)
     simplex = build_simplex(args.n)
     name = f"D{args.n - 1}"
     _run_checks(col, name, simplex, checks)
@@ -252,7 +275,7 @@ def cmd_fiber(args) -> int:
     if graph.n > cap:
         raise InvalidInput(f"graph has {graph.n} edges, above the cap {cap}")
     checks = _parse_checks(args.checks)
-    col = Collector()
+    col = _collector(args)
     fib = build_fiber(graph, cap=cap)
     name = path.stem
     _run_checks(col, name, fib, checks, args.pages)
@@ -278,7 +301,7 @@ def cmd_suite(args) -> int:
     graph_files = sorted(p for p in corpus.glob("*.edges"))
     if not graph_files:
         raise InvalidInput(f"no .edges files in {corpus}")
-    col = Collector()
+    col = _collector(args)
     for path in graph_files:
         name = path.stem
         entry = manifest.get(name)

@@ -15,7 +15,6 @@ on its blocks, modelled as a canonical block order plus a parity sign.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import comb
 from typing import Iterable, Sequence
 
@@ -32,6 +31,7 @@ from .polytopes import (
     PermComplex,
     SimplexComplex,
     blowdown_coefficient,
+    blowdown_support,
     build_perm,
     build_simplex,
     subset_label,
@@ -303,12 +303,14 @@ def canonical_representative(tree: FiberTree) -> TOPartition:
 class FiberComplex:
     """Chain complex of the fiber over total contraction of ``graph``,
     filtered by width (the size of the root block); the k-block trees
-    sit in degree -k."""
+    sit in degree -k.  ``images`` records t_alpha once for every TO
+    partition alpha: it maps each nondegenerate alpha to the label of
+    its tree and its sign, and leaves out the degenerate ones."""
 
     graph: MultiGraph
     filtered: FilteredComplex
     trees: dict       # label -> canonical FiberTree
-    preimages: dict   # label -> list of (TOPartition alpha, sign of t_alpha)
+    images: dict      # TOPartition alpha -> (tree label, sign of t_alpha)
 
     @property
     def complex(self) -> ChainComplex:
@@ -319,15 +321,15 @@ class FiberComplex:
         return self.graph.n
 
 
-def _pushforward(g: MultiGraph, alpha: TOPartition) -> dict:
+def _pushforward(images: dict, alpha: TOPartition) -> dict:
     """Signed image of d(alpha) in the fiber: label -> coefficient."""
     acc: dict = {}
     for term in differential_terms(alpha):
-        image = fiber_element(g, term.partition)
-        if image.degenerate:
+        image = images.get(term.partition)
+        if image is None:
             continue
-        lab = image.canonical().label()
-        acc[lab] = acc.get(lab, 0) + term.sign * image.sign
+        lab, sign = image
+        acc[lab] = acc.get(lab, 0) + term.sign * sign
     return {lab: v for lab, v in acc.items() if v}
 
 
@@ -336,15 +338,15 @@ def build_fiber(g: MultiGraph, cap: int = DEFAULT_FIBER_CAP) -> FiberComplex:
     if n > cap:
         raise ValueError(f"graph has {n} edges, above the cap {cap}")
     trees: dict = {}
-    preimages: dict = {}
+    images: dict = {}
     for alpha in enumerate_topartitions(n):
         t = fiber_element(g, alpha)
         if t.degenerate:
             continue
-        lab = t.canonical().label()
+        lab = t.label()
         if lab not in trees:
             trees[lab] = t.canonical()
-        preimages.setdefault(lab, []).append((alpha, t.sign))
+        images[alpha] = (lab, t.sign)
     basis = {}
     index = {}
     for lab, tree in trees.items():
@@ -358,17 +360,16 @@ def build_fiber(g: MultiGraph, cap: int = DEFAULT_FIBER_CAP) -> FiberComplex:
             continue
         entries = {}
         for j, lab in enumerate(basis[r]):
-            tree = trees[lab]
-            alpha = canonical_representative(tree)
-            eps = parity([tree.blocks.index(b) for b in alpha.blocks])
-            for target_lab, value in _pushforward(g, alpha).items():
+            alpha = canonical_representative(trees[lab])
+            eps = images[alpha][1]
+            for target_lab, value in _pushforward(images, alpha).items():
                 entries[(index[r - 1][target_lab], j)] = eps * value
         m = SparseMatrix.from_entries(len(basis[r - 1]), len(basis[r]), entries)
         if m.entries:
             diffs[r] = m
     complex = ChainComplex.build(basis, diffs)
     levels = {lab: trees[lab].width for lab in trees}
-    return FiberComplex(g, FilteredComplex.build(complex, levels), trees, preimages)
+    return FiberComplex(g, FilteredComplex.build(complex, levels), trees, images)
 
 
 def _as_fiber(g) -> FiberComplex:
@@ -385,25 +386,26 @@ def perm_to_fiber(g, perm: PermComplex | None = None) -> ChainMap:
     perm = perm or build_perm(n, cap=max(DEFAULT_FIBER_CAP, n))
     source = perm.complex
     target = fiber.complex
-    col_index = {r: {lab: j for j, lab in enumerate(source.labels(r))}
-                 for r in source.degrees()}
-    entries_by_degree: dict = {}
-    for lab, pre in fiber.preimages.items():
-        k = len(fiber.trees[lab].blocks)
-        r = n - k                      # perm degree of the preimages
-        row = fiber.complex.labels(r - n).index(lab)
-        for alpha, sign in pre:
-            j = col_index[r][alpha.label()]
-            entries_by_degree.setdefault(r, {})[(row, j)] = sign
-    matrices = {r: SparseMatrix.from_entries(target.dim(r - n), source.dim(r), ent)
-                for r, ent in entries_by_degree.items()}
+    matrices = {}
+    for r, alphas in perm.cells.items():
+        row_index = {lab: i for i, lab in enumerate(target.labels(r - n))}
+        entries = {}
+        for j, alpha in enumerate(alphas):
+            image = fiber.images.get(alpha)
+            if image is not None:
+                lab, sign = image
+                entries[(row_index[lab], j)] = sign
+        if entries:
+            matrices[r] = SparseMatrix.from_entries(
+                target.dim(r - n), source.dim(r), entries)
     return ChainMap.build(source, target, -n, matrices, note="alpha -> t_alpha")
 
 
 def fiber_to_simplex(g, simplex: SimplexComplex | None = None) -> ChainMap:
-    """Chain map of shift +n sending a tree whose non-root blocks are all
-    singletons to its root block, and every other tree to zero; the
-    coefficients are fixed by factoring the permutohedron blow-down
+    """Chain map of shift +n sending a tree to its root block when the
+    tree's canonical representative is in the support of the blow-down
+    (every non-root block a singleton), and every other tree to zero;
+    the coefficients are fixed by factoring the permutohedron blow-down
     through the fiber."""
     fiber = _as_fiber(g)
     n = fiber.n
@@ -413,14 +415,12 @@ def fiber_to_simplex(g, simplex: SimplexComplex | None = None) -> ChainMap:
     entries_by_degree: dict = {}
     for r in fiber.complex.degrees():
         for j, lab in enumerate(fiber.complex.labels(r)):
-            tree = fiber.trees[lab]
-            root = tree.root_index
-            if any(len(b) != 1 for i, b in enumerate(tree.blocks) if i != root):
+            alpha = canonical_representative(fiber.trees[lab])
+            block = blowdown_support(alpha)
+            if block is None:
                 continue
-            alpha = canonical_representative(tree)
-            eps = parity([tree.blocks.index(b) for b in alpha.blocks])
-            coeff = eps * blowdown_coefficient(alpha)
-            row = sidx[tree.width][subset_label(tree.root_block, n)]
+            coeff = fiber.images[alpha][1] * blowdown_coefficient(alpha)
+            row = sidx[len(block)][subset_label(block, n)]
             entries_by_degree.setdefault(r, {})[(row, j)] = coeff
     matrices = {r: SparseMatrix.from_entries(
                     simplex.complex.dim(r + n), fiber.complex.dim(r), ent)
@@ -431,37 +431,33 @@ def fiber_to_simplex(g, simplex: SimplexComplex | None = None) -> ChainMap:
 
 @dataclass(frozen=True)
 class WellDefinednessReport:
-    label: str
     passed: bool
     checked: int
+    label: str | None = None  # a tree whose representatives disagree
     detail: str = ""
 
 
-def push_forward_well_defined(g, label: str) -> WellDefinednessReport:
-    """Check that every TO partition representing a basis tree pushes its
-    differential forward to the stored differential of that tree."""
+def push_forward_well_defined(g) -> WellDefinednessReport:
+    """Check that every TO partition alpha with a nondegenerate t_alpha
+    pushes its differential forward to the stored differential of its
+    tree, times the sign of t_alpha.  One pass over ``images``, against
+    the columns of d read once."""
     fiber = _as_fiber(g)
-    if label not in fiber.trees:
-        raise ValueError(f"{label!r} is not a basis tree of the fiber")
-    tree = fiber.trees[label]
-    r = -len(tree.blocks)
-    col = fiber.complex.labels(r).index(label)
-    stored = {}
-    d = fiber.complex.d(r)
-    target_labels = fiber.complex.labels(r - 1)
-    for (i, j), value in d.entries.items():
-        if j == col:
-            stored[target_labels[i]] = value
+    c = fiber.complex
+    columns: dict = {}    # tree label -> {target label: coefficient}
+    for r, d in c.differentials.items():
+        source, target = c.labels(r), c.labels(r - 1)
+        for (i, j), value in d.entries.items():
+            columns.setdefault(source[j], {})[target[i]] = value
     checked = 0
-    for alpha, sign in fiber.preimages[label]:
-        pushed = {lab: Fraction(v) for lab, v in _pushforward(fiber.graph, alpha).items()}
-        expected = {lab: Fraction(sign * value) for lab, value in stored.items()}
-        if pushed != expected:
+    for alpha, (lab, sign) in fiber.images.items():
+        expected = {t: sign * v for t, v in columns.get(lab, {}).items()}
+        if _pushforward(fiber.images, alpha) != expected:
             return WellDefinednessReport(
-                label, False, checked,
+                False, checked, lab,
                 detail=f"pushforward of {alpha.pretty()} disagrees")
         checked += 1
-    return WellDefinednessReport(label, True, checked)
+    return WellDefinednessReport(True, checked)
 
 
 _PAGES_NOTE = ("pages indexed by (p, q) = (width, degree - width); "

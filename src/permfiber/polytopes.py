@@ -15,7 +15,6 @@ from .topartitions import (
     enumerate_topartitions,
     format_block,
     parity,
-    parse_topartition,
     width,
 )
 
@@ -27,11 +26,14 @@ class PermComplex:
     """Cellular chains of the permutohedron on n letters, filtered by width.
 
     Degree r holds the TO partitions of {1..n} with n-r blocks; the
-    differential subdivides blocks in place.
+    differential subdivides blocks in place.  ``cells`` maps each degree
+    to its TO partitions in basis order, so ``cells[r][j]`` is the cell
+    labelled ``complex.labels(r)[j]``.
     """
 
     n: int
     filtered: FilteredComplex
+    cells: dict
 
     @property
     def complex(self) -> ChainComplex:
@@ -50,32 +52,29 @@ class SimplexComplex:
 def build_perm(n: int, cap: int = DEFAULT_PERM_CAP) -> PermComplex:
     if not 1 <= n <= cap:
         raise ValueError(f"n must satisfy 1 <= n <= {cap}, got {n}")
-    partitions = enumerate_topartitions(n)
-    by_degree: dict = {}
-    for alpha in partitions:
-        by_degree.setdefault(n - alpha.block_count(), []).append(alpha)
+    cells: dict = {}
+    for alpha in enumerate_topartitions(n):
+        cells.setdefault(n - alpha.block_count(), []).append(alpha)
     basis = {}
-    index = {}
-    parts_at = {}
-    for r, alphas in by_degree.items():
-        alphas.sort(key=lambda a: a.label())
-        basis[r] = tuple(a.label() for a in alphas)
-        parts_at[r] = alphas
-        index[r] = {a.label(): j for j, a in enumerate(alphas)}
+    levels = {}
+    for r, alphas in cells.items():
+        alphas.sort(key=TOPartition.label)
+        cells[r] = tuple(alphas)
+        basis[r] = tuple(map(TOPartition.label, alphas))
+        levels.update(zip(basis[r], map(width, alphas)))
     diffs = {}
-    for r, alphas in parts_at.items():
-        if r - 1 not in basis:
+    for r, alphas in cells.items():
+        if r - 1 not in cells:
             continue
         entries: dict = {}
-        target_index = index[r - 1]
+        target_index = {a: i for i, a in enumerate(cells[r - 1])}
         for j, alpha in enumerate(alphas):
             for term in differential_terms(alpha):
-                key = (target_index[term.partition.label()], j)
+                key = (target_index[term.partition], j)
                 entries[key] = entries.get(key, 0) + term.sign
         diffs[r] = SparseMatrix.from_entries(len(basis[r - 1]), len(basis[r]), entries)
     complex = ChainComplex.build(basis, diffs)
-    levels = {alpha.label(): width(alpha) for alpha in partitions}
-    return PermComplex(n, FilteredComplex.build(complex, levels))
+    return PermComplex(n, FilteredComplex.build(complex, levels), cells)
 
 
 def subset_label(subset, n: int) -> str:
@@ -138,8 +137,7 @@ def perm_to_simplex(n: int,
     matrices = {}
     for r in perm.complex.degrees():
         entries = {}
-        for j, lab in enumerate(perm.complex.labels(r)):
-            alpha = parse_topartition(lab, n)
+        for j, alpha in enumerate(perm.cells[r]):
             block = blowdown_support(alpha)
             if block is None:
                 continue

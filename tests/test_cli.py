@@ -5,7 +5,7 @@ import shutil
 from permfiber.cli import CHECK_TOKENS, Collector, _run_checks, main
 from permfiber.complexes import ChainComplex, FilteredComplex
 from permfiber.linalg import SparseMatrix
-from permfiber.polytopes import PermComplex, SimplexComplex
+from permfiber.polytopes import SimplexComplex
 
 
 def run_cli(capsys, *argv):
@@ -84,13 +84,22 @@ def test_simplex_out_of_cap(capsys, monkeypatch):
     assert "cap (2)" in err
 
 
-def test_out_naming_an_existing_file(capsys, tmp_path):
+def test_out_naming_an_existing_file(capsys, tmp_path, monkeypatch):
     taken = tmp_path / "taken"
     taken.write_text("")
     code, out, err = run_cli(capsys, "simplex", "--n", "2", "--out", str(taken))
     assert code == 2 and out == ""
     assert err.startswith("error: cannot write --out")
     assert len(err.splitlines()) == 1
+    # refused before anything is built, not after the battery has run
+    built = []
+    monkeypatch.setattr("permfiber.cli.build_perm",
+                        lambda *args, **kwargs: built.append(args))
+    code, out, err = run_cli(capsys, "perm", "--n", "5", "--checks", "all",
+                             "--out", str(taken))
+    assert code == 2 and out == ""
+    assert err.startswith("error: cannot write --out")
+    assert built == []
 
 
 def test_fiber_graph_is_a_directory(capsys, tmp_path):
@@ -127,7 +136,7 @@ def test_battery_reports_a_flipped_sign(perms, simplexes, corpus_fibers):
     perm = perms[3]
     fib = corpus_fibers["path3"]
     cases = [
-        ("P3", PermComplex(3, FilteredComplex.build(
+        ("P3", dataclasses.replace(perm, filtered=FilteredComplex.build(
             _flip_one_sign(perm.complex, 1), perm.filtered.levels)), CHECK_TOKENS, 2),
         ("path3", dataclasses.replace(fib, filtered=FilteredComplex.build(
             _flip_one_sign(fib.complex, -2), fib.filtered.levels)), CHECK_TOKENS, -1),
@@ -141,6 +150,29 @@ def test_battery_reports_a_flipped_sign(perms, simplexes, corpus_fibers):
         assert f"check d2: FAIL (fails at degree {degree})" in col.lines, name
         assert "check homology: FAIL (skipped: d2 failed)" in col.lines, name
         assert all(f"{name},{check},false" in col.checks_rows for check in checks), name
+
+
+def test_maps_failure_names_degree_and_cell(capsys, monkeypatch, corpus_fibers):
+    import permfiber.polytopes as polytopes
+    unit = polytopes.blowdown_coefficient
+    monkeypatch.setattr(polytopes, "blowdown_coefficient",
+                        lambda alpha: -unit(alpha) if len(alpha.blocks) == 3
+                        else unit(alpha))
+    code, out, _ = run_cli(capsys, "perm", "--n", "4", "--checks", "maps")
+    assert code == 1
+    [line] = [line for line in out.splitlines() if line.startswith("check maps")]
+    assert line.startswith("check maps: FAIL (blow-down [sign convention: "
+                           "ordering_parity], surjective=true, cone acyclic=false; ")
+    assert line.endswith("; blow-down does not commute at degree 1, cell 1>2>34)")
+
+    fib = corpus_fibers["path3"]
+    flipped = dataclasses.replace(fib, filtered=FilteredComplex.build(
+        _flip_one_sign(fib.complex, -2), fib.filtered.levels))
+    col = Collector()
+    _run_checks(col, "path3", flipped, ("maps",))
+    [line] = [line for line in col.lines if line.startswith("check maps")]
+    assert "; fiber->simplex does not commute at degree -2, cell ({12} ({3}))" in line
+    assert line.endswith("; not well defined at tree ({12} ({3})))")
 
 
 def test_fiber_koszul(capsys, corpus_dir):
@@ -268,3 +300,16 @@ def test_suite_shipped_corpus_passes(capsys, corpus_dir, tmp_path):
     assert checks[0] == "object,check,pass"
     assert all(line.endswith(",true") for line in checks[1:])
     assert any(line.startswith("P6,") for line in checks)
+    # the benchmark hashes these lines
+    maps_lines = {}
+    for line in out.splitlines():
+        if line.startswith("object: "):
+            name = line[len("object: "):]
+        elif line.startswith("check maps"):
+            maps_lines[name] = line
+    graphs = {path.stem for path in corpus_dir.glob("*.edges")}
+    assert graphs <= set(maps_lines)
+    for name in graphs:
+        assert maps_lines[name] == (
+            "check maps: pass (chain maps=true, cones acyclic=true, "
+            "factorization=true, well-defined=true)"), name

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from itertools import permutations
 from math import comb
@@ -5,6 +6,8 @@ from math import comb
 import pytest
 
 from permfiber.complexes import (
+    ChainComplex,
+    FilteredComplex,
     compose,
     homology_dims,
     is_surjective,
@@ -25,6 +28,7 @@ from permfiber.fiber import (
     perm_to_fiber,
     push_forward_well_defined,
 )
+from permfiber.linalg import SparseMatrix
 from permfiber.polytopes import perm_to_simplex
 from permfiber.topartitions import (
     enumerate_topartitions,
@@ -214,13 +218,25 @@ def test_fiber_d_squared_and_width_filtration(corpus_fibers):
             assert fib.filtered.levels[lab] == tree.width
 
 
-def test_degenerate_pushforward_vanishes(corpus_graphs):
+def test_degenerate_pushforward_vanishes(corpus_graphs, corpus_fibers):
     from permfiber.fiber import _pushforward
     for name in ("path3", "path4", "cycle4", "twoloop"):
         g = corpus_graphs[name]
+        images = corpus_fibers[name].images
         for alpha in enumerate_topartitions(g.n):
             if fiber_element(g, alpha).degenerate:
-                assert _pushforward(g, alpha) == {}, (name, alpha.pretty())
+                assert _pushforward(images, alpha) == {}, (name, alpha.pretty())
+
+
+def test_images_record_every_nondegenerate_fiber_element(corpus_fibers):
+    for name, fib in sorted(corpus_fibers.items()):
+        want = {}
+        for alpha in enumerate_topartitions(fib.n):
+            t = fiber_element(fib.graph, alpha)
+            if not t.degenerate:
+                want[alpha] = (t.canonical().label(), t.sign)
+        assert fib.images == want, name
+        assert {lab for lab, _ in fib.images.values()} == set(fib.trees), name
 
 
 def test_fiber_cap_enforced():
@@ -318,28 +334,39 @@ def test_factorization_through_fiber(perms, simplexes, corpus_fibers):
 
 def test_push_forward_well_defined_star_vacuous(corpus_fibers):
     fib = corpus_fibers["star3"]
-    for lab in fib.trees:
-        assert len(fib.preimages[lab]) == 1
-        assert push_forward_well_defined(fib, lab).passed
+    # one representative per tree: images is a bijection onto the trees
+    labels = [lab for lab, _ in fib.images.values()]
+    assert sorted(labels) == sorted(fib.trees)
+    report = push_forward_well_defined(fib)
+    assert report.passed and report.checked == 13 and report.label is None
 
 
 def test_push_forward_well_defined_theta_and_paths(corpus_fibers):
     for name in ("theta", "path3", "path4"):
         fib = corpus_fibers[name]
-        for lab in sorted(fib.trees):
-            report = push_forward_well_defined(fib, lab)
-            assert report.passed, (name, lab, report.detail)
+        report = push_forward_well_defined(fib)
+        assert report.passed, (name, report.label, report.detail)
+        assert report.checked == len(fib.images), name
 
 
-def test_push_forward_top_tree(corpus_fibers):
+def test_push_forward_reports_the_tree_of_a_flipped_entry(corpus_fibers):
     fib = corpus_fibers["path3"]
-    report = push_forward_well_defined(fib, "({123})")
-    assert report.passed and report.checked == 1
-
-
-def test_push_forward_unknown_label(corpus_fibers):
-    with pytest.raises(ValueError):
-        push_forward_well_defined(corpus_fibers["path3"], "({999})")
+    c = fib.complex
+    d = c.d(-2)
+    key = min(d.entries)
+    entries = dict(d.entries)
+    entries[key] = -entries[key]
+    diffs = dict(c.differentials)
+    diffs[-2] = SparseMatrix(d.rows, d.cols, entries)
+    flipped = dataclasses.replace(fib, filtered=FilteredComplex.build(
+        ChainComplex.build(c.basis, diffs), fib.filtered.levels))
+    report = push_forward_well_defined(flipped)
+    assert not report.passed
+    assert report.label == c.labels(-2)[key[1]]
+    assert report.detail.startswith("pushforward of ")
+    # every representative met before the first failure agrees
+    assert all(lab != report.label for lab, _ in
+               list(fib.images.values())[:report.checked])
 
 
 def test_koszul_check_path3(corpus_fibers):

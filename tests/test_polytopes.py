@@ -49,6 +49,17 @@ def test_perm_filtration_is_width(perms):
             assert perm.filtered.levels[lab] == len(alpha.blocks[-1])
 
 
+def test_perm_cells_render_to_basis_labels(perms):
+    # the maps out of the permutohedron read cells[r][j] as the cell
+    # labelled labels(r)[j]
+    for n in range(1, 7):
+        perm = perms[n]
+        assert sorted(perm.cells) == perm.complex.degrees(), n
+        for r in perm.complex.degrees():
+            rendered = tuple(alpha.label() for alpha in perm.cells[r])
+            assert rendered == perm.complex.labels(r), (n, r)
+
+
 def test_perm_differential_lowers_degree_and_not_width(perms):
     perm = perms[5]
     for r in perm.complex.degrees():
