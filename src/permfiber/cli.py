@@ -39,6 +39,10 @@ from .fiber import (
 from .polytopes import DEFAULT_PERM_CAP, build_perm, build_simplex, perm_to_simplex
 
 CAP_ENV_VAR = "PERMFIBER_CAP"
+# Fixed ceilings on any --cap or PERMFIBER_CAP: P8 has Fubini(8) = 545,835
+# cells, and a 9-edge fiber has at most Fubini(9) TO partitions to visit.
+PERM_CAP_CEILING = 8
+FIBER_CAP_CEILING = 9
 CHECK_TOKENS = ("d2", "homology", "maps", "koszul")
 
 EXIT_OK = 0
@@ -50,14 +54,21 @@ class InvalidInput(Exception):
     pass
 
 
-def _default_cap(fallback: int) -> int:
-    raw = os.environ.get(CAP_ENV_VAR)
-    if raw is None:
-        return fallback
-    try:
-        return int(raw)
-    except ValueError:
-        raise InvalidInput(f"{CAP_ENV_VAR} must be an integer, got {raw!r}")
+def _cap(given, fallback: int, ceiling: int) -> int:
+    """The cap a command builds up to: ``--cap`` when given, else
+    PERMFIBER_CAP, else ``fallback``; refused above ``ceiling``."""
+    source, cap = "--cap", given
+    if cap is None:
+        source, raw = CAP_ENV_VAR, os.environ.get(CAP_ENV_VAR)
+        if raw is None:
+            return fallback
+        try:
+            cap = int(raw)
+        except ValueError:
+            raise InvalidInput(f"{CAP_ENV_VAR} must be an integer, got {raw!r}")
+    if cap > ceiling:
+        raise InvalidInput(f"{source} {cap} is above the ceiling {ceiling}")
+    return cap
 
 
 def _parse_checks(raw: str, allowed=CHECK_TOKENS) -> tuple:
@@ -158,9 +169,8 @@ def _perm_maps(perm) -> tuple:
             + _not_commuting("blow-down", commutes))
 
 
-def _fiber_maps(fib) -> tuple:
+def _fiber_maps(fib, perm) -> tuple:
     n = fib.n
-    perm = build_perm(n, cap=max(n, DEFAULT_PERM_CAP))
     simplex = build_simplex(n)
     p2f = perm_to_fiber(fib, perm=perm)
     f2s = fiber_to_simplex(fib, simplex=simplex)
@@ -186,12 +196,14 @@ def _fiber_maps(fib) -> tuple:
             + ("" if welldef.passed else f"; not well defined at tree {welldef.label}"))
 
 
-def _run_checks(col: Collector, name: str, obj, checks, pages: int = -1) -> None:
+def _run_checks(col: Collector, name: str, obj, checks, pages: int = -1,
+                perm=None) -> None:
     """The check battery for a PermComplex, SimplexComplex or
     FiberComplex: d2, homology (one class in the lowest degree), pages,
     koszul, maps.  Only the dims heading, the Koszul detail text and
     the maps check depend on the kind of object; a simplex has neither
-    pages, a Koszul check nor maps."""
+    pages, a Koszul check nor maps.  The maps check of an n-edge fiber
+    maps from ``perm``, the caller's P_n, built here if not given."""
     c = obj.complex
     fiber = isinstance(obj, FiberComplex)
     col.say(f"object: {name}")
@@ -221,7 +233,11 @@ def _run_checks(col: Collector, name: str, obj, checks, pages: int = -1) -> None
                   else "E1 binomial row at q=-1, E2 single class at p=1")
         col.check(name, "koszul", rep.passed, detail)
     if "maps" in checks:
-        passed, detail = (_fiber_maps if fiber else _perm_maps)(obj)
+        if fiber:
+            perm = perm or build_perm(obj.n, cap=max(obj.n, DEFAULT_PERM_CAP))
+            passed, detail = _fiber_maps(obj, perm)
+        else:
+            passed, detail = _perm_maps(obj)
         col.check(name, "maps", passed, detail)
 
 
@@ -237,7 +253,7 @@ def _collector(args) -> Collector:
 
 
 def cmd_perm(args) -> int:
-    cap = args.cap if args.cap is not None else _default_cap(DEFAULT_PERM_CAP)
+    cap = _cap(args.cap, DEFAULT_PERM_CAP, PERM_CAP_CEILING)
     if not 1 <= args.n <= cap:
         raise InvalidInput(f"--n must satisfy 1 <= n <= cap ({cap}), got {args.n}")
     checks = _parse_checks(args.checks)
@@ -249,7 +265,7 @@ def cmd_perm(args) -> int:
 
 
 def cmd_simplex(args) -> int:
-    cap = _default_cap(DEFAULT_FIBER_CAP)
+    cap = _cap(None, DEFAULT_FIBER_CAP, FIBER_CAP_CEILING)
     if not 1 <= args.n <= cap:
         raise InvalidInput(f"--n must satisfy 1 <= n <= cap ({cap}), got {args.n}")
     checks = _parse_checks(args.checks, allowed=("d2", "homology"))
@@ -262,7 +278,7 @@ def cmd_simplex(args) -> int:
 
 
 def cmd_fiber(args) -> int:
-    cap = args.cap if args.cap is not None else _default_cap(DEFAULT_FIBER_CAP)
+    cap = _cap(args.cap, DEFAULT_FIBER_CAP, FIBER_CAP_CEILING)
     path = Path(args.graph)
     if not path.exists():
         raise InvalidInput(f"graph file not found: {path}")
@@ -284,7 +300,7 @@ def cmd_fiber(args) -> int:
 
 
 def cmd_suite(args) -> int:
-    cap = args.cap if args.cap is not None else _default_cap(DEFAULT_FIBER_CAP)
+    cap = _cap(args.cap, DEFAULT_FIBER_CAP, FIBER_CAP_CEILING)
     corpus = Path(args.corpus)
     if not corpus.is_dir():
         raise InvalidInput(f"corpus directory not found: {corpus}")
@@ -302,6 +318,13 @@ def cmd_suite(args) -> int:
     if not graph_files:
         raise InvalidInput(f"no .edges files in {corpus}")
     col = _collector(args)
+    perms: dict = {}  # n -> P_n, built once for every fiber and the P_n battery
+
+    def perm_of(n: int):
+        if n not in perms:
+            perms[n] = build_perm(n, cap=max(n, DEFAULT_PERM_CAP))
+        return perms[n]
+
     for path in graph_files:
         name = path.stem
         entry = manifest.get(name)
@@ -321,7 +344,7 @@ def cmd_suite(args) -> int:
                       f"graph has {graph.n} edges, above the cap {cap}")
             continue
         fib = build_fiber(graph, cap=cap)
-        _run_checks(col, name, fib, CHECK_TOKENS)
+        _run_checks(col, name, fib, CHECK_TOKENS, perm=perm_of(graph.n))
         got = {str(r): fib.complex.dim(r) for r in fib.complex.degrees()}
         want = {str(k): int(v) for k, v in entry.get("dims", {}).items()}
         if got == want:
@@ -337,8 +360,7 @@ def cmd_suite(args) -> int:
         col.say(f"object: {name}")
         col.check(name, "manifest", False, "manifest entry has no graph file")
     for n in range(1, min(6, cap) + 1):
-        perm = build_perm(n, cap=max(n, cap))
-        _run_checks(col, f"P{n}", perm, CHECK_TOKENS)
+        _run_checks(col, f"P{n}", perm_of(n), CHECK_TOKENS)
     return _finish(col, args)
 
 

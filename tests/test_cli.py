@@ -1,6 +1,10 @@
 import dataclasses
 import json
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 from permfiber.cli import CHECK_TOKENS, Collector, _run_checks, main
 from permfiber.complexes import ChainComplex, FilteredComplex
@@ -41,6 +45,43 @@ def test_perm_cap_env_override(capsys, monkeypatch):
     assert code == 2
     code, _, _ = run_cli(capsys, "perm", "--n", "3", "--cap", "3")
     assert code == 0
+
+
+def test_caps_above_the_ceiling(capsys, monkeypatch, corpus_dir):
+    def refuse(*args, **kwargs):
+        raise AssertionError("built a complex above the ceiling")
+
+    monkeypatch.setattr("permfiber.cli.build_perm", refuse)
+    monkeypatch.setattr("permfiber.cli.build_fiber", refuse)
+    graph = str(corpus_dir / "path3.edges")
+    cases = [
+        (("perm", "--n", "20", "--cap", "20"), None, "--cap 20", 8),
+        (("perm", "--n", "20"), "20", "PERMFIBER_CAP 20", 8),
+        (("perm", "--n", "3", "--cap", "9"), None, "--cap 9", 8),
+        (("fiber", "--graph", graph, "--cap", "10"), None, "--cap 10", 9),
+        (("fiber", "--graph", graph), "10", "PERMFIBER_CAP 10", 9),
+        (("suite", "--corpus", str(corpus_dir), "--cap", "10"), None, "--cap 10", 9),
+        (("suite", "--corpus", str(corpus_dir)), "10", "PERMFIBER_CAP 10", 9),
+        (("simplex", "--n", "3"), "10", "PERMFIBER_CAP 10", 9),
+    ]
+    for argv, env, source, ceiling in cases:
+        if env is None:
+            monkeypatch.delenv("PERMFIBER_CAP", raising=False)
+        else:
+            monkeypatch.setenv("PERMFIBER_CAP", env)
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == "", argv
+        assert err == f"error: {source} is above the ceiling {ceiling}\n", argv
+
+
+def test_python_dash_m_runs_the_cli():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-m", "permfiber", "perm", "--n", "2"],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "result: PASS"
 
 
 def test_unknown_check_token(capsys):
@@ -290,11 +331,20 @@ def test_suite_low_cap_reports_oversize_graphs(capsys, corpus_dir):
     assert "above the cap" in out
 
 
-def test_suite_shipped_corpus_passes(capsys, corpus_dir, tmp_path):
+def test_suite_shipped_corpus_passes(capsys, corpus_dir, tmp_path, monkeypatch):
+    import permfiber.cli as cli
+    build_perm, built = cli.build_perm, []
+
+    def counting(n, *args, **kwargs):
+        built.append(n)
+        return build_perm(n, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "build_perm", counting)
     out_dir = tmp_path / "summary"
     code, out, _ = run_cli(capsys, "suite", "--corpus", str(corpus_dir),
                            "--out", str(out_dir))
     assert code == 0
+    assert sorted(built) == sorted(set(built))  # each P_n built once
     assert out.rstrip().endswith("result: PASS")
     checks = (out_dir / "checks.csv").read_text().splitlines()
     assert checks[0] == "object,check,pass"

@@ -220,6 +220,15 @@ def test_json_round_trip(perms):
     assert loaded == fc.complex
     assert levels == fc.levels
     assert doc["differentials"]["1"][0][2].count("/") == 1  # num/den form
+    # an int entry and a Fraction entry both write as num/den
+    mixed = ChainComplex.build({0: ("a", "b"), 1: ("c",)}, {
+        1: SparseMatrix.from_entries(2, 1, {(0, 0): 2, (1, 0): Fraction(1, 2)})})
+    doc = complex_to_json(mixed)
+    assert [v for _, _, v in doc["differentials"]["1"]] == ["2/1", "1/2"]
+    loaded, _ = complex_from_json(json.loads(json.dumps(doc)))
+    assert loaded == mixed
+    assert loaded.d(1).entries == {(0, 0): 2, (1, 0): Fraction(1, 2)}
+    assert type(loaded.d(1).entries[(0, 0)]) is int
 
 
 def test_json_without_levels(perms):

@@ -30,6 +30,21 @@ def test_rank_matches_dense_oracle_on_random_sign_matrices():
         m = random_matrix(rng, rng.randint(1, 30), rng.randint(1, 30),
                           density=rng.choice([0.15, 0.4, 0.8]))
         assert rank(m) == dense_rank(m.dense())
+    # sparse integer matrices and rank-deficient products: columns empty
+    # and refill while they are eliminated
+    values = (-3, -2, -1, 1, 2, 3)
+    for _ in range(16):
+        m = random_matrix(rng, rng.randint(20, 60), rng.randint(20, 60),
+                          density=rng.uniform(0.05, 0.3), values=values)
+        assert rank(m) == dense_rank(m.dense())
+    for _ in range(10):
+        inner = rng.randint(2, 12)
+        a = random_matrix(rng, rng.randint(20, 60), inner,
+                          density=rng.uniform(0.1, 0.3), values=values)
+        b = random_matrix(rng, inner, rng.randint(20, 60),
+                          density=rng.uniform(0.1, 0.3), values=values)
+        m = multiply(a, b)
+        assert rank(m) == dense_rank(m.dense()) <= inner
 
 
 def test_dense_and_sparse_paths_agree():
@@ -91,6 +106,28 @@ def test_multiply_identity_and_zero():
 def test_multiply_dimension_mismatch_raises():
     with pytest.raises(ValueError):
         multiply(SparseMatrix.identity(2), SparseMatrix.identity(3))
+
+
+def test_integral_entries_are_stored_as_int():
+    m = SparseMatrix.from_entries(2, 2, {(0, 0): Fraction(4, 2), (0, 1): Fraction(1, 2),
+                                         (1, 0): -3})
+    assert type(m.entries[(0, 0)]) is int and m.entries[(0, 0)] == 2
+    assert type(m.entries[(0, 1)]) is Fraction and m.entries[(0, 1)] == Fraction(1, 2)
+    assert type(m.entries[(1, 0)]) is int
+    assert type(m.get(1, 1)) is int and m.get(1, 1) == 0
+    assert all(type(v) is int for v in SparseMatrix.identity(3).entries.values())
+    thirds = SparseMatrix.from_entries(1, 1, {(0, 0): Fraction(2, 3)})
+    halves = SparseMatrix.from_entries(1, 1, {(0, 0): Fraction(3, 2)})
+    assert type(multiply(thirds, halves).get(0, 0)) is int
+
+
+def test_shipped_differentials_have_int_entries(perms, simplexes, corpus_fibers):
+    complexes = ([perms[n].complex for n in perms]
+                 + [simplexes[n].complex for n in simplexes]
+                 + [fib.complex for fib in corpus_fibers.values()])
+    for c in complexes:
+        for r in c.degrees():
+            assert all(type(v) is int for v in c.d(r).entries.values())
 
 
 def test_no_zero_entries_stored():
