@@ -41,6 +41,8 @@ from .polytopes import DEFAULT_PERM_CAP, build_perm, build_simplex, perm_to_simp
 CAP_ENV_VAR = "PERMFIBER_CAP"
 # Fixed ceilings on any --cap or PERMFIBER_CAP: P8 has Fubini(8) = 545,835
 # cells, and a 9-edge fiber has at most Fubini(9) TO partitions to visit.
+# The maps check of an n-edge fiber builds P_n, so it stays under the
+# perm ceiling; suite always runs it.
 PERM_CAP_CEILING = 8
 FIBER_CAP_CEILING = 9
 CHECK_TOKENS = ("d2", "homology", "maps", "koszul")
@@ -69,6 +71,12 @@ def _cap(given, fallback: int, ceiling: int) -> int:
     if cap > ceiling:
         raise InvalidInput(f"{source} {cap} is above the ceiling {ceiling}")
     return cap
+
+
+def _check_pages(pages: int, n: int) -> None:
+    """Widths lie in 1..n, so every page past n+1 is the stable page."""
+    if pages > n + 1:
+        raise InvalidInput(f"--pages must be at most n+1 ({n + 1}), got {pages}")
 
 
 def _parse_checks(raw: str, allowed=CHECK_TOKENS) -> tuple:
@@ -159,7 +167,7 @@ def _not_commuting(name: str, report) -> str:
 
 
 def _perm_maps(perm) -> tuple:
-    f = perm_to_simplex(perm.n, perm=perm)
+    f = perm_to_simplex(perm, build_simplex(perm.n))
     commutes = verify_chain_map(f)
     surj = is_surjective(f)
     cone_ok = commutes.passed and is_quasi_isomorphism(f)
@@ -172,8 +180,8 @@ def _perm_maps(perm) -> tuple:
 def _fiber_maps(fib, perm) -> tuple:
     n = fib.n
     simplex = build_simplex(n)
-    p2f = perm_to_fiber(fib, perm=perm)
-    f2s = fiber_to_simplex(fib, simplex=simplex)
+    p2f = perm_to_fiber(fib, perm)
+    f2s = fiber_to_simplex(fib, simplex)
     p2f_commutes = verify_chain_map(p2f)
     f2s_commutes = verify_chain_map(f2s)
     ok_p2f = p2f_commutes.passed and is_surjective(p2f)
@@ -181,7 +189,7 @@ def _fiber_maps(fib, perm) -> tuple:
     cones_ok = factor_ok = False
     if ok_p2f and ok_f2s:
         cones_ok = is_quasi_isomorphism(p2f) and is_quasi_isomorphism(f2s)
-        p2s = perm_to_simplex(n, perm=perm, simplex=simplex)
+        p2s = perm_to_simplex(perm, simplex)
         comp = compose(f2s, p2f)
         factor_ok = all(comp.matrix(r) == p2s.matrix(r)
                         for r in perm.complex.degrees())
@@ -203,7 +211,7 @@ def _run_checks(col: Collector, name: str, obj, checks, pages: int = -1,
     koszul, maps.  Only the dims heading, the Koszul detail text and
     the maps check depend on the kind of object; a simplex has neither
     pages, a Koszul check nor maps.  The maps check of an n-edge fiber
-    maps from ``perm``, the caller's P_n, built here if not given."""
+    maps from ``perm``, the caller's P_n."""
     c = obj.complex
     fiber = isinstance(obj, FiberComplex)
     col.say(f"object: {name}")
@@ -234,7 +242,6 @@ def _run_checks(col: Collector, name: str, obj, checks, pages: int = -1,
         col.check(name, "koszul", rep.passed, detail)
     if "maps" in checks:
         if fiber:
-            perm = perm or build_perm(obj.n, cap=max(obj.n, DEFAULT_PERM_CAP))
             passed, detail = _fiber_maps(obj, perm)
         else:
             passed, detail = _perm_maps(obj)
@@ -257,6 +264,7 @@ def cmd_perm(args) -> int:
     if not 1 <= args.n <= cap:
         raise InvalidInput(f"--n must satisfy 1 <= n <= cap ({cap}), got {args.n}")
     checks = _parse_checks(args.checks)
+    _check_pages(args.pages, args.n)
     col = _collector(args)
     perm = build_perm(args.n, cap=cap)
     _run_checks(col, f"P{args.n}", perm, checks, args.pages)
@@ -291,16 +299,21 @@ def cmd_fiber(args) -> int:
     if graph.n > cap:
         raise InvalidInput(f"graph has {graph.n} edges, above the cap {cap}")
     checks = _parse_checks(args.checks)
+    _check_pages(args.pages, graph.n)
+    if "maps" in checks and graph.n > PERM_CAP_CEILING:
+        raise InvalidInput(f"check maps builds P{graph.n}, "
+                           f"above the ceiling {PERM_CAP_CEILING}")
     col = _collector(args)
     fib = build_fiber(graph, cap=cap)
+    perm = build_perm(graph.n, cap=cap) if "maps" in checks else None
     name = path.stem
-    _run_checks(col, name, fib, checks, args.pages)
+    _run_checks(col, name, fib, checks, args.pages, perm)
     col.json_docs[name] = complex_to_json(fib.complex, fib.filtered.levels)
     return _finish(col, args)
 
 
 def cmd_suite(args) -> int:
-    cap = _cap(args.cap, DEFAULT_FIBER_CAP, FIBER_CAP_CEILING)
+    cap = _cap(args.cap, DEFAULT_FIBER_CAP, PERM_CAP_CEILING)
     corpus = Path(args.corpus)
     if not corpus.is_dir():
         raise InvalidInput(f"corpus directory not found: {corpus}")
@@ -322,7 +335,7 @@ def cmd_suite(args) -> int:
 
     def perm_of(n: int):
         if n not in perms:
-            perms[n] = build_perm(n, cap=max(n, DEFAULT_PERM_CAP))
+            perms[n] = build_perm(n, cap=cap)
         return perms[n]
 
     for path in graph_files:

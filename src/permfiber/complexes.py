@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Mapping
 
 from .linalg import SparseMatrix, multiply, rank
@@ -122,11 +123,15 @@ class FilteredComplex:
                         f"{tgt[i]!r} (level {levels[tgt[i]]})")
         return FilteredComplex(complex, levels)
 
+    @cached_property
+    def _level_range(self) -> tuple:
+        return min(self.levels.values()), max(self.levels.values())
+
     def min_level(self) -> int:
-        return min(self.levels.values())
+        return self._level_range[0]
 
     def max_level(self) -> int:
-        return max(self.levels.values())
+        return self._level_range[1]
 
     def level_counts(self, r: int) -> dict:
         out: dict = {}
@@ -221,6 +226,7 @@ class ChainMap:
     shift: int
     matrices: dict
     note: str = field(default="", compare=False)
+    _cache: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     @staticmethod
     def build(source, target, shift, matrices, note="") -> ChainMap:
@@ -250,7 +256,11 @@ class ChainMapReport:
 
 
 def verify_chain_map(f: ChainMap) -> ChainMapReport:
-    """Pass iff d_target . f = f . d_source in every degree."""
+    """Pass iff d_target . f = f . d_source in every degree.  The report
+    is cached on the map, like the d^2 report on a complex."""
+    if "commutes" in f._cache:
+        return f._cache["commutes"]
+    report = ChainMapReport(True)
     degrees = sorted(set(f.source.degrees()) | {r + 1 for r in f.source.degrees()})
     for r in degrees:
         if f.source.dim(r) == 0:
@@ -261,8 +271,10 @@ def verify_chain_map(f: ChainMap) -> ChainMapReport:
             bad_cols = {j for (_, j) in lhs.entries} | {j for (_, j) in rhs.entries}
             j = min(j for j in bad_cols
                     if any(lhs.get(i, j) != rhs.get(i, j) for i in range(lhs.rows)))
-            return ChainMapReport(False, r, f.source.labels(r)[j])
-    return ChainMapReport(True)
+            report = ChainMapReport(False, r, f.source.labels(r)[j])
+            break
+    f._cache["commutes"] = report
+    return report
 
 
 def compose(g: ChainMap, f: ChainMap) -> ChainMap:

@@ -30,19 +30,11 @@ from .linalg import SparseMatrix
 from .polytopes import (
     PermComplex,
     SimplexComplex,
-    blowdown_coefficient,
-    blowdown_support,
-    build_perm,
-    build_simplex,
-    subset_label,
+    blowdown_matrices,
+    pushforward,
+    quotient_complex,
 )
-from .topartitions import (
-    TOPartition,
-    differential_terms,
-    enumerate_topartitions,
-    format_block,
-    parity,
-)
+from .topartitions import TOPartition, enumerate_topartitions, format_block, parity
 
 DEFAULT_FIBER_CAP = 8
 
@@ -305,12 +297,15 @@ class FiberComplex:
     filtered by width (the size of the root block); the k-block trees
     sit in degree -k.  ``images`` records t_alpha once for every TO
     partition alpha: it maps each nondegenerate alpha to the label of
-    its tree and its sign, and leaves out the degenerate ones."""
+    its tree and its sign, and leaves out the degenerate ones.
+    ``cells`` maps each degree to the canonical representatives of its
+    trees in basis order, like ``PermComplex.cells``."""
 
     graph: MultiGraph
     filtered: FilteredComplex
     trees: dict       # label -> canonical FiberTree
     images: dict      # TOPartition alpha -> (tree label, sign of t_alpha)
+    cells: dict       # degree -> canonical representatives in basis order
 
     @property
     def complex(self) -> ChainComplex:
@@ -321,19 +316,8 @@ class FiberComplex:
         return self.graph.n
 
 
-def _pushforward(images: dict, alpha: TOPartition) -> dict:
-    """Signed image of d(alpha) in the fiber: label -> coefficient."""
-    acc: dict = {}
-    for term in differential_terms(alpha):
-        image = images.get(term.partition)
-        if image is None:
-            continue
-        lab, sign = image
-        acc[lab] = acc.get(lab, 0) + term.sign * sign
-    return {lab: v for lab, v in acc.items() if v}
-
-
 def build_fiber(g: MultiGraph, cap: int = DEFAULT_FIBER_CAP) -> FiberComplex:
+    """P_n divided out by alpha -> sign * t_alpha, degenerate alpha -> 0."""
     n = g.n
     if n > cap:
         raise ValueError(f"graph has {n} edges, above the cap {cap}")
@@ -347,45 +331,21 @@ def build_fiber(g: MultiGraph, cap: int = DEFAULT_FIBER_CAP) -> FiberComplex:
         if lab not in trees:
             trees[lab] = t.canonical()
         images[alpha] = (lab, t.sign)
-    basis = {}
-    index = {}
-    for lab, tree in trees.items():
-        basis.setdefault(-len(tree.blocks), []).append(lab)
-    for r in basis:
-        basis[r] = tuple(sorted(basis[r]))
-        index[r] = {lab: i for i, lab in enumerate(basis[r])}
-    diffs = {}
-    for r in sorted(basis):
-        if r - 1 not in basis:
-            continue
-        entries = {}
-        for j, lab in enumerate(basis[r]):
-            alpha = canonical_representative(trees[lab])
-            eps = images[alpha][1]
-            for target_lab, value in _pushforward(images, alpha).items():
-                entries[(index[r - 1][target_lab], j)] = eps * value
-        m = SparseMatrix.from_entries(len(basis[r - 1]), len(basis[r]), entries)
-        if m.entries:
-            diffs[r] = m
-    complex = ChainComplex.build(basis, diffs)
-    levels = {lab: trees[lab].width for lab in trees}
-    return FiberComplex(g, FilteredComplex.build(complex, levels), trees, images)
+    basis: dict = {}
+    for lab in sorted(trees):
+        basis.setdefault(-len(trees[lab].blocks), []).append(lab)
+    cells = {r: tuple(canonical_representative(trees[lab]) for lab in labels)
+             for r, labels in basis.items()}
+    filtered = quotient_complex(basis, cells, images.get)
+    return FiberComplex(g, filtered, trees, images, cells)
 
 
-def _as_fiber(g) -> FiberComplex:
-    return g if isinstance(g, FiberComplex) else build_fiber(g)
-
-
-def perm_to_fiber(g, perm: PermComplex | None = None) -> ChainMap:
+def perm_to_fiber(fiber: FiberComplex, perm: PermComplex) -> ChainMap:
     """Chain map of shift -n sending a TO partition alpha to t_alpha
     with the sign relating alpha's block order to the canonical one,
     and to zero when t_alpha is degenerate.  Surjective and width
     preserving; for star graphs it is a degreewise bijection."""
-    fiber = _as_fiber(g)
-    n = fiber.n
-    perm = perm or build_perm(n, cap=max(DEFAULT_FIBER_CAP, n))
-    source = perm.complex
-    target = fiber.complex
+    n, source, target = fiber.n, perm.complex, fiber.complex
     matrices = {}
     for r, alphas in perm.cells.items():
         row_index = {lab: i for i, lab in enumerate(target.labels(r - n))}
@@ -401,31 +361,14 @@ def perm_to_fiber(g, perm: PermComplex | None = None) -> ChainMap:
     return ChainMap.build(source, target, -n, matrices, note="alpha -> t_alpha")
 
 
-def fiber_to_simplex(g, simplex: SimplexComplex | None = None) -> ChainMap:
+def fiber_to_simplex(fiber: FiberComplex, simplex: SimplexComplex) -> ChainMap:
     """Chain map of shift +n sending a tree to its root block when the
     tree's canonical representative is in the support of the blow-down
     (every non-root block a singleton), and every other tree to zero;
     the coefficients are fixed by factoring the permutohedron blow-down
     through the fiber."""
-    fiber = _as_fiber(g)
-    n = fiber.n
-    simplex = simplex or build_simplex(n)
-    sidx = {p: {lab: i for i, lab in enumerate(simplex.complex.labels(p - 1))}
-            for p in range(1, n + 1)}
-    entries_by_degree: dict = {}
-    for r in fiber.complex.degrees():
-        for j, lab in enumerate(fiber.complex.labels(r)):
-            alpha = canonical_representative(fiber.trees[lab])
-            block = blowdown_support(alpha)
-            if block is None:
-                continue
-            coeff = fiber.images[alpha][1] * blowdown_coefficient(alpha)
-            row = sidx[len(block)][subset_label(block, n)]
-            entries_by_degree.setdefault(r, {})[(row, j)] = coeff
-    matrices = {r: SparseMatrix.from_entries(
-                    simplex.complex.dim(r + n), fiber.complex.dim(r), ent)
-                for r, ent in entries_by_degree.items()}
-    return ChainMap.build(fiber.complex, simplex.complex, n, matrices,
+    matrices = blowdown_matrices(fiber.cells, fiber.images.get, simplex)
+    return ChainMap.build(fiber.complex, simplex.complex, fiber.n, matrices,
                           note="root block of singleton-fringe trees")
 
 
@@ -437,12 +380,11 @@ class WellDefinednessReport:
     detail: str = ""
 
 
-def push_forward_well_defined(g) -> WellDefinednessReport:
+def push_forward_well_defined(fiber: FiberComplex) -> WellDefinednessReport:
     """Check that every TO partition alpha with a nondegenerate t_alpha
     pushes its differential forward to the stored differential of its
     tree, times the sign of t_alpha.  One pass over ``images``, against
     the columns of d read once."""
-    fiber = _as_fiber(g)
     c = fiber.complex
     columns: dict = {}    # tree label -> {target label: coefficient}
     for r, d in c.differentials.items():
@@ -452,7 +394,7 @@ def push_forward_well_defined(g) -> WellDefinednessReport:
     checked = 0
     for alpha, (lab, sign) in fiber.images.items():
         expected = {t: sign * v for t, v in columns.get(lab, {}).items()}
-        if _pushforward(fiber.images, alpha) != expected:
+        if pushforward(alpha, fiber.images.get) != expected:
             return WellDefinednessReport(
                 False, checked, lab,
                 detail=f"pushforward of {alpha.pretty()} disagrees")
@@ -480,20 +422,17 @@ class KoszulReport:
         return self.d_squared_ok and self.homology_ok and self.e1_ok and self.e2_ok
 
 
-def koszul_check(g) -> KoszulReport:
+def koszul_check(obj) -> KoszulReport:
     """One homology class in the bottom degree, an E^1 page that is a
     single row of binomial dimensions at q = bottom - 1, and an E^2 page
     with a single class at width 1.
 
-    ``g`` is a PermComplex (bottom degree 0), a FiberComplex or a graph
-    to build one from (bottom degree -n).  Only the E^1 and E^2 pages
-    are computed, and none when d^2 != 0.
+    ``obj`` is a PermComplex (bottom degree 0) or a FiberComplex (bottom
+    degree -n).  Only the E^1 and E^2 pages are computed, and none when
+    d^2 != 0.
     """
-    if isinstance(g, PermComplex):
-        n, filtered, row = g.n, g.filtered, "-1"
-    else:
-        fiber = _as_fiber(g)
-        n, filtered, row = fiber.n, fiber.filtered, "-n-1"
+    n, filtered = obj.n, obj.filtered
+    row = "-1" if isinstance(obj, PermComplex) else "-n-1"
     c = filtered.complex
     bottom = c.degrees()[0]
     d2_ok = verify_d_squared(c).passed

@@ -56,25 +56,52 @@ def build_perm(n: int, cap: int = DEFAULT_PERM_CAP) -> PermComplex:
     for alpha in enumerate_topartitions(n):
         cells.setdefault(n - alpha.block_count(), []).append(alpha)
     basis = {}
-    levels = {}
     for r, alphas in cells.items():
         alphas.sort(key=TOPartition.label)
         cells[r] = tuple(alphas)
         basis[r] = tuple(map(TOPartition.label, alphas))
-        levels.update(zip(basis[r], map(width, alphas)))
+    return PermComplex(n, quotient_complex(basis, cells, _unit), cells)
+
+
+def _unit(alpha: TOPartition) -> tuple:
+    return alpha, 1
+
+
+def pushforward(alpha: TOPartition, image) -> dict:
+    """Image of d(alpha) in a quotient of P_n: basis key -> coefficient.
+
+    ``image(beta)`` is the (basis key, sign) of the class of the TO
+    partition beta, or None when beta is zero in the quotient; P_n itself
+    is the quotient by the identity, ``alpha -> (alpha, 1)``.
+    """
+    acc: dict = {}
+    for term in differential_terms(alpha):
+        hit = image(term.partition)
+        if hit is None:
+            continue
+        key, sign = hit
+        acc[key] = acc.get(key, 0) + term.sign * sign
+    return {key: v for key, v in acc.items() if v}
+
+
+def quotient_complex(basis: dict, cells: dict, image) -> FilteredComplex:
+    """A quotient of P_n, filtered by width.  ``basis`` and ``cells`` map
+    each degree to its labels and to one TO partition representing each
+    label, in basis order; column j of d_r is the pushforward of
+    d(cells[r][j]) divided by the sign of cells[r][j] itself."""
     diffs = {}
-    for r, alphas in cells.items():
+    for r in sorted(cells):
         if r - 1 not in cells:
             continue
-        entries: dict = {}
-        target_index = {a: i for i, a in enumerate(cells[r - 1])}
-        for j, alpha in enumerate(alphas):
-            for term in differential_terms(alpha):
-                key = (target_index[term.partition], j)
-                entries[key] = entries.get(key, 0) + term.sign
-        diffs[r] = SparseMatrix.from_entries(len(basis[r - 1]), len(basis[r]), entries)
-    complex = ChainComplex.build(basis, diffs)
-    return PermComplex(n, FilteredComplex.build(complex, levels), cells)
+        row = {image(beta)[0]: i for i, beta in enumerate(cells[r - 1])}
+        entries = {}
+        for j, alpha in enumerate(cells[r]):
+            sign = image(alpha)[1]
+            for key, value in pushforward(alpha, image).items():
+                entries[(row[key], j)] = sign * value
+        diffs[r] = SparseMatrix.from_entries(len(cells[r - 1]), len(cells[r]), entries)
+    levels = {lab: width(alpha) for r in cells for lab, alpha in zip(basis[r], cells[r])}
+    return FilteredComplex.build(ChainComplex.build(basis, diffs), levels)
 
 
 def subset_label(subset, n: int) -> str:
@@ -120,33 +147,39 @@ def blowdown_coefficient(alpha: TOPartition) -> int:
     return parity(singletons) * (-1 if outside % 2 else 1)
 
 
-def perm_to_simplex(n: int,
-                    perm: PermComplex | None = None,
-                    simplex: SimplexComplex | None = None) -> ChainMap:
+def blowdown_matrices(cells: dict, image, simplex: SimplexComplex) -> dict:
+    """Blow-down on a quotient of P_n, degree by degree: the class of a
+    representative alpha in ``cells`` whose blocks other than the least
+    are singletons goes to its least block, with ``blowdown_coefficient``
+    over the sign of alpha's own class (see ``quotient_complex``); every
+    other class goes to zero."""
+    n = simplex.n
+    rows = {p: {lab: i for i, lab in enumerate(simplex.complex.labels(p - 1))}
+            for p in range(1, n + 1)}
+    matrices = {}
+    for r in sorted(cells):
+        entries = {}
+        for j, alpha in enumerate(cells[r]):
+            block = blowdown_support(alpha)
+            if block is None:
+                continue
+            p = len(block)
+            coefficient = image(alpha)[1] * blowdown_coefficient(alpha)
+            entries[(rows[p][subset_label(block, n)], j)] = coefficient
+        if entries:
+            matrices[r] = SparseMatrix.from_entries(
+                simplex.complex.dim(p - 1), len(cells[r]), entries)
+    return matrices
+
+
+def perm_to_simplex(perm: PermComplex, simplex: SimplexComplex) -> ChainMap:
     """Surjective chain map from the permutohedron complex onto the
     simplex complex: a cell with least block of size p+1 and all other
     blocks singletons goes to its least block in degree p with
     coefficient ``blowdown_coefficient``, everything else to zero.
     The map is not checked here; ``verify_chain_map`` does that."""
-    perm = perm or build_perm(n)
-    simplex = simplex or build_simplex(n)
-    sidx = {}
-    for p in range(1, n + 1):
-        labels = simplex.complex.labels(p - 1)
-        sidx[p] = {lab: i for i, lab in enumerate(labels)}
-    matrices = {}
-    for r in perm.complex.degrees():
-        entries = {}
-        for j, alpha in enumerate(perm.cells[r]):
-            block = blowdown_support(alpha)
-            if block is None:
-                continue
-            row = sidx[len(block)][subset_label(block, n)]
-            entries[(row, j)] = blowdown_coefficient(alpha)
-        if entries:
-            matrices[r] = SparseMatrix.from_entries(
-                simplex.complex.dim(r), perm.complex.dim(r), entries)
+    matrices = blowdown_matrices(perm.cells, _unit, simplex)
     # P1 has a single cell, mapped with +1: the unit sign.
-    convention = "unit" if n == 1 else "ordering_parity"
+    convention = "unit" if perm.n == 1 else "ordering_parity"
     return ChainMap.build(perm.complex, simplex.complex, 0, matrices,
                           note=f"sign convention: {convention}")

@@ -8,35 +8,22 @@ signed sum of ways to subdivide one block in place.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
 
-@dataclass(frozen=True, eq=True)
-class TOPartition:
-    """An ordered partition of {1..n}; blocks are sorted tuples, least last."""
+class TOPartition(NamedTuple):
+    """An ordered partition of {1..n}; blocks are sorted tuples, least last.
+
+    Unchecked: the package builds only valid ones.  Outside input enters
+    through ``TOPartition.of`` and ``parse_topartition``, which validate.
+    """
 
     n: int
     blocks: tuple
 
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("ground set must be nonempty")
-        seen = set()
-        total = 0
-        for block in self.blocks:
-            if not block or tuple(sorted(set(block))) != tuple(block):
-                raise ValueError(f"malformed block {block!r}")
-            seen.update(block)
-            total += len(block)
-        if total != len(seen):
-            raise ValueError("blocks are not disjoint")
-        if seen != set(range(1, self.n + 1)):
-            raise ValueError(f"blocks do not partition 1..{self.n}")
-
     @staticmethod
     def of(n: int, *blocks) -> TOPartition:
-        return TOPartition(n, tuple(tuple(sorted(b)) for b in blocks))
+        return _validated(n, tuple(tuple(sorted(b)) for b in blocks))
 
     def label(self) -> str:
         return ">".join(format_block(b, self.n) for b in self.blocks)
@@ -46,6 +33,23 @@ class TOPartition:
 
     def block_count(self) -> int:
         return len(self.blocks)
+
+
+def _validated(n: int, blocks: tuple) -> TOPartition:
+    if n < 1:
+        raise ValueError("ground set must be nonempty")
+    seen = set()
+    total = 0
+    for block in blocks:
+        if not block or tuple(sorted(set(block))) != tuple(block):
+            raise ValueError(f"malformed block {block!r}")
+        seen.update(block)
+        total += len(block)
+    if total != len(seen):
+        raise ValueError("blocks are not disjoint")
+    if seen != set(range(1, n + 1)):
+        raise ValueError(f"blocks do not partition 1..{n}")
+    return TOPartition(n, blocks)
 
 
 class SignedTerm(NamedTuple):
@@ -134,4 +138,4 @@ def parse_topartition(text: str, n: int | None = None) -> TOPartition:
     total = sum(len(b) for b in blocks)
     if n is None:
         n = total
-    return TOPartition(n, tuple(blocks))
+    return _validated(n, tuple(blocks))

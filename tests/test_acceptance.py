@@ -88,9 +88,9 @@ def test_criterion_05_pages_one_and_two(perms):
     report(5, "E1 is the binomial row at q=-1 and E2 a single class, n = 2..6")
 
 
-def test_criterion_06_blow_down(perms):
+def test_criterion_06_blow_down(perms, simplexes):
     for n in range(1, 7):
-        f = perm_to_simplex(n, perm=perms[n])
+        f = perm_to_simplex(perms[n], simplexes[n])
         assert verify_chain_map(f).passed, n
         assert is_surjective(f), n
         cone = mapping_cone(f)
@@ -156,7 +156,7 @@ def test_criterion_10_factorization(perms, simplexes, corpus_fibers):
         assert all(v == 0 for v in homology_dims(cone1).values()), name
         assert all(v == 0 for v in homology_dims(cone2).values()), name
         composite = compose(f2s, p2f)
-        direct = perm_to_simplex(n, perm=perms[n], simplex=simplexes[n])
+        direct = perm_to_simplex(perms[n], simplexes[n])
         for r in perms[n].complex.degrees():
             assert composite.matrix(r) == direct.matrix(r), (name, r)
     report(10, "fiber->simplex after perm->fiber equals perm->simplex on "

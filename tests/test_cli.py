@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from permfiber.cli import CHECK_TOKENS, Collector, _run_checks, main
 from permfiber.complexes import ChainComplex, FilteredComplex
 from permfiber.linalg import SparseMatrix
@@ -60,8 +62,8 @@ def test_caps_above_the_ceiling(capsys, monkeypatch, corpus_dir):
         (("perm", "--n", "3", "--cap", "9"), None, "--cap 9", 8),
         (("fiber", "--graph", graph, "--cap", "10"), None, "--cap 10", 9),
         (("fiber", "--graph", graph), "10", "PERMFIBER_CAP 10", 9),
-        (("suite", "--corpus", str(corpus_dir), "--cap", "10"), None, "--cap 10", 9),
-        (("suite", "--corpus", str(corpus_dir)), "10", "PERMFIBER_CAP 10", 9),
+        (("suite", "--corpus", str(corpus_dir), "--cap", "10"), None, "--cap 10", 8),
+        (("suite", "--corpus", str(corpus_dir)), "10", "PERMFIBER_CAP 10", 8),
         (("simplex", "--n", "3"), "10", "PERMFIBER_CAP 10", 9),
     ]
     for argv, env, source, ceiling in cases:
@@ -72,6 +74,60 @@ def test_caps_above_the_ceiling(capsys, monkeypatch, corpus_dir):
         code, out, err = run_cli(capsys, *argv)
         assert code == 2 and out == "", argv
         assert err == f"error: {source} is above the ceiling {ceiling}\n", argv
+
+
+class _Built(Exception):
+    pass
+
+
+def test_maps_above_the_perm_ceiling(capsys, monkeypatch, tmp_path, corpus_dir):
+    def refuse(*args, **kwargs):
+        raise _Built
+
+    monkeypatch.setattr("permfiber.cli.build_perm", refuse)
+    monkeypatch.setattr("permfiber.cli.build_fiber", refuse)
+    monkeypatch.delenv("PERMFIBER_CAP", raising=False)
+    path9 = tmp_path / "path9.edges"
+    path9.write_text("".join(f"{v} {v + 1}\n" for v in range(9)))
+    for checks in ("maps", "all", "d2,maps"):
+        code, out, err = run_cli(capsys, "fiber", "--graph", str(path9),
+                                 "--cap", "9", "--checks", checks)
+        assert code == 2 and out == "", checks
+        assert err == "error: check maps builds P9, above the ceiling 8\n", checks
+    code, out, err = run_cli(capsys, "suite", "--corpus", str(corpus_dir), "--cap", "9")
+    assert code == 2 and out == ""
+    assert err == "error: --cap 9 is above the ceiling 8\n"
+    # without maps a 9-edge fiber is still within its own ceiling
+    with pytest.raises(_Built):
+        main(["fiber", "--graph", str(path9), "--cap", "9", "--checks", "d2,koszul"])
+
+
+def test_pages_above_n_plus_one(capsys, monkeypatch, corpus_dir):
+    import permfiber.cli as cli
+    build_perm = cli.build_perm
+
+    def refuse(*args, **kwargs):
+        raise _Built
+
+    monkeypatch.setattr(cli, "build_perm", refuse)
+    monkeypatch.setattr(cli, "build_fiber", refuse)
+    cases = [
+        (("perm", "--n", "3", "--pages", "2000000"),
+         "--pages must be at most n+1 (4), got 2000000"),
+        (("perm", "--n", "1", "--pages", "3"), "--pages must be at most n+1 (2), got 3"),
+        (("fiber", "--graph", str(corpus_dir / "path3.edges"), "--pages", "5"),
+         "--pages must be at most n+1 (4), got 5"),
+    ]
+    for argv, message in cases:
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == "", argv
+        assert err == f"error: {message}\n", argv
+    # page n+1 is still reported, and it is the stable page
+    monkeypatch.setattr(cli, "build_perm", build_perm)
+    code, out, _ = run_cli(capsys, "perm", "--n", "3", "--pages", "4", "--checks", "d2")
+    assert code == 0
+    pages = {line[:2]: line[4:] for line in out.splitlines() if line.startswith("E")}
+    assert pages["E4"] == pages["E3"] == pages["E2"]
 
 
 def test_python_dash_m_runs_the_cli():
@@ -186,14 +242,14 @@ def test_battery_reports_a_flipped_sign(perms, simplexes, corpus_fibers):
     ]
     for name, obj, checks, degree in cases:
         col = Collector()
-        _run_checks(col, name, obj, checks)
+        _run_checks(col, name, obj, checks, perm=perm)
         assert col.failed, name
         assert f"check d2: FAIL (fails at degree {degree})" in col.lines, name
         assert "check homology: FAIL (skipped: d2 failed)" in col.lines, name
         assert all(f"{name},{check},false" in col.checks_rows for check in checks), name
 
 
-def test_maps_failure_names_degree_and_cell(capsys, monkeypatch, corpus_fibers):
+def test_maps_failure_names_degree_and_cell(capsys, monkeypatch, perms, corpus_fibers):
     import permfiber.polytopes as polytopes
     unit = polytopes.blowdown_coefficient
     monkeypatch.setattr(polytopes, "blowdown_coefficient",
@@ -210,7 +266,7 @@ def test_maps_failure_names_degree_and_cell(capsys, monkeypatch, corpus_fibers):
     flipped = dataclasses.replace(fib, filtered=FilteredComplex.build(
         _flip_one_sign(fib.complex, -2), fib.filtered.levels))
     col = Collector()
-    _run_checks(col, "path3", flipped, ("maps",))
+    _run_checks(col, "path3", flipped, ("maps",), perm=perms[3])
     [line] = [line for line in col.lines if line.startswith("check maps")]
     assert "; fiber->simplex does not commute at degree -2, cell ({12} ({3}))" in line
     assert line.endswith("; not well defined at tree ({12} ({3})))")

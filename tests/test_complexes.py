@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from collections import Counter
 from fractions import Fraction
@@ -21,7 +22,7 @@ from permfiber.complexes import (
     verify_chain_map,
     verify_d_squared,
 )
-from permfiber.linalg import SparseMatrix
+from permfiber.linalg import SparseMatrix, multiply
 
 
 def point_complex(label="pt", degree=0):
@@ -142,11 +143,11 @@ def test_verify_chain_map_identity_and_flip(perms):
     assert report.label is not None
 
 
-def test_compose_shifts_add(perms, corpus_fibers):
+def test_compose_shifts_add(perms, simplexes, corpus_fibers):
     from permfiber.fiber import fiber_to_simplex, perm_to_fiber
     fib = corpus_fibers["path3"]
-    f = perm_to_fiber(fib, perm=perms[3])
-    g = fiber_to_simplex(fib)
+    f = perm_to_fiber(fib, perms[3])
+    g = fiber_to_simplex(fib, simplexes[3])
     assert compose(g, f).shift == 0
 
 
@@ -246,3 +247,42 @@ def test_cone_of_fraction_valued_map_keeps_exactness():
         1: SparseMatrix.from_entries(1, 1, {(0, 0): Fraction(1, 2)})})
     assert verify_chain_map(f).passed
     assert is_quasi_isomorphism(f)
+
+
+class _CountingLevels(dict):
+    """A levels dict that counts full scans through ``values()``."""
+
+    scans = 0
+
+    def values(self):
+        self.scans += 1
+        return super().values()
+
+
+def test_level_range_is_computed_once(perms):
+    fc = perms[4].filtered
+    counted = dataclasses.replace(fc, levels=_CountingLevels(fc.levels))
+    for r in range(4):
+        assert page_dims(counted, r) == page_dims(fc, r)
+    assert stable_page_index(counted) == stable_page_index(fc)
+    assert counted.levels.scans == 2  # one min and one max, ever
+
+
+def test_chain_map_report_is_cached_for_the_cone(perms, monkeypatch):
+    import permfiber.complexes as complexes
+    products = []
+
+    def counting(a, b):
+        products.append((a, b))
+        return multiply(a, b)
+
+    monkeypatch.setattr(complexes, "multiply", counting)
+    f = identity_map(perms[3].complex)
+    report = verify_chain_map(f)
+    assert report.passed and products
+    del products[:]
+    assert verify_chain_map(f) is report and not products
+    cone = mapping_cone(f)
+    # the cone's own d^2 check is every product left
+    assert len(products) == sum(1 for r in cone.degrees()
+                                if cone.dim(r + 1) and cone.dim(r - 1))

@@ -219,13 +219,13 @@ def test_fiber_d_squared_and_width_filtration(corpus_fibers):
 
 
 def test_degenerate_pushforward_vanishes(corpus_graphs, corpus_fibers):
-    from permfiber.fiber import _pushforward
+    from permfiber.polytopes import pushforward
     for name in ("path3", "path4", "cycle4", "twoloop"):
         g = corpus_graphs[name]
         images = corpus_fibers[name].images
         for alpha in enumerate_topartitions(g.n):
             if fiber_element(g, alpha).degenerate:
-                assert _pushforward(images, alpha) == {}, (name, alpha.pretty())
+                assert pushforward(alpha, images.get) == {}, (name, alpha.pretty())
 
 
 def test_images_record_every_nondegenerate_fiber_element(corpus_fibers):
@@ -237,6 +237,24 @@ def test_images_record_every_nondegenerate_fiber_element(corpus_fibers):
                 want[alpha] = (t.canonical().label(), t.sign)
         assert fib.images == want, name
         assert {lab for lab, _ in fib.images.values()} == set(fib.trees), name
+
+
+def test_canonical_representative_runs_once_per_tree(monkeypatch, corpus_graphs,
+                                                     perms, simplexes):
+    import permfiber.fiber as fiber
+    seen = []
+    real = fiber.canonical_representative
+    monkeypatch.setattr(fiber, "canonical_representative",
+                        lambda tree: seen.append(tree) or real(tree))
+    fib = build_fiber(corpus_graphs["cycle4"])
+    perm_to_fiber(fib, perms[4])
+    fiber_to_simplex(fib, simplexes[4])
+    push_forward_well_defined(fib)
+    koszul_check(fib)
+    assert len(seen) == len(fib.trees)
+    # the representatives are kept in basis order, like PermComplex.cells
+    for r in fib.complex.degrees():
+        assert fib.cells[r] == tuple(real(fib.trees[lab]) for lab in fib.complex.labels(r))
 
 
 def test_fiber_cap_enforced():
@@ -323,7 +341,7 @@ def test_factorization_through_fiber(perms, simplexes, corpus_fibers):
         n = fib.n
         f = perm_to_fiber(fib, perm=perms[n])
         g = fiber_to_simplex(fib, simplex=simplexes[n])
-        p2s = perm_to_simplex(n, perm=perms[n], simplex=simplexes[n])
+        p2s = perm_to_simplex(perms[n], simplexes[n])
         composite = compose(g, f)
         for r in perms[n].complex.degrees():
             assert composite.matrix(r) == p2s.matrix(r), (name, r)

@@ -95,7 +95,7 @@ def test_blowdown_top_cell_has_unit_coefficient():
 
 
 def test_perm_to_simplex_examples(perms, simplexes):
-    f = perm_to_simplex(4, perm=perms[4], simplex=simplexes[4])
+    f = perm_to_simplex(perms[4], simplexes[4])
     labels4 = perms[4].complex.labels(3)
     top_col = labels4.index("1234")
     m = f.matrix(3)
@@ -108,7 +108,7 @@ def test_perm_to_simplex_examples(perms, simplexes):
 
 def test_perm_to_simplex_is_surjective_chain_map(perms, simplexes):
     for n in range(1, 6):
-        f = perm_to_simplex(n, perm=perms[n], simplex=simplexes[n])
+        f = perm_to_simplex(perms[n], simplexes[n])
         assert verify_chain_map(f).passed
         assert is_surjective(f)
         assert f.shift == 0
@@ -119,7 +119,7 @@ def test_perm_to_simplex_records_working_convention(perms, simplexes):
     # one sign rule gives a chain map; no other rule is tried
     for n in range(1, 7):
         perm, simplex = perms[n], simplexes[n]
-        f = perm_to_simplex(n, perm=perm, simplex=simplex)
+        f = perm_to_simplex(perm, simplex)
         for r in perm.complex.degrees():
             m = f.matrix(r)
             targets = simplex.complex.labels(r)
@@ -139,6 +139,6 @@ def test_perm_to_simplex_records_working_convention(perms, simplexes):
 
 def test_perm_to_simplex_cone_acyclic_small(perms, simplexes):
     for n in range(1, 5):
-        f = perm_to_simplex(n, perm=perms[n], simplex=simplexes[n])
+        f = perm_to_simplex(perms[n], simplexes[n])
         cone = mapping_cone(f)
         assert all(v == 0 for v in homology_dims(cone).values())

@@ -129,4 +129,4 @@ def test_invalid_partitions_rejected():
     with pytest.raises(ValueError):
         TOPartition.of(3, [1, 2], [2, 3])  # overlap
     with pytest.raises(ValueError):
-        TOPartition(3, ((), (1, 2, 3)))  # empty block
+        TOPartition.of(3, (), (1, 2, 3))  # empty block
