@@ -234,7 +234,11 @@ def _run_checks(col: Collector, name: str, obj, checks, pages: int = -1,
             want = {r: int(r == bottom) for r in c.degrees()}
             col.check(name, "homology", h == want, _homology_detail(h))
     if pages >= 0:
-        col.pages(name, obj.filtered, pages)
+        if verify_d_squared(c).passed:
+            col.pages(name, obj.filtered, pages)
+        else:
+            col.say("pages: skipped (d2 failed)")
+            col.failed = True
     if "koszul" in checks:
         rep = koszul_check(obj)
         detail = (f"homology {_homology_detail(rep.homology)}; {rep.note}" if fiber

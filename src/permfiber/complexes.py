@@ -4,18 +4,21 @@ filtration spectral-sequence pages, chain maps and mapping cones.
 Complexes are graded homologically with a sparse differential matrix
 per degree.  Basis labels are opaque strings, unique across the whole
 complex, so one engine serves permutohedra, simplices and fibers.
-Spectral pages are computed as dimensions only, through ranks of the
-differential restricted to filtration subspaces.
+Homology and every spectral page come from one reduction of the whole
+complex (``linalg.pivots``, top degree down, with clearing), cached:
+in index order for homology and cones, and in (level, index) order for
+the pages, whose dimensions are read off the persistence pairs.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from typing import Mapping
 
-from .linalg import SparseMatrix, multiply, rank
+from .linalg import SparseMatrix, multiply, pivots, rank
 
 
 @dataclass(frozen=True, eq=True)
@@ -58,12 +61,6 @@ class ChainComplex:
             return SparseMatrix.zero(self.dim(r - 1), self.dim(r))
         return m
 
-    def rank_d(self, r: int) -> int:
-        key = ("rank_d", r)
-        if key not in self._cache:
-            self._cache[key] = rank(self.d(r))
-        return self._cache[key]
-
 
 @dataclass(frozen=True)
 class D2Report:
@@ -91,19 +88,41 @@ def verify_d_squared(c: ChainComplex) -> D2Report:
     return report
 
 
-def homology_dims(c: ChainComplex) -> dict:
-    """dim H_r = dim C_r - rank d_r - rank d_{r+1}, for every degree."""
+def _require_complex(c: ChainComplex) -> None:
     report = verify_d_squared(c)
     if not report.passed:
         raise ValueError(f"not a chain complex: d^2 != 0 at degree {report.degree}")
-    return {r: c.dim(r) - c.rank_d(r) - c.rank_d(r + 1) for r in c.degrees()}
+
+
+def _reduce(c: ChainComplex, order=lambda n: None) -> dict:
+    """degree n -> the (row, col) pivot pairs of d_n, from one reduction
+    of the whole complex.  It runs from the top degree down, and a
+    column of d_n that is a pivot row of d_{n+1} is a boundary, hence a
+    cycle since d^2 = 0, so it is cleared instead of reduced.
+    ``order(n)`` lists the degree-n cells in the order the reduction
+    takes them, None for index order."""
+    pairs: dict = {}
+    for n in sorted(c.differentials, reverse=True):
+        boundaries = {row for row, _ in pairs.get(n + 1, ())}
+        pairs[n] = pivots(c.differentials[n], order(n - 1), order(n), boundaries)
+    return pairs
+
+
+def homology_dims(c: ChainComplex) -> dict:
+    """dim H_r = dim C_r - rank d_r - rank d_{r+1}, for every degree:
+    the degree-r cells that no pivot pair of the reduction holds."""
+    _require_complex(c)
+    if "pairs" not in c._cache:
+        c._cache["pairs"] = _reduce(c)
+    pairs = c._cache["pairs"]
+    return {r: c.dim(r) - len(pairs.get(r, ())) - len(pairs.get(r + 1, ()))
+            for r in c.degrees()}
 
 
 @dataclass(frozen=True, eq=True)
 class FilteredComplex:
     complex: ChainComplex
     levels: dict          # basis label -> filtration level (nat)
-    _cache: dict = field(default_factory=dict, compare=False, repr=False)
 
     @staticmethod
     def build(complex: ChainComplex, levels: Mapping) -> FilteredComplex:
@@ -133,11 +152,23 @@ class FilteredComplex:
     def max_level(self) -> int:
         return self._level_range[1]
 
-    def level_counts(self, r: int) -> dict:
+    @cached_property
+    def _spans(self) -> dict:
+        """(p, q) -> Counter of spans over the cells of level p and
+        degree p + q: e - b for a cell in a persistence pair (b, e) of
+        the (level, index)-ordered reduction, None for an unpaired cell."""
+        c = self.complex
+        levels = {n: [self.levels[lab] for lab in c.labels(n)] for n in c.degrees()}
+        order = {n: sorted(range(c.dim(n)), key=levels[n].__getitem__) for n in levels}
+        pairs = _reduce(c, order.get)
+        spans = {n: [None] * c.dim(n) for n in c.degrees()}
+        for n, ps in pairs.items():
+            for i, j in ps:
+                spans[n][j] = spans[n - 1][i] = levels[n][j] - levels[n - 1][i]
         out: dict = {}
-        for lab in self.complex.labels(r):
-            p = self.levels[lab]
-            out[p] = out.get(p, 0) + 1
+        for n in c.degrees():
+            for p, span in zip(levels[n], spans[n]):
+                out.setdefault((p, n - p), Counter())[span] += 1
         return out
 
 
@@ -153,61 +184,23 @@ class PageTable:
         return [f"{self.r},{p},{q},{d}" for (p, q), d in sorted(self.dims.items())]
 
 
-def _sub_kernel_dim(fc: FilteredComplex, n: int, a: int, b: int) -> int:
-    """dim(F_a C_n  intersect  d^{-1} F_b C_{n-1}).
-
-    Computed as the kernel dimension of the differential block with
-    columns of level <= a and rows of level > b; the filtration is
-    spanned by basis elements, so these blocks are plain submatrices.
-    """
-    c = fc.complex
-    lo, hi = fc.min_level(), fc.max_level()
-    a = min(a, hi)
-    if a < lo or c.dim(n) == 0:
-        return 0
-    key = (n, a, max(b, lo - 1))
-    cached = fc._cache.get(key)
-    if cached is not None:
-        return cached
-    src = c.labels(n)
-    cols = [j for j, lab in enumerate(src) if fc.levels[lab] <= a]
-    tgt = c.labels(n - 1)
-    rows = [i for i, lab in enumerate(tgt) if fc.levels[lab] > b]
-    if not rows or c.dim(n - 1) == 0:
-        value = len(cols)
-    else:
-        value = len(cols) - rank(c.d(n).restrict(rows, cols))
-    fc._cache[key] = value
-    return value
-
-
 def page_dims(fc: FilteredComplex, r: int) -> PageTable:
     """Exact dimensions of the page-r term of the filtration spectral
     sequence, bigraded by (p, q) = (level, total degree - level).
 
-    With Z(n, a, b) = dim(F_a C_n intersect d^{-1} F_b C_{n-1}):
-
-      dim E^r_{p,q} = Z(n,p,p-r) - Z(n,p-1,p-r)
-                      - [Z(n+1,p+r-1,p) - Z(n+1,p+r-1,p-1)],  n = p+q.
-
-    The first difference counts r-almost-cycles modulo those from one
-    filtration step down; the bracket counts boundaries arriving from
-    F_{p+r-1} that land in F_p but not F_{p-1}.
+    dim E^r_{p,q} counts the cells of level p and degree p + q that no
+    persistence pair holds, plus those in a pair (b, e) with e - b >= r:
+    a pair cancels on the page after its span, so E^0 counts every cell
+    and E^1 keeps the pairs that cross levels.
     """
     if r < 0:
         raise ValueError("page index must be a natural number")
+    _require_complex(fc.complex)
     table = {}
-    for n in fc.complex.degrees():
-        for p in range(fc.min_level(), fc.max_level() + 1):
-            z_top = _sub_kernel_dim(fc, n, p, p - r)
-            z_below = _sub_kernel_dim(fc, n, p - 1, p - r)
-            b_top = _sub_kernel_dim(fc, n + 1, p + r - 1, p)
-            b_below = _sub_kernel_dim(fc, n + 1, p + r - 1, p - 1)
-            d = (z_top - z_below) - (b_top - b_below)
-            if d < 0:
-                raise AssertionError(f"negative page dimension at r={r}, (p,q)=({p},{n-p})")
-            if d:
-                table[(p, n - p)] = d
+    for key, spans in sorted(fc._spans.items()):
+        d = sum(k for span, k in spans.items() if span is None or span >= r)
+        if d:
+            table[key] = d
     return PageTable(r, table)
 
 
@@ -306,10 +299,16 @@ def is_surjective(f: ChainMap) -> bool:
 def mapping_cone(f: ChainMap) -> ChainComplex:
     """Cone of f, with the source placed one degree up (after undoing the
     shift) and its differential negated.  Acyclicity of the cone is the
-    working definition of f being a quasi-isomorphism."""
+    working definition of f being a quasi-isomorphism.
+
+    The cone's D^2 is [[d^2, 0], [d f - f d, d^2]], so the cached d^2
+    reports of source and target and the chain-map report of f prove
+    D^2 = 0; the cone starts with that passing d^2 report."""
     report = verify_chain_map(f)
     if not report.passed:
         raise ValueError(f"mapping cone of a non-chain-map (fails at degree {report.degree})")
+    _require_complex(f.source)
+    _require_complex(f.target)
     s = f.shift
     src, tgt = f.source, f.target
     degrees = sorted({r + 1 + s for r in src.degrees()} | set(tgt.degrees()))
@@ -337,9 +336,7 @@ def mapping_cone(f: ChainMap) -> ChainComplex:
         if m.entries:
             diffs[r] = m
     cone = ChainComplex.build(basis, diffs)
-    check = verify_d_squared(cone)
-    if not check.passed:
-        raise AssertionError(f"cone differential fails d^2=0 at degree {check.degree}")
+    cone._cache["d2"] = D2Report(True)
     return cone
 
 

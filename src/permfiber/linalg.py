@@ -1,11 +1,12 @@
 """Exact sparse linear algebra over the rationals.
 
-Ranks, kernel dimensions and products of sparse matrices with exact
-rational entries: a plain int for an integral entry, a Fraction
-otherwise.  Everything is exact: rank runs one sparse, fraction-free
-elimination over the integers after clearing denominators row by row
-(a rank-preserving rescaling), so no tolerance ever enters a rank
-decision.
+Sparse matrices with exact rational entries (a plain int for an
+integral entry, a Fraction otherwise), their products, and one
+elimination: the lowest-pivot column reduction ``pivots``, over the
+integers.  Its (row, col) pivot pairs give the rank, and, taken in a
+filtration order, the persistence pairs from which ``complexes`` reads
+homology and every spectral page.  No tolerance, modulus or random
+choice ever enters a decision.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 from typing import Mapping
 
@@ -73,16 +73,6 @@ class SparseMatrix:
     def get(self, i: int, j: int):
         return self.entries.get((i, j), 0)
 
-    def restrict(self, row_keep, col_keep) -> SparseMatrix:
-        """Submatrix on the given row/column index sets, reindexed densely."""
-        row_pos = {r: i for i, r in enumerate(sorted(set(row_keep)))}
-        col_pos = {c: j for j, c in enumerate(sorted(set(col_keep)))}
-        sub = {}
-        for (i, j), value in self.entries.items():
-            if i in row_pos and j in col_pos:
-                sub[(row_pos[i], col_pos[j])] = value
-        return SparseMatrix(len(row_pos), len(col_pos), sub)
-
     def dense(self) -> list:
         out = [[0] * self.cols for _ in range(self.rows)]
         for (i, j), value in self.entries.items():
@@ -106,97 +96,77 @@ def multiply(a: SparseMatrix, b: SparseMatrix) -> SparseMatrix:
     return SparseMatrix(a.rows, b.cols, {k: _exact(v) for k, v in acc.items() if v != 0})
 
 
-def kernel_dim(m: SparseMatrix) -> int:
-    return m.cols - rank(m)
+def _integral(column: dict) -> dict:
+    """column scaled to integers and divided by the gcd of its entries:
+    a nonzero rescaling, so it spans the same line."""
+    if any(type(v) is not int for v in column.values()):
+        denom = lcm(*(v.denominator for v in column.values()))
+        column = {k: v.numerator * (denom // v.denominator) for k, v in column.items()}
+    g = gcd(*column.values())
+    return {k: v // g for k, v in column.items()} if g > 1 else column
 
 
-def _integer_rows(m: SparseMatrix) -> dict:
-    """Rows as integer dicts after clearing denominators and dividing by
-    the row gcd.  Row rescaling by nonzero constants preserves rank."""
-    rows: dict = defaultdict(dict)
+def pivots(m: SparseMatrix, rows=None, cols=None, cleared=()) -> list:
+    """The (row, col) pivot pairs of the lowest-pivot column reduction
+    of m, exactly, over the integers.
+
+    Columns are reduced in the order ``cols`` (default: by index), and
+    the pivot of a column is its entry latest in ``rows`` (default: by
+    index).  Each column in turn is reduced by the earlier columns
+    until its pivot row is no earlier column's pivot row, or it is
+    zero: col <- a*col - b*earlier cancels the pivot entry, and the
+    result is divided by its gcd.  Columns in ``cleared`` are skipped;
+    a caller clears only columns it knows reduce to zero.
+
+    The number of pairs is the rank of m.  Taken in the order of a
+    filtration, the pairs are its persistence pairs (Edelsbrunner,
+    Letscher and Zomorodian; clearing as in Chen and Kerber, "Persistent
+    homology computation with a twist")."""
+    rows = range(m.rows) if rows is None else rows
+    position = [0] * m.rows
+    for k, i in enumerate(rows):
+        position[i] = k
+    columns: dict = defaultdict(dict)
     for (i, j), value in m.entries.items():
-        rows[i][j] = value
-    out = {}
-    for i, row in rows.items():
-        if any(type(v) is not int for v in row.values()):
-            denom = lcm(*(v.denominator for v in row.values()))
-            row = {j: int(v * denom) for j, v in row.items()}
-        g = gcd(*row.values())
-        if g > 1:
-            row = {j: v // g for j, v in row.items()}
-        out[i] = row
-    return out
+        columns[j][position[i]] = value
+    reduced = {}   # pivot position -> reduced column holding it
+    pairs = []
+    for j in range(m.cols) if cols is None else cols:
+        if j in cleared or j not in columns:
+            continue
+        col = _integral(columns[j])
+        while col:
+            low = max(col)
+            other = reduced.get(low)
+            if other is None:
+                reduced[low] = col
+                pairs.append((rows[low], j))
+                break
+            g = gcd(other[low], col[low])
+            a, b = other[low] // g, col[low] // g
+            if a != 1:
+                for k in col:
+                    col[k] *= a
+            for k, v in other.items():
+                new = col.get(k, 0) - b * v
+                if new:
+                    col[k] = new
+                else:
+                    del col[k]
+            if col:
+                g = gcd(*col.values())
+                if g > 1:
+                    for k in col:
+                        col[k] //= g
+        if len(reduced) == m.rows:
+            break   # every row holds a pivot: the other columns reduce to zero
+    return pairs
 
 
 def rank(m: SparseMatrix) -> int:
-    """Rank of m over the rationals, exactly and deterministically.
+    """Rank of m over the rationals: its number of pivots."""
+    return len(pivots(m))
 
-    Sparse integer elimination.  Pivots are chosen Markowitz-style: the
-    sparsest live column (least index on a tie), then within it a unit
-    entry on the sparsest row.  Updated rows are renormalised by their
-    gcd to keep entry growth down.
 
-    The sparsest column comes from a heap of (live count, column) with
-    lazy invalidation: an entry is current only while its count equals
-    the column's live count.  Only the columns of the pivot row can
-    change in a step, and each one whose count changed gets a fresh
-    entry, so every live column always has a current entry and the
-    first current entry popped is the minimum over all live columns."""
-    rows = _integer_rows(m)
-    col_rows: dict = defaultdict(set)
-    for i, row in rows.items():
-        for j in row:
-            col_rows[j].add(i)
-    heap = [(len(live), j) for j, live in col_rows.items()]
-    heapify(heap)
-    r = 0
-    while heap:
-        count, c = heappop(heap)
-        candidates = col_rows.get(c)
-        if candidates is None or len(candidates) != count:
-            continue
-        pr_index = min(
-            candidates,
-            key=lambda i: (abs(rows[i][c]) != 1, len(rows[i]), i),
-        )
-        pivot_row = rows.pop(pr_index)
-        before = {j: len(col_rows[j]) for j in pivot_row}
-        for j in pivot_row:
-            live = col_rows[j]
-            live.discard(pr_index)
-            if not live:
-                del col_rows[j]
-        r += 1
-        p = pivot_row[c]
-        for i in list(col_rows.get(c, ())):
-            row = rows[i]
-            head = row[c]
-            # row <- p*row - head*pivot_row, then divide by the row gcd.
-            if p != 1:
-                for j in row:
-                    if j not in pivot_row:
-                        row[j] = p * row[j]
-            for j, v in pivot_row.items():
-                new = p * row.get(j, 0) - head * v
-                if new:
-                    if j not in row:
-                        col_rows[j].add(i)
-                    row[j] = new
-                elif j in row:
-                    del row[j]
-                    live = col_rows[j]
-                    live.discard(i)
-                    if not live:
-                        del col_rows[j]
-            if row:
-                g = gcd(*row.values())
-                if g > 1:
-                    for j in row:
-                        row[j] //= g
-            else:
-                del rows[i]
-        for j, count in before.items():
-            live = col_rows.get(j)
-            if live and len(live) != count:
-                heappush(heap, (len(live), j))
-    return r
+def kernel_dim(m: SparseMatrix) -> int:
+    return m.cols - rank(m)

@@ -39,6 +39,38 @@ def dense_rank(matrix) -> int:
     return r
 
 
+def page_dims_dense(levels, basis, differentials, r: int) -> dict:
+    """(p, q) -> dim E^r_{p,q} of the filtration spectral sequence, by
+    the textbook formula on dense blocks.
+
+    ``levels`` maps each label to its level, ``basis`` each degree to
+    its labels, and ``differentials`` degree n to d_n as a dense list of
+    rows (one per degree-(n-1) label).  With Z(n, a, b) = dim(F_a C_n
+    intersect d^{-1} F_b C_{n-1}), the kernel of the block of d_n with
+    columns of level <= a and rows of level > b:
+
+      dim E^r_{p,q} = Z(n,p,p-r) - Z(n,p-1,p-r)
+                      - [Z(n+1,p+r-1,p) - Z(n+1,p+r-1,p-1)],  n = p+q.
+    """
+    def z(n, a, b):
+        cols = [j for j, lab in enumerate(basis.get(n, ())) if levels[lab] <= a]
+        rows = [i for i, lab in enumerate(basis.get(n - 1, ())) if levels[lab] > b]
+        if not cols or not rows or n not in differentials:
+            return len(cols)
+        block = [[differentials[n][i][j] for j in cols] for i in rows]
+        return len(cols) - dense_rank(block)
+
+    table = {}
+    for n in basis:
+        for p in sorted(set(levels.values())):
+            d = (z(n, p, p - r) - z(n, p - 1, p - r)
+                 - (z(n + 1, p + r - 1, p) - z(n + 1, p + r - 1, p - 1)))
+            assert d >= 0, (n, p, r)
+            if d:
+                table[(p, n - p)] = d
+    return table
+
+
 def dense_multiply(a, b):
     """Naive triple loop product of list-of-lists matrices."""
     rows, inner, cols = len(a), len(b), len(b[0]) if b else 0

@@ -234,19 +234,22 @@ def test_battery_reports_a_flipped_sign(perms, simplexes, corpus_fibers):
     fib = corpus_fibers["path3"]
     cases = [
         ("P3", dataclasses.replace(perm, filtered=FilteredComplex.build(
-            _flip_one_sign(perm.complex, 1), perm.filtered.levels)), CHECK_TOKENS, 2),
+            _flip_one_sign(perm.complex, 1), perm.filtered.levels)), CHECK_TOKENS, 2, 2),
         ("path3", dataclasses.replace(fib, filtered=FilteredComplex.build(
-            _flip_one_sign(fib.complex, -2), fib.filtered.levels)), CHECK_TOKENS, -1),
+            _flip_one_sign(fib.complex, -2), fib.filtered.levels)), CHECK_TOKENS, -1, -1),
         ("D2", SimplexComplex(3, _flip_one_sign(simplexes[3].complex, 1)),
-         ("d2", "homology"), 2),
+         ("d2", "homology"), 2, -1),
     ]
-    for name, obj, checks, degree in cases:
+    for name, obj, checks, degree, pages in cases:
         col = Collector()
-        _run_checks(col, name, obj, checks, perm=perm)
+        _run_checks(col, name, obj, checks, pages, perm=perm)
         assert col.failed, name
         assert f"check d2: FAIL (fails at degree {degree})" in col.lines, name
         assert "check homology: FAIL (skipped: d2 failed)" in col.lines, name
         assert all(f"{name},{check},false" in col.checks_rows for check in checks), name
+        assert ("pages: skipped (d2 failed)" in col.lines) == (pages >= 0), name
+        assert not any(line.startswith("E") for line in col.lines), name
+        assert not col.pages_rows, name
 
 
 def test_maps_failure_names_degree_and_cell(capsys, monkeypatch, perms, corpus_fibers):

@@ -24,6 +24,8 @@ from permfiber.complexes import (
 )
 from permfiber.linalg import SparseMatrix, multiply
 
+from oracles import page_dims_dense
+
 
 def point_complex(label="pt", degree=0):
     return ChainComplex.build({degree: (label,)}, {})
@@ -73,6 +75,9 @@ def test_homology_rejects_non_complex(perms):
     broken = flip_one_entry(c, 1, key)
     with pytest.raises(ValueError):
         homology_dims(broken)
+    # pages too: the reduction clears columns only when d^2 = 0
+    with pytest.raises(ValueError, match="not a chain complex"):
+        page_dims(FilteredComplex.build(broken, perms[3].filtered.levels), 1)
 
 
 def test_d_squared_verdict_is_cached(perms, monkeypatch):
@@ -172,13 +177,40 @@ def test_page_zero_counts_levels(perms):
     for p in range(fc.min_level(), fc.max_level() + 1):
         for r in fc.complex.degrees():
             got = t0.dim(p, r - p)
-            want = fc.level_counts(r).get(p, 0)
+            want = sum(1 for lab in fc.complex.labels(r) if fc.levels[lab] == p)
             assert got == want
 
 
 def test_pages_invalid_index_rejected(perms):
     with pytest.raises(ValueError):
         page_dims(perms[2].filtered, -1)
+
+
+def test_pages_match_dense_oracle(perms, corpus_fibers):
+    filtered = [perms[n].filtered for n in range(1, 5)]
+    filtered += [fib.filtered for fib in corpus_fibers.values() if fib.n <= 4]
+    assert len(filtered) > 10
+    for fc in filtered:
+        c = fc.complex
+        dense = {n: c.d(n).dense() for n in c.differentials}
+        for r in range(stable_page_index(fc) + 1):
+            want = page_dims_dense(fc.levels, c.basis, dense, r)
+            assert page_dims(fc, r).dims == want, r
+
+
+def test_pages_and_homology_survive_rational_scaling(perms, corpus_fibers):
+    for fc in (perms[4].filtered, corpus_fibers["cycle4"].filtered):
+        c = fc.complex
+        scaled = ChainComplex.build(c.basis, {
+            n: SparseMatrix.from_entries(m.rows, m.cols, {
+                key: Fraction(2, 3) * v for key, v in m.entries.items()})
+            for n, m in c.differentials.items()})
+        assert all(type(v) is Fraction
+                   for m in scaled.differentials.values() for v in m.entries.values())
+        scaled_fc = FilteredComplex.build(scaled, fc.levels)
+        assert homology_dims(scaled) == homology_dims(c)
+        for r in range(stable_page_index(fc) + 1):
+            assert page_dims(scaled_fc, r) == page_dims(fc, r), r
 
 
 def test_page_dims_pointwise_nonincreasing(perms, corpus_fibers):
@@ -280,9 +312,27 @@ def test_chain_map_report_is_cached_for_the_cone(perms, monkeypatch):
     f = identity_map(perms[3].complex)
     report = verify_chain_map(f)
     assert report.passed and products
+    assert verify_d_squared(f.source).passed
     del products[:]
     assert verify_chain_map(f) is report and not products
     cone = mapping_cone(f)
-    # the cone's own d^2 check is every product left
-    assert len(products) == sum(1 for r in cone.degrees()
-                                if cone.dim(r + 1) and cone.dim(r - 1))
+    # d^2 = 0 on the cone follows from the three cached reports
+    assert verify_d_squared(cone).passed and not products
+
+
+def test_mapping_cone_refuses_a_non_complex(perms):
+    c = perms[3].complex
+    broken = flip_one_entry(c, 1, next(iter(c.d(1).entries)))
+    f = identity_map(broken)
+    assert verify_chain_map(f).passed
+    with pytest.raises(ValueError):
+        mapping_cone(f)
+
+
+def test_cone_differential_squares_to_zero_when_multiplied(perms, simplexes):
+    from permfiber.polytopes import perm_to_simplex
+    for n in range(1, 6):
+        cone = mapping_cone(perm_to_simplex(perms[n], simplexes[n]))
+        fresh = ChainComplex.build(cone.basis, cone.differentials)
+        assert "d2" not in fresh._cache
+        assert verify_d_squared(fresh).passed, n

@@ -152,13 +152,6 @@ def test_dense_threshold_crossover_consistency():
     assert rank(big) == rank(small)
 
 
-def test_restrict_submatrix():
-    m = SparseMatrix.from_entries(3, 3, {(0, 0): 1, (1, 1): 2, (2, 2): 3})
-    sub = m.restrict([0, 2], [0, 2])
-    assert (sub.rows, sub.cols) == (2, 2)
-    assert sub.get(0, 0) == 1 and sub.get(1, 1) == 3
-
-
 def test_perm3_degree_one_differential_rank_matches_oracle(perms):
     d1 = perms[3].complex.d(1)
     assert (d1.rows, d1.cols) == (6, 6)
