@@ -4,7 +4,6 @@ and graph-contraction fiber complexes over the rationals."""
 from .complexes import (
     ChainComplex,
     ChainMap,
-    FilteredComplex,
     PageTable,
     complex_from_json,
     complex_to_json,

@@ -131,13 +131,12 @@ class Collector:
         for r in complex_.degrees():
             self.dims_rows.append(f"{obj},{r},{complex_.dim(r)}")
 
-    def pages(self, obj: str, filtered, max_r: int) -> None:
+    def pages(self, obj: str, complex_, max_r: int) -> None:
         for r in range(max_r + 1):
-            table = page_dims(filtered, r)
+            table = page_dims(complex_, r)
             cells = " ".join(f"({p},{q}):{d}" for (p, q), d in sorted(table.dims.items()))
             self.say(f"E{r}: {cells}")
-            for (p, q), d in sorted(table.dims.items()):
-                self.pages_rows.append(f"{obj},{r},{p},{q},{d}")
+            self.pages_rows.extend(f"{obj},{row}" for row in table.csv_rows())
 
     def write_outputs(self, out_dir: Path) -> None:
         if self.dims_rows:
@@ -235,7 +234,7 @@ def _run_checks(col: Collector, name: str, obj, checks, pages: int = -1,
             col.check(name, "homology", h == want, _homology_detail(h))
     if pages >= 0:
         if verify_d_squared(c).passed:
-            col.pages(name, obj.filtered, pages)
+            col.pages(name, c, pages)
         else:
             col.say("pages: skipped (d2 failed)")
             col.failed = True
@@ -272,7 +271,8 @@ def cmd_perm(args) -> int:
     col = _collector(args)
     perm = build_perm(args.n, cap=cap)
     _run_checks(col, f"P{args.n}", perm, checks, args.pages)
-    col.json_docs[f"P{args.n}"] = complex_to_json(perm.complex, perm.filtered.levels)
+    if args.out:
+        col.json_docs[f"P{args.n}"] = complex_to_json(perm.complex)
     return _finish(col, args)
 
 
@@ -285,7 +285,8 @@ def cmd_simplex(args) -> int:
     simplex = build_simplex(args.n)
     name = f"D{args.n - 1}"
     _run_checks(col, name, simplex, checks)
-    col.json_docs[name] = complex_to_json(simplex.complex)
+    if args.out:
+        col.json_docs[name] = complex_to_json(simplex.complex)
     return _finish(col, args)
 
 
@@ -312,7 +313,8 @@ def cmd_fiber(args) -> int:
     perm = build_perm(graph.n, cap=cap) if "maps" in checks else None
     name = path.stem
     _run_checks(col, name, fib, checks, args.pages, perm)
-    col.json_docs[name] = complex_to_json(fib.complex, fib.filtered.levels)
+    if args.out:
+        col.json_docs[name] = complex_to_json(fib.complex)
     return _finish(col, args)
 
 

@@ -3,11 +3,13 @@ filtration spectral-sequence pages, chain maps and mapping cones.
 
 Complexes are graded homologically with a sparse differential matrix
 per degree.  Basis labels are opaque strings, unique across the whole
-complex, so one engine serves permutohedra, simplices and fibers.
+complex, so one engine serves permutohedra, simplices and fibers.  A
+filtered complex is a complex with one level per cell, held by index.
 Homology and every spectral page come from one reduction of the whole
-complex (``linalg.pivots``, top degree down, with clearing), cached:
-in index order for homology and cones, and in (level, index) order for
-the pages, whose dimensions are read off the persistence pairs.
+complex (``linalg.pivots``, top degree down, with clearing), cached on
+the complex: in index order for homology and cones, and in (level,
+index) order for the pages, whose dimensions are read off the
+persistence pairs.
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 from typing import Mapping
 
 from .linalg import SparseMatrix, multiply, pivots, rank
@@ -25,10 +26,14 @@ from .linalg import SparseMatrix, multiply, pivots, rank
 class ChainComplex:
     basis: dict           # degree -> tuple of labels
     differentials: dict   # degree r -> SparseMatrix of d_r : C_r -> C_{r-1}
-    _cache: dict = field(default_factory=dict, compare=False, repr=False)
+    levels: dict | None = None  # degree -> filtration levels in basis order
+    _cache: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     @staticmethod
-    def build(basis: Mapping, differentials: Mapping) -> ChainComplex:
+    def build(basis: Mapping, differentials: Mapping,
+              levels: Mapping | None = None) -> ChainComplex:
+        """Validated complex; ``levels``, when given, filters it: one
+        natural number per cell, and d never raises a level."""
         basis_t = {int(r): tuple(labels) for r, labels in basis.items() if labels}
         all_labels = [lab for labs in basis_t.values() for lab in labs]
         if len(set(all_labels)) != len(all_labels):
@@ -44,7 +49,25 @@ class ChainComplex:
                     f"expected {want_rows}x{want_cols}")
             if m.entries:
                 diffs[r] = m
-        return ChainComplex(basis_t, diffs)
+        if levels is not None:
+            levels = {int(r): tuple(ps) for r, ps in levels.items() if ps}
+            for r in sorted(set(basis_t) | set(levels)):
+                labels, ps = basis_t.get(r, ()), levels.get(r, ())
+                if len(ps) < len(labels):
+                    raise ValueError(
+                        f"no filtration level for basis element {labels[len(ps)]!r}")
+                if len(ps) > len(labels):
+                    raise ValueError(f"{len(ps)} filtration levels for "
+                                     f"{len(labels)} basis elements at degree {r}")
+            for r, m in diffs.items():
+                src, tgt = basis_t[r], basis_t[r - 1]
+                for i, j in m.entries:
+                    if levels[r - 1][i] > levels[r][j]:
+                        raise ValueError(
+                            f"differential raises filtration level at degree {r}: "
+                            f"{src[j]!r} (level {levels[r][j]}) -> "
+                            f"{tgt[i]!r} (level {levels[r - 1][i]})")
+        return ChainComplex(basis_t, diffs, levels)
 
     def degrees(self) -> list:
         return sorted(self.basis)
@@ -119,47 +142,21 @@ def homology_dims(c: ChainComplex) -> dict:
             for r in c.degrees()}
 
 
-@dataclass(frozen=True, eq=True)
-class FilteredComplex:
-    complex: ChainComplex
-    levels: dict          # basis label -> filtration level (nat)
+def _levels(c: ChainComplex) -> dict:
+    if c.levels is None:
+        raise ValueError("complex has no filtration levels")
+    return c.levels
 
-    @staticmethod
-    def build(complex: ChainComplex, levels: Mapping) -> FilteredComplex:
-        levels = dict(levels)
-        for r in complex.degrees():
-            for lab in complex.labels(r):
-                if lab not in levels:
-                    raise ValueError(f"no filtration level for basis element {lab!r}")
-        for r, m in complex.differentials.items():
-            src = complex.labels(r)
-            tgt = complex.labels(r - 1)
-            for (i, j) in m.entries:
-                if levels[tgt[i]] > levels[src[j]]:
-                    raise ValueError(
-                        f"differential raises filtration level at degree {r}: "
-                        f"{src[j]!r} (level {levels[src[j]]}) -> "
-                        f"{tgt[i]!r} (level {levels[tgt[i]]})")
-        return FilteredComplex(complex, levels)
 
-    @cached_property
-    def _level_range(self) -> tuple:
-        return min(self.levels.values()), max(self.levels.values())
-
-    def min_level(self) -> int:
-        return self._level_range[0]
-
-    def max_level(self) -> int:
-        return self._level_range[1]
-
-    @cached_property
-    def _spans(self) -> dict:
-        """(p, q) -> Counter of spans over the cells of level p and
-        degree p + q: e - b for a cell in a persistence pair (b, e) of
-        the (level, index)-ordered reduction, None for an unpaired cell."""
-        c = self.complex
-        levels = {n: [self.levels[lab] for lab in c.labels(n)] for n in c.degrees()}
-        order = {n: sorted(range(c.dim(n)), key=levels[n].__getitem__) for n in levels}
+def _spans(c: ChainComplex) -> dict:
+    """(p, q) -> Counter of spans over the cells of level p and degree
+    p + q: e - b for a cell in a persistence pair (b, e) of the
+    (level, index)-ordered reduction, None for an unpaired cell.
+    Cached on the complex."""
+    if "spans" not in c._cache:
+        levels = _levels(c)
+        order = {n: sorted(range(c.dim(n)), key=ps.__getitem__)
+                 for n, ps in levels.items()}
         pairs = _reduce(c, order.get)
         spans = {n: [None] * c.dim(n) for n in c.degrees()}
         for n, ps in pairs.items():
@@ -169,7 +166,8 @@ class FilteredComplex:
         for n in c.degrees():
             for p, span in zip(levels[n], spans[n]):
                 out.setdefault((p, n - p), Counter())[span] += 1
-        return out
+        c._cache["spans"] = out
+    return c._cache["spans"]
 
 
 @dataclass(frozen=True)
@@ -184,7 +182,7 @@ class PageTable:
         return [f"{self.r},{p},{q},{d}" for (p, q), d in sorted(self.dims.items())]
 
 
-def page_dims(fc: FilteredComplex, r: int) -> PageTable:
+def page_dims(c: ChainComplex, r: int) -> PageTable:
     """Exact dimensions of the page-r term of the filtration spectral
     sequence, bigraded by (p, q) = (level, total degree - level).
 
@@ -195,18 +193,19 @@ def page_dims(fc: FilteredComplex, r: int) -> PageTable:
     """
     if r < 0:
         raise ValueError("page index must be a natural number")
-    _require_complex(fc.complex)
+    _require_complex(c)
     table = {}
-    for key, spans in sorted(fc._spans.items()):
+    for key, spans in sorted(_spans(c).items()):
         d = sum(k for span, k in spans.items() if span is None or span >= r)
         if d:
             table[key] = d
     return PageTable(r, table)
 
 
-def stable_page_index(fc: FilteredComplex) -> int:
+def stable_page_index(c: ChainComplex) -> int:
     """A page index from which the tables no longer change."""
-    return fc.max_level() - fc.min_level() + 2
+    levels = [p for ps in _levels(c).values() for p in ps]
+    return max(levels) - min(levels) + 2
 
 
 @dataclass(frozen=True, eq=True)
@@ -344,7 +343,7 @@ def is_quasi_isomorphism(f: ChainMap) -> bool:
     return all(v == 0 for v in homology_dims(mapping_cone(f)).values())
 
 
-def complex_to_json(c: ChainComplex, levels: Mapping | None = None) -> dict:
+def complex_to_json(c: ChainComplex) -> dict:
     doc = {
         "degrees": {str(r): list(c.labels(r)) for r in c.degrees()},
         "differentials": {
@@ -353,13 +352,14 @@ def complex_to_json(c: ChainComplex, levels: Mapping | None = None) -> dict:
             for r, m in sorted(c.differentials.items())
         },
     }
-    if levels is not None:
-        doc["levels"] = {lab: int(p) for lab, p in sorted(levels.items())}
+    if c.levels is not None:
+        doc["levels"] = dict(sorted(
+            (lab, p) for r in c.degrees() for lab, p in zip(c.labels(r), c.levels[r])))
     return doc
 
 
-def complex_from_json(doc: Mapping):
-    """Inverse of complex_to_json; returns (complex, levels-or-None)."""
+def complex_from_json(doc: Mapping) -> ChainComplex:
+    """Inverse of complex_to_json."""
     basis = {int(r): tuple(labels) for r, labels in doc["degrees"].items()}
     diffs = {}
     for r, triples in doc.get("differentials", {}).items():
@@ -367,8 +367,12 @@ def complex_from_json(doc: Mapping):
         entries = {(int(i), int(j)): Fraction(value) for i, j, value in triples}
         diffs[r] = SparseMatrix.from_entries(
             len(basis.get(r - 1, ())), len(basis.get(r, ())), entries)
-    complex = ChainComplex.build(basis, diffs)
     levels = doc.get("levels")
     if levels is not None:
-        levels = {lab: int(p) for lab, p in levels.items()}
-    return complex, levels
+        for labels in basis.values():
+            for lab in labels:
+                if lab not in levels:
+                    raise ValueError(f"no filtration level for basis element {lab!r}")
+        levels = {r: tuple(int(levels[lab]) for lab in labels)
+                  for r, labels in basis.items()}
+    return ChainComplex.build(basis, diffs, levels)

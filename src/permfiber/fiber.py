@@ -21,7 +21,6 @@ from typing import Iterable, Sequence
 from .complexes import (
     ChainComplex,
     ChainMap,
-    FilteredComplex,
     homology_dims,
     page_dims,
     verify_d_squared,
@@ -302,14 +301,10 @@ class FiberComplex:
     trees in basis order, like ``PermComplex.cells``."""
 
     graph: MultiGraph
-    filtered: FilteredComplex
+    complex: ChainComplex
     trees: dict       # label -> canonical FiberTree
     images: dict      # TOPartition alpha -> (tree label, sign of t_alpha)
     cells: dict       # degree -> canonical representatives in basis order
-
-    @property
-    def complex(self) -> ChainComplex:
-        return self.filtered.complex
 
     @property
     def n(self) -> int:
@@ -336,8 +331,8 @@ def build_fiber(g: MultiGraph, cap: int = DEFAULT_FIBER_CAP) -> FiberComplex:
         basis.setdefault(-len(trees[lab].blocks), []).append(lab)
     cells = {r: tuple(canonical_representative(trees[lab]) for lab in labels)
              for r, labels in basis.items()}
-    filtered = quotient_complex(basis, cells, images.get)
-    return FiberComplex(g, filtered, trees, images, cells)
+    return FiberComplex(g, quotient_complex(basis, cells, images.get),
+                        trees, images, cells)
 
 
 def perm_to_fiber(fiber: FiberComplex, perm: PermComplex) -> ChainMap:
@@ -431,14 +426,13 @@ def koszul_check(obj) -> KoszulReport:
     degree -n).  Only the E^1 and E^2 pages are computed, and none when
     d^2 != 0.
     """
-    n, filtered = obj.n, obj.filtered
+    n, c = obj.n, obj.complex
     row = "-1" if isinstance(obj, PermComplex) else "-n-1"
-    c = filtered.complex
     bottom = c.degrees()[0]
     d2_ok = verify_d_squared(c).passed
     homology = homology_dims(c) if d2_ok else {}
     homology_ok = homology == {r: int(r == bottom) for r in c.degrees()}
-    pages = {r: page_dims(filtered, r) for r in (1, 2)} if d2_ok else {}
+    pages = {r: page_dims(c, r) for r in (1, 2)} if d2_ok else {}
     e1_ok = d2_ok and pages[1].dims == {(p, bottom - 1): comb(n, p)
                                         for p in range(1, n + 1)}
     e2_ok = d2_ok and pages[2].dims == {(1, bottom - 1): 1}

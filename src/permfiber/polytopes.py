@@ -7,7 +7,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .complexes import ChainComplex, ChainMap, FilteredComplex
+from .complexes import ChainComplex, ChainMap
 from .linalg import SparseMatrix
 from .topartitions import (
     TOPartition,
@@ -32,12 +32,8 @@ class PermComplex:
     """
 
     n: int
-    filtered: FilteredComplex
+    complex: ChainComplex
     cells: dict
-
-    @property
-    def complex(self) -> ChainComplex:
-        return self.filtered.complex
 
 
 @dataclass(frozen=True)
@@ -57,9 +53,7 @@ def build_perm(n: int, cap: int = DEFAULT_PERM_CAP) -> PermComplex:
         cells.setdefault(n - alpha.block_count(), []).append(alpha)
     basis = {}
     for r, alphas in cells.items():
-        alphas.sort(key=TOPartition.label)
-        cells[r] = tuple(alphas)
-        basis[r] = tuple(map(TOPartition.label, alphas))
+        basis[r], cells[r] = zip(*sorted((alpha.label(), alpha) for alpha in alphas))
     return PermComplex(n, quotient_complex(basis, cells, _unit), cells)
 
 
@@ -84,7 +78,7 @@ def pushforward(alpha: TOPartition, image) -> dict:
     return {key: v for key, v in acc.items() if v}
 
 
-def quotient_complex(basis: dict, cells: dict, image) -> FilteredComplex:
+def quotient_complex(basis: dict, cells: dict, image) -> ChainComplex:
     """A quotient of P_n, filtered by width.  ``basis`` and ``cells`` map
     each degree to its labels and to one TO partition representing each
     label, in basis order; column j of d_r is the pushforward of
@@ -100,8 +94,8 @@ def quotient_complex(basis: dict, cells: dict, image) -> FilteredComplex:
             for key, value in pushforward(alpha, image).items():
                 entries[(row[key], j)] = sign * value
         diffs[r] = SparseMatrix.from_entries(len(cells[r - 1]), len(cells[r]), entries)
-    levels = {lab: width(alpha) for r in cells for lab, alpha in zip(basis[r], cells[r])}
-    return FilteredComplex.build(ChainComplex.build(basis, diffs), levels)
+    levels = {r: tuple(map(width, alphas)) for r, alphas in cells.items()}
+    return ChainComplex.build(basis, diffs, levels)
 
 
 def subset_label(subset, n: int) -> str:

@@ -9,6 +9,7 @@ the package implementations it checks.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 from math import comb
 
 
@@ -203,6 +204,56 @@ def fiber_tree_sets(edges):
         if k is not None:
             out.setdefault(len(blocks), set()).add(k)
     return out
+
+
+def nested_set_counts(edges):
+    """k -> number of nested sets of size k that hold the whole edge set.
+
+    The building set is the nonempty edge subsets spanning a connected
+    subgraph (the connected vertex sets of the line graph).  A nested
+    set is a family of them, any two nested or disjoint, in which no
+    union of two or more pairwise disjoint members is itself connected.
+    These count the trees of the fiber by block count.
+    """
+    n = len(edges)
+
+    def connected(subset):
+        clusters = [set(edges[e]) for e in subset]
+        merged = True
+        while merged:
+            merged = False
+            for a, b in combinations(range(len(clusters)), 2):
+                if clusters[a] & clusters[b]:
+                    clusters[a] |= clusters.pop(b)
+                    merged = True
+                    break
+        return len(clusters) == 1
+
+    building = {frozenset(s) for k in range(1, n + 1)
+                for s in combinations(range(n), k) if connected(s)}
+    whole = frozenset(range(n))
+    members = sorted(building - {whole}, key=sorted)
+    counts = {}
+
+    def admissible(chosen, x):
+        if not all(x <= y or y <= x or not x & y for y in chosen):
+            return False
+        apart = [y for y in chosen if not x & y]
+        for k in range(1, len(apart) + 1):
+            for family in combinations(apart, k):
+                disjoint = all(not a & b for a, b in combinations(family, 2))
+                if disjoint and x.union(*family) in building:
+                    return False
+        return True
+
+    def extend(chosen, start):
+        counts[len(chosen)] = counts.get(len(chosen), 0) + 1
+        for i in range(start, len(members)):
+            if admissible(chosen, members[i]):
+                extend(chosen + [members[i]], i + 1)
+
+    extend([whole], 0)
+    return counts
 
 
 def noncrossing_diagonal_counts(polygon: int):

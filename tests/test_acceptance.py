@@ -69,7 +69,7 @@ def test_criterion_03_point_homology(perms):
 
 
 def test_criterion_04_page_zero_table_n4(perms):
-    table = page_dims(perms[4].filtered, 0)
+    table = page_dims(perms[4].complex, 0)
     assert table.dims == {
         (4, -1): 1,
         (3, -1): 4,
@@ -81,9 +81,9 @@ def test_criterion_04_page_zero_table_n4(perms):
 
 def test_criterion_05_pages_one_and_two(perms):
     for n in range(2, 7):
-        e1 = page_dims(perms[n].filtered, 1)
+        e1 = page_dims(perms[n].complex, 1)
         assert e1.dims == {(p, -1): comb(n, p) for p in range(1, n + 1)}, n
-        e2 = page_dims(perms[n].filtered, 2)
+        e2 = page_dims(perms[n].complex, 2)
         assert e2.dims == {(1, -1): 1}, n
     report(5, "E1 is the binomial row at q=-1 and E2 a single class, n = 2..6")
 

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from permfiber.cli import CHECK_TOKENS, Collector, _run_checks, main
-from permfiber.complexes import ChainComplex, FilteredComplex
+from permfiber.complexes import ChainComplex
 from permfiber.linalg import SparseMatrix
 from permfiber.polytopes import SimplexComplex
 
@@ -226,17 +226,17 @@ def _flip_one_sign(c: ChainComplex, degree: int) -> ChainComplex:
     entries[key] = -entries[key]
     diffs = dict(c.differentials)
     diffs[degree] = SparseMatrix(d.rows, d.cols, entries)
-    return ChainComplex.build(c.basis, diffs)
+    return ChainComplex.build(c.basis, diffs, c.levels)
 
 
 def test_battery_reports_a_flipped_sign(perms, simplexes, corpus_fibers):
     perm = perms[3]
     fib = corpus_fibers["path3"]
     cases = [
-        ("P3", dataclasses.replace(perm, filtered=FilteredComplex.build(
-            _flip_one_sign(perm.complex, 1), perm.filtered.levels)), CHECK_TOKENS, 2, 2),
-        ("path3", dataclasses.replace(fib, filtered=FilteredComplex.build(
-            _flip_one_sign(fib.complex, -2), fib.filtered.levels)), CHECK_TOKENS, -1, -1),
+        ("P3", dataclasses.replace(perm, complex=_flip_one_sign(perm.complex, 1)),
+         CHECK_TOKENS, 2, 2),
+        ("path3", dataclasses.replace(fib, complex=_flip_one_sign(fib.complex, -2)),
+         CHECK_TOKENS, -1, -1),
         ("D2", SimplexComplex(3, _flip_one_sign(simplexes[3].complex, 1)),
          ("d2", "homology"), 2, -1),
     ]
@@ -266,8 +266,7 @@ def test_maps_failure_names_degree_and_cell(capsys, monkeypatch, perms, corpus_f
     assert line.endswith("; blow-down does not commute at degree 1, cell 1>2>34)")
 
     fib = corpus_fibers["path3"]
-    flipped = dataclasses.replace(fib, filtered=FilteredComplex.build(
-        _flip_one_sign(fib.complex, -2), fib.filtered.levels))
+    flipped = dataclasses.replace(fib, complex=_flip_one_sign(fib.complex, -2))
     col = Collector()
     _run_checks(col, "path3", flipped, ("maps",), perm=perms[3])
     [line] = [line for line in col.lines if line.startswith("check maps")]
@@ -312,9 +311,20 @@ def test_export_files(capsys, tmp_path, corpus_dir):
     assert "path3,koszul,true" in checks
     doc = json.loads((out_dir / "path3.json").read_text())
     from permfiber.complexes import complex_from_json
-    complex_, levels = complex_from_json(doc)
+    complex_ = complex_from_json(doc)
     assert complex_.dim(-2) == 5
-    assert levels is not None
+    assert complex_.levels is not None
+
+
+def test_json_is_built_only_for_out(capsys, monkeypatch, corpus_dir):
+    def refuse(c):
+        raise AssertionError("built a JSON document without --out")
+
+    monkeypatch.setattr("permfiber.cli.complex_to_json", refuse)
+    for argv in (("perm", "--n", "3"), ("simplex", "--n", "3"),
+                 ("fiber", "--graph", str(corpus_dir / "path3.edges"))):
+        code, _, _ = run_cli(capsys, *argv)
+        assert code == 0, argv
 
 
 def small_corpus(tmp_path, corpus_dir, names=("path2", "path3", "star3")):

@@ -8,7 +8,6 @@ import pytest
 from permfiber.complexes import (
     ChainComplex,
     ChainMap,
-    FilteredComplex,
     complex_from_json,
     complex_to_json,
     compose,
@@ -44,7 +43,7 @@ def flip_one_entry(c: ChainComplex, degree: int, key) -> ChainComplex:
     diffs = dict(c.differentials)
     diffs[degree] = SparseMatrix.from_entries(
         c.dim(degree - 1), c.dim(degree), entries)
-    return ChainComplex.build(c.basis, diffs)
+    return ChainComplex.build(c.basis, diffs, c.levels)
 
 
 def test_single_element_zero_differential_passes():
@@ -77,7 +76,7 @@ def test_homology_rejects_non_complex(perms):
         homology_dims(broken)
     # pages too: the reduction clears columns only when d^2 = 0
     with pytest.raises(ValueError, match="not a chain complex"):
-        page_dims(FilteredComplex.build(broken, perms[3].filtered.levels), 1)
+        page_dims(broken, 1)
 
 
 def test_d_squared_verdict_is_cached(perms, monkeypatch):
@@ -164,61 +163,61 @@ def test_quasi_isomorphism_criterion(perms):
 
 def test_filtration_must_not_increase_levels():
     c = interval_complex()
-    FilteredComplex.build(c, {"a": 1, "b": 1, "e": 1})
-    with pytest.raises(ValueError):
-        FilteredComplex.build(c, {"a": 2, "b": 1, "e": 1})
-    with pytest.raises(ValueError):
-        FilteredComplex.build(c, {"a": 1, "b": 1})  # missing level
+    ChainComplex.build(c.basis, c.differentials, {0: (1, 1), 1: (1,)})
+    with pytest.raises(ValueError, match="raises filtration level at degree 1: "
+                       r"'e' \(level 1\) -> 'a' \(level 2\)"):
+        ChainComplex.build(c.basis, c.differentials, {0: (2, 1), 1: (1,)})
+    with pytest.raises(ValueError, match="no filtration level for basis element 'e'"):
+        ChainComplex.build(c.basis, c.differentials, {0: (1, 1)})  # missing level
+    with pytest.raises(ValueError, match="3 filtration levels for 2 basis elements"):
+        ChainComplex.build(c.basis, c.differentials, {0: (1, 1, 1), 1: (1,)})
 
 
 def test_page_zero_counts_levels(perms):
-    fc = perms[4].filtered
-    t0 = page_dims(fc, 0)
-    for p in range(fc.min_level(), fc.max_level() + 1):
-        for r in fc.complex.degrees():
-            got = t0.dim(p, r - p)
-            want = sum(1 for lab in fc.complex.labels(r) if fc.levels[lab] == p)
-            assert got == want
+    c = perms[4].complex
+    t0 = page_dims(c, 0)
+    for p in range(1, 5):
+        for r in c.degrees():
+            assert t0.dim(p, r - p) == c.levels[r].count(p)
 
 
 def test_pages_invalid_index_rejected(perms):
     with pytest.raises(ValueError):
-        page_dims(perms[2].filtered, -1)
+        page_dims(perms[2].complex, -1)
 
 
 def test_pages_match_dense_oracle(perms, corpus_fibers):
-    filtered = [perms[n].filtered for n in range(1, 5)]
-    filtered += [fib.filtered for fib in corpus_fibers.values() if fib.n <= 4]
-    assert len(filtered) > 10
-    for fc in filtered:
-        c = fc.complex
+    complexes = [perms[n].complex for n in range(1, 5)]
+    complexes += [fib.complex for fib in corpus_fibers.values() if fib.n <= 4]
+    assert len(complexes) > 10
+    for c in complexes:
         dense = {n: c.d(n).dense() for n in c.differentials}
-        for r in range(stable_page_index(fc) + 1):
-            want = page_dims_dense(fc.levels, c.basis, dense, r)
-            assert page_dims(fc, r).dims == want, r
+        levels = {lab: p for n in c.degrees()
+                  for lab, p in zip(c.labels(n), c.levels[n])}
+        for r in range(stable_page_index(c) + 1):
+            want = page_dims_dense(levels, c.basis, dense, r)
+            assert page_dims(c, r).dims == want, r
 
 
 def test_pages_and_homology_survive_rational_scaling(perms, corpus_fibers):
-    for fc in (perms[4].filtered, corpus_fibers["cycle4"].filtered):
-        c = fc.complex
+    for c in (perms[4].complex, corpus_fibers["cycle4"].complex):
         scaled = ChainComplex.build(c.basis, {
             n: SparseMatrix.from_entries(m.rows, m.cols, {
                 key: Fraction(2, 3) * v for key, v in m.entries.items()})
-            for n, m in c.differentials.items()})
+            for n, m in c.differentials.items()}, c.levels)
         assert all(type(v) is Fraction
                    for m in scaled.differentials.values() for v in m.entries.values())
-        scaled_fc = FilteredComplex.build(scaled, fc.levels)
         assert homology_dims(scaled) == homology_dims(c)
-        for r in range(stable_page_index(fc) + 1):
-            assert page_dims(scaled_fc, r) == page_dims(fc, r), r
+        for r in range(stable_page_index(c) + 1):
+            assert page_dims(scaled, r) == page_dims(c, r), r
 
 
 def test_page_dims_pointwise_nonincreasing(perms, corpus_fibers):
-    for fc in (perms[3].filtered, perms[4].filtered,
-               corpus_fibers["path3"].filtered, corpus_fibers["theta"].filtered):
-        previous = page_dims(fc, 0)
-        for r in range(1, stable_page_index(fc) + 1):
-            current = page_dims(fc, r)
+    for c in (perms[3].complex, perms[4].complex,
+              corpus_fibers["path3"].complex, corpus_fibers["theta"].complex):
+        previous = page_dims(c, 0)
+        for r in range(1, stable_page_index(c) + 1):
+            current = page_dims(c, r)
             keys = set(previous.dims) | set(current.dims)
             for key in keys:
                 assert current.dim(*key) <= previous.dim(*key)
@@ -226,13 +225,9 @@ def test_page_dims_pointwise_nonincreasing(perms, corpus_fibers):
 
 
 def test_stable_page_matches_homology(perms, corpus_fibers):
-    for fc, complex_ in (
-        (perms[3].filtered, perms[3].complex),
-        (perms[4].filtered, perms[4].complex),
-        (corpus_fibers["path4"].filtered, corpus_fibers["path4"].complex),
-        (corpus_fibers["cycle4"].filtered, corpus_fibers["cycle4"].complex),
-    ):
-        table = page_dims(fc, stable_page_index(fc))
+    for complex_ in (perms[3].complex, perms[4].complex,
+                     corpus_fibers["path4"].complex, corpus_fibers["cycle4"].complex):
+        table = page_dims(complex_, stable_page_index(complex_))
         by_total = Counter()
         for (p, q), d in table.dims.items():
             by_total[p + q] += d
@@ -241,34 +236,42 @@ def test_stable_page_matches_homology(perms, corpus_fibers):
 
 
 def test_page_table_csv_rows(perms):
-    t2 = page_dims(perms[4].filtered, 2)
+    t2 = page_dims(perms[4].complex, 2)
     assert t2.csv_rows() == ["2,1,-1,1"]
 
 
 def test_json_round_trip(perms):
-    fc = perms[3].filtered
-    doc = complex_to_json(fc.complex, fc.levels)
+    c = perms[3].complex
+    doc = complex_to_json(c)
     text = json.dumps(doc)
-    loaded, levels = complex_from_json(json.loads(text))
-    assert loaded == fc.complex
-    assert levels == fc.levels
+    loaded = complex_from_json(json.loads(text))
+    assert loaded == c
+    assert loaded.levels == c.levels
     assert doc["differentials"]["1"][0][2].count("/") == 1  # num/den form
     # an int entry and a Fraction entry both write as num/den
     mixed = ChainComplex.build({0: ("a", "b"), 1: ("c",)}, {
         1: SparseMatrix.from_entries(2, 1, {(0, 0): 2, (1, 0): Fraction(1, 2)})})
     doc = complex_to_json(mixed)
     assert [v for _, _, v in doc["differentials"]["1"]] == ["2/1", "1/2"]
-    loaded, _ = complex_from_json(json.loads(json.dumps(doc)))
+    loaded = complex_from_json(json.loads(json.dumps(doc)))
     assert loaded == mixed
     assert loaded.d(1).entries == {(0, 0): 2, (1, 0): Fraction(1, 2)}
     assert type(loaded.d(1).entries[(0, 0)]) is int
 
 
-def test_json_without_levels(perms):
+def test_json_without_levels(simplexes):
+    doc = complex_to_json(simplexes[3].complex)
+    assert "levels" not in doc
+    loaded = complex_from_json(doc)
+    assert loaded == simplexes[3].complex
+    assert loaded.levels is None
+
+
+def test_json_refuses_a_cell_without_level(perms):
     doc = complex_to_json(perms[2].complex)
-    loaded, levels = complex_from_json(doc)
-    assert loaded == perms[2].complex
-    assert levels is None
+    del doc["levels"]["1>2"]
+    with pytest.raises(ValueError, match="no filtration level for basis element '1>2'"):
+        complex_from_json(doc)
 
 
 def test_cone_of_fraction_valued_map_keeps_exactness():
@@ -281,23 +284,28 @@ def test_cone_of_fraction_valued_map_keeps_exactness():
     assert is_quasi_isomorphism(f)
 
 
-class _CountingLevels(dict):
-    """A levels dict that counts full scans through ``values()``."""
+def test_replace_starts_an_empty_cache(perms):
+    c = ChainComplex.build(perms[3].complex.basis, perms[3].complex.differentials,
+                           perms[3].complex.levels)
+    assert verify_d_squared(c).passed
+    assert homology_dims(c) == {0: 1, 1: 0, 2: 0}
+    page_dims(c, 1)
+    entries = dict(c.d(1).entries)
+    key = min(entries)
+    entries[key] = -entries[key]
+    broken = dataclasses.replace(c, differentials={
+        **c.differentials, 1: SparseMatrix.from_entries(c.dim(0), c.dim(1), entries)})
+    assert not broken._cache
+    assert not verify_d_squared(broken).passed
+    with pytest.raises(ValueError, match="not a chain complex"):
+        homology_dims(broken)
+    with pytest.raises(ValueError, match="not a chain complex"):
+        page_dims(broken, 1)
 
-    scans = 0
 
-    def values(self):
-        self.scans += 1
-        return super().values()
-
-
-def test_level_range_is_computed_once(perms):
-    fc = perms[4].filtered
-    counted = dataclasses.replace(fc, levels=_CountingLevels(fc.levels))
-    for r in range(4):
-        assert page_dims(counted, r) == page_dims(fc, r)
-    assert stable_page_index(counted) == stable_page_index(fc)
-    assert counted.levels.scans == 2  # one min and one max, ever
+def test_pages_need_levels(simplexes):
+    with pytest.raises(ValueError, match="no filtration levels"):
+        page_dims(simplexes[3].complex, 1)
 
 
 def test_chain_map_report_is_cached_for_the_cone(perms, monkeypatch):

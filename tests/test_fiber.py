@@ -7,7 +7,6 @@ import pytest
 
 from permfiber.complexes import (
     ChainComplex,
-    FilteredComplex,
     compose,
     homology_dims,
     is_surjective,
@@ -35,7 +34,7 @@ from permfiber.topartitions import (
     parse_topartition,
 )
 
-from oracles import contraction_parents, fiber_tree_sets
+from oracles import contraction_parents, fiber_tree_sets, nested_set_counts
 
 
 def tree_key(tree):
@@ -211,11 +210,19 @@ def test_fiber_dims_match_independent_oracle(corpus_graphs, corpus_fibers):
         assert ours == oracle, name
 
 
+def test_fiber_dims_match_nested_set_counts(corpus_graphs, corpus_fibers):
+    assert len(corpus_fibers) == 14
+    for name, fib in sorted(corpus_fibers.items()):
+        got = {-r: fib.complex.dim(r) for r in fib.complex.degrees()}
+        assert got == nested_set_counts(corpus_graphs[name].edges), name
+
+
 def test_fiber_d_squared_and_width_filtration(corpus_fibers):
     for name, fib in sorted(corpus_fibers.items()):
         assert verify_d_squared(fib.complex).passed, name
-        for lab, tree in fib.trees.items():
-            assert fib.filtered.levels[lab] == tree.width
+        for r in fib.complex.degrees():
+            for lab, level in zip(fib.complex.labels(r), fib.complex.levels[r]):
+                assert level == fib.trees[lab].width
 
 
 def test_degenerate_pushforward_vanishes(corpus_graphs, corpus_fibers):
@@ -310,12 +317,11 @@ def test_perm_to_fiber_preserves_width(perms, corpus_fibers):
         fib = corpus_fibers[name]
         n = fib.n
         f = perm_to_fiber(fib, perm=perms[n])
-        perm_levels = perms[n].filtered.levels
         for r, m in f.matrices.items():
-            src = perms[n].complex.labels(r)
-            tgt = fib.complex.labels(r - n)
+            src = perms[n].complex.levels[r]
+            tgt = fib.complex.levels[r - n]
             for (i, j) in m.entries:
-                assert fib.filtered.levels[tgt[i]] == perm_levels[src[j]]
+                assert tgt[i] == src[j]
 
 
 def test_fiber_to_simplex_rules(corpus_fibers, simplexes):
@@ -376,8 +382,8 @@ def test_push_forward_reports_the_tree_of_a_flipped_entry(corpus_fibers):
     entries[key] = -entries[key]
     diffs = dict(c.differentials)
     diffs[-2] = SparseMatrix(d.rows, d.cols, entries)
-    flipped = dataclasses.replace(fib, filtered=FilteredComplex.build(
-        ChainComplex.build(c.basis, diffs), fib.filtered.levels))
+    flipped = dataclasses.replace(
+        fib, complex=ChainComplex.build(c.basis, diffs, c.levels))
     report = push_forward_well_defined(flipped)
     assert not report.passed
     assert report.label == c.labels(-2)[key[1]]
@@ -399,8 +405,8 @@ def test_koszul_check_star4_pages_match_perm(perms, corpus_fibers):
     fib = corpus_fibers["star4"]
     assert koszul_check(fib).passed
     for r in (0, 1, 2):
-        fiber_page = page_dims(fib.filtered, r)
-        perm_page = page_dims(perms[4].filtered, r)
+        fiber_page = page_dims(fib.complex, r)
+        perm_page = page_dims(perms[4].complex, r)
         # same tables after shifting the total degree by n
         shifted = {(p, q - 4): d for (p, q), d in perm_page.dims.items()}
         assert fiber_page.dims == shifted

@@ -16,9 +16,9 @@ from permfiber.polytopes import (
     build_simplex,
     perm_to_simplex,
 )
-from permfiber.topartitions import parse_topartition
+from permfiber.topartitions import TOPartition, parse_topartition
 
-from oracles import stirling2
+from oracles import fubini, stirling2
 
 
 def test_perm_dimensions(perms):
@@ -44,9 +44,9 @@ def test_perm_cap_enforced():
 def test_perm_filtration_is_width(perms):
     perm = perms[4]
     for r in perm.complex.degrees():
-        for lab in perm.complex.labels(r):
+        for j, lab in enumerate(perm.complex.labels(r)):
             alpha = parse_topartition(lab, 4)
-            assert perm.filtered.levels[lab] == len(alpha.blocks[-1])
+            assert perm.complex.levels[r][j] == len(alpha.blocks[-1])
 
 
 def test_perm_cells_render_to_basis_labels(perms):
@@ -60,14 +60,29 @@ def test_perm_cells_render_to_basis_labels(perms):
             assert rendered == perm.complex.labels(r), (n, r)
 
 
+def test_build_perm_renders_each_label_once(monkeypatch):
+    calls = []
+    render = TOPartition.label
+
+    def counting(alpha):
+        calls.append(alpha)
+        return render(alpha)
+
+    monkeypatch.setattr(TOPartition, "label", counting)
+    for n in range(1, 6):
+        del calls[:]
+        build_perm(n)
+        assert len(calls) == fubini(n), n
+
+
 def test_perm_differential_lowers_degree_and_not_width(perms):
     perm = perms[5]
     for r in perm.complex.degrees():
         m = perm.complex.d(r)
-        src = perm.complex.labels(r)
-        tgt = perm.complex.labels(r - 1)
+        src = perm.complex.levels[r]
+        tgt = perm.complex.levels.get(r - 1)
         for (i, j) in m.entries:
-            assert perm.filtered.levels[tgt[i]] <= perm.filtered.levels[src[j]]
+            assert tgt[i] <= src[j]
 
 
 def test_simplex_dimensions_and_homology(simplexes):

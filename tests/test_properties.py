@@ -1,6 +1,6 @@
 """Property tests over random connected multigraphs with loops and
-parallel edges: the fiber's dimensions match the independent oracle,
-and the full check battery of the command line passes."""
+parallel edges: the fiber's dimensions match two independent oracles,
+flow-chart trees and nested sets of connected edge sets, and the full check battery of the command line passes."""
 
 import pytest
 
@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 from permfiber.cli import CHECK_TOKENS, Collector, _run_checks  # noqa: E402
 from permfiber.fiber import MultiGraph, build_fiber  # noqa: E402
 
-from oracles import fiber_tree_sets  # noqa: E402
+from oracles import fiber_tree_sets, nested_set_counts  # noqa: E402
 
 MAX_EDGES = 5
 
@@ -36,8 +36,9 @@ def test_random_multigraph_fibers(perms, edges):
     g = MultiGraph.from_edges(edges)
     fib = build_fiber(g)
     oracle = fiber_tree_sets(g.edges)
-    assert ({-r: fib.complex.dim(r) for r in fib.complex.degrees()}
-            == {k: len(trees) for k, trees in oracle.items()}), edges
+    dims = {-r: fib.complex.dim(r) for r in fib.complex.degrees()}
+    assert dims == {k: len(trees) for k, trees in oracle.items()}, edges
+    assert dims == nested_set_counts(g.edges), edges
     col = Collector()
     _run_checks(col, "g", fib, CHECK_TOKENS, pages=2, perm=perms[g.n])
     assert not col.failed, (edges, col.lines)
