@@ -26,7 +26,6 @@ from .fiber import (
     canonical_representative,
     fiber_element,
     fiber_to_simplex,
-    flowchart,
     koszul_check,
     load_graph,
     parse_graph,

@@ -318,6 +318,24 @@ def cmd_fiber(args) -> int:
     return _finish(col, args)
 
 
+def _check_manifest(manifest, path: Path) -> None:
+    """A manifest is an object of graph entries, each an object whose
+    optional ``dims`` maps degrees to integer dimensions."""
+    if not isinstance(manifest, dict):
+        raise InvalidInput(f"bad manifest {path}: expected an object of graph "
+                           f"entries, got {type(manifest).__name__}")
+    for name, entry in manifest.items():
+        if not isinstance(entry, dict):
+            raise InvalidInput(f"bad manifest {path}: entry {name!r} is not an object")
+        dims = entry.get("dims", {})
+        if not isinstance(dims, dict):
+            raise InvalidInput(f"bad manifest {path}: dims of {name!r} is not an object")
+        for degree, dim in dims.items():
+            if type(dim) is not int:
+                raise InvalidInput(f"bad manifest {path}: dims of {name!r} at "
+                                   f"degree {degree} is not an integer: {dim!r}")
+
+
 def cmd_suite(args) -> int:
     cap = _cap(args.cap, DEFAULT_FIBER_CAP, PERM_CAP_CEILING)
     corpus = Path(args.corpus)
@@ -333,6 +351,7 @@ def cmd_suite(args) -> int:
         raise InvalidInput(f"cannot read manifest {manifest_path}: {exc.strerror}")
     except ValueError as exc:
         raise InvalidInput(f"bad manifest {manifest_path}: {exc}")
+    _check_manifest(manifest, manifest_path)
     graph_files = sorted(p for p in corpus.glob("*.edges"))
     if not graph_files:
         raise InvalidInput(f"no .edges files in {corpus}")
@@ -365,7 +384,7 @@ def cmd_suite(args) -> int:
         fib = build_fiber(graph, cap=cap)
         _run_checks(col, name, fib, CHECK_TOKENS, perm=perm_of(graph.n))
         got = {str(r): fib.complex.dim(r) for r in fib.complex.degrees()}
-        want = {str(k): int(v) for k, v in entry.get("dims", {}).items()}
+        want = entry.get("dims", {})
         if got == want:
             col.check(name, "dims-manifest", True)
         else:

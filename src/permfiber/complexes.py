@@ -359,20 +359,25 @@ def complex_to_json(c: ChainComplex) -> dict:
 
 
 def complex_from_json(doc: Mapping) -> ChainComplex:
-    """Inverse of complex_to_json."""
-    basis = {int(r): tuple(labels) for r, labels in doc["degrees"].items()}
-    diffs = {}
-    for r, triples in doc.get("differentials", {}).items():
-        r = int(r)
-        entries = {(int(i), int(j)): Fraction(value) for i, j, value in triples}
-        diffs[r] = SparseMatrix.from_entries(
-            len(basis.get(r - 1, ())), len(basis.get(r, ())), entries)
-    levels = doc.get("levels")
-    if levels is not None:
-        for labels in basis.values():
-            for lab in labels:
-                if lab not in levels:
-                    raise ValueError(f"no filtration level for basis element {lab!r}")
-        levels = {r: tuple(int(levels[lab]) for lab in labels)
-                  for r, labels in basis.items()}
+    """Inverse of complex_to_json; a malformed document raises ValueError."""
+    try:
+        basis = {int(r): tuple(labels) for r, labels in doc["degrees"].items()}
+        diffs = {}
+        for r, triples in doc.get("differentials", {}).items():
+            r = int(r)
+            entries = {(int(i), int(j)): Fraction(value) for i, j, value in triples}
+            diffs[r] = SparseMatrix.from_entries(
+                len(basis.get(r - 1, ())), len(basis.get(r, ())), entries)
+        levels = doc.get("levels")
+        if levels is not None:
+            for labels in basis.values():
+                for lab in labels:
+                    if lab not in levels:
+                        raise ValueError(
+                            f"no filtration level for basis element {lab!r}")
+            levels = {r: tuple(int(levels[lab]) for lab in labels)
+                      for r, labels in basis.items()}
+    except (KeyError, TypeError, AttributeError, ZeroDivisionError) as exc:
+        raise ValueError(f"malformed complex document: "
+                         f"{type(exc).__name__}: {exc}") from exc
     return ChainComplex.build(basis, diffs, levels)

@@ -1,15 +1,16 @@
-"""Fibers of total graph contraction: flow-chart trees, the fiber
+"""Fibers of total graph contraction: the trees t_alpha, the fiber
 chain complex with its width filtration, and the maps relating it to
 the permutohedron and simplex complexes.
 
-A connected multigraph with edges 1..n is contracted one edge at a
-time; reading a contraction sequence as a flow chart gives a rooted
-tree on the n events.  Grouping events into the blocks of a TO
-partition alpha (blocks applied left to right, least block last, so
-the least block labels the root) and contracting the tree edges inside
-each block yields the element t_alpha.  The fiber complex is spanned
-by the distinct nondegenerate t_alpha, each carried with a mod-2 order
-on its blocks, modelled as a canonical block order plus a parity sign.
+A connected multigraph with edges 1..n is contracted one block of a TO
+partition alpha at a time, blocks applied left to right, least block
+last.  The edges of a block join the vertex clusters they touch; the
+block becomes a tree vertex whose children are the blocks that last
+grew those clusters, so the least block labels the root.  The tree is
+t_alpha, degenerate when some block's edges do not join the clusters
+they touch into one.  The fiber complex is spanned by the distinct
+nondegenerate t_alpha, each carried with a mod-2 order on its blocks,
+modelled as a canonical block order plus a parity sign.
 """
 
 from __future__ import annotations
@@ -128,7 +129,8 @@ class FiberTree:
     root; ``order`` lists canonical indices in the order the blocks
     were applied, i.e. the chosen representative of the mod-2 order.
     A tree listed with an odd permutation of its blocks is the negative
-    of the canonically ordered one.
+    of the canonically ordered one.  A ``degenerate`` t_alpha carries
+    the pieces its blocks split into, in the canonical order.
     """
 
     blocks: tuple
@@ -170,102 +172,64 @@ class FiberTree:
         return render(self.root_index)
 
 
-def flowchart(g: MultiGraph, order: Sequence[int]) -> FiberTree:
-    """Tree of contraction events for a total order on the edges.
-
-    ``order`` lists edge ids in the order they are contracted.  The
-    event contracting an edge becomes the parent of the most recent
-    prior events that produced the current endpoint clusters of that
-    edge (one cluster, hence at most one child, for a loop); the final
-    event is the root.
-    """
-    n = g.n
-    if sorted(order) != list(range(1, n + 1)):
-        raise ValueError(f"order must be a permutation of 1..{n}")
-    uf_parent: dict = {}
-    last_event: dict = {}
-    parent_event = [None] * n
-    for t, edge in enumerate(order):
-        u, v = g.edges[edge - 1]
-        ru, rv = _find(uf_parent, u), _find(uf_parent, v)
-        for r in {ru, rv}:
-            prior = last_event.pop(r, None)
-            if prior is not None:
-                parent_event[prior] = t
-        if ru != rv:
-            uf_parent[ru] = rv
-        last_event[_find(uf_parent, u)] = t
-    # canonical index of event t is order[t]-1 since blocks are singletons
-    parent = [None] * n
-    for t in range(n):
-        p = parent_event[t]
-        if p is not None:
-            parent[order[t] - 1] = order[p] - 1
-    return FiberTree(
-        blocks=tuple((e,) for e in range(1, n + 1)),
-        parent=tuple(parent),
-        order=tuple(e - 1 for e in order),
-    )
-
-
 def fiber_element(g: MultiGraph, alpha: TOPartition,
                   refinement: Sequence[int] | None = None) -> FiberTree:
-    """t_alpha: contract edges block by block (least block last) and fuse
-    the flow-chart edges inside each block.
+    """t_alpha: apply alpha's blocks left to right (least block last) to
+    the clusters of one vertex union-find.
 
-    ``refinement`` may supply the total order used, as long as it lists
-    each block contiguously in block order; the result does not depend
-    on this choice.  The element is degenerate when some block does not
-    stay connected in the flow chart, i.e. the fused tree has more
-    vertices than alpha has blocks; degenerate elements are sent to
-    zero by the maps below.
+    Merging a block's edges joins the clusters they touch into one or
+    more components, the pieces of the block.  Each piece becomes the
+    parent of the pieces that last grew the clusters it joins.  The
+    element is degenerate when some block splits into more than one
+    piece; its tree then carries the pieces as blocks, and the maps
+    below send it to zero.  ``refinement`` may set the order in which
+    the edges are merged, as long as it lists each block contiguously
+    in block order; the result does not depend on it.
     """
     if alpha.n != g.n:
         raise ValueError(f"partition of 1..{alpha.n} does not match {g.n} edges")
-    if refinement is None:
-        refinement = [e for block in alpha.blocks for e in block]
-    else:
-        refinement = list(refinement)
-        position = 0
+    chunks = alpha.blocks
+    if refinement is not None:
+        refinement, chunks, position = list(refinement), [], 0
         for block in alpha.blocks:
-            chunk = refinement[position:position + len(block)]
-            if set(chunk) != set(block):
+            chunks.append(refinement[position:position + len(block)])
+            if set(chunks[-1]) != set(block):
                 raise ValueError("refinement does not list the blocks in order")
             position += len(block)
         if position != len(refinement):
             raise ValueError("refinement has the wrong length")
-    chart = flowchart(g, refinement)
-    k = len(alpha.blocks)
-    block_of_edge = {}
-    for b, block in enumerate(alpha.blocks):
-        for e in block:
-            block_of_edge[e] = b
-    # fuse tree edges joining events of the same block (union-find on edges)
-    fuse: dict = {}
-    chart_parent_edge = {}
-    for i, p in enumerate(chart.parent):
-        e = chart.blocks[i][0]
-        if p is not None:
-            chart_parent_edge[e] = chart.blocks[p][0]
-    for e, pe in chart_parent_edge.items():
-        if block_of_edge[e] == block_of_edge[pe]:
-            fuse[_find(fuse, e)] = _find(fuse, pe)
-    pieces: dict = {}
-    for e in range(1, g.n + 1):
-        pieces.setdefault(_find(fuse, e), []).append(e)
-    piece_blocks = sorted((tuple(sorted(v)) for v in pieces.values()))
-    piece_index = {b: i for i, b in enumerate(piece_blocks)}
-    piece_of_edge = {e: piece_index[b] for b in piece_blocks for e in b}
-    parent = [None] * len(piece_blocks)
-    for e, pe in chart_parent_edge.items():
-        if piece_of_edge[e] != piece_of_edge[pe]:
-            parent[piece_of_edge[e]] = piece_of_edge[pe]
-    degenerate = len(piece_blocks) != k
-    if degenerate:
-        order = tuple(range(len(piece_blocks)))
-    else:
-        order = tuple(piece_index[block] for block in alpha.blocks)
-    return FiberTree(tuple(piece_blocks), tuple(parent), order, degenerate)
+    clusters: dict = {}   # vertex union-find
+    grown: dict = {}      # cluster root -> the piece that last grew it
+    pieces: list = []     # edge ids of each piece, in the order made
+    parent: list = []     # index of each piece's parent piece, or None
+    for chunk in chunks:
+        ends = [g.edges[e - 1] for e in chunk]
+        touched = {_find(clusters, v) for uv in ends for v in uv}
+        for u, v in ends:
+            ru, rv = _find(clusters, u), _find(clusters, v)
+            if ru != rv:
+                clusters[ru] = rv
+        own: dict = {}    # root after the merge -> edges of its piece
+        for e, (u, _) in zip(chunk, ends):
+            own.setdefault(_find(clusters, u), []).append(e)
+        made = {root: len(pieces) + i for i, root in enumerate(own)}
+        pieces.extend(tuple(sorted(edges)) for edges in own.values())
+        parent.extend([None] * len(own))
+        for r in touched:
+            child = grown.pop(r, None)
+            if child is not None:
+                parent[child] = made[_find(clusters, r)]
+        grown.update(made)
+    ranked = sorted(range(len(pieces)), key=pieces.__getitem__)
+    at = [0] * len(pieces)  # piece -> its index in the canonical order
+    for i, j in enumerate(ranked):
+        at[j] = i
+    degenerate = len(pieces) != len(alpha.blocks)
+    return FiberTree(tuple(pieces[j] for j in ranked),
+                     tuple(None if parent[j] is None else at[parent[j]]
+                           for j in ranked),
+                     tuple(range(len(pieces))) if degenerate else tuple(at),
+                     degenerate)
 
 
 def canonical_representative(tree: FiberTree) -> TOPartition:
@@ -318,12 +282,14 @@ def build_fiber(g: MultiGraph, cap: int = DEFAULT_FIBER_CAP) -> FiberComplex:
         raise ValueError(f"graph has {n} edges, above the cap {cap}")
     trees: dict = {}
     images: dict = {}
+    labels: dict = {}     # (blocks, parent) -> label, rendered once per tree
     for alpha in enumerate_topartitions(n):
         t = fiber_element(g, alpha)
         if t.degenerate:
             continue
-        lab = t.label()
-        if lab not in trees:
+        lab = labels.get((t.blocks, t.parent))
+        if lab is None:
+            lab = labels[t.blocks, t.parent] = t.label()
             trees[lab] = t.canonical()
         images[alpha] = (lab, t.sign)
     basis: dict = {}

@@ -206,19 +206,21 @@ def fiber_tree_sets(edges):
     return out
 
 
-def nested_set_counts(edges):
-    """k -> number of nested sets of size k that hold the whole edge set.
+def nested_sets(edges):
+    """Every nested set that holds the whole edge set, as a frozenset of
+    frozensets of edge ids 1..n.
 
     The building set is the nonempty edge subsets spanning a connected
     subgraph (the connected vertex sets of the line graph).  A nested
     set is a family of them, any two nested or disjoint, in which no
     union of two or more pairwise disjoint members is itself connected.
-    These count the trees of the fiber by block count.
+    These are the trees of the fiber, a k-block tree giving a family of
+    size k.
     """
     n = len(edges)
 
     def connected(subset):
-        clusters = [set(edges[e]) for e in subset]
+        clusters = [set(edges[e - 1]) for e in subset]
         merged = True
         while merged:
             merged = False
@@ -230,10 +232,10 @@ def nested_set_counts(edges):
         return len(clusters) == 1
 
     building = {frozenset(s) for k in range(1, n + 1)
-                for s in combinations(range(n), k) if connected(s)}
-    whole = frozenset(range(n))
+                for s in combinations(range(1, n + 1), k) if connected(s)}
+    whole = frozenset(range(1, n + 1))
     members = sorted(building - {whole}, key=sorted)
-    counts = {}
+    found = []
 
     def admissible(chosen, x):
         if not all(x <= y or y <= x or not x & y for y in chosen):
@@ -247,12 +249,21 @@ def nested_set_counts(edges):
         return True
 
     def extend(chosen, start):
-        counts[len(chosen)] = counts.get(len(chosen), 0) + 1
+        found.append(frozenset(chosen))
         for i in range(start, len(members)):
             if admissible(chosen, members[i]):
                 extend(chosen + [members[i]], i + 1)
 
     extend([whole], 0)
+    return found
+
+
+def nested_set_counts(edges):
+    """k -> number of nested sets of size k that hold the whole edge set;
+    these count the trees of the fiber by block count."""
+    counts = {}
+    for family in nested_sets(edges):
+        counts[len(family)] = counts.get(len(family), 0) + 1
     return counts
 
 

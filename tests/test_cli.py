@@ -384,6 +384,25 @@ def test_suite_empty_corpus(capsys, tmp_path):
     assert "no .edges files" in err
 
 
+@pytest.mark.parametrize("mutate, complaint", [
+    (lambda m: list(m), "expected an object of graph entries, got list"),
+    (lambda m: {**m, "path3": [1, 5, 5]}, "entry 'path3' is not an object"),
+    (lambda m: {**m, "path3": {"dims": [1, 5, 5]}}, "dims of 'path3' is not an object"),
+    (lambda m: {**m, "path3": {"dims": {"-1": 1, "-2": "5", "-3": 5}}},
+     "dims of 'path3' at degree -2 is not an integer: '5'"),
+])
+def test_suite_manifest_of_the_wrong_shape(capsys, tmp_path, corpus_dir,
+                                           mutate, complaint):
+    corpus = small_corpus(tmp_path, corpus_dir)
+    manifest = json.loads((corpus / "manifest.json").read_text())
+    (corpus / "manifest.json").write_text(json.dumps(mutate(manifest)))
+    code, out, err = run_cli(capsys, "suite", "--corpus", str(corpus), "--cap", "3")
+    assert code == 2
+    assert out == ""
+    assert err.splitlines() == [
+        f"error: bad manifest {corpus / 'manifest.json'}: {complaint}"]
+
+
 def test_suite_missing_manifest(capsys, tmp_path):
     corpus = tmp_path / "corpus"
     corpus.mkdir()

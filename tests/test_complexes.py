@@ -344,3 +344,18 @@ def test_cone_differential_squares_to_zero_when_multiplied(perms, simplexes):
         fresh = ChainComplex.build(cone.basis, cone.differentials)
         assert "d2" not in fresh._cache
         assert verify_d_squared(fresh).passed, n
+
+
+def test_json_refuses_a_zero_denominator(perms):
+    doc = complex_to_json(perms[2].complex)
+    i, j, _ = doc["differentials"]["1"][0]
+    doc["differentials"]["1"][0] = [i, j, "1/0"]
+    with pytest.raises(ValueError, match="malformed complex document"):
+        complex_from_json(doc)
+
+
+def test_json_refuses_a_document_without_degrees(perms):
+    doc = complex_to_json(perms[2].complex)
+    del doc["degrees"]
+    with pytest.raises(ValueError, match="malformed complex document: KeyError"):
+        complex_from_json(doc)

@@ -1,6 +1,5 @@
 import dataclasses
 import random
-from itertools import permutations
 from math import comb
 
 import pytest
@@ -21,7 +20,6 @@ from permfiber.fiber import (
     canonical_representative,
     fiber_element,
     fiber_to_simplex,
-    flowchart,
     koszul_check,
     parse_graph,
     perm_to_fiber,
@@ -34,7 +32,12 @@ from permfiber.topartitions import (
     parse_topartition,
 )
 
-from oracles import contraction_parents, fiber_tree_sets, nested_set_counts
+from oracles import (
+    contracted_tree_key,
+    fiber_tree_sets,
+    nested_set_counts,
+    nested_sets,
+)
 
 
 def tree_key(tree):
@@ -45,6 +48,15 @@ def tree_key(tree):
         return (tree.blocks[i], kids)
 
     return render(tree.root_index)
+
+
+def subtree_edge_sets(tree):
+    """The edge ids below each vertex of ``tree``, its own block included."""
+
+    def below(i):
+        return frozenset(tree.blocks[i]).union(*map(below, tree.children(i)))
+
+    return frozenset(below(i) for i in range(len(tree.blocks)))
 
 
 # ---------------------------------------------------------------- graphs
@@ -70,57 +82,6 @@ def test_parse_graph_rejects_bad_input():
 def test_loop_only_graph_is_connected():
     g = parse_graph("0 0\n0 0\n")
     assert g.n == 2
-
-
-# ------------------------------------------------------------- flowchart
-
-
-def test_flowchart_single_edge():
-    g = MultiGraph.from_edges([(0, 1)])
-    t = flowchart(g, [1])
-    assert t.blocks == ((1,),)
-    assert t.parent == (None,)
-    assert t.sign == 1
-
-
-def test_flowchart_star_is_a_temporal_path(corpus_graphs):
-    g = corpus_graphs["star4"]
-    for order in permutations(range(1, 5)):
-        t = flowchart(g, list(order))
-        # each event's child is its predecessor, so the tree is a path
-        for pos in range(1, 4):
-            child = order[pos - 1] - 1
-            parent = order[pos] - 1
-            assert t.parent[child] == parent
-        assert t.parent[order[-1] - 1] is None
-
-
-def test_flowchart_path3_merge_order():
-    g = MultiGraph.from_edges([(0, 1), (1, 2), (2, 3)])
-    t = flowchart(g, [1, 3, 2])
-    # edges 1 and 3 are disjoint; both feed into the final contraction
-    assert t.parent == (1, None, 1)
-    assert t.label() == "({2} ({1}) ({3}))"
-
-
-def test_flowchart_rejects_non_bijection():
-    g = MultiGraph.from_edges([(0, 1), (1, 2)])
-    with pytest.raises(ValueError):
-        flowchart(g, [1, 1])
-
-
-def test_flowchart_parents_match_vertex_merge_oracle(corpus_graphs):
-    rng = random.Random(424242)
-    for name, g in sorted(corpus_graphs.items()):
-        for _ in range(6):
-            order = list(range(1, g.n + 1))
-            rng.shuffle(order)
-            t = flowchart(g, order)
-            oracle_parent = contraction_parents(g.edges, order)
-            for pos in range(g.n):
-                ours = t.parent[order[pos] - 1]
-                want = oracle_parent[pos]
-                assert ours == (None if want is None else order[want] - 1), (name, order)
 
 
 # ---------------------------------------------------------- fiber_element
@@ -150,6 +111,36 @@ def test_path3_disjoint_block_applied_first_is_degenerate(corpus_graphs):
     t2 = fiber_element(g, parse_topartition("2>13"))
     assert not t2.degenerate
     assert t2.root_block == (1, 3) and t2.width == 2
+
+
+def _random_multigraphs(seed, count, max_edges):
+    """Connected multigraphs on few vertices, so loops and parallel
+    edges are common."""
+    rng = random.Random(seed)
+    graphs = []
+    while len(graphs) < count:
+        vertices = rng.randint(1, 4)
+        edges = [(rng.randrange(vertices), rng.randrange(vertices))
+                 for _ in range(rng.randint(1, max_edges))]
+        try:
+            graphs.append(MultiGraph.from_edges(edges))
+        except ValueError:
+            continue
+    return graphs
+
+
+def test_fiber_element_matches_flow_chart_oracle(corpus_graphs):
+    graphs = [g for g in corpus_graphs.values() if g.n <= 5]
+    graphs += _random_multigraphs(seed=2108, count=40, max_edges=5)
+    assert any(u == v for g in graphs for u, v in g.edges)
+    assert any(len(set(g.edges)) < g.n for g in graphs)
+    for g in graphs:
+        for alpha in enumerate_topartitions(g.n):
+            t = fiber_element(g, alpha)
+            want = contracted_tree_key(g.edges, alpha.blocks)
+            assert t.degenerate == (want is None), (g.edges, alpha.pretty())
+            if want is not None:
+                assert tree_key(t) == want, (g.edges, alpha.pretty())
 
 
 def test_fiber_element_refinement_independent(corpus_graphs):
@@ -215,6 +206,16 @@ def test_fiber_dims_match_nested_set_counts(corpus_graphs, corpus_fibers):
     for name, fib in sorted(corpus_fibers.items()):
         got = {-r: fib.complex.dim(r) for r in fib.complex.degrees()}
         assert got == nested_set_counts(corpus_graphs[name].edges), name
+
+
+def test_fiber_trees_biject_onto_nested_sets(corpus_graphs, corpus_fibers):
+    """A tree is the family of its subtree edge sets, a nested set of
+    the size of its block count, and every nested set arises once."""
+    assert len(corpus_fibers) == 14
+    for name, fib in sorted(corpus_fibers.items()):
+        families = {subtree_edge_sets(tree) for tree in fib.trees.values()}
+        assert len(families) == len(fib.trees), name
+        assert families == set(nested_sets(corpus_graphs[name].edges)), name
 
 
 def test_fiber_d_squared_and_width_filtration(corpus_fibers):
