@@ -23,6 +23,7 @@ from .complexes import (
     is_quasi_isomorphism,
     is_surjective,
     page_dims,
+    unpaired_cells,
     verify_chain_map,
     verify_d_squared,
 )
@@ -158,6 +159,19 @@ def _homology_detail(h: dict) -> str:
     return " ".join(f"H_{r}={d}" for r, d in nonzero.items()) or "zero"
 
 
+def _unexpected_class(c, h: dict, want: dict) -> str:
+    """Witness suffix for a failing homology line: the first degree with
+    more homology than expected and the label of a cell that carries a
+    class there, else the first degree that lacks its class."""
+    for r in c.degrees():
+        if h[r] > want[r]:
+            return f"; unexpected class at degree {r}, cell {unpaired_cells(c, r)[0]}"
+    for r in c.degrees():
+        if h[r] < want[r]:
+            return f"; no class at degree {r}"
+    return ""
+
+
 def _not_commuting(name: str, report) -> str:
     """Witness suffix for a maps line: where a chain map fails to commute."""
     if report.passed:
@@ -231,7 +245,8 @@ def _run_checks(col: Collector, name: str, obj, checks, pages: int = -1,
             h = homology_dims(c)
             bottom = c.degrees()[0]
             want = {r: int(r == bottom) for r in c.degrees()}
-            col.check(name, "homology", h == want, _homology_detail(h))
+            col.check(name, "homology", h == want,
+                      _homology_detail(h) + _unexpected_class(c, h, want))
     if pages >= 0:
         if verify_d_squared(c).passed:
             col.pages(name, c, pages)

@@ -131,15 +131,29 @@ def _reduce(c: ChainComplex, order=lambda n: None) -> dict:
     return pairs
 
 
-def homology_dims(c: ChainComplex) -> dict:
-    """dim H_r = dim C_r - rank d_r - rank d_{r+1}, for every degree:
-    the degree-r cells that no pivot pair of the reduction holds."""
+def _pairs(c: ChainComplex) -> dict:
+    """The index-order pivot pairs of ``_reduce``, cached on the complex."""
     _require_complex(c)
     if "pairs" not in c._cache:
         c._cache["pairs"] = _reduce(c)
-    pairs = c._cache["pairs"]
+    return c._cache["pairs"]
+
+
+def homology_dims(c: ChainComplex) -> dict:
+    """dim H_r = dim C_r - rank d_r - rank d_{r+1}, for every degree:
+    the degree-r cells that no pivot pair of the reduction holds."""
+    pairs = _pairs(c)
     return {r: c.dim(r) - len(pairs.get(r, ())) - len(pairs.get(r + 1, ()))
             for r in c.degrees()}
+
+
+def unpaired_cells(c: ChainComplex, r: int) -> tuple:
+    """Labels of the degree-r cells that no pivot pair of the cached
+    reduction holds, in basis order: dim H_r of them, one for each class
+    of a homology basis, read off the pairs without a second reduction."""
+    pairs = _pairs(c)
+    held = {j for _, j in pairs.get(r, ())} | {i for i, _ in pairs.get(r + 1, ())}
+    return tuple(lab for k, lab in enumerate(c.labels(r)) if k not in held)
 
 
 def _levels(c: ChainComplex) -> dict:

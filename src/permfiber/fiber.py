@@ -11,11 +11,18 @@ t_alpha, degenerate when some block's edges do not join the clusters
 they touch into one.  The fiber complex is spanned by the distinct
 nondegenerate t_alpha, each carried with a mod-2 order on its blocks,
 modelled as a canonical block order plus a parity sign.
+
+Edge sets are held as bitmasks, edge e at bit e-1.  The vertex clusters
+after contracting any edge set are read from one table per graph, so a
+block is one lookup: the fiber builder walks the block prefixes once,
+sharing each prefix between the TO partitions that extend it, and drops
+a prefix as soon as a block of it is degenerate.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from heapq import heappop, heappush
 from math import comb
 from typing import Iterable, Sequence
 
@@ -34,16 +41,18 @@ from .polytopes import (
     pushforward,
     quotient_complex,
 )
-from .topartitions import TOPartition, enumerate_topartitions, format_block, parity
+from .topartitions import TOPartition, format_block, parity
 
 DEFAULT_FIBER_CAP = 8
 
 
 @dataclass(frozen=True, eq=True)
 class MultiGraph:
-    """Connected multigraph; edge ids are 1..n by position, loops allowed."""
+    """Connected multigraph; edge ids are 1..n by position, loops allowed.
+    ``_cache`` holds its ``_cluster_table``, built on first use."""
 
     edges: tuple
+    _cache: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     @staticmethod
     def from_edges(edges: Iterable) -> MultiGraph:
@@ -120,6 +129,41 @@ def _find(parent: dict, x):
     return root
 
 
+def _cluster_table(g: MultiGraph) -> list:
+    """One row per edge mask ``done``: for each edge e, the edges of
+    ``done`` in the vertex cluster of e's first end (which holds both
+    ends when e is in ``done``) once the edges in ``done`` are
+    contracted, as an edge mask.  Built once per graph (2**n rows) and
+    cached on it."""
+    table = g._cache.get("clusters")
+    if table is None:
+        table = []
+        for done in range(1 << g.n):
+            roots: dict = {}
+            inside = [e for e in range(g.n) if done >> e & 1]
+            for e in inside:
+                u, v = g.edges[e]
+                roots[_find(roots, u)] = _find(roots, v)
+            edges: dict = {}
+            for e in inside:
+                root = _find(roots, g.edges[e][0])
+                edges[root] = edges.get(root, 0) | 1 << e
+            table.append(tuple(edges.get(_find(roots, u), 0) for u, _ in g.edges))
+        g._cache["clusters"] = table
+    return table
+
+
+def _step(table: list, done: int, block: int, edge: int) -> tuple:
+    """One block of t_alpha: contract the edges of ``block`` after those
+    of ``done``.  Returns the piece of the block that holds ``edge`` (one
+    bit of ``block``) and the vertex cluster it ends in, both edge masks.
+    The cluster holds the piece and every earlier edge below it, so it is
+    the edge set of the piece's subtree; the block is nondegenerate when
+    this piece is the whole block."""
+    cluster = table[done | block][edge.bit_length() - 1]
+    return block & cluster, cluster
+
+
 @dataclass(frozen=True, eq=True)
 class FiberTree:
     """Rooted tree whose vertices carry disjoint blocks of edge ids.
@@ -154,8 +198,17 @@ class FiberTree:
     def width(self) -> int:
         return len(self.root_block)
 
+    def child_lists(self) -> list:
+        """The children of every block, by index, from one pass over
+        ``parent``; index order is the canonical order."""
+        kids: list = [[] for _ in self.blocks]
+        for j, p in enumerate(self.parent):
+            if p is not None:
+                kids[p].append(j)
+        return kids
+
     def children(self, i: int) -> list:
-        return [j for j, p in enumerate(self.parent) if p == i]
+        return self.child_lists()[i]
 
     def canonical(self) -> FiberTree:
         return FiberTree(self.blocks, self.parent,
@@ -163,93 +216,87 @@ class FiberTree:
 
     def label(self) -> str:
         n = max(max(b) for b in self.blocks)
+        return _render(self, self.child_lists(), n, self.root_index)
 
-        def render(i: int) -> str:
-            inner = "{" + format_block(self.blocks[i], n) + "}"
-            kids = sorted(self.children(i), key=lambda j: self.blocks[j][0])
-            return "(" + inner + "".join(" " + render(j) for j in kids) + ")"
 
-        return render(self.root_index)
+def _render(tree: FiberTree, kids: list, n: int, i: int) -> str:
+    """Label of the subtree at block i, children in index order."""
+    inner = "{" + format_block(tree.blocks[i], n) + "}"
+    return "(" + inner + "".join(" " + _render(tree, kids, n, j) for j in kids[i]) + ")"
 
 
 def fiber_element(g: MultiGraph, alpha: TOPartition,
                   refinement: Sequence[int] | None = None) -> FiberTree:
     """t_alpha: apply alpha's blocks left to right (least block last) to
-    the clusters of one vertex union-find.
+    the vertex clusters of ``g``.
 
-    Merging a block's edges joins the clusters they touch into one or
-    more components, the pieces of the block.  Each piece becomes the
+    Contracting a block's edges joins the clusters they touch into one
+    or more components, the pieces of the block.  Each piece becomes the
     parent of the pieces that last grew the clusters it joins.  The
     element is degenerate when some block splits into more than one
     piece; its tree then carries the pieces as blocks, and the maps
-    below send it to zero.  ``refinement`` may set the order in which
-    the edges are merged, as long as it lists each block contiguously
-    in block order; the result does not depend on it.
+    below send it to zero.  ``refinement`` may list the edges in the
+    order they are merged, as long as it lists each block contiguously
+    in block order; it is checked, and the result does not depend on it.
     """
     if alpha.n != g.n:
         raise ValueError(f"partition of 1..{alpha.n} does not match {g.n} edges")
-    chunks = alpha.blocks
     if refinement is not None:
-        refinement, chunks, position = list(refinement), [], 0
+        refinement, position = list(refinement), 0
         for block in alpha.blocks:
-            chunks.append(refinement[position:position + len(block)])
-            if set(chunks[-1]) != set(block):
+            if set(refinement[position:position + len(block)]) != set(block):
                 raise ValueError("refinement does not list the blocks in order")
             position += len(block)
         if position != len(refinement):
             raise ValueError("refinement has the wrong length")
-    clusters: dict = {}   # vertex union-find
-    grown: dict = {}      # cluster root -> the piece that last grew it
+    table = _cluster_table(g)
+    done = 0
     pieces: list = []     # edge ids of each piece, in the order made
-    parent: list = []     # index of each piece's parent piece, or None
-    for chunk in chunks:
-        ends = [g.edges[e - 1] for e in chunk]
-        touched = {_find(clusters, v) for uv in ends for v in uv}
-        for u, v in ends:
-            ru, rv = _find(clusters, u), _find(clusters, v)
-            if ru != rv:
-                clusters[ru] = rv
-        own: dict = {}    # root after the merge -> edges of its piece
-        for e, (u, _) in zip(chunk, ends):
-            own.setdefault(_find(clusters, u), []).append(e)
-        made = {root: len(pieces) + i for i, root in enumerate(own)}
-        pieces.extend(tuple(sorted(edges)) for edges in own.values())
-        parent.extend([None] * len(own))
-        for r in touched:
-            child = grown.pop(r, None)
-            if child is not None:
-                parent[child] = made[_find(clusters, r)]
-        grown.update(made)
-    ranked = sorted(range(len(pieces)), key=pieces.__getitem__)
-    at = [0] * len(pieces)  # piece -> its index in the canonical order
+    clusters: list = []   # the vertex cluster each piece ends in
+    for block in alpha.blocks:
+        mask = sum(1 << e - 1 for e in block)
+        rest = mask
+        while rest:
+            piece, cluster = _step(table, done, mask, rest & -rest)
+            rest ^= piece
+            pieces.append(tuple(e for e in block if piece >> e - 1 & 1))
+            clusters.append(cluster)
+        done |= mask
+    return _tree(pieces, clusters, len(pieces) != len(alpha.blocks))
+
+
+def _tree(pieces: Sequence, clusters: Sequence, degenerate: bool) -> FiberTree:
+    """t_alpha from its pieces and the clusters they end in, in the order
+    made.  Clusters only grow, so a piece's parent is the next piece whose
+    cluster meets its own: the one that next grew its cluster."""
+    k = len(pieces)
+    parent = [next((j for j in range(i + 1, k) if clusters[j] & clusters[i]), None)
+              for i in range(k)]
+    ranked = sorted(range(k), key=pieces.__getitem__)
+    at = [0] * k          # piece -> its index in the canonical order
     for i, j in enumerate(ranked):
         at[j] = i
-    degenerate = len(pieces) != len(alpha.blocks)
     return FiberTree(tuple(pieces[j] for j in ranked),
                      tuple(None if parent[j] is None else at[parent[j]]
                            for j in ranked),
-                     tuple(range(len(pieces))) if degenerate else tuple(at),
+                     tuple(range(k)) if degenerate else tuple(at),
                      degenerate)
 
 
 def canonical_representative(tree: FiberTree) -> TOPartition:
     """TO partition applying children before parents (ties broken by the
     smallest edge id), so the root block comes last."""
-    remaining = {i: set(tree.children(i)) for i in range(len(tree.blocks))}
+    waiting = [len(kids) for kids in tree.child_lists()]
+    ready = [i for i, w in enumerate(waiting) if not w]  # sorted, so a heap
     placed: list = []
-    ready = sorted((i for i, kids in remaining.items() if not kids),
-                   key=lambda i: tree.blocks[i][0])
-    pending = {i for i in remaining if remaining[i]}
     while ready:
-        i = ready.pop(0)
+        i = heappop(ready)
         placed.append(i)
         p = tree.parent[i]
         if p is not None:
-            remaining[p].discard(i)
-            if not remaining[p] and p in pending:
-                pending.discard(p)
-                ready.append(p)
-                ready.sort(key=lambda i: tree.blocks[i][0])
+            waiting[p] -= 1
+            if not waiting[p]:
+                heappush(ready, p)
     n = max(max(b) for b in tree.blocks)
     return TOPartition(n, tuple(tree.blocks[i] for i in placed))
 
@@ -276,22 +323,48 @@ class FiberComplex:
 
 
 def build_fiber(g: MultiGraph, cap: int = DEFAULT_FIBER_CAP) -> FiberComplex:
-    """P_n divided out by alpha -> sign * t_alpha, degenerate alpha -> 0."""
+    """P_n divided out by alpha -> sign * t_alpha, degenerate alpha -> 0.
+
+    One depth-first walk over the block prefixes of the TO partitions:
+    a prefix is the edges contracted so far with the cluster each of its
+    blocks ended in, and a child applies one more block, a nonempty set
+    of the edges left.  A degenerate block makes every completion
+    degenerate, so its subtree is skipped, and the leaves are the
+    nondegenerate alpha.  A tree is known by its nested set, the
+    clusters of its blocks (each block's subtree edges), and is built
+    and labelled at the first alpha that reaches it.  The sign of
+    t_alpha is the parity of its order, which lists the canonical ranks
+    of alpha's blocks, so it is the parity of the blocks' least edges in
+    alpha's order.
+    """
     n = g.n
     if n > cap:
         raise ValueError(f"graph has {n} edges, above the cap {cap}")
+    table = _cluster_table(g)
+    ids = [tuple(e + 1 for e in range(n) if mask >> e & 1) for mask in range(1 << n)]
     trees: dict = {}
     images: dict = {}
-    labels: dict = {}     # (blocks, parent) -> label, rendered once per tree
-    for alpha in enumerate_topartitions(n):
-        t = fiber_element(g, alpha)
-        if t.degenerate:
+    label_of: dict = {}   # nested set -> label, rendered once per tree
+    prefixes = [(0, (), ())]  # (edges contracted, blocks, their clusters)
+    while prefixes:
+        done, blocks, clusters = prefixes.pop()
+        left = (1 << n) - 1 ^ done
+        if not left:
+            nested = frozenset(clusters)
+            lab = label_of.get(nested)
+            if lab is None:
+                t = _tree(blocks, clusters, False)
+                lab = label_of[nested] = t.label()
+                trees[lab] = t.canonical()
+            images[TOPartition(n, blocks)] = (lab, parity([b[0] for b in blocks]))
             continue
-        lab = labels.get((t.blocks, t.parent))
-        if lab is None:
-            lab = labels[t.blocks, t.parent] = t.label()
-            trees[lab] = t.canonical()
-        images[alpha] = (lab, t.sign)
+        block = left
+        while block:
+            piece, cluster = _step(table, done, block, block & -block)
+            if piece == block:
+                prefixes.append((done | block, blocks + (ids[block],),
+                                 clusters + (cluster,)))
+            block = block - 1 & left
     basis: dict = {}
     for lab in sorted(trees):
         basis.setdefault(-len(trees[lab].blocks), []).append(lab)

@@ -110,11 +110,14 @@ def width(alpha: TOPartition) -> int:
 
 
 def parity(sequence) -> int:
-    """Sign of a sequence of distinct numbers read as an ordering of its
-    set: +1 for an even number of inversions, -1 for an odd one."""
-    inversions = sum(1 for i in range(len(sequence))
-                     for j in range(i + 1, len(sequence))
-                     if sequence[i] > sequence[j])
+    """Sign of a sequence of distinct natural numbers read as an ordering
+    of its set: +1 for an even number of inversions, -1 for an odd one.
+    Each element adds the number of earlier ones above it, counted in a
+    bitmask of the elements seen so far."""
+    seen = inversions = 0
+    for x in sequence:
+        inversions += (seen >> x).bit_count()
+        seen |= 1 << x
     return -1 if inversions % 2 else 1
 
 

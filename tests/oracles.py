@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from math import comb
+from math import comb, factorial
 
 
 def dense_rank(matrix) -> int:
@@ -265,6 +265,23 @@ def nested_set_counts(edges):
     for family in nested_sets(edges):
         counts[len(family)] = counts.get(len(family), 0) + 1
     return counts
+
+
+def nondegenerate_count(edges):
+    """Number of TO partitions alpha with a nondegenerate t_alpha.
+
+    Each tree is reached by the orders of its blocks that put every
+    child before its parent, the linear extensions of the tree, so this
+    sums over the nested sets N the hook-length count for forests,
+    |N|! / prod over S in N of #{T in N : T <= S}.
+    """
+    total = 0
+    for family in nested_sets(edges):
+        hooks = 1
+        for s in family:
+            hooks *= sum(1 for t in family if t <= s)
+        total += factorial(len(family)) // hooks
+    return total
 
 
 def noncrossing_diagonal_counts(polygon: int):

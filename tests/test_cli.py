@@ -252,6 +252,34 @@ def test_battery_reports_a_flipped_sign(perms, simplexes, corpus_fibers):
         assert not col.pages_rows, name
 
 
+def test_homology_failure_names_degree_and_cell(monkeypatch, perms):
+    """P3 without d_1 is still a complex, with H_0 = 6 and H_1 = 5; the
+    FAIL line names a degree-0 cell that carries a class, read off the
+    cached pairs of the one reduction the homology check runs."""
+    import permfiber.complexes as complexes
+    reductions = []
+    real = complexes._reduce
+    monkeypatch.setattr(complexes, "_reduce",
+                        lambda *a: reductions.append(a) or real(*a))
+    c = perms[3].complex
+    cut = ChainComplex.build(
+        c.basis, {r: m for r, m in c.differentials.items() if r != 1}, c.levels)
+    col = Collector()
+    _run_checks(col, "P3", dataclasses.replace(perms[3], complex=cut), ("d2", "homology"))
+    assert "check d2: pass" in col.lines
+    [line] = [line for line in col.lines if line.startswith("check homology")]
+    prefix = "check homology: FAIL (H_0=6 H_1=5; unexpected class at degree 0, cell "
+    assert line.startswith(prefix) and line.endswith(")")
+    assert line[len(prefix):-1] in c.labels(0)
+    assert len(reductions) == 1
+    # no class anywhere: the line names the degree that lacks one
+    acyclic = ChainComplex.build({0: ("a",), 1: ("b",)},
+                                 {1: SparseMatrix.from_entries(1, 1, {(0, 0): 1})})
+    col = Collector()
+    _run_checks(col, "C", SimplexComplex(2, acyclic), ("homology",))
+    assert col.lines[-1] == "check homology: FAIL (zero; no class at degree 0)"
+
+
 def test_maps_failure_names_degree_and_cell(capsys, monkeypatch, perms, corpus_fibers):
     import permfiber.polytopes as polytopes
     unit = polytopes.blowdown_coefficient

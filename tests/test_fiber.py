@@ -37,6 +37,7 @@ from oracles import (
     fiber_tree_sets,
     nested_set_counts,
     nested_sets,
+    nondegenerate_count,
 )
 
 
@@ -206,6 +207,7 @@ def test_fiber_dims_match_nested_set_counts(corpus_graphs, corpus_fibers):
     for name, fib in sorted(corpus_fibers.items()):
         got = {-r: fib.complex.dim(r) for r in fib.complex.degrees()}
         assert got == nested_set_counts(corpus_graphs[name].edges), name
+        assert len(fib.images) == nondegenerate_count(corpus_graphs[name].edges), name
 
 
 def test_fiber_trees_biject_onto_nested_sets(corpus_graphs, corpus_fibers):
@@ -245,6 +247,40 @@ def test_images_record_every_nondegenerate_fiber_element(corpus_fibers):
                 want[alpha] = (t.canonical().label(), t.sign)
         assert fib.images == want, name
         assert {lab for lab, _ in fib.images.values()} == set(fib.trees), name
+
+
+def test_build_fiber_enumerates_no_topartitions(monkeypatch, corpus_graphs,
+                                                corpus_fibers):
+    """The builder walks block prefixes, never all Fubini(n) TO partitions."""
+    import permfiber.fiber as fiber
+    import permfiber.topartitions as topartitions
+
+    def refuse(n):
+        raise AssertionError(f"enumerated the TO partitions of 1..{n}")
+
+    monkeypatch.setattr(topartitions, "enumerate_topartitions", refuse)
+    monkeypatch.setattr(fiber, "enumerate_topartitions", refuse, raising=False)
+    for name in ("path4", "cycle4"):
+        fib, want = build_fiber(corpus_graphs[name]), corpus_fibers[name]
+        assert fib.images == want.images, name
+        assert fib.trees == want.trees, name
+        assert fib.complex == want.complex, name
+        assert fib.cells == want.cells, name
+
+
+def test_build_fiber_leaves_no_garbage_cycles(corpus_graphs):
+    """Nothing build_fiber makes waits for the cyclic collector: state
+    held in a reference cycle outlives the build, so the fibers of a
+    suite run pile up in memory between collections."""
+    import gc
+    gc.collect()
+    gc.disable()
+    try:
+        for name in ("path4", "cycle4", "twoloop"):
+            build_fiber(corpus_graphs[name])
+            assert gc.collect() == 0, name
+    finally:
+        gc.enable()
 
 
 def test_canonical_representative_runs_once_per_tree(monkeypatch, corpus_graphs,

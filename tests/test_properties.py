@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 from permfiber.cli import CHECK_TOKENS, Collector, _run_checks  # noqa: E402
 from permfiber.fiber import MultiGraph, build_fiber  # noqa: E402
 
-from oracles import fiber_tree_sets, nested_set_counts  # noqa: E402
+from oracles import fiber_tree_sets, nested_set_counts, nondegenerate_count  # noqa: E402
 
 MAX_EDGES = 5
 
@@ -39,6 +39,7 @@ def test_random_multigraph_fibers(perms, edges):
     dims = {-r: fib.complex.dim(r) for r in fib.complex.degrees()}
     assert dims == {k: len(trees) for k, trees in oracle.items()}, edges
     assert dims == nested_set_counts(g.edges), edges
+    assert len(fib.images) == nondegenerate_count(g.edges), edges
     col = Collector()
     _run_checks(col, "g", fib, CHECK_TOKENS, pages=2, perm=perms[g.n])
     assert not col.failed, (edges, col.lines)

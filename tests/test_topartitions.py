@@ -1,5 +1,5 @@
 from collections import Counter
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 
@@ -7,6 +7,7 @@ from permfiber.topartitions import (
     TOPartition,
     differential_terms,
     enumerate_topartitions,
+    parity,
     parse_topartition,
     shape,
     width,
@@ -105,6 +106,16 @@ def test_width_and_shape_examples():
     assert shape(parse_topartition("13|24")) == (2, 2)
     assert shape(TOPartition.of(4, [1, 2, 3, 4])) == (4,)
     assert shape(TOPartition.of(5, [1], [2], [3, 4, 5])) == (1, 1, 3)
+
+
+def test_parity_counts_inversions():
+    """Against the pairwise inversion count, on orderings of 0..5 and of
+    a set with gaps."""
+    for ground in (range(6), (0, 3, 4, 9, 11)):
+        for seq in permutations(ground):
+            inversions = sum(1 for a, b in combinations(seq, 2) if a > b)
+            assert parity(seq) == (-1) ** inversions, seq
+    assert parity(()) == 1
 
 
 def test_parse_accepts_both_text_forms():
