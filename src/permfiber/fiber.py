@@ -166,12 +166,13 @@ def _step(table: list, done: int, block: int, edge: int) -> tuple:
 
 @dataclass(frozen=True, eq=True)
 class FiberTree:
-    """Rooted tree whose vertices carry disjoint blocks of edge ids.
+    """Rooted tree whose vertices carry disjoint blocks of edges.
 
-    ``blocks`` are kept in the canonical order (sorted by smallest edge
-    id); ``parent`` gives the parent index of each block, None at the
-    root; ``order`` lists canonical indices in the order the blocks
-    were applied, i.e. the chosen representative of the mod-2 order.
+    ``blocks`` are edge masks, edge e at bit e-1, kept in the canonical
+    order (sorted by smallest edge id); ``parent`` gives the parent
+    index of each block, None at the root; ``order`` lists canonical
+    indices in the order the blocks were applied, i.e. the chosen
+    representative of the mod-2 order.
     A tree listed with an odd permutation of its blocks is the negative
     of the canonically ordered one.  A ``degenerate`` t_alpha carries
     the pieces its blocks split into, in the canonical order.
@@ -191,12 +192,12 @@ class FiberTree:
         return self.parent.index(None)
 
     @property
-    def root_block(self) -> tuple:
+    def root_block(self) -> int:
         return self.blocks[self.root_index]
 
     @property
     def width(self) -> int:
-        return len(self.root_block)
+        return self.root_block.bit_count()
 
     def child_lists(self) -> list:
         """The children of every block, by index, from one pass over
@@ -215,7 +216,7 @@ class FiberTree:
                          tuple(range(len(self.blocks))), self.degenerate)
 
     def label(self) -> str:
-        n = max(max(b) for b in self.blocks)
+        n = max(self.blocks).bit_length()
         return _render(self, self.child_lists(), n, self.root_index)
 
 
@@ -225,8 +226,7 @@ def _render(tree: FiberTree, kids: list, n: int, i: int) -> str:
     return "(" + inner + "".join(" " + _render(tree, kids, n, j) for j in kids[i]) + ")"
 
 
-def fiber_element(g: MultiGraph, alpha: TOPartition,
-                  refinement: Sequence[int] | None = None) -> FiberTree:
+def fiber_element(g: MultiGraph, alpha: TOPartition) -> FiberTree:
     """t_alpha: apply alpha's blocks left to right (least block last) to
     the vertex clusters of ``g``.
 
@@ -235,33 +235,22 @@ def fiber_element(g: MultiGraph, alpha: TOPartition,
     parent of the pieces that last grew the clusters it joins.  The
     element is degenerate when some block splits into more than one
     piece; its tree then carries the pieces as blocks, and the maps
-    below send it to zero.  ``refinement`` may list the edges in the
-    order they are merged, as long as it lists each block contiguously
-    in block order; it is checked, and the result does not depend on it.
+    below send it to zero.
     """
     if alpha.n != g.n:
         raise ValueError(f"partition of 1..{alpha.n} does not match {g.n} edges")
-    if refinement is not None:
-        refinement, position = list(refinement), 0
-        for block in alpha.blocks:
-            if set(refinement[position:position + len(block)]) != set(block):
-                raise ValueError("refinement does not list the blocks in order")
-            position += len(block)
-        if position != len(refinement):
-            raise ValueError("refinement has the wrong length")
     table = _cluster_table(g)
     done = 0
-    pieces: list = []     # edge ids of each piece, in the order made
+    pieces: list = []     # each piece, in the order made
     clusters: list = []   # the vertex cluster each piece ends in
     for block in alpha.blocks:
-        mask = sum(1 << e - 1 for e in block)
-        rest = mask
+        rest = block
         while rest:
-            piece, cluster = _step(table, done, mask, rest & -rest)
+            piece, cluster = _step(table, done, block, rest & -rest)
             rest ^= piece
-            pieces.append(tuple(e for e in block if piece >> e - 1 & 1))
+            pieces.append(piece)
             clusters.append(cluster)
-        done |= mask
+        done |= block
     return _tree(pieces, clusters, len(pieces) != len(alpha.blocks))
 
 
@@ -272,7 +261,7 @@ def _tree(pieces: Sequence, clusters: Sequence, degenerate: bool) -> FiberTree:
     k = len(pieces)
     parent = [next((j for j in range(i + 1, k) if clusters[j] & clusters[i]), None)
               for i in range(k)]
-    ranked = sorted(range(k), key=pieces.__getitem__)
+    ranked = sorted(range(k), key=lambda j: pieces[j] & -pieces[j])
     at = [0] * k          # piece -> its index in the canonical order
     for i, j in enumerate(ranked):
         at[j] = i
@@ -297,7 +286,7 @@ def canonical_representative(tree: FiberTree) -> TOPartition:
             waiting[p] -= 1
             if not waiting[p]:
                 heappush(ready, p)
-    n = max(max(b) for b in tree.blocks)
+    n = max(tree.blocks).bit_length()
     return TOPartition(n, tuple(tree.blocks[i] for i in placed))
 
 
@@ -341,7 +330,6 @@ def build_fiber(g: MultiGraph, cap: int = DEFAULT_FIBER_CAP) -> FiberComplex:
     if n > cap:
         raise ValueError(f"graph has {n} edges, above the cap {cap}")
     table = _cluster_table(g)
-    ids = [tuple(e + 1 for e in range(n) if mask >> e & 1) for mask in range(1 << n)]
     trees: dict = {}
     images: dict = {}
     label_of: dict = {}   # nested set -> label, rendered once per tree
@@ -356,13 +344,13 @@ def build_fiber(g: MultiGraph, cap: int = DEFAULT_FIBER_CAP) -> FiberComplex:
                 t = _tree(blocks, clusters, False)
                 lab = label_of[nested] = t.label()
                 trees[lab] = t.canonical()
-            images[TOPartition(n, blocks)] = (lab, parity([b[0] for b in blocks]))
+            images[TOPartition(n, blocks)] = (lab, parity([(b & -b).bit_length() for b in blocks]))
             continue
         block = left
         while block:
             piece, cluster = _step(table, done, block, block & -block)
             if piece == block:
-                prefixes.append((done | block, blocks + (ids[block],),
+                prefixes.append((done | block, blocks + (block,),
                                  clusters + (cluster,)))
             block = block - 1 & left
     basis: dict = {}

@@ -98,27 +98,24 @@ def quotient_complex(basis: dict, cells: dict, image) -> ChainComplex:
     return ChainComplex.build(basis, diffs, levels)
 
 
-def subset_label(subset, n: int) -> str:
-    return format_block(tuple(sorted(subset)), n)
-
-
 def build_simplex(n: int) -> SimplexComplex:
     if n < 1:
         raise ValueError("n must be at least 1")
+    bits = [1 << x for x in range(n)]
     basis = {}
     index = {}
     for p in range(1, n + 1):
-        subsets = sorted(combinations(range(1, n + 1), p))
-        basis[p - 1] = tuple(subset_label(s, n) for s in subsets)
+        subsets = [sum(s) for s in combinations(bits, p)]
+        basis[p - 1] = tuple(format_block(s, n) for s in subsets)
         index[p - 1] = {s: j for j, s in enumerate(subsets)}
     diffs = {}
     for p in range(2, n + 1):
         entries = {}
-        for s, j in index[p - 1].items():
-            for i, x in enumerate(s):
-                face = s[:i] + s[i + 1:]
+        for j, s in enumerate(combinations(bits, p)):
+            whole = sum(s)
+            for i, bit in enumerate(s):
                 sign = -1 if i % 2 else 1
-                entries[(index[p - 2][face], j)] = sign
+                entries[(index[p - 2][whole ^ bit], j)] = sign
         diffs[p - 1] = SparseMatrix.from_entries(
             len(basis[p - 2]), len(basis[p - 1]), entries)
     return SimplexComplex(n, ChainComplex.build(basis, diffs))
@@ -126,7 +123,7 @@ def build_simplex(n: int) -> SimplexComplex:
 
 def blowdown_support(alpha: TOPartition):
     """The least block when every other block is a singleton, else None."""
-    if any(len(b) != 1 for b in alpha.blocks[:-1]):
+    if any(b & b - 1 for b in alpha.blocks[:-1]):
         return None
     return alpha.blocks[-1]
 
@@ -136,8 +133,8 @@ def blowdown_coefficient(alpha: TOPartition) -> int:
     map: the parity of the singleton ordering times a sign depending on
     which elements were split off the least block.  Normalised so the
     top cell maps with coefficient +1."""
-    outside = sum(y + 1 for b in alpha.blocks[:-1] for y in b)
-    singletons = [b[0] for b in alpha.blocks[:-1]]
+    singletons = [b.bit_length() for b in alpha.blocks[:-1]]
+    outside = sum(singletons) + len(singletons)
     return parity(singletons) * (-1 if outside % 2 else 1)
 
 
@@ -157,9 +154,9 @@ def blowdown_matrices(cells: dict, image, simplex: SimplexComplex) -> dict:
             block = blowdown_support(alpha)
             if block is None:
                 continue
-            p = len(block)
+            p = block.bit_count()
             coefficient = image(alpha)[1] * blowdown_coefficient(alpha)
-            entries[(rows[p][subset_label(block, n)], j)] = coefficient
+            entries[(rows[p][format_block(block, n)], j)] = coefficient
         if entries:
             matrices[r] = SparseMatrix.from_entries(
                 simplex.complex.dim(p - 1), len(cells[r]), entries)

@@ -4,15 +4,21 @@ A TO partition of {1..n} is a partition with a total order on its
 blocks, written left to right with the least block rightmost.  These
 are the cells of the permutohedron complex; the differential is the
 signed sum of ways to subdivide one block in place.
+
+A block is held as a bitmask, element x at bit x-1.  Element ids are
+read only by ``TOPartition.of`` and ``parse_topartition``, and written
+only from cached tables of block texts, one per n and separator
+(``format_block``, ``label``, ``pretty``).
 """
 
 from __future__ import annotations
 
+from functools import cache
 from typing import Iterator, NamedTuple
 
 
 class TOPartition(NamedTuple):
-    """An ordered partition of {1..n}; blocks are sorted tuples, least last.
+    """An ordered partition of {1..n}; each block a bitmask, least last.
 
     Unchecked: the package builds only valid ones.  Outside input enters
     through ``TOPartition.of`` and ``parse_topartition``, which validate.
@@ -23,33 +29,33 @@ class TOPartition(NamedTuple):
 
     @staticmethod
     def of(n: int, *blocks) -> TOPartition:
+        """The partition with blocks given as iterables of element ids."""
         return _validated(n, tuple(tuple(sorted(b)) for b in blocks))
 
     def label(self) -> str:
         return ">".join(format_block(b, self.n) for b in self.blocks)
 
     def pretty(self) -> str:
-        return ">".join("{" + ",".join(map(str, b)) + "}" for b in self.blocks)
+        texts = _block_texts(self.n, ",")
+        return ">".join("{" + texts[b] + "}" for b in self.blocks)
 
     def block_count(self) -> int:
         return len(self.blocks)
 
 
 def _validated(n: int, blocks: tuple) -> TOPartition:
+    """The partition of 1..n with the given blocks of sorted element ids."""
     if n < 1:
         raise ValueError("ground set must be nonempty")
-    seen = set()
-    total = 0
     for block in blocks:
-        if not block or tuple(sorted(set(block))) != tuple(block):
+        if not block or any(a == b for a, b in zip(block, block[1:])):
             raise ValueError(f"malformed block {block!r}")
-        seen.update(block)
-        total += len(block)
-    if total != len(seen):
+    ids = sorted(x for block in blocks for x in block)
+    if any(a == b for a, b in zip(ids, ids[1:])):
         raise ValueError("blocks are not disjoint")
-    if seen != set(range(1, n + 1)):
+    if ids != list(range(1, n + 1)):
         raise ValueError(f"blocks do not partition 1..{n}")
-    return TOPartition(n, blocks)
+    return TOPartition(n, tuple(sum(1 << x - 1 for x in block) for block in blocks))
 
 
 class SignedTerm(NamedTuple):
@@ -57,10 +63,20 @@ class SignedTerm(NamedTuple):
     sign: int
 
 
-def format_block(block, n: int) -> str:
-    if n <= 9:
-        return "".join(map(str, block))
-    return ",".join(map(str, block))
+def format_block(block: int, n: int) -> str:
+    """The ids of a block of 1..n, ascending: '134', or '1,3,10' when n > 9."""
+    return _block_texts(n, "" if n <= 9 else ",")[block]
+
+
+@cache
+def _block_texts(n: int, sep: str) -> tuple:
+    """The text of every block of 1..n, indexed by its mask: the blocks
+    holding x are those below x with x appended.  There are 2**n of
+    them, one more than the cells of the simplex complex on n letters."""
+    texts = [""]
+    for x in range(1, n + 1):
+        texts += [t + sep + str(x) if t else str(x) for t in texts]
+    return tuple(texts)
 
 
 def enumerate_topartitions(n: int) -> list:
@@ -74,11 +90,12 @@ def _ordered_partitions(n: int) -> Iterator[tuple]:
     if n == 0:
         yield ()
         return
+    bit = 1 << n - 1
     for rest in _ordered_partitions(n - 1):
         for i, block in enumerate(rest):
-            yield rest[:i] + (tuple(sorted(block + (n,))),) + rest[i + 1:]
+            yield rest[:i] + (block | bit,) + rest[i + 1:]
         for i in range(len(rest) + 1):
-            yield rest[:i] + ((n,),) + rest[i:]
+            yield rest[:i] + (bit,) + rest[i:]
 
 
 def differential_terms(alpha: TOPartition) -> list:
@@ -86,27 +103,24 @@ def differential_terms(alpha: TOPartition) -> list:
 
     Splitting the i-th block from the left (1-based) into B' > B''
     carries the sign (-1)**(i-1); there are 2**|B| - 2 ordered splits
-    of a block B.
+    of a block B, taken with B' ascending as a mask.
     """
     terms = []
-    for i, block in enumerate(alpha.blocks):
+    blocks = alpha.blocks
+    for i, block in enumerate(blocks):
         sign = -1 if i % 2 else 1
-        for first in _proper_subsets(block):
-            second = tuple(x for x in block if x not in first)
-            blocks = alpha.blocks[:i] + (first, second) + alpha.blocks[i + 1:]
-            terms.append(SignedTerm(TOPartition(alpha.n, blocks), sign))
+        head, tail = blocks[:i], blocks[i + 1:]
+        first = -block & block
+        while first != block:
+            terms.append(SignedTerm(
+                TOPartition(alpha.n, head + (first, block ^ first) + tail), sign))
+            first = first - block & block
     return terms
-
-
-def _proper_subsets(block) -> Iterator[tuple]:
-    size = len(block)
-    for mask in range(1, (1 << size) - 1):
-        yield tuple(block[k] for k in range(size) if mask >> k & 1)
 
 
 def width(alpha: TOPartition) -> int:
     """Cardinality of the least (rightmost) block."""
-    return len(alpha.blocks[-1])
+    return alpha.blocks[-1].bit_count()
 
 
 def parity(sequence) -> int:
@@ -122,7 +136,7 @@ def parity(sequence) -> int:
 
 
 def shape(alpha: TOPartition) -> tuple:
-    return tuple(len(b) for b in alpha.blocks)
+    return tuple(b.bit_count() for b in alpha.blocks)
 
 
 def parse_topartition(text: str, n: int | None = None) -> TOPartition:

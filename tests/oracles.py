@@ -101,6 +101,11 @@ def stirling2(n: int, k: int) -> int:
     return k * stirling2(n - 1, k) + stirling2(n - 1, k - 1)
 
 
+def ids(block):
+    """The element ids of a block bitmask, element x at bit x-1, ascending."""
+    return tuple(x + 1 for x in range(block.bit_length()) if block >> x & 1)
+
+
 def ordered_partitions(elements):
     """All ordered set partitions, by choosing the first block directly."""
     elements = tuple(sorted(elements))
@@ -145,14 +150,23 @@ def contraction_parents(edges, order):
     return parent
 
 
-def contracted_tree_key(edges, blocks):
+def contracted_tree_key(edges, blocks, order=None):
     """Nested canonical key of t_alpha, or None when a block falls apart.
 
-    Blocks are applied left to right (ascending edge id inside a block);
-    flow-chart edges within a block are fused.  The key is the recursive
-    structure (sorted edge ids of the vertex, sorted child keys).
+    Blocks (tuples of edge ids) are applied left to right; ``order``
+    lists the edges in the order they are contracted, each block
+    contiguously in block order, and defaults to ascending edge id
+    inside a block.  Flow-chart edges within a block are fused.  The key
+    is the recursive structure (sorted edge ids of the vertex, sorted
+    child keys).
     """
-    order = [e for block in blocks for e in sorted(block)]
+    if order is None:
+        order = [e for block in blocks for e in sorted(block)]
+    position = 0
+    for block in blocks:
+        assert sorted(order[position:position + len(block)]) == sorted(block)
+        position += len(block)
+    assert position == len(order)
     parent = contraction_parents(edges, order)
     n = len(order)
     block_of = {}
@@ -193,6 +207,20 @@ def contracted_tree_key(edges, blocks):
         return (ids, kids)
 
     return key(root_piece)
+
+
+def tree_key(tree):
+    """The key of ``contracted_tree_key`` for a package ``FiberTree``,
+    read off its block masks and parent links."""
+    kids = {i: [] for i in range(len(tree.blocks))}
+    for i, p in enumerate(tree.parent):
+        if p is not None:
+            kids[p].append(i)
+
+    def key(i):
+        return (ids(tree.blocks[i]), tuple(sorted(key(j) for j in kids[i])))
+
+    return key(tree.parent.index(None))
 
 
 def fiber_tree_sets(edges):

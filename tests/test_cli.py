@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import os
 import shutil
@@ -342,6 +343,38 @@ def test_export_files(capsys, tmp_path, corpus_dir):
     complex_ = complex_from_json(doc)
     assert complex_.dim(-2) == 5
     assert complex_.levels is not None
+
+
+# sha256 of stdout and of every --out file, pinned so that a change to
+# any byte of a report or an export shows here.
+PINNED_OUTPUTS = {
+    ("perm", "--n", "5", "--checks", "all", "--pages", "2"): {
+        "stdout": "6d7c971cd28236f873926bd4b114faeacbacb0dc241b0b52916379f05c470e38",
+        "P5.json": "eaf2e3891791bdc3ba562cc6b37fcb5acc549d45d8afcaa56373d5c4f56e3fc0",
+        "checks.csv": "8d6b374415d0dc6640b911b5cc4400ad8dbbf145f9929e17dfb1bcf8402c2c29",
+        "dims.csv": "8de08484e32539ace04b31821afaadac7a6418ece4907283a219aae798a1b999",
+        "pages.csv": "bfa7c0c205df877a4d0154f0316f5b532b772d356010bb6dfc160f05b5c8b015",
+    },
+    ("fiber", "--graph", "twoloop.edges", "--checks", "all", "--pages", "2"): {
+        "stdout": "7265ed317d258ef74466e6a992e69d180d2f4a1837811046adbd6f084f58d647",
+        "checks.csv": "00ef1a1b79c7086230868fcbcf9eb3dad70841e382c4db40f184bc3aae74116b",
+        "dims.csv": "cae7b5b3868bda827cf4f099bd6293c95158787e4c00c8428a81e46ec9a2e293",
+        "pages.csv": "c1a17d147fa1bbeed89a134a617e2bdcaba9f93c401bdc3fcbabd14b739a92fc",
+        "twoloop.json": "572a93bea03592bcbe8ad79567f8c614c037953ee0d6105abba33d80f3ff5550",
+    },
+}
+
+
+def test_output_bytes_are_pinned(capsys, tmp_path, corpus_dir):
+    for argv, want in PINNED_OUTPUTS.items():
+        argv = tuple(str(corpus_dir / a) if a.endswith(".edges") else a for a in argv)
+        out_dir = tmp_path / argv[0]
+        code, out, err = run_cli(capsys, *argv, "--out", str(out_dir))
+        assert (code, err) == (0, ""), argv
+        got = {"stdout": hashlib.sha256(out.encode()).hexdigest()}
+        for path in out_dir.iterdir():
+            got[path.name] = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert got == want, argv
 
 
 def test_json_is_built_only_for_out(capsys, monkeypatch, corpus_dir):

@@ -13,7 +13,7 @@ from permfiber.topartitions import (
     width,
 )
 
-from oracles import fubini, ordered_partitions, stirling2
+from oracles import fubini, ids, ordered_partitions, stirling2
 
 
 def test_enumerate_counts_match_fubini_recurrence():
@@ -24,7 +24,7 @@ def test_enumerate_counts_match_fubini_recurrence():
 
 
 def test_enumerate_small_cases():
-    assert [p.blocks for p in enumerate_topartitions(1)] == [((1,),)]
+    assert [p.blocks for p in enumerate_topartitions(1)] == [(0b1,)]
     labels = {p.label() for p in enumerate_topartitions(2)}
     assert labels == {"12", "1>2", "2>1"}
 
@@ -36,7 +36,7 @@ def test_enumerate_rejects_zero():
 
 def test_enumerate_matches_independent_enumerator():
     for n in range(1, 6):
-        ours = {p.blocks for p in enumerate_topartitions(n)}
+        ours = {tuple(map(ids, p.blocks)) for p in enumerate_topartitions(n)}
         oracle = set(ordered_partitions(range(1, n + 1)))
         assert ours == oracle
 
@@ -77,13 +77,13 @@ def test_differential_of_single_block_brute_force():
         for first in combinations((1, 2, 3), size):
             second = tuple(x for x in (1, 2, 3) if x not in first)
             splits.add((first, second))
-    assert {(t.partition.blocks[0], t.partition.blocks[1]) for t in terms} == splits
+    assert {tuple(map(ids, t.partition.blocks)) for t in terms} == splits
 
 
 def test_term_count_and_block_count():
     for alpha in enumerate_topartitions(4):
         terms = differential_terms(alpha)
-        assert len(terms) == sum(2 ** len(b) - 2 for b in alpha.blocks)
+        assert len(terms) == sum(2 ** b.bit_count() - 2 for b in alpha.blocks)
         for t in terms:
             assert t.partition.block_count() == alpha.block_count() + 1
             assert width(t.partition) <= width(alpha)
@@ -125,6 +125,9 @@ def test_parse_accepts_both_text_forms():
     assert a == b == c
     assert a.label() == "13>24"
     assert a.pretty() == "{1,3}>{2,4}"
+    ten = parse_topartition("{2,10}>{1,3,4,5,6,7,8,9}")
+    assert ten.label() == "2,10>1,3,4,5,6,7,8,9"
+    assert ten.pretty() == "{2,10}>{1,3,4,5,6,7,8,9}"
 
 
 def test_parse_rejects_garbage():
@@ -141,3 +144,23 @@ def test_invalid_partitions_rejected():
         TOPartition.of(3, [1, 2], [2, 3])  # overlap
     with pytest.raises(ValueError):
         TOPartition.of(3, (), (1, 2, 3))  # empty block
+
+
+def test_invalid_ids_give_the_same_messages():
+    """Blocks are bitmasks, so a repeated id would merge into one bit and
+    a negative id would fail as a negative shift: ids are checked before
+    any mask is made."""
+    cases = [
+        (lambda: parse_topartition("11>2", 2), "malformed block (1, 1)"),
+        (lambda: parse_topartition("{1,1}>{2}", 2), "malformed block (1, 1)"),
+        (lambda: TOPartition.of(2, (1, 1), (2,)), "malformed block (1, 1)"),
+        (lambda: parse_topartition("0>12"), "blocks do not partition 1..3"),
+        (lambda: parse_topartition("{1,-1}>2"), "blocks do not partition 1..3"),
+        (lambda: parse_topartition("12>4", 3), "blocks do not partition 1..3"),
+        (lambda: TOPartition.of(2, (0, 1), (2,)), "blocks do not partition 1..2"),
+        (lambda: TOPartition.of(2, (1,), (2,), (3,)), "blocks do not partition 1..2"),
+    ]
+    for make, message in cases:
+        with pytest.raises(ValueError) as caught:
+            make()
+        assert str(caught.value) == message
