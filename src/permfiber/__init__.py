@@ -9,12 +9,11 @@ from .complexes import (
     complex_to_json,
     compose,
     homology_dims,
-    identity_map,
     is_quasi_isomorphism,
     is_surjective,
     mapping_cone,
     page_dims,
-    stable_page_index,
+    quasi_isomorphism_report,
     verify_chain_map,
     verify_d_squared,
 )
@@ -32,7 +31,7 @@ from .fiber import (
     perm_to_fiber,
     push_forward_well_defined,
 )
-from .linalg import Rational, SparseMatrix, kernel_dim, multiply, rank
+from .linalg import SparseMatrix, multiply, rank
 from .polytopes import (
     PermComplex,
     SimplexComplex,

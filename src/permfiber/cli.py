@@ -20,9 +20,9 @@ from .complexes import (
     complex_to_json,
     compose,
     homology_dims,
-    is_quasi_isomorphism,
     is_surjective,
     page_dims,
+    quasi_isomorphism_report,
     unpaired_cells,
     verify_chain_map,
     verify_d_squared,
@@ -179,15 +179,25 @@ def _not_commuting(name: str, report) -> str:
     return f"; {name} does not commute at degree {report.degree}, cell {report.label}"
 
 
+def _lost_class(name: str, report) -> str:
+    """Witness suffix for a maps line: the class a commuting map loses."""
+    if report is None or report.label is None:
+        return ""
+    return (f"; {name} sends the class of cell {report.label} "
+            f"at degree {report.degree} to a boundary")
+
+
 def _perm_maps(perm) -> tuple:
     f = perm_to_simplex(perm, build_simplex(perm.n))
     commutes = verify_chain_map(f)
     surj = is_surjective(f)
-    cone_ok = commutes.passed and is_quasi_isomorphism(f)
+    qi = quasi_isomorphism_report(f) if commutes.passed else None
+    cone_ok = qi is not None and qi.passed
     return (commutes.passed and surj and cone_ok,
             f"blow-down [{f.note}], surjective={str(surj).lower()}, "
             f"cone acyclic={str(cone_ok).lower()}"
-            + _not_commuting("blow-down", commutes))
+            + _not_commuting("blow-down", commutes)
+            + _lost_class("blow-down", qi))
 
 
 def _fiber_maps(fib, perm) -> tuple:
@@ -199,22 +209,33 @@ def _fiber_maps(fib, perm) -> tuple:
     f2s_commutes = verify_chain_map(f2s)
     ok_p2f = p2f_commutes.passed and is_surjective(p2f)
     ok_f2s = f2s_commutes.passed and is_surjective(f2s)
+    p2f_qi = f2s_qi = None
     cones_ok = factor_ok = False
     if ok_p2f and ok_f2s:
-        cones_ok = is_quasi_isomorphism(p2f) and is_quasi_isomorphism(f2s)
+        p2f_qi = quasi_isomorphism_report(p2f)
+        f2s_qi = quasi_isomorphism_report(f2s)
+        cones_ok = p2f_qi.passed and f2s_qi.passed
         p2s = perm_to_simplex(perm, simplex)
         comp = compose(f2s, p2f)
         factor_ok = all(comp.matrix(r) == p2s.matrix(r)
                         for r in perm.complex.degrees())
-    welldef = push_forward_well_defined(fib)
-    return (ok_p2f and ok_f2s and cones_ok and factor_ok and welldef.passed,
+    # P_n is the quotient of itself by the unit image, so column alpha of
+    # p2f's commuting check compares sign * (column of t_alpha in d) with
+    # pushforward(alpha): the comparison push_forward_well_defined makes
+    # for every nondegenerate alpha.  A commuting p2f is well defined;
+    # otherwise the check runs to name its tree.
+    welldef = None if p2f_commutes.passed else push_forward_well_defined(fib)
+    welldef_ok = welldef is None or welldef.passed
+    return (ok_p2f and ok_f2s and cones_ok and factor_ok and welldef_ok,
             f"chain maps={str(ok_p2f and ok_f2s).lower()}, "
             f"cones acyclic={str(cones_ok).lower()}, "
             f"factorization={str(factor_ok).lower()}, "
-            f"well-defined={str(welldef.passed).lower()}"
+            f"well-defined={str(welldef_ok).lower()}"
             + _not_commuting("perm->fiber", p2f_commutes)
             + _not_commuting("fiber->simplex", f2s_commutes)
-            + ("" if welldef.passed else f"; not well defined at tree {welldef.label}"))
+            + _lost_class("perm->fiber", p2f_qi)
+            + _lost_class("fiber->simplex", f2s_qi)
+            + ("" if welldef_ok else f"; not well defined at tree {welldef.label}"))
 
 
 def _run_checks(col: Collector, name: str, obj, checks, pages: int = -1,

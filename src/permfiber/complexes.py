@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping
 
-from .linalg import SparseMatrix, multiply, pivots, rank
+from .linalg import SparseMatrix, first_nonzero_column, multiply, pivots, rank
 
 
 @dataclass(frozen=True, eq=True)
@@ -93,22 +93,35 @@ class D2Report:
 
 
 def verify_d_squared(c: ChainComplex) -> D2Report:
-    """Pass iff d_r . d_{r+1} vanishes in every degree.  The report is
-    cached on the complex, like the ranks of its differentials."""
+    """Pass iff d_r . d_{r+1} vanishes in every degree.
+
+    The check rides on the index-order reduction that homology reads
+    (``_reduce``), and a passing check caches its pivot pairs.  On a
+    failure the products are formed whole, lowest degree first, so the
+    report names the least (row, col) entry of the lowest failing
+    product.  The report is cached on the complex."""
     if "d2" in c._cache:
         return c._cache["d2"]
-    report = D2Report(True)
+    pairs = _reduce(c, verify=True)
+    if pairs is None:
+        report = _d2_witness(c)
+    else:
+        c._cache["pairs"] = pairs
+        report = D2Report(True)
+    c._cache["d2"] = report
+    return report
+
+
+def _d2_witness(c: ChainComplex) -> D2Report:
     for r in c.degrees():
         if c.dim(r + 1) == 0 or c.dim(r - 1) == 0:
             continue
         product = multiply(c.d(r), c.d(r + 1))
         if not product.is_zero():
             (i, j), value = min(product.entries.items())
-            report = D2Report(False, r + 1,
-                              (c.labels(r - 1)[i], c.labels(r + 1)[j], value))
-            break
-    c._cache["d2"] = report
-    return report
+            return D2Report(False, r + 1,
+                            (c.labels(r - 1)[i], c.labels(r + 1)[j], value))
+    return D2Report(True)
 
 
 def _require_complex(c: ChainComplex) -> None:
@@ -117,22 +130,37 @@ def _require_complex(c: ChainComplex) -> None:
         raise ValueError(f"not a chain complex: d^2 != 0 at degree {report.degree}")
 
 
-def _reduce(c: ChainComplex, order=lambda n: None) -> dict:
+def _reduce(c: ChainComplex, order=lambda n: None, verify=False) -> dict | None:
     """degree n -> the (row, col) pivot pairs of d_n, from one reduction
     of the whole complex.  It runs from the top degree down, and a
     column of d_n that is a pivot row of d_{n+1} is a boundary, hence a
     cycle since d^2 = 0, so it is cleared instead of reduced.
     ``order(n)`` lists the degree-n cells in the order the reduction
-    takes them, None for index order."""
+    takes them, None for index order.
+
+    With ``verify``, d^2 = 0 is proved on the way, and None returned
+    when it fails.  Before d_n is reduced, d_n is applied to the pivot
+    columns of d_{n+1}, which span its image: every other column
+    reduced to zero against earlier columns, or was cleared, and a
+    cleared column is a combination of earlier ones once
+    d_{n+1} d_{n+2} = 0 is known, which the step before proved.  So
+    d_n d_{n+1} = 0 exactly when d_n kills those columns."""
     pairs: dict = {}
     for n in sorted(c.differentials, reverse=True):
-        boundaries = {row for row, _ in pairs.get(n + 1, ())}
+        above = pairs.get(n + 1, ())
+        if verify and above and first_nonzero_column(
+                [j for _, j in above],
+                (1, c.differentials[n], c.differentials[n + 1])) is not None:
+            return None
+        boundaries = {row for row, _ in above}
         pairs[n] = pivots(c.differentials[n], order(n - 1), order(n), boundaries)
     return pairs
 
 
 def _pairs(c: ChainComplex) -> dict:
-    """The index-order pivot pairs of ``_reduce``, cached on the complex."""
+    """The index-order pivot pairs of ``_reduce``, cached on the complex
+    by ``verify_d_squared``, or here for a complex whose d^2 report was
+    given (a mapping cone)."""
     _require_complex(c)
     if "pairs" not in c._cache:
         c._cache["pairs"] = _reduce(c)
@@ -147,13 +175,20 @@ def homology_dims(c: ChainComplex) -> dict:
             for r in c.degrees()}
 
 
+def _unpaired(c: ChainComplex, r: int) -> list:
+    """Indices of the degree-r cells that no pivot pair of the cached
+    reduction holds, in basis order."""
+    pairs = _pairs(c)
+    held = {j for _, j in pairs.get(r, ())} | {i for i, _ in pairs.get(r + 1, ())}
+    return [k for k in range(c.dim(r)) if k not in held]
+
+
 def unpaired_cells(c: ChainComplex, r: int) -> tuple:
     """Labels of the degree-r cells that no pivot pair of the cached
     reduction holds, in basis order: dim H_r of them, one for each class
     of a homology basis, read off the pairs without a second reduction."""
-    pairs = _pairs(c)
-    held = {j for _, j in pairs.get(r, ())} | {i for i, _ in pairs.get(r + 1, ())}
-    return tuple(lab for k, lab in enumerate(c.labels(r)) if k not in held)
+    labels = c.labels(r)
+    return tuple(labels[k] for k in _unpaired(c, r))
 
 
 def _levels(c: ChainComplex) -> dict:
@@ -216,12 +251,6 @@ def page_dims(c: ChainComplex, r: int) -> PageTable:
     return PageTable(r, table)
 
 
-def stable_page_index(c: ChainComplex) -> int:
-    """A page index from which the tables no longer change."""
-    levels = [p for ps in _levels(c).values() for p in ps]
-    return max(levels) - min(levels) + 2
-
-
 @dataclass(frozen=True, eq=True)
 class ChainMap:
     """Degree-shifted map f_r : source_r -> target_{r+shift} given by
@@ -258,12 +287,14 @@ class ChainMap:
 class ChainMapReport:
     passed: bool
     degree: int | None = None
-    label: str | None = None  # source basis element where commuting fails
+    label: str | None = None  # source basis element that witnesses a failure
 
 
 def verify_chain_map(f: ChainMap) -> ChainMapReport:
-    """Pass iff d_target . f = f . d_source in every degree.  The report
-    is cached on the map, like the d^2 report on a complex."""
+    """Pass iff d_target . f = f . d_source in every degree, compared
+    one column at a time; a failing report names the lowest degree and
+    its least column where they differ.  The report is cached on the
+    map, like the d^2 report on a complex."""
     if "commutes" in f._cache:
         return f._cache["commutes"]
     report = ChainMapReport(True)
@@ -271,12 +302,10 @@ def verify_chain_map(f: ChainMap) -> ChainMapReport:
     for r in degrees:
         if f.source.dim(r) == 0:
             continue
-        lhs = multiply(f.target.d(r + f.shift), f.matrix(r))
-        rhs = multiply(f.matrix(r - 1), f.source.d(r))
-        if lhs != rhs:
-            bad_cols = {j for (_, j) in lhs.entries} | {j for (_, j) in rhs.entries}
-            j = min(j for j in bad_cols
-                    if any(lhs.get(i, j) != rhs.get(i, j) for i in range(lhs.rows)))
+        j = first_nonzero_column(range(f.source.dim(r)),
+                                 (1, f.target.d(r + f.shift), f.matrix(r)),
+                                 (-1, f.matrix(r - 1), f.source.d(r)))
+        if j is not None:
             report = ChainMapReport(False, r, f.source.labels(r)[j])
             break
     f._cache["commutes"] = report
@@ -295,11 +324,6 @@ def compose(g: ChainMap, f: ChainMap) -> ChainMap:
     return ChainMap.build(f.source, g.target, f.shift + g.shift, matrices)
 
 
-def identity_map(c: ChainComplex) -> ChainMap:
-    return ChainMap.build(
-        c, c, 0, {r: SparseMatrix.identity(c.dim(r)) for r in c.degrees()})
-
-
 def is_surjective(f: ChainMap) -> bool:
     """Matrix rank equals target dimension in every degree."""
     for r in sorted(set(f.source.degrees()) | {r - f.shift for r in f.target.degrees()}):
@@ -312,7 +336,8 @@ def is_surjective(f: ChainMap) -> bool:
 def mapping_cone(f: ChainMap) -> ChainComplex:
     """Cone of f, with the source placed one degree up (after undoing the
     shift) and its differential negated.  Acyclicity of the cone is the
-    working definition of f being a quasi-isomorphism.
+    working definition of f being a quasi-isomorphism, and the oracle
+    that ``quasi_isomorphism_report`` is checked against.
 
     The cone's D^2 is [[d^2, 0], [d f - f d, d^2]], so the cached d^2
     reports of source and target and the chain-map report of f prove
@@ -354,7 +379,64 @@ def mapping_cone(f: ChainMap) -> ChainComplex:
 
 
 def is_quasi_isomorphism(f: ChainMap) -> bool:
+    """Whether the mapping cone of f is acyclic."""
     return all(v == 0 for v in homology_dims(mapping_cone(f)).values())
+
+
+def _point_degree(c: ChainComplex) -> int | None:
+    """The degree of the one class when H(c) is a point, else None."""
+    h = homology_dims(c)
+    classes = [r for r, d in h.items() if d]
+    if len(classes) == 1 and h[classes[0]] == 1:
+        return classes[0]
+    return None
+
+
+def quasi_isomorphism_report(f: ChainMap) -> ChainMapReport:
+    """Whether the chain map f: A -> B is a quasi-isomorphism, from one
+    homology class when H(A) and H(B) are points.
+
+    The cone C(f) sits in a short exact sequence 0 -> B -> C(f) -> A -> 0,
+    with A raised one degree past f's shift s, and the connecting map of
+    its long exact sequence is f_*: H_r(A) -> H_{r+s}(B).  So C(f) is
+    acyclic exactly when f_* is an isomorphism.  When H(A) is one class
+    in degree a and H(B) one class in degree b, that holds exactly when
+    a + s = b and f_* sends a generator of H_a(A) to a nonzero class.
+
+    A generator: when d_a vanishes, as in the bottom degree, every chain
+    of degree a is a cycle, and the cells that no pivot pair of the
+    cached reduction holds give a basis of H_a (the pivot rows of
+    d_{a+1} index an echelon basis of its image).  So the first such
+    cell v is a generator.  Its image f(v) is a cycle, since f commutes,
+    and its class is nonzero exactly when f(v) is not a boundary: when
+    appending f(v) to the pivot columns of d_{b+1}, a basis of the
+    boundaries, raises their rank.  That one reduction uses
+    ``linalg.pivots`` over the integers; the ranks and unpaired cells
+    come from the reductions cached on A and B.
+
+    A failing report names a and v.  When a side is not a point, or A's
+    class sits where d_a does not vanish, the cone decides
+    (``is_quasi_isomorphism``) and a failing report names no class.
+    """
+    report = verify_chain_map(f)
+    if not report.passed:
+        raise ValueError(f"class test of a non-chain-map (fails at degree {report.degree})")
+    a, b = _point_degree(f.source), _point_degree(f.target)
+    if a is None or b is None or a in f.source.differentials:
+        return ChainMapReport(is_quasi_isomorphism(f))
+    v = _unpaired(f.source, a)[0]
+    lost = ChainMapReport(False, a, f.source.labels(a)[v])
+    image = {i: x for (i, j), x in f.matrix(a).entries.items() if j == v}
+    if a + f.shift != b or not image:
+        return lost
+    d = f.target.d(b + 1)
+    basis = [j for _, j in _pairs(f.target).get(b + 1, ())]
+    entries = dict(d.entries)
+    entries.update({(i, d.cols): x for i, x in image.items()})
+    extended = SparseMatrix(d.rows, d.cols + 1, entries)
+    if len(pivots(extended, cols=basis + [d.cols])) > len(basis):
+        return ChainMapReport(True)
+    return lost
 
 
 def complex_to_json(c: ChainComplex) -> dict:

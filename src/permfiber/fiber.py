@@ -208,9 +208,6 @@ class FiberTree:
                 kids[p].append(j)
         return kids
 
-    def children(self, i: int) -> list:
-        return self.child_lists()[i]
-
     def canonical(self) -> FiberTree:
         return FiberTree(self.blocks, self.parent,
                          tuple(range(len(self.blocks))), self.degenerate)
@@ -324,7 +321,9 @@ def build_fiber(g: MultiGraph, cap: int = DEFAULT_FIBER_CAP) -> FiberComplex:
     and labelled at the first alpha that reaches it.  The sign of
     t_alpha is the parity of its order, which lists the canonical ranks
     of alpha's blocks, so it is the parity of the blocks' least edges in
-    alpha's order.
+    alpha's order.  Each prefix carries that parity so far, with the
+    mask of the least edges seen: a block with least edge m adds one
+    inversion for each seen least edge above m.
     """
     n = g.n
     if n > cap:
@@ -333,9 +332,10 @@ def build_fiber(g: MultiGraph, cap: int = DEFAULT_FIBER_CAP) -> FiberComplex:
     trees: dict = {}
     images: dict = {}
     label_of: dict = {}   # nested set -> label, rendered once per tree
-    prefixes = [(0, (), ())]  # (edges contracted, blocks, their clusters)
+    # (edges contracted, blocks, their clusters, least edges seen, sign)
+    prefixes = [(0, (), (), 0, 1)]
     while prefixes:
-        done, blocks, clusters = prefixes.pop()
+        done, blocks, clusters, seen, sign = prefixes.pop()
         left = (1 << n) - 1 ^ done
         if not left:
             nested = frozenset(clusters)
@@ -344,14 +344,17 @@ def build_fiber(g: MultiGraph, cap: int = DEFAULT_FIBER_CAP) -> FiberComplex:
                 t = _tree(blocks, clusters, False)
                 lab = label_of[nested] = t.label()
                 trees[lab] = t.canonical()
-            images[TOPartition(n, blocks)] = (lab, parity([(b & -b).bit_length() for b in blocks]))
+            images[TOPartition(n, blocks)] = (lab, sign)
             continue
         block = left
         while block:
-            piece, cluster = _step(table, done, block, block & -block)
+            least = block & -block
+            piece, cluster = _step(table, done, block, least)
             if piece == block:
+                flip = (seen >> least.bit_length()).bit_count() & 1
                 prefixes.append((done | block, blocks + (block,),
-                                 clusters + (cluster,)))
+                                 clusters + (cluster,), seen | least,
+                                 -sign if flip else sign))
             block = block - 1 & left
     basis: dict = {}
     for lab in sorted(trees):

@@ -261,7 +261,7 @@ def test_homology_failure_names_degree_and_cell(monkeypatch, perms):
     reductions = []
     real = complexes._reduce
     monkeypatch.setattr(complexes, "_reduce",
-                        lambda *a: reductions.append(a) or real(*a))
+                        lambda *a, **k: reductions.append(a) or real(*a, **k))
     c = perms[3].complex
     cut = ChainComplex.build(
         c.basis, {r: m for r, m in c.differentials.items() if r != 1}, c.levels)
@@ -301,6 +301,39 @@ def test_maps_failure_names_degree_and_cell(capsys, monkeypatch, perms, corpus_f
     [line] = [line for line in col.lines if line.startswith("check maps")]
     assert "; fiber->simplex does not commute at degree -2, cell ({12} ({3}))" in line
     assert line.endswith("; not well defined at tree ({12} ({3})))")
+
+
+def test_maps_failure_names_the_lost_class(capsys, monkeypatch, perms):
+    """With no cell in the blow-down's support the map is zero: it
+    commutes and sends the class of the first unpaired vertex of P3 to
+    a boundary, which the FAIL line names."""
+    import permfiber.polytopes as polytopes
+    from permfiber.complexes import unpaired_cells
+    monkeypatch.setattr(polytopes, "blowdown_support", lambda alpha: None)
+    code, out, _ = run_cli(capsys, "perm", "--n", "3", "--checks", "maps")
+    assert code == 1
+    [line] = [line for line in out.splitlines() if line.startswith("check maps")]
+    v = unpaired_cells(perms[3].complex, 0)[0]
+    assert line == ("check maps: FAIL (blow-down [sign convention: ordering_parity], "
+                    "surjective=false, cone acyclic=false; blow-down sends the class "
+                    f"of cell {v} at degree 0 to a boundary)")
+
+
+def test_passing_suite_builds_no_cone_and_no_second_pushforward(
+        capsys, monkeypatch, corpus_dir):
+    """On a passing run the cone verdicts come from one homology class
+    and well-definedness from the perm->fiber commuting check."""
+    import permfiber.cli as cli
+    import permfiber.complexes as complexes
+    calls = []
+    for module, name in ((complexes, "mapping_cone"),
+                         (cli, "push_forward_well_defined")):
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *a, real=real, name=name:
+                            calls.append(name) or real(*a))
+    code, out, _ = run_cli(capsys, "suite", "--corpus", str(corpus_dir))
+    assert code == 0 and out.count("check maps: pass") == 20
+    assert calls == []
 
 
 def test_fiber_koszul(capsys, corpus_dir):
@@ -355,6 +388,11 @@ PINNED_OUTPUTS = {
         "dims.csv": "8de08484e32539ace04b31821afaadac7a6418ece4907283a219aae798a1b999",
         "pages.csv": "bfa7c0c205df877a4d0154f0316f5b532b772d356010bb6dfc160f05b5c8b015",
     },
+    ("suite", "--corpus", "corpus"): {
+        "stdout": "22334bd90f0ae11a07a974f0ce3167553eef0d2571f60d3f1c76491f282ba359",
+        "checks.csv": "e8f74c1fe2babce475bbefe6ee7f4ebe7b5343cc6f4c0a21e3fb5ab45b83acf3",
+        "dims.csv": "c43d6001b565013b9d45a3ddd8175ecd84b4f6d1bdea2fca349fb20c1c817035",
+    },
     ("fiber", "--graph", "twoloop.edges", "--checks", "all", "--pages", "2"): {
         "stdout": "7265ed317d258ef74466e6a992e69d180d2f4a1837811046adbd6f084f58d647",
         "checks.csv": "00ef1a1b79c7086230868fcbcf9eb3dad70841e382c4db40f184bc3aae74116b",
@@ -367,7 +405,8 @@ PINNED_OUTPUTS = {
 
 def test_output_bytes_are_pinned(capsys, tmp_path, corpus_dir):
     for argv, want in PINNED_OUTPUTS.items():
-        argv = tuple(str(corpus_dir / a) if a.endswith(".edges") else a for a in argv)
+        argv = tuple(str(corpus_dir / a) if a.endswith(".edges")
+                     else str(corpus_dir) if a == "corpus" else a for a in argv)
         out_dir = tmp_path / argv[0]
         code, out, err = run_cli(capsys, *argv, "--out", str(out_dir))
         assert (code, err) == (0, ""), argv

@@ -8,22 +8,35 @@ import pytest
 from permfiber.complexes import (
     ChainComplex,
     ChainMap,
+    ChainMapReport,
+    D2Report,
     complex_from_json,
     complex_to_json,
     compose,
     homology_dims,
-    identity_map,
     is_quasi_isomorphism,
     is_surjective,
     mapping_cone,
     page_dims,
-    stable_page_index,
+    quasi_isomorphism_report,
     verify_chain_map,
     verify_d_squared,
 )
-from permfiber.linalg import SparseMatrix, multiply
+from permfiber.linalg import SparseMatrix
 
-from oracles import page_dims_dense
+from oracles import dense_multiply, page_dims_dense
+
+
+def identity_map(c: ChainComplex) -> ChainMap:
+    return ChainMap.build(
+        c, c, 0, {r: SparseMatrix.identity(c.dim(r)) for r in c.degrees()})
+
+
+def stable_page_index(c: ChainComplex) -> int:
+    """A page index from which the tables no longer change: levels lie
+    in one range, and a pair's span is below its width."""
+    levels = [p for ps in c.levels.values() for p in ps]
+    return max(levels) - min(levels) + 2
 
 
 def point_complex(label="pt", degree=0):
@@ -68,6 +81,32 @@ def test_d_squared_on_perm4_and_a_sign_flip(perms):
     assert report.entry is not None
 
 
+def dense_d2_report(c: ChainComplex) -> D2Report:
+    """The least entry of the lowest nonzero d_r d_{r+1}, by dense products."""
+    for r in c.degrees():
+        product = dense_multiply(c.d(r).dense(), c.d(r + 1).dense())
+        nonzero = [(i, j) for i, row in enumerate(product)
+                   for j, value in enumerate(row) if value]
+        if nonzero:
+            i, j = min(nonzero)
+            return D2Report(False, r + 1,
+                            (c.labels(r - 1)[i], c.labels(r + 1)[j], product[i][j]))
+    return D2Report(True)
+
+
+def test_d_squared_matches_dense_products_under_every_flip(perms, corpus_fibers):
+    """The check applies d_r only to the pivot columns of d_{r+1}; with
+    any one entry of any differential flipped, its verdict and witness
+    are those of the whole dense products."""
+    for c in (perms[4].complex, corpus_fibers["path3"].complex,
+              corpus_fibers["theta"].complex):
+        assert verify_d_squared(c) == dense_d2_report(c) == D2Report(True)
+        for r, d in sorted(c.differentials.items()):
+            for key in sorted(d.entries):
+                broken = flip_one_entry(c, r, key)
+                assert verify_d_squared(broken) == dense_d2_report(broken), (r, key)
+
+
 def test_homology_rejects_non_complex(perms):
     c = perms[3].complex
     key = next(iter(c.d(1).entries))
@@ -83,13 +122,13 @@ def test_d_squared_verdict_is_cached(perms, monkeypatch):
     import permfiber.complexes as complexes
     c = ChainComplex.build(perms[3].complex.basis, perms[3].complex.differentials)
     products = []
-    real = complexes.multiply
+    real = complexes.first_nonzero_column
 
-    def counting(a, b):
-        products.append((a.rows, b.cols))
-        return real(a, b)
+    def counting(cols, *terms):
+        products.append(terms)
+        return real(cols, *terms)
 
-    monkeypatch.setattr(complexes, "multiply", counting)
+    monkeypatch.setattr(complexes, "first_nonzero_column", counting)
     first = verify_d_squared(c)
     computed = len(products)
     assert computed > 0
@@ -159,6 +198,56 @@ def test_quasi_isomorphism_criterion(perms):
     assert is_quasi_isomorphism(identity_map(perms[2].complex))
     f = ChainMap.build(point_complex("p"), point_complex("q"), 0, {})
     assert not is_quasi_isomorphism(f)
+
+
+def cone_is_acyclic(f: ChainMap) -> bool:
+    return all(v == 0 for v in homology_dims(mapping_cone(f)).values())
+
+
+def test_class_test_matches_the_cone(perms, simplexes):
+    from permfiber.complexes import unpaired_cells
+    from permfiber.polytopes import perm_to_simplex
+    for n in range(1, 7):
+        f = perm_to_simplex(perms[n], simplexes[n])
+        assert quasi_isomorphism_report(f).passed is cone_is_acyclic(f) is True, n
+    for n in range(1, 5):
+        zero = ChainMap.build(perms[n].complex, simplexes[n].complex, 0, {})
+        report = quasi_isomorphism_report(zero)
+        assert report.passed is cone_is_acyclic(zero) is False, n
+        assert (report.degree, report.label) == (0, unpaired_cells(perms[n].complex, 0)[0])
+    # x -> a + b carries the class of the interval; one flipped entry
+    # makes it x -> b - a, the boundary of the edge
+    for entries, carries in (({(0, 0): 1, (1, 0): 1}, True),
+                             ({(0, 0): -1, (1, 0): 1}, False)):
+        f = ChainMap.build(point_complex("x"), interval_complex(), 0,
+                           {0: SparseMatrix.from_entries(2, 1, entries)})
+        assert verify_chain_map(f).passed
+        report = quasi_isomorphism_report(f)
+        assert report.passed is cone_is_acyclic(f) is carries
+        assert report.label == (None if carries else "x")
+    # a class in the wrong degree goes to zero
+    shifted = ChainMap.build(point_complex("x", 1), interval_complex(), 0, {})
+    assert quasi_isomorphism_report(shifted) == ChainMapReport(False, 1, "x")
+    assert not cone_is_acyclic(shifted)
+
+
+def test_class_test_needs_a_chain_map_and_leaves_non_points_to_the_cone(monkeypatch):
+    import permfiber.complexes as complexes
+    c = interval_complex()
+    swap = ChainMap.build(c, c, 0, {
+        0: SparseMatrix.from_entries(2, 2, {(0, 1): 1, (1, 0): 1}),
+        1: SparseMatrix.identity(1)})
+    with pytest.raises(ValueError, match="non-chain-map"):
+        quasi_isomorphism_report(swap)
+    cones = []
+    real = complexes.mapping_cone
+    monkeypatch.setattr(complexes, "mapping_cone", lambda f: cones.append(f) or real(f))
+    two = ChainComplex.build({0: ("x", "y")}, {})
+    assert quasi_isomorphism_report(identity_map(two)) == ChainMapReport(True)
+    assert quasi_isomorphism_report(ChainMap.build(two, two, 0, {})) == ChainMapReport(False)
+    assert len(cones) == 2
+    assert quasi_isomorphism_report(identity_map(c)) == ChainMapReport(True)
+    assert len(cones) == 2
 
 
 def test_filtration_must_not_increase_levels():
@@ -311,12 +400,13 @@ def test_pages_need_levels(simplexes):
 def test_chain_map_report_is_cached_for_the_cone(perms, monkeypatch):
     import permfiber.complexes as complexes
     products = []
+    real = complexes.first_nonzero_column
 
-    def counting(a, b):
-        products.append((a, b))
-        return multiply(a, b)
+    def counting(cols, *terms):
+        products.append(terms)
+        return real(cols, *terms)
 
-    monkeypatch.setattr(complexes, "multiply", counting)
+    monkeypatch.setattr(complexes, "first_nonzero_column", counting)
     f = identity_map(perms[3].complex)
     report = verify_chain_map(f)
     assert report.passed and products

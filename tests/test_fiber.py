@@ -11,6 +11,7 @@ from permfiber.complexes import (
     is_surjective,
     mapping_cone,
     page_dims,
+    quasi_isomorphism_report,
     verify_chain_map,
     verify_d_squared,
 )
@@ -46,8 +47,10 @@ from oracles import (
 def subtree_edge_sets(tree):
     """The edge ids below each vertex of ``tree``, its own block included."""
 
+    kids = tree.child_lists()
+
     def below(i):
-        return frozenset(ids(tree.blocks[i])).union(*map(below, tree.children(i)))
+        return frozenset(ids(tree.blocks[i])).union(*map(below, kids[i]))
 
     return frozenset(below(i) for i in range(len(tree.blocks)))
 
@@ -393,6 +396,38 @@ def test_push_forward_well_defined_theta_and_paths(corpus_fibers):
         report = push_forward_well_defined(fib)
         assert report.passed, (name, report.label, report.detail)
         assert report.checked == len(fib.images), name
+
+
+def test_class_test_matches_the_cone_on_every_fiber(perms, simplexes, corpus_fibers):
+    for name, fib in sorted(corpus_fibers.items()):
+        for f in (perm_to_fiber(fib, perms[fib.n]),
+                  fiber_to_simplex(fib, simplexes[fib.n])):
+            cone_acyclic = all(v == 0 for v in homology_dims(mapping_cone(f)).values())
+            assert quasi_isomorphism_report(f).passed is cone_acyclic is True, name
+
+
+def test_perm_to_fiber_commutes_exactly_when_well_defined(perms, corpus_fibers):
+    """Column alpha of the commuting check of perm->fiber is the
+    comparison push_forward_well_defined makes for alpha, so the two
+    verdicts agree: on every corpus fiber, on path3 with any one entry
+    of d flipped, and on path3 with the sign of any one alpha flipped."""
+    cases = sorted(corpus_fibers.items())
+    fib = corpus_fibers["path3"]
+    c = fib.complex
+    for r, d in sorted(c.differentials.items()):
+        for key in sorted(d.entries):
+            entries = dict(d.entries)
+            entries[key] = -entries[key]
+            diffs = {**c.differentials, r: SparseMatrix(d.rows, d.cols, entries)}
+            cases.append((f"path3 d_{r}{key}", dataclasses.replace(
+                fib, complex=ChainComplex.build(c.basis, diffs, c.levels))))
+    for alpha, (lab, sign) in fib.images.items():
+        cases.append((f"path3 {alpha.label()}", dataclasses.replace(
+            fib, images={**fib.images, alpha: (lab, -sign)})))
+    for name, case in cases:
+        commutes = verify_chain_map(perm_to_fiber(case, perms[case.n])).passed
+        assert commutes is push_forward_well_defined(case).passed, name
+        assert commutes is (name in corpus_fibers), name
 
 
 def test_push_forward_reports_the_tree_of_a_flipped_entry(corpus_fibers):

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from permfiber.linalg import SparseMatrix, kernel_dim, multiply, rank
+from permfiber.linalg import SparseMatrix, first_nonzero_column, multiply, rank
 
 from oracles import dense_multiply, dense_rank
 
@@ -20,8 +20,8 @@ def random_matrix(rng, nrows, ncols, density=0.5, values=(-1, 1)):
 def test_rank_identity_and_zero():
     assert rank(SparseMatrix.identity(3)) == 3
     assert rank(SparseMatrix.zero(4, 6)) == 0
-    assert kernel_dim(SparseMatrix.identity(5)) == 0
-    assert kernel_dim(SparseMatrix.zero(3, 7)) == 7
+    assert rank(SparseMatrix.identity(5)) == 5
+    assert rank(SparseMatrix.zero(3, 7)) == 0
 
 
 def test_rank_matches_dense_oracle_on_random_sign_matrices():
@@ -45,6 +45,33 @@ def test_rank_matches_dense_oracle_on_random_sign_matrices():
                           density=rng.uniform(0.1, 0.3), values=values)
         m = multiply(a, b)
         assert rank(m) == dense_rank(m.dense()) <= inner
+
+
+def test_first_nonzero_column_matches_dense_products():
+    """a @ b - c @ d, one column at a time, against the triple loop; the
+    products are often equal on a column (a = c, b and d differing in
+    entries that meet no column of a), so both answers occur."""
+    rng = random.Random(7)
+    found = set()
+    for _ in range(200):
+        rows, inner, cols = rng.randint(1, 8), rng.randint(1, 8), rng.randint(1, 8)
+        a = random_matrix(rng, rows, inner, density=0.4, values=(-2, 1, Fraction(1, 2)))
+        b = random_matrix(rng, inner, cols, density=0.4)
+        live = {k for _, k in a.entries}
+        d = SparseMatrix.from_entries(inner, cols, {
+            (k, j): v if k in live or rng.random() < 0.5 else -v
+            for (k, j), v in b.entries.items()})
+        if rng.random() < 0.3:
+            d = random_matrix(rng, inner, cols, density=0.4)
+        left, right = dense_multiply(a.dense(), b.dense()), dense_multiply(a.dense(), d.dense())
+        order = rng.sample(range(cols), rng.randint(0, cols))
+        want = next((j for j in order if any(left[i][j] != right[i][j] for i in range(rows))),
+                    None)
+        assert first_nonzero_column(order, (1, a, b), (-1, a, d)) == want
+        found.add(want is None)
+    assert found == {True, False}
+    with pytest.raises(ValueError):
+        first_nonzero_column([0], (1, SparseMatrix.identity(2), SparseMatrix.identity(3)))
 
 
 def test_dense_and_sparse_paths_agree():
@@ -160,7 +187,7 @@ def test_perm3_degree_one_differential_rank_matches_oracle(perms):
 
 def test_perm4_kernel_dim_matches_rank_oracle(perms):
     d2 = perms[4].complex.d(2)
-    assert kernel_dim(d2) == d2.cols - dense_rank(d2.dense())
+    assert d2.cols - rank(d2) == d2.cols - dense_rank(d2.dense())
 
 
 def test_corpus_matrices_match_dense_oracle(perms, corpus_fibers, simplexes):
