@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping
 
-from .linalg import SparseMatrix, first_nonzero_column, multiply, pivots, rank
+from .linalg import SparseMatrix, multiply, pivots, product_vanishes, rank
 
 
 @dataclass(frozen=True, eq=True)
@@ -148,9 +148,8 @@ def _reduce(c: ChainComplex, order=lambda n: None, verify=False) -> dict | None:
     pairs: dict = {}
     for n in sorted(c.differentials, reverse=True):
         above = pairs.get(n + 1, ())
-        if verify and above and first_nonzero_column(
-                [j for _, j in above],
-                (1, c.differentials[n], c.differentials[n + 1])) is not None:
+        if verify and above and not product_vanishes(
+                c.differentials[n], c.differentials[n + 1], [j for _, j in above]):
             return None
         boundaries = {row for row, _ in above}
         pairs[n] = pivots(c.differentials[n], order(n - 1), order(n), boundaries)
@@ -291,10 +290,8 @@ class ChainMapReport:
 
 
 def verify_chain_map(f: ChainMap) -> ChainMapReport:
-    """Pass iff d_target . f = f . d_source in every degree, compared
-    one column at a time; a failing report names the lowest degree and
-    its least column where they differ.  The report is cached on the
-    map, like the d^2 report on a complex."""
+    """Pass iff d_target . f = f . d_source in every degree.  The report
+    is cached on the map, like the d^2 report on a complex."""
     if "commutes" in f._cache:
         return f._cache["commutes"]
     report = ChainMapReport(True)
@@ -302,10 +299,12 @@ def verify_chain_map(f: ChainMap) -> ChainMapReport:
     for r in degrees:
         if f.source.dim(r) == 0:
             continue
-        j = first_nonzero_column(range(f.source.dim(r)),
-                                 (1, f.target.d(r + f.shift), f.matrix(r)),
-                                 (-1, f.matrix(r - 1), f.source.d(r)))
-        if j is not None:
+        lhs = multiply(f.target.d(r + f.shift), f.matrix(r))
+        rhs = multiply(f.matrix(r - 1), f.source.d(r))
+        if lhs != rhs:
+            bad_cols = {j for (_, j) in lhs.entries} | {j for (_, j) in rhs.entries}
+            j = min(j for j in bad_cols
+                    if any(lhs.get(i, j) != rhs.get(i, j) for i in range(lhs.rows)))
             report = ChainMapReport(False, r, f.source.labels(r)[j])
             break
     f._cache["commutes"] = report

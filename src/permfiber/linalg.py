@@ -94,33 +94,25 @@ def multiply(a: SparseMatrix, b: SparseMatrix) -> SparseMatrix:
     return SparseMatrix(a.rows, b.cols, {k: _exact(v) for k, v in acc.items() if v != 0})
 
 
-def first_nonzero_column(cols, *terms) -> int | None:
-    """The first column j in the sequence ``cols`` where the sum of
-    sign * a @ b over the ``terms`` (sign, a, b) is not zero, or None.
-    Each column of the sum is formed on its own and dropped, so no
-    product is kept."""
-    wanted = set(cols)
-    views = []
-    for sign, a, b in terms:
-        if a.cols != b.rows:
-            raise ValueError(f"cannot multiply {a.rows}x{a.cols} by {b.rows}x{b.cols}")
-        a_cols = defaultdict(list)
-        for (i, k), value in a.entries.items():
-            a_cols[k].append((i, value))
-        b_cols = defaultdict(list)   # the entries of b that meet a column of a
-        for (k, j), value in b.entries.items():
-            if j in wanted and k in a_cols:
-                b_cols[j].append((a_cols[k], sign * value))
-        views.append(b_cols)
+def product_vanishes(a: SparseMatrix, b: SparseMatrix, cols) -> bool:
+    """Whether the columns ``cols`` of a @ b are all zero.  Each product
+    column is formed on its own and dropped, so no product is kept."""
+    if a.cols != b.rows:
+        raise ValueError(f"cannot multiply {a.rows}x{a.cols} by {b.rows}x{b.cols}")
+    a_cols = defaultdict(list)
+    for (i, k), value in a.entries.items():
+        a_cols[k].append((i, value))
+    b_cols = defaultdict(list)
+    for (k, j), value in b.entries.items():
+        b_cols[j].append((k, value))
     for j in cols:
         acc: dict = {}
-        for b_cols in views:
-            for a_col, vb in b_cols.get(j, ()):
-                for i, va in a_col:
-                    acc[i] = acc.get(i, 0) + va * vb
+        for k, vb in b_cols.get(j, ()):
+            for i, va in a_cols.get(k, ()):
+                acc[i] = acc.get(i, 0) + va * vb
         if any(acc.values()):
-            return j
-    return None
+            return False
+    return True
 
 
 def _integral(column: dict) -> dict:

@@ -22,7 +22,7 @@ from permfiber.complexes import (
     verify_chain_map,
     verify_d_squared,
 )
-from permfiber.linalg import SparseMatrix
+from permfiber.linalg import SparseMatrix, multiply
 
 from oracles import dense_multiply, page_dims_dense
 
@@ -122,13 +122,13 @@ def test_d_squared_verdict_is_cached(perms, monkeypatch):
     import permfiber.complexes as complexes
     c = ChainComplex.build(perms[3].complex.basis, perms[3].complex.differentials)
     products = []
-    real = complexes.first_nonzero_column
+    real = complexes.product_vanishes
 
-    def counting(cols, *terms):
-        products.append(terms)
-        return real(cols, *terms)
+    def counting(a, b, cols):
+        products.append((a.rows, b.cols))
+        return real(a, b, cols)
 
-    monkeypatch.setattr(complexes, "first_nonzero_column", counting)
+    monkeypatch.setattr(complexes, "product_vanishes", counting)
     first = verify_d_squared(c)
     computed = len(products)
     assert computed > 0
@@ -400,13 +400,15 @@ def test_pages_need_levels(simplexes):
 def test_chain_map_report_is_cached_for_the_cone(perms, monkeypatch):
     import permfiber.complexes as complexes
     products = []
-    real = complexes.first_nonzero_column
+    vanishes = complexes.product_vanishes
 
-    def counting(cols, *terms):
-        products.append(terms)
-        return real(cols, *terms)
+    def counting(a, b):
+        products.append((a, b))
+        return multiply(a, b)
 
-    monkeypatch.setattr(complexes, "first_nonzero_column", counting)
+    monkeypatch.setattr(complexes, "multiply", counting)
+    monkeypatch.setattr(complexes, "product_vanishes", lambda a, b, cols:
+                        products.append((a, b)) or vanishes(a, b, cols))
     f = identity_map(perms[3].complex)
     report = verify_chain_map(f)
     assert report.passed and products
