@@ -1,5 +1,6 @@
 """Finite free chain complexes over Q: d^2 checks, homology dimensions,
-filtration spectral-sequence pages, chain maps and mapping cones.
+filtration spectral-sequence pages, chain maps, mapping cones and the
+one-class quasi-isomorphism test.
 
 Complexes are graded homologically with a sparse differential matrix
 per degree.  Basis labels are opaque strings, unique across the whole
@@ -7,7 +8,7 @@ complex, so one engine serves permutohedra, simplices and fibers.  A
 filtered complex is a complex with one level per cell, held by index.
 Homology and every spectral page come from one reduction of the whole
 complex (``linalg.pivots``, top degree down, with clearing), cached on
-the complex: in index order for homology and cones, and in (level,
+the complex: in index order for d^2, homology and maps, and in (level,
 index) order for the pages, whose dimensions are read off the
 persistence pairs.
 """

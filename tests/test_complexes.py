@@ -33,8 +33,7 @@ def identity_map(c: ChainComplex) -> ChainMap:
 
 
 def stable_page_index(c: ChainComplex) -> int:
-    """A page index from which the tables no longer change: levels lie
-    in one range, and a pair's span is below its width."""
+    """A page index from which the tables no longer change."""
     levels = [p for ps in c.levels.values() for p in ps]
     return max(levels) - min(levels) + 2
 
