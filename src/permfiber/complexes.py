@@ -48,7 +48,7 @@ class ChainComplex:
                 raise ValueError(
                     f"differential at degree {r} is {m.rows}x{m.cols}, "
                     f"expected {want_rows}x{want_cols}")
-            if m.entries:
+            if not m.is_zero():
                 diffs[r] = m
         if levels is not None:
             levels = {int(r): tuple(ps) for r, ps in levels.items() if ps}
@@ -62,12 +62,13 @@ class ChainComplex:
                                      f"{len(labels)} basis elements at degree {r}")
             for r, m in diffs.items():
                 src, tgt = basis_t[r], basis_t[r - 1]
-                for i, j in m.entries:
-                    if levels[r - 1][i] > levels[r][j]:
-                        raise ValueError(
-                            f"differential raises filtration level at degree {r}: "
-                            f"{src[j]!r} (level {levels[r][j]}) -> "
-                            f"{tgt[i]!r} (level {levels[r - 1][i]})")
+                for j, column in enumerate(m.columns):
+                    for i in column:
+                        if levels[r - 1][i] > levels[r][j]:
+                            raise ValueError(
+                                f"differential raises filtration level at degree {r}: "
+                                f"{src[j]!r} (level {levels[r][j]}) -> "
+                                f"{tgt[i]!r} (level {levels[r - 1][i]})")
         return ChainComplex(basis_t, diffs, levels)
 
     def degrees(self) -> list:
@@ -119,7 +120,7 @@ def _d2_witness(c: ChainComplex) -> D2Report:
             continue
         product = multiply(c.d(r), c.d(r + 1))
         if not product.is_zero():
-            (i, j), value = min(product.entries.items())
+            (i, j), value = min(product.items())
             return D2Report(False, r + 1,
                             (c.labels(r - 1)[i], c.labels(r + 1)[j], value))
     return D2Report(True)
@@ -272,7 +273,7 @@ class ChainMap:
             if (m.rows, m.cols) != want:
                 raise ValueError(
                     f"map matrix at degree {r} is {m.rows}x{m.cols}, expected {want}")
-            if m.entries:
+            if not m.is_zero():
                 clean[r] = m
         return ChainMap(source, target, shift, clean, note)
 
@@ -291,8 +292,10 @@ class ChainMapReport:
 
 
 def verify_chain_map(f: ChainMap) -> ChainMapReport:
-    """Pass iff d_target . f = f . d_source in every degree.  The report
-    is cached on the map, like the d^2 report on a complex."""
+    """Pass iff d_target . f = f . d_source in every degree.  A failing
+    report names the lowest failing degree and, in it, the first source
+    cell whose columns of the two sides differ.  The report is cached on
+    the map, like the d^2 report on a complex."""
     if "commutes" in f._cache:
         return f._cache["commutes"]
     report = ChainMapReport(True)
@@ -303,9 +306,8 @@ def verify_chain_map(f: ChainMap) -> ChainMapReport:
         lhs = multiply(f.target.d(r + f.shift), f.matrix(r))
         rhs = multiply(f.matrix(r - 1), f.source.d(r))
         if lhs != rhs:
-            bad_cols = {j for (_, j) in lhs.entries} | {j for (_, j) in rhs.entries}
-            j = min(j for j in bad_cols
-                    if any(lhs.get(i, j) != rhs.get(i, j) for i in range(lhs.rows)))
+            j = next(j for j, column in enumerate(lhs.columns)
+                     if column != rhs.columns[j])
             report = ChainMapReport(False, r, f.source.labels(r)[j])
             break
     f._cache["commutes"] = report
@@ -319,7 +321,7 @@ def compose(g: ChainMap, f: ChainMap) -> ChainMap:
     matrices = {}
     for r in f.source.degrees():
         m = multiply(g.matrix(r + f.shift), f.matrix(r))
-        if m.entries:
+        if not m.is_zero():
             matrices[r] = m
     return ChainMap.build(f.source, g.target, f.shift + g.shift, matrices)
 
@@ -359,19 +361,13 @@ def mapping_cone(f: ChainMap) -> ChainComplex:
     diffs = {}
     for r in degrees:
         src_deg = r - 1 - s           # source degree shown in cone degree r
-        n_src = src.dim(src_deg)
-        n_tgt = tgt.dim(r)
-        rows_src = src.dim(src_deg - 1)
-        rows_tgt = tgt.dim(r - 1)
-        entries = {}
-        for (i, j), v in src.d(src_deg).entries.items():
-            entries[(i, j)] = -v
-        for (i, j), v in f.matrix(src_deg).entries.items():
-            entries[(rows_src + i, j)] = v
-        for (i, j), v in tgt.d(r).entries.items():
-            entries[(rows_src + i, n_src + j)] = v
-        m = SparseMatrix.from_entries(rows_src + rows_tgt, n_src + n_tgt, entries)
-        if m.entries:
+        top = src.dim(src_deg - 1)    # rows of the source part; the target's follow
+        columns = [{i: -v for i, v in col.items()} for col in src.d(src_deg).columns]
+        for col, image in zip(columns, f.matrix(src_deg).columns):
+            col.update({top + i: v for i, v in image.items()})
+        columns += [{top + i: v for i, v in col.items()} for col in tgt.d(r).columns]
+        m = SparseMatrix(top + tgt.dim(r - 1), tuple(columns))
+        if not m.is_zero():
             diffs[r] = m
     cone = ChainComplex.build(basis, diffs)
     cone._cache["d2"] = D2Report(True)
@@ -426,14 +422,12 @@ def quasi_isomorphism_report(f: ChainMap) -> ChainMapReport:
         return ChainMapReport(is_quasi_isomorphism(f))
     v = _unpaired(f.source, a)[0]
     lost = ChainMapReport(False, a, f.source.labels(a)[v])
-    image = {i: x for (i, j), x in f.matrix(a).entries.items() if j == v}
+    image = f.matrix(a).columns[v]
     if a + f.shift != b or not image:
         return lost
     d = f.target.d(b + 1)
     basis = [j for _, j in _pairs(f.target).get(b + 1, ())]
-    entries = dict(d.entries)
-    entries.update({(i, d.cols): x for i, x in image.items()})
-    extended = SparseMatrix(d.rows, d.cols + 1, entries)
+    extended = SparseMatrix(d.rows, d.columns + (image,))
     if len(pivots(extended, cols=basis + [d.cols])) > len(basis):
         return ChainMapReport(True)
     return lost
@@ -443,8 +437,9 @@ def complex_to_json(c: ChainComplex) -> dict:
     doc = {
         "degrees": {str(r): list(c.labels(r)) for r in c.degrees()},
         "differentials": {
-            str(r): [[i, j, f"{v.numerator}/{v.denominator}"]
-                     for (i, j), v in sorted(m.entries.items())]
+            str(r): sorted([[i, j, f"{v.numerator}/{v.denominator}"]
+                            for j, column in enumerate(m.columns)
+                            for i, v in column.items()])
             for r, m in sorted(c.differentials.items())
         },
     }

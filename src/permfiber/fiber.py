@@ -78,20 +78,10 @@ class MultiGraph:
         return out
 
     def is_connected(self) -> bool:
-        verts = self.vertices()
-        adjacency: dict = {v: set() for v in verts}
+        parent: dict = {}
         for u, v in self.edges:
-            adjacency[u].add(v)
-            adjacency[v].add(u)
-        start = next(iter(verts))
-        seen = {start}
-        stack = [start]
-        while stack:
-            for w in adjacency[stack.pop()]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return seen == verts
+            parent[_find(parent, u)] = _find(parent, v)
+        return len({_find(parent, v) for v in self.vertices()}) == 1
 
 
 def parse_graph(text: str) -> MultiGraph:
@@ -413,9 +403,9 @@ def push_forward_well_defined(fiber: FiberComplex) -> WellDefinednessReport:
     c = fiber.complex
     columns: dict = {}    # tree label -> {target label: coefficient}
     for r, d in c.differentials.items():
-        source, target = c.labels(r), c.labels(r - 1)
-        for (i, j), value in d.entries.items():
-            columns.setdefault(source[j], {})[target[i]] = value
+        target = c.labels(r - 1)
+        for lab, column in zip(c.labels(r), d.columns):
+            columns[lab] = {target[i]: v for i, v in column.items()}
     checked = 0
     for alpha, (lab, sign) in fiber.images.items():
         expected = {t: sign * v for t, v in columns.get(lab, {}).items()}

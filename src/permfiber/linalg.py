@@ -1,17 +1,16 @@
 """Exact sparse linear algebra over the rationals.
 
-Sparse matrices with exact rational entries (a plain int for an
-integral entry, a Fraction otherwise), their products, and one
-elimination: the lowest-pivot column reduction ``pivots``, over the
-integers.  Its (row, col) pivot pairs give the rank, and, taken in a
-filtration order, the persistence pairs from which ``complexes`` reads
-homology and every spectral page.  No tolerance, modulus or random
-choice ever enters a decision.
+Sparse matrices held column by column, with exact rational entries (a
+plain int for an integral entry, a Fraction otherwise), their products
+one column at a time, and one elimination: the lowest-pivot column
+reduction ``pivots``, over the integers.  Its (row, col) pivot pairs
+give the rank, and, taken in a filtration order, the persistence pairs
+from which ``complexes`` reads homology and every spectral page.  No
+tolerance, modulus or random choice ever enters a decision.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -28,70 +27,83 @@ def _exact(value):
 
 @dataclass(frozen=True, eq=True)
 class SparseMatrix:
-    """Immutable rows x cols matrix storing only its nonzero entries.
+    """Immutable matrix with ``rows`` rows, held column by column.
 
-    ``entries`` maps (row, col) to a nonzero exact rational: an ``int``
-    when the entry is integral and a ``Fraction`` only otherwise, so the
-    integer differentials this package builds stay in machine-int
-    arithmetic.  Entries compare by value (``1 == Fraction(1)``), and
-    both kinds carry ``numerator`` and ``denominator``.  Instances are
-    treated as immutable values; all operations return fresh matrices.
+    ``columns`` holds one dict per column, mapping the row of each
+    nonzero entry to an exact rational: an ``int`` when the entry is
+    integral and a ``Fraction`` only otherwise, so the integer
+    differentials this package builds stay in machine-int arithmetic.
+    Entries compare by value (``1 == Fraction(1)``), and both kinds
+    carry ``numerator`` and ``denominator``.  ``from_entries`` is the
+    validated constructor for (row, col) input.  Instances are treated
+    as immutable values; all operations return fresh matrices, and a
+    stored column is copied before anything changes it.
     """
 
     rows: int
-    cols: int
-    entries: dict
+    columns: tuple
 
     @staticmethod
     def from_entries(rows: int, cols: int, entries: Mapping) -> SparseMatrix:
-        clean = {}
+        columns = [{} for _ in range(cols)]
         for (i, j), value in entries.items():
             if not (0 <= i < rows and 0 <= j < cols):
                 raise ValueError(f"entry ({i},{j}) outside a {rows}x{cols} matrix")
             value = _exact(value)
             if value != 0:
-                clean[(i, j)] = value
-        return SparseMatrix(rows, cols, clean)
+                columns[j][i] = value
+        return SparseMatrix(rows, tuple(columns))
 
     @staticmethod
     def zero(rows: int, cols: int) -> SparseMatrix:
-        return SparseMatrix(rows, cols, {})
+        return SparseMatrix(rows, tuple({} for _ in range(cols)))
 
     @staticmethod
     def identity(n: int) -> SparseMatrix:
-        return SparseMatrix(n, n, {(i, i): 1 for i in range(n)})
+        return SparseMatrix(n, tuple({i: 1} for i in range(n)))
 
-    def is_zero(self) -> bool:
-        return not self.entries
+    @property
+    def cols(self) -> int:
+        return len(self.columns)
 
     @property
     def nnz(self) -> int:
-        return len(self.entries)
+        return sum(map(len, self.columns))
+
+    def is_zero(self) -> bool:
+        return not any(self.columns)
 
     def get(self, i: int, j: int):
-        return self.entries.get((i, j), 0)
+        return self.columns[j].get(i, 0)
+
+    def items(self):
+        """((row, col), value) for every nonzero entry, column by column."""
+        for j, column in enumerate(self.columns):
+            for i, value in column.items():
+                yield (i, j), value
 
     def dense(self) -> list:
         out = [[0] * self.cols for _ in range(self.rows)]
-        for (i, j), value in self.entries.items():
+        for (i, j), value in self.items():
             out[i][j] = value
         return out
+
+
+def _times(a: SparseMatrix, column: dict) -> dict:
+    """a @ column, for a column held as {row: value}, zeros dropped."""
+    acc: dict = {}
+    a_columns = a.columns
+    for k, vb in column.items():
+        for i, va in a_columns[k].items():
+            acc[i] = acc.get(i, 0) + va * vb
+    return {i: _exact(v) for i, v in acc.items() if v} if acc else acc
 
 
 def multiply(a: SparseMatrix, b: SparseMatrix) -> SparseMatrix:
     """Exact product a @ b; raises on a dimension mismatch."""
     if a.cols != b.rows:
         raise ValueError(f"cannot multiply {a.rows}x{a.cols} by {b.rows}x{b.cols}")
-    b_rows = defaultdict(list)
-    for (k, j), value in b.entries.items():
-        b_rows[k].append((j, value))
-    acc: dict = {}
-    for (i, k), va in a.entries.items():
-        for j, vb in b_rows.get(k, ()):
-            key = (i, j)
-            prev = acc.get(key)
-            acc[key] = va * vb if prev is None else prev + va * vb
-    return SparseMatrix(a.rows, b.cols, {k: _exact(v) for k, v in acc.items() if v != 0})
+    return SparseMatrix(a.rows, tuple(_times(a, column) for column in b.columns))
 
 
 def product_vanishes(a: SparseMatrix, b: SparseMatrix, cols) -> bool:
@@ -99,20 +111,7 @@ def product_vanishes(a: SparseMatrix, b: SparseMatrix, cols) -> bool:
     column is formed on its own and dropped, so no product is kept."""
     if a.cols != b.rows:
         raise ValueError(f"cannot multiply {a.rows}x{a.cols} by {b.rows}x{b.cols}")
-    a_cols = defaultdict(list)
-    for (i, k), value in a.entries.items():
-        a_cols[k].append((i, value))
-    b_cols = defaultdict(list)
-    for (k, j), value in b.entries.items():
-        b_cols[j].append((k, value))
-    for j in cols:
-        acc: dict = {}
-        for k, vb in b_cols.get(j, ()):
-            for i, va in a_cols.get(k, ()):
-                acc[i] = acc.get(i, 0) + va * vb
-        if any(acc.values()):
-            return False
-    return True
+    return not any(_times(a, b.columns[j]) for j in cols)
 
 
 def _integral(column: dict) -> dict:
@@ -145,15 +144,14 @@ def pivots(m: SparseMatrix, rows=None, cols=None, cleared=()) -> list:
     position = [0] * m.rows
     for k, i in enumerate(rows):
         position[i] = k
-    columns: dict = defaultdict(dict)
-    for (i, j), value in m.entries.items():
-        columns[j][position[i]] = value
     reduced = {}   # pivot position -> reduced column holding it
     pairs = []
     for j in range(m.cols) if cols is None else cols:
-        if j in cleared or j not in columns:
+        column = m.columns[j]
+        if j in cleared or not column:
             continue
-        col = _integral(columns[j])
+        # re-keyed to row positions, so a copy: the stored column is untouched
+        col = _integral({position[i]: v for i, v in column.items()})
         while col:
             low = max(col)
             other = reduced.get(low)

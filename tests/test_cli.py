@@ -220,13 +220,14 @@ def test_fiber_graph_unreadable(capsys, tmp_path, monkeypatch):
     assert err.startswith("error: cannot read graph file") and "Permission denied" in err
 
 
-def _flip_one_sign(c: ChainComplex, degree: int) -> ChainComplex:
+def _flip_one_sign(c: ChainComplex, degree: int, key=None) -> ChainComplex:
+    """c with one entry of d_degree negated: ``key``, else the least."""
     d = c.d(degree)
-    entries = dict(d.entries)
-    key = min(entries)
+    entries = dict(d.items())
+    key = min(entries) if key is None else key
     entries[key] = -entries[key]
     diffs = dict(c.differentials)
-    diffs[degree] = SparseMatrix(d.rows, d.cols, entries)
+    diffs[degree] = SparseMatrix.from_entries(d.rows, d.cols, entries)
     return ChainComplex.build(c.basis, diffs, c.levels)
 
 
@@ -251,6 +252,31 @@ def test_battery_reports_a_flipped_sign(perms, simplexes, corpus_fibers):
         assert ("pages: skipped (d2 failed)" in col.lines) == (pages >= 0), name
         assert not any(line.startswith("E") for line in col.lines), name
         assert not col.pages_rows, name
+
+
+def test_maps_check_of_a_complex_that_fails_d2(perms, corpus_fibers):
+    """A commuting map joining a complex that fails d^2 gets no class
+    test, since homology needs d^2 = 0: its maps line says so instead of
+    raising, and every single-entry flip of P3 runs the battery."""
+    perm = perms[3]
+    flipped = dataclasses.replace(perm, complex=_flip_one_sign(perm.complex, 2, (0, 0)))
+    col = Collector()
+    _run_checks(col, "P3", flipped, ("maps",))
+    assert col.lines[-1] == ("check maps: FAIL (blow-down [sign convention: "
+                             "ordering_parity], surjective=true, cone acyclic=false; "
+                             "skipped: d2 failed)")
+    for r, d in sorted(perm.complex.differentials.items()):
+        for key, _ in d.items():
+            col = Collector()
+            _run_checks(col, "P3", dataclasses.replace(
+                perm, complex=_flip_one_sign(perm.complex, r, key)), CHECK_TOKENS, 2)
+            assert col.failed, (r, key)
+    # a fiber whose P_3 fails d^2 while both of its maps commute
+    broken = dataclasses.replace(perm, complex=_flip_one_sign(perm.complex, 2, (1, 0)))
+    col = Collector()
+    _run_checks(col, "path3", corpus_fibers["path3"], ("maps",), perm=broken)
+    assert col.lines[-1] == ("check maps: FAIL (chain maps=true, cones acyclic=false, "
+                             "factorization=true, well-defined=true; skipped: d2 failed)")
 
 
 def test_homology_failure_names_degree_and_cell(monkeypatch, perms):

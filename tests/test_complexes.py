@@ -50,7 +50,7 @@ def interval_complex():
 
 
 def flip_one_entry(c: ChainComplex, degree: int, key) -> ChainComplex:
-    entries = dict(c.d(degree).entries)
+    entries = dict(c.d(degree).items())
     entries[key] = -entries[key]
     diffs = dict(c.differentials)
     diffs[degree] = SparseMatrix.from_entries(
@@ -72,7 +72,7 @@ def test_homology_with_empty_differentials_equals_basis_sizes():
 def test_d_squared_on_perm4_and_a_sign_flip(perms):
     c = perms[4].complex
     assert verify_d_squared(c).passed
-    key = next(iter(c.d(2).entries))
+    key = next(iter(dict(c.d(2).items())))
     broken = flip_one_entry(c, 2, key)
     report = verify_d_squared(broken)
     assert not report.passed
@@ -101,14 +101,14 @@ def test_d_squared_matches_dense_products_under_every_flip(perms, corpus_fibers)
               corpus_fibers["theta"].complex):
         assert verify_d_squared(c) == dense_d2_report(c) == D2Report(True)
         for r, d in sorted(c.differentials.items()):
-            for key in sorted(d.entries):
+            for key in sorted(dict(d.items())):
                 broken = flip_one_entry(c, r, key)
                 assert verify_d_squared(broken) == dense_d2_report(broken), (r, key)
 
 
 def test_homology_rejects_non_complex(perms):
     c = perms[3].complex
-    key = next(iter(c.d(1).entries))
+    key = next(iter(dict(c.d(1).items())))
     broken = flip_one_entry(c, 1, key)
     with pytest.raises(ValueError):
         homology_dims(broken)
@@ -173,7 +173,7 @@ def test_mapping_cone_rejects_non_chain_map():
 def test_verify_chain_map_identity_and_flip(perms):
     ident = identity_map(perms[3].complex)
     assert verify_chain_map(ident).passed
-    entries = dict(ident.matrix(1).entries)
+    entries = dict(ident.matrix(1).items())
     key = next(iter(entries))
     entries[key] = -entries[key]
     matrices = dict(ident.matrices)
@@ -183,6 +183,43 @@ def test_verify_chain_map_identity_and_flip(perms):
     report = verify_chain_map(broken)
     assert not report.passed
     assert report.label is not None
+
+
+def dense_chain_map_report(f: ChainMap) -> ChainMapReport:
+    """The lowest degree, and in it the least source column, where
+    d f != f d, by dense products."""
+    def entry(product, i, j):
+        return product[i][j] if product[i] else 0  # an empty inner dimension
+    for r in f.source.degrees():
+        lhs = dense_multiply(f.target.d(r + f.shift).dense(), f.matrix(r).dense())
+        rhs = dense_multiply(f.matrix(r - 1).dense(), f.source.d(r).dense())
+        for j in range(f.source.dim(r)):
+            if any(entry(lhs, i, j) != entry(rhs, i, j)
+                   for i in range(f.target.dim(r + f.shift - 1))):
+                return ChainMapReport(False, r, f.source.labels(r)[j])
+    return ChainMapReport(True)
+
+
+def test_chain_map_witness_matches_dense_products(perms, simplexes, corpus_fibers):
+    """With any one entry of a map flipped, the report names the lowest
+    degree, and in it the least column, where the dense products of
+    d f and f d differ."""
+    from permfiber.fiber import fiber_to_simplex, perm_to_fiber
+    fib = corpus_fibers["path3"]
+    flips = 0
+    for f in (identity_map(perms[4].complex), perm_to_fiber(fib, perms[3]),
+              fiber_to_simplex(fib, simplexes[3])):
+        assert verify_chain_map(f) == dense_chain_map_report(f) == ChainMapReport(True)
+        for r, m in sorted(f.matrices.items()):
+            for key, value in sorted(m.items()):
+                entries = {**dict(m.items()), key: -value}
+                broken = ChainMap.build(f.source, f.target, f.shift, {
+                    **f.matrices, r: SparseMatrix.from_entries(m.rows, m.cols, entries)})
+                report = verify_chain_map(broken)
+                assert not report.passed, (f.note, r, key)
+                assert report == dense_chain_map_report(broken), (f.note, r, key)
+                flips += 1
+    assert flips > 90
 
 
 def test_compose_shifts_add(perms, simplexes, corpus_fibers):
@@ -291,10 +328,10 @@ def test_pages_and_homology_survive_rational_scaling(perms, corpus_fibers):
     for c in (perms[4].complex, corpus_fibers["cycle4"].complex):
         scaled = ChainComplex.build(c.basis, {
             n: SparseMatrix.from_entries(m.rows, m.cols, {
-                key: Fraction(2, 3) * v for key, v in m.entries.items()})
+                key: Fraction(2, 3) * v for key, v in m.items()})
             for n, m in c.differentials.items()}, c.levels)
         assert all(type(v) is Fraction
-                   for m in scaled.differentials.values() for v in m.entries.values())
+                   for m in scaled.differentials.values() for _, v in m.items())
         assert homology_dims(scaled) == homology_dims(c)
         for r in range(stable_page_index(c) + 1):
             assert page_dims(scaled, r) == page_dims(c, r), r
@@ -343,8 +380,8 @@ def test_json_round_trip(perms):
     assert [v for _, _, v in doc["differentials"]["1"]] == ["2/1", "1/2"]
     loaded = complex_from_json(json.loads(json.dumps(doc)))
     assert loaded == mixed
-    assert loaded.d(1).entries == {(0, 0): 2, (1, 0): Fraction(1, 2)}
-    assert type(loaded.d(1).entries[(0, 0)]) is int
+    assert loaded.d(1).columns == ({0: 2, 1: Fraction(1, 2)},)
+    assert type(loaded.d(1).get(0, 0)) is int
 
 
 def test_json_without_levels(simplexes):
@@ -378,7 +415,7 @@ def test_replace_starts_an_empty_cache(perms):
     assert verify_d_squared(c).passed
     assert homology_dims(c) == {0: 1, 1: 0, 2: 0}
     page_dims(c, 1)
-    entries = dict(c.d(1).entries)
+    entries = dict(c.d(1).items())
     key = min(entries)
     entries[key] = -entries[key]
     broken = dataclasses.replace(c, differentials={
@@ -421,7 +458,7 @@ def test_chain_map_report_is_cached_for_the_cone(perms, monkeypatch):
 
 def test_mapping_cone_refuses_a_non_complex(perms):
     c = perms[3].complex
-    broken = flip_one_entry(c, 1, next(iter(c.d(1).entries)))
+    broken = flip_one_entry(c, 1, next(iter(dict(c.d(1).items()))))
     f = identity_map(broken)
     assert verify_chain_map(f).passed
     with pytest.raises(ValueError):

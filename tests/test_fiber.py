@@ -332,9 +332,9 @@ def test_perm_to_fiber_star_bijective(perms, corpus_fibers):
         for r in perms[n].complex.degrees():
             m = f.matrix(r)
             assert m.rows == m.cols
-            assert len(m.entries) == m.rows
-            assert len({i for i, _ in m.entries}) == m.rows
-            assert len({j for _, j in m.entries}) == m.cols
+            assert m.nnz == m.rows
+            assert len({i for (i, _), _ in m.items()}) == m.rows
+            assert all(m.columns)
 
 
 def test_perm_to_fiber_preserves_width(perms, corpus_fibers):
@@ -345,7 +345,7 @@ def test_perm_to_fiber_preserves_width(perms, corpus_fibers):
         for r, m in f.matrices.items():
             src = perms[n].complex.levels[r]
             tgt = fib.complex.levels[r - n]
-            for (i, j) in m.entries:
+            for (i, j), _ in m.items():
                 assert tgt[i] == src[j]
 
 
@@ -415,10 +415,11 @@ def test_perm_to_fiber_commutes_exactly_when_well_defined(perms, corpus_fibers):
     fib = corpus_fibers["path3"]
     c = fib.complex
     for r, d in sorted(c.differentials.items()):
-        for key in sorted(d.entries):
-            entries = dict(d.entries)
+        for key in sorted(dict(d.items())):
+            entries = dict(d.items())
             entries[key] = -entries[key]
-            diffs = {**c.differentials, r: SparseMatrix(d.rows, d.cols, entries)}
+            diffs = {**c.differentials,
+                     r: SparseMatrix.from_entries(d.rows, d.cols, entries)}
             cases.append((f"path3 d_{r}{key}", dataclasses.replace(
                 fib, complex=ChainComplex.build(c.basis, diffs, c.levels))))
     for alpha, (lab, sign) in fib.images.items():
@@ -434,11 +435,11 @@ def test_push_forward_reports_the_tree_of_a_flipped_entry(corpus_fibers):
     fib = corpus_fibers["path3"]
     c = fib.complex
     d = c.d(-2)
-    key = min(d.entries)
-    entries = dict(d.entries)
+    entries = dict(d.items())
+    key = min(entries)
     entries[key] = -entries[key]
     diffs = dict(c.differentials)
-    diffs[-2] = SparseMatrix(d.rows, d.cols, entries)
+    diffs[-2] = SparseMatrix.from_entries(d.rows, d.cols, entries)
     flipped = dataclasses.replace(
         fib, complex=ChainComplex.build(c.basis, diffs, c.levels))
     report = push_forward_well_defined(flipped)

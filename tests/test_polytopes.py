@@ -81,7 +81,7 @@ def test_perm_differential_lowers_degree_and_not_width(perms):
         m = perm.complex.d(r)
         src = perm.complex.levels[r]
         tgt = perm.complex.levels.get(r - 1)
-        for (i, j) in m.entries:
+        for (i, j), _ in m.items():
             assert tgt[i] <= src[j]
 
 
@@ -141,7 +141,7 @@ def test_perm_to_simplex_records_working_convention(perms, simplexes):
             for j, lab in enumerate(perm.complex.labels(r)):
                 alpha = parse_topartition(lab, n)
                 block = blowdown_support(alpha)
-                column = {targets[i]: v for (i, c), v in m.entries.items() if c == j}
+                column = {targets[i]: v for i, v in m.columns[j].items()}
                 if block is None:
                     assert column == {}, lab
                 else:

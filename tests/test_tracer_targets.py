@@ -1,10 +1,14 @@
 """The benchmark tracer wraps package functions by name: every entry of
 ``perfbench/tracer.py``'s ``TARGETS`` must name a function that exists,
-or ``perfbench/run.py --trace 1`` breaks."""
+and the matrix attributes it records must read, or
+``perfbench/run.py --trace 1`` breaks."""
 
 import ast
 import importlib
+import importlib.util
 from pathlib import Path
+
+from permfiber.linalg import SparseMatrix, multiply, rank
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
@@ -28,3 +32,17 @@ def test_every_tracer_target_resolves():
             assert hasattr(obj, part), (span, module_name, attribute)
             obj = getattr(obj, part)
         assert callable(obj), span
+
+
+def test_tracer_reads_matrix_shapes():
+    """``_matrix_attrs`` reads rows, cols and nnz of the matrices that
+    rank and multiply take and return."""
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    a = SparseMatrix.from_entries(2, 3, {(0, 0): 1, (1, 0): 1, (1, 2): -2})
+    b = SparseMatrix.from_entries(3, 4, {(0, 1): 1, (2, 3): 1})
+    assert tracer._matrix_attrs("linalg.rank", (a,), rank(a)) == {
+        "rows": 2, "cols": 3, "nnz": 3, "rank": 2}
+    assert tracer._matrix_attrs("linalg.multiply", (a, b), multiply(a, b)) == {
+        "rows": 2, "inner": 3, "cols": 4, "nnz": 5, "nnz_out": 3}
