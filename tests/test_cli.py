@@ -426,14 +426,27 @@ PINNED_OUTPUTS = {
         "pages.csv": "c1a17d147fa1bbeed89a134a617e2bdcaba9f93c401bdc3fcbabd14b739a92fc",
         "twoloop.json": "572a93bea03592bcbe8ad79567f8c614c037953ee0d6105abba33d80f3ff5550",
     },
+    ("simplex", "--n", "5"): {
+        "stdout": "51e04d8cf1032bc2bdcc6594d2e730c77f8520b3213bca6f2e5347a0b1e7cce8",
+        "D4.json": "694e5fc0d13fb1b3cc8a2d59dae4762414f1ee1d80b31fb0f2bacd63cba33f61",
+        "checks.csv": "305ee53cd86fdec86486446db15a5da0485f35f20b417b43f658f35bb7fc9b78",
+        "dims.csv": "9fe115460d341971f6ff7d7b00cf25e29ce2d7ad0c79bce0d6978756181de4d6",
+    },
+    ("fiber", "--graph", "cycle5.edges", "--checks", "all", "--pages", "3"): {
+        "stdout": "5eb5e7b6e17c68ddfd653b6c059768323d70ae01dd4f116b6badd73ab7df2b03",
+        "checks.csv": "e7d44930f30f57e91b957fff371394639776524aedab32ff679bc59f559bda3c",
+        "cycle5.json": "86a716996b1029e04df817f631bb89c76eace5ecd4badf667613231a5f5289b6",
+        "dims.csv": "33372d965f38a3fadae7a15249f580ec210ed3c436b15f9140959722448e1558",
+        "pages.csv": "e464443bc978587e1e9b4a2d2d979c8fe154fd883fa5ec1660014b5010d2d693",
+    },
 }
 
 
 def test_output_bytes_are_pinned(capsys, tmp_path, corpus_dir):
-    for argv, want in PINNED_OUTPUTS.items():
+    for k, (argv, want) in enumerate(PINNED_OUTPUTS.items()):
         argv = tuple(str(corpus_dir / a) if a.endswith(".edges")
                      else str(corpus_dir) if a == "corpus" else a for a in argv)
-        out_dir = tmp_path / argv[0]
+        out_dir = tmp_path / f"{k}-{argv[0]}"  # one fresh directory per run
         code, out, err = run_cli(capsys, *argv, "--out", str(out_dir))
         assert (code, err) == (0, ""), argv
         got = {"stdout": hashlib.sha256(out.encode()).hexdigest()}
