@@ -14,6 +14,8 @@ import json
 import os
 import sys
 import tempfile
+from collections import namedtuple
+from functools import cache
 from pathlib import Path
 
 from .complexes import (
@@ -59,7 +61,7 @@ class InvalidInput(Exception):
 
 def _cap(given, fallback: int, ceiling: int) -> int:
     """The cap a command builds up to: ``--cap`` when given, else
-    PERMFIBER_CAP, else ``fallback``; refused above ``ceiling``."""
+    PERMFIBER_CAP, else ``fallback``; refused below 1 and above ``ceiling``."""
     source, cap = "--cap", given
     if cap is None:
         source, raw = CAP_ENV_VAR, os.environ.get(CAP_ENV_VAR)
@@ -69,13 +71,17 @@ def _cap(given, fallback: int, ceiling: int) -> int:
             cap = int(raw)
         except ValueError:
             raise InvalidInput(f"{CAP_ENV_VAR} must be an integer, got {raw!r}")
+    if cap < 1:
+        raise InvalidInput(f"{source} must be at least 1, got {cap}")
     if cap > ceiling:
         raise InvalidInput(f"{source} {cap} is above the ceiling {ceiling}")
     return cap
 
 
 def _check_pages(pages: int, n: int) -> None:
-    """Widths lie in 1..n, so every page past n+1 is the stable page."""
+    """-1 omits the pages; past n+1 every page is stable, since widths lie in 1..n."""
+    if pages < -1:
+        raise InvalidInput(f"--pages must be at least -1, got {pages}")
     if pages > n + 1:
         raise InvalidInput(f"--pages must be at most n+1 ({n + 1}), got {pages}")
 
@@ -140,15 +146,11 @@ class Collector:
             self.pages_rows.extend(f"{obj},{row}" for row in table.csv_rows())
 
     def write_outputs(self, out_dir: Path) -> None:
-        if self.dims_rows:
-            _atomic_write(out_dir / "dims.csv",
-                          "\n".join(["object,degree,dim"] + self.dims_rows) + "\n")
-        if self.pages_rows:
-            _atomic_write(out_dir / "pages.csv",
-                          "\n".join(["object,r,p,q,dim"] + self.pages_rows) + "\n")
-        if self.checks_rows:
-            _atomic_write(out_dir / "checks.csv",
-                          "\n".join(["object,check,pass"] + self.checks_rows) + "\n")
+        for name, header, rows in (("dims", "object,degree,dim", self.dims_rows),
+                                   ("pages", "object,r,p,q,dim", self.pages_rows),
+                                   ("checks", "object,check,pass", self.checks_rows)):
+            if rows:
+                _atomic_write(out_dir / f"{name}.csv", "\n".join([header] + rows) + "\n")
         for name, doc in sorted(self.json_docs.items()):
             _atomic_write(out_dir / f"{name}.json",
                           json.dumps(doc, indent=1, sort_keys=True) + "\n")
@@ -193,8 +195,17 @@ def _d2_holds(*complexes) -> bool:
     return all(verify_d_squared(c).passed for c in complexes)
 
 
-def _perm_maps(perm) -> tuple:
-    f = perm_to_simplex(perm, build_simplex(perm.n))
+# What the maps check of an n-letter object maps through: P_n, the
+# simplex on n vertices and the blow-down of P_n onto it.
+Maps = namedtuple("Maps", "perm simplex blowdown")
+
+
+def _maps(perm) -> Maps:
+    simplex = build_simplex(perm.n)
+    return Maps(perm, simplex, perm_to_simplex(perm, simplex))
+
+
+def _perm_maps(f) -> tuple:
     commutes = verify_chain_map(f)
     surj = is_surjective(f)
     skipped = commutes.passed and not _d2_holds(f.source, f.target)
@@ -208,9 +219,8 @@ def _perm_maps(perm) -> tuple:
             + ("; skipped: d2 failed" if skipped else ""))
 
 
-def _fiber_maps(fib, perm) -> tuple:
-    n = fib.n
-    simplex = build_simplex(n)
+def _fiber_maps(fib, maps: Maps) -> tuple:
+    perm, simplex, p2s = maps
     p2f = perm_to_fiber(fib, perm)
     f2s = fiber_to_simplex(fib, simplex)
     p2f_commutes = verify_chain_map(p2f)
@@ -226,11 +236,10 @@ def _fiber_maps(fib, perm) -> tuple:
             p2f_qi = quasi_isomorphism_report(p2f)
             f2s_qi = quasi_isomorphism_report(f2s)
             cones_ok = p2f_qi.passed and f2s_qi.passed
-        p2s = perm_to_simplex(perm, simplex)
         comp = compose(f2s, p2f)
         factor_ok = all(comp.matrix(r) == p2s.matrix(r)
                         for r in perm.complex.degrees())
-    # P_n is the quotient of itself by the unit image, so column alpha of
+    # P_n is its own quotient, each cell its own row with sign 1, so column alpha of
     # p2f's commuting check compares sign * (column of t_alpha in d) with
     # pushforward(alpha): the comparison push_forward_well_defined makes
     # for every nondegenerate alpha.  A commuting p2f is well defined;
@@ -251,13 +260,13 @@ def _fiber_maps(fib, perm) -> tuple:
 
 
 def _run_checks(col: Collector, name: str, obj, checks, pages: int = -1,
-                perm=None) -> None:
+                maps: Maps | None = None) -> None:
     """The check battery for a PermComplex, SimplexComplex or
     FiberComplex: d2, homology (one class in the lowest degree), pages,
     koszul, maps.  Only the dims heading, the Koszul detail text and
     the maps check depend on the kind of object; a simplex has neither
-    pages, a Koszul check nor maps.  The maps check of an n-edge fiber
-    maps from ``perm``, the caller's P_n."""
+    pages, a Koszul check nor maps.  The maps check reads the caller's
+    ``maps`` for n; a P_n builds its own when none are given."""
     c = obj.complex
     fiber = isinstance(obj, FiberComplex)
     col.say(f"object: {name}")
@@ -267,12 +276,12 @@ def _run_checks(col: Collector, name: str, obj, checks, pages: int = -1,
             f"k={-r}:{c.dim(r)}" for r in reversed(c.degrees())))
     else:
         col.say("dims: " + " ".join(f"r={r}:{c.dim(r)}" for r in c.degrees()))
+    d2 = verify_d_squared(c)
     if "d2" in checks:
-        rep = verify_d_squared(c)
-        col.check(name, "d2", rep.passed,
-                  "" if rep.passed else f"fails at degree {rep.degree}")
+        col.check(name, "d2", d2.passed,
+                  "" if d2.passed else f"fails at degree {d2.degree}")
     if "homology" in checks:
-        if not verify_d_squared(c).passed:
+        if not d2.passed:
             col.check(name, "homology", False, "skipped: d2 failed")
         else:
             h = homology_dims(c)
@@ -281,7 +290,7 @@ def _run_checks(col: Collector, name: str, obj, checks, pages: int = -1,
             col.check(name, "homology", h == want,
                       _homology_detail(h) + _unexpected_class(c, h, want))
     if pages >= 0:
-        if verify_d_squared(c).passed:
+        if d2.passed:
             col.pages(name, c, pages)
         else:
             col.say("pages: skipped (d2 failed)")
@@ -292,11 +301,8 @@ def _run_checks(col: Collector, name: str, obj, checks, pages: int = -1,
                   else "E1 binomial row at q=-1, E2 single class at p=1")
         col.check(name, "koszul", rep.passed, detail)
     if "maps" in checks:
-        if fiber:
-            passed, detail = _fiber_maps(obj, perm)
-        else:
-            passed, detail = _perm_maps(obj)
-        col.check(name, "maps", passed, detail)
+        col.check(name, "maps", *(_fiber_maps(obj, maps) if fiber
+                                  else _perm_maps((maps or _maps(obj)).blowdown)))
 
 
 def _collector(args) -> Collector:
@@ -358,9 +364,9 @@ def cmd_fiber(args) -> int:
                            f"above the ceiling {PERM_CAP_CEILING}")
     col = _collector(args)
     fib = build_fiber(graph, cap=cap)
-    perm = build_perm(graph.n, cap=cap) if "maps" in checks else None
+    maps = _maps(build_perm(graph.n, cap=cap)) if "maps" in checks else None
     name = path.stem
-    _run_checks(col, name, fib, checks, args.pages, perm)
+    _run_checks(col, name, fib, checks, args.pages, maps)
     if args.out:
         col.json_docs[name] = complex_to_json(fib.complex)
     return _finish(col, args)
@@ -393,8 +399,7 @@ def cmd_suite(args) -> int:
     if not manifest_path.exists():
         raise InvalidInput(f"missing manifest: {manifest_path}")
     try:
-        with open(manifest_path, encoding="utf-8") as handle:
-            manifest = json.load(handle)
+        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
     except OSError as exc:
         raise InvalidInput(f"cannot read manifest {manifest_path}: {exc.strerror}")
     except ValueError as exc:
@@ -404,12 +409,11 @@ def cmd_suite(args) -> int:
     if not graph_files:
         raise InvalidInput(f"no .edges files in {corpus}")
     col = _collector(args)
-    perms: dict = {}  # n -> P_n, built once for every fiber and the P_n battery
 
-    def perm_of(n: int):
-        if n not in perms:
-            perms[n] = build_perm(n, cap=cap)
-        return perms[n]
+    @cache
+    def maps_of(n: int) -> Maps:
+        """P_n and its maps, built once for every fiber and the P_n battery."""
+        return _maps(build_perm(n, cap=cap))
 
     for path in graph_files:
         name = path.stem
@@ -430,7 +434,7 @@ def cmd_suite(args) -> int:
                       f"graph has {graph.n} edges, above the cap {cap}")
             continue
         fib = build_fiber(graph, cap=cap)
-        _run_checks(col, name, fib, CHECK_TOKENS, perm=perm_of(graph.n))
+        _run_checks(col, name, fib, CHECK_TOKENS, maps=maps_of(graph.n))
         got = {str(r): fib.complex.dim(r) for r in fib.complex.degrees()}
         want = entry.get("dims", {})
         if got == want:
@@ -446,7 +450,7 @@ def cmd_suite(args) -> int:
         col.say(f"object: {name}")
         col.check(name, "manifest", False, "manifest entry has no graph file")
     for n in range(1, min(6, cap) + 1):
-        _run_checks(col, f"P{n}", perm_of(n), CHECK_TOKENS)
+        _run_checks(col, f"P{n}", maps_of(n).perm, CHECK_TOKENS, maps=maps_of(n))
     return _finish(col, args)
 
 

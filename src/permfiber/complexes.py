@@ -192,19 +192,15 @@ def unpaired_cells(c: ChainComplex, r: int) -> tuple:
     return tuple(labels[k] for k in _unpaired(c, r))
 
 
-def _levels(c: ChainComplex) -> dict:
-    if c.levels is None:
-        raise ValueError("complex has no filtration levels")
-    return c.levels
-
-
 def _spans(c: ChainComplex) -> dict:
     """(p, q) -> Counter of spans over the cells of level p and degree
     p + q: e - b for a cell in a persistence pair (b, e) of the
     (level, index)-ordered reduction, None for an unpaired cell.
     Cached on the complex."""
     if "spans" not in c._cache:
-        levels = _levels(c)
+        levels = c.levels
+        if levels is None:
+            raise ValueError("complex has no filtration levels")
         order = {n: sorted(range(c.dim(n)), key=ps.__getitem__)
                  for n, ps in levels.items()}
         pairs = _reduce(c, order.get)

@@ -71,11 +71,7 @@ class MultiGraph:
         return len(self.edges)
 
     def vertices(self) -> set:
-        out = set()
-        for u, v in self.edges:
-            out.add(u)
-            out.add(v)
-        return out
+        return {v for edge in self.edges for v in edge}
 
     def is_connected(self) -> bool:
         parent: dict = {}
@@ -281,16 +277,16 @@ def canonical_representative(tree: FiberTree) -> TOPartition:
 class FiberComplex:
     """Chain complex of the fiber over total contraction of ``graph``,
     filtered by width (the size of the root block); the k-block trees
-    sit in degree -k.  ``images`` records t_alpha once for every TO
-    partition alpha: it maps each nondegenerate alpha to the label of
-    its tree and its sign, and leaves out the degenerate ones.
-    ``cells`` maps each degree to the canonical representatives of its
-    trees in basis order, like ``PermComplex.cells``."""
+    sit in degree -k.  ``images`` maps the block masks of every TO
+    partition alpha with a nondegenerate t_alpha to the row of its tree
+    within its degree and the sign of t_alpha: ``images.get`` is the
+    quotient's image (``pushforward``).  ``cells`` maps each degree to
+    the canonical representatives of its trees in basis order."""
 
     graph: MultiGraph
     complex: ChainComplex
     trees: dict       # label -> canonical FiberTree
-    images: dict      # TOPartition alpha -> (tree label, sign of t_alpha)
+    images: dict      # block masks of alpha -> (row of t_alpha, its sign)
     cells: dict       # degree -> canonical representatives in basis order
 
     @property
@@ -308,20 +304,21 @@ def build_fiber(g: MultiGraph, cap: int = DEFAULT_FIBER_CAP) -> FiberComplex:
     degenerate, so its subtree is skipped, and the leaves are the
     nondegenerate alpha.  A tree is known by its nested set, the
     clusters of its blocks (each block's subtree edges), and is built
-    and labelled at the first alpha that reaches it.  The sign of
-    t_alpha is the parity of its order, which lists the canonical ranks
-    of alpha's blocks, so it is the parity of the blocks' least edges in
-    alpha's order.  Each prefix carries that parity so far, with the
-    mask of the least edges seen: a block with least edge m adds one
-    inversion for each seen least edge above m.
+    at the first alpha that reaches it; ``images`` holds its number
+    until the sorted labels give its row.  The sign of t_alpha is the
+    parity of its order, which lists the canonical ranks of alpha's
+    blocks, so it is the parity of the blocks' least edges in alpha's
+    order.  Each prefix carries that parity so far, with the mask of
+    the least edges seen: a block with least edge m adds one inversion
+    for each seen least edge above m.
     """
     n = g.n
     if n > cap:
         raise ValueError(f"graph has {n} edges, above the cap {cap}")
     table = _cluster_table(g)
-    trees: dict = {}
+    found: list = []      # the trees, in the order found
     images: dict = {}
-    label_of: dict = {}   # nested set -> label, rendered once per tree
+    tree_of: dict = {}    # nested set -> its tree's index in found
     # (edges contracted, blocks, their clusters, least edges seen, sign)
     prefixes = [(0, (), (), 0, 1)]
     while prefixes:
@@ -329,12 +326,11 @@ def build_fiber(g: MultiGraph, cap: int = DEFAULT_FIBER_CAP) -> FiberComplex:
         left = (1 << n) - 1 ^ done
         if not left:
             nested = frozenset(clusters)
-            lab = label_of.get(nested)
-            if lab is None:
-                t = _tree(blocks, clusters, False)
-                lab = label_of[nested] = t.label()
-                trees[lab] = t.canonical()
-            images[TOPartition(n, blocks)] = (lab, sign)
+            t = tree_of.get(nested)
+            if t is None:
+                t = tree_of[nested] = len(found)
+                found.append(_tree(blocks, clusters, False))
+            images[blocks] = (t, sign)
             continue
         block = left
         while block:
@@ -346,11 +342,18 @@ def build_fiber(g: MultiGraph, cap: int = DEFAULT_FIBER_CAP) -> FiberComplex:
                                  clusters + (cluster,), seen | least,
                                  -sign if flip else sign))
             block = block - 1 & left
+    labels = [t.label() for t in found]
     basis: dict = {}
-    for lab in sorted(trees):
-        basis.setdefault(-len(trees[lab].blocks), []).append(lab)
-    cells = {r: tuple(canonical_representative(trees[lab]) for lab in labels)
-             for r, labels in basis.items()}
+    row = [0] * len(found)
+    for t in sorted(range(len(found)), key=labels.__getitem__):
+        degree = basis.setdefault(-len(found[t].blocks), [])
+        row[t] = len(degree)
+        degree.append(labels[t])
+    for blocks, (t, sign) in images.items():
+        images[blocks] = (row[t], sign)
+    trees = {lab: t.canonical() for lab, t in zip(labels, found)}
+    cells = {r: tuple(canonical_representative(trees[lab]) for lab in degree)
+             for r, degree in basis.items()}
     return FiberComplex(g, quotient_complex(basis, cells, images.get),
                         trees, images, cells)
 
@@ -363,13 +366,11 @@ def perm_to_fiber(fiber: FiberComplex, perm: PermComplex) -> ChainMap:
     n, source, target = fiber.n, perm.complex, fiber.complex
     matrices = {}
     for r, alphas in perm.cells.items():
-        row_index = {lab: i for i, lab in enumerate(target.labels(r - n))}
         entries = {}
         for j, alpha in enumerate(alphas):
-            image = fiber.images.get(alpha)
-            if image is not None:
-                lab, sign = image
-                entries[(row_index[lab], j)] = sign
+            hit = fiber.images.get(alpha.blocks)
+            if hit is not None:
+                entries[(hit[0], j)] = hit[1]
         if entries:
             matrices[r] = SparseMatrix.from_entries(
                 target.dim(r - n), source.dim(r), entries)
@@ -399,19 +400,16 @@ def push_forward_well_defined(fiber: FiberComplex) -> WellDefinednessReport:
     """Check that every TO partition alpha with a nondegenerate t_alpha
     pushes its differential forward to the stored differential of its
     tree, times the sign of t_alpha.  One pass over ``images``, against
-    the columns of d read once."""
+    the column of d at the tree's row."""
     c = fiber.complex
-    columns: dict = {}    # tree label -> {target label: coefficient}
-    for r, d in c.differentials.items():
-        target = c.labels(r - 1)
-        for lab, column in zip(c.labels(r), d.columns):
-            columns[lab] = {target[i]: v for i, v in column.items()}
     checked = 0
-    for alpha, (lab, sign) in fiber.images.items():
-        expected = {t: sign * v for t, v in columns.get(lab, {}).items()}
-        if pushforward(alpha, fiber.images.get) != expected:
+    for blocks, (row, sign) in fiber.images.items():
+        d = c.differentials.get(-len(blocks))
+        want = {} if d is None else {i: sign * v for i, v in d.columns[row].items()}
+        if pushforward(blocks, fiber.images.get) != want:
+            alpha = TOPartition(fiber.n, blocks)
             return WellDefinednessReport(
-                False, checked, lab,
+                False, checked, c.labels(-len(blocks))[row],
                 detail=f"pushforward of {alpha.pretty()} disagrees")
         checked += 1
     return WellDefinednessReport(True, checked)

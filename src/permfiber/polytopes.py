@@ -11,10 +11,10 @@ from .complexes import ChainComplex, ChainMap
 from .linalg import SparseMatrix
 from .topartitions import (
     TOPartition,
-    differential_terms,
     enumerate_topartitions,
     format_block,
     parity,
+    splits,
     width,
 )
 
@@ -39,10 +39,13 @@ class PermComplex:
 @dataclass(frozen=True)
 class SimplexComplex:
     """Standard simplicial chains of the (n-1)-simplex on vertices {1..n};
-    degree p-1 holds the p-element subsets, with no augmentation."""
+    degree p-1 holds the p-element subsets, with no augmentation.
+    ``rows`` maps each subset, as a mask (element x at bit x-1), to its
+    index within its degree."""
 
     n: int
     complex: ChainComplex
+    rows: dict
 
 
 def build_perm(n: int, cap: int = DEFAULT_PERM_CAP) -> PermComplex:
@@ -54,45 +57,44 @@ def build_perm(n: int, cap: int = DEFAULT_PERM_CAP) -> PermComplex:
     basis = {}
     for r, alphas in cells.items():
         basis[r], cells[r] = zip(*sorted((alpha.label(), alpha) for alpha in alphas))
-    return PermComplex(n, quotient_complex(basis, cells, _unit), cells)
+    table = {alpha.blocks: (j, 1) for alphas in cells.values()
+             for j, alpha in enumerate(alphas)}
+    return PermComplex(n, quotient_complex(basis, cells, table.get), cells)
 
 
-def _unit(alpha: TOPartition) -> tuple:
-    return alpha, 1
+def pushforward(blocks: tuple, image) -> dict:
+    """Image of d(alpha) in a quotient of P_n, for alpha with block masks
+    ``blocks``: row -> coefficient.
 
-
-def pushforward(alpha: TOPartition, image) -> dict:
-    """Image of d(alpha) in a quotient of P_n: basis key -> coefficient.
-
-    ``image(beta)`` is the (basis key, sign) of the class of the TO
-    partition beta, or None when beta is zero in the quotient; P_n itself
-    is the quotient by the identity, ``alpha -> (alpha, 1)``.
+    ``image(beta)`` is the (row, sign) of the class of the TO partition
+    with block masks beta, the row indexing the class within its degree,
+    or None when beta is zero in the quotient.  P_n itself is the
+    quotient whose image sends each cell to its own row with sign 1.
     """
     acc: dict = {}
-    for term in differential_terms(alpha):
-        hit = image(term.partition)
-        if hit is None:
-            continue
-        key, sign = hit
-        acc[key] = acc.get(key, 0) + term.sign * sign
-    return {key: v for key, v in acc.items() if v}
+    for beta, sign in splits(blocks):
+        hit = image(beta)
+        if hit is not None:
+            row, s = hit
+            acc[row] = acc.get(row, 0) + sign * s
+    return {row: v for row, v in acc.items() if v}
 
 
 def quotient_complex(basis: dict, cells: dict, image) -> ChainComplex:
     """A quotient of P_n, filtered by width.  ``basis`` and ``cells`` map
     each degree to its labels and to one TO partition representing each
-    label, in basis order; column j of d_r is the pushforward of
-    d(cells[r][j]) divided by the sign of cells[r][j] itself."""
+    label, in basis order, and ``image`` is the quotient's image, as in
+    ``pushforward``: it sends cells[r][j] to row j with some sign.  Column
+    j of d_r is the pushforward of d(cells[r][j]) divided by that sign."""
     diffs = {}
     for r in sorted(cells):
         if r - 1 not in cells:
             continue
-        row = {image(beta)[0]: i for i, beta in enumerate(cells[r - 1])}
         entries = {}
         for j, alpha in enumerate(cells[r]):
-            sign = image(alpha)[1]
-            for key, value in pushforward(alpha, image).items():
-                entries[(row[key], j)] = sign * value
+            sign = image(alpha.blocks)[1]
+            for i, value in pushforward(alpha.blocks, image).items():
+                entries[(i, j)] = sign * value
         diffs[r] = SparseMatrix.from_entries(len(cells[r - 1]), len(cells[r]), entries)
     levels = {r: tuple(map(width, alphas)) for r, alphas in cells.items()}
     return ChainComplex.build(basis, diffs, levels)
@@ -103,11 +105,11 @@ def build_simplex(n: int) -> SimplexComplex:
         raise ValueError("n must be at least 1")
     bits = [1 << x for x in range(n)]
     basis = {}
-    index = {}
+    rows = {}
     for p in range(1, n + 1):
         subsets = [sum(s) for s in combinations(bits, p)]
         basis[p - 1] = tuple(format_block(s, n) for s in subsets)
-        index[p - 1] = {s: j for j, s in enumerate(subsets)}
+        rows.update((s, j) for j, s in enumerate(subsets))
     diffs = {}
     for p in range(2, n + 1):
         entries = {}
@@ -115,10 +117,10 @@ def build_simplex(n: int) -> SimplexComplex:
             whole = sum(s)
             for i, bit in enumerate(s):
                 sign = -1 if i % 2 else 1
-                entries[(index[p - 2][whole ^ bit], j)] = sign
+                entries[(rows[whole ^ bit], j)] = sign
         diffs[p - 1] = SparseMatrix.from_entries(
             len(basis[p - 2]), len(basis[p - 1]), entries)
-    return SimplexComplex(n, ChainComplex.build(basis, diffs))
+    return SimplexComplex(n, ChainComplex.build(basis, diffs), rows)
 
 
 def blowdown_support(alpha: TOPartition):
@@ -142,11 +144,9 @@ def blowdown_matrices(cells: dict, image, simplex: SimplexComplex) -> dict:
     """Blow-down on a quotient of P_n, degree by degree: the class of a
     representative alpha in ``cells`` whose blocks other than the least
     are singletons goes to its least block, with ``blowdown_coefficient``
-    over the sign of alpha's own class (see ``quotient_complex``); every
-    other class goes to zero."""
-    n = simplex.n
-    rows = {p: {lab: i for i, lab in enumerate(simplex.complex.labels(p - 1))}
-            for p in range(1, n + 1)}
+    over the sign of alpha's own class under ``image`` (see
+    ``quotient_complex``; None for P_n itself, where every sign is 1);
+    every other class goes to zero."""
     matrices = {}
     for r in sorted(cells):
         entries = {}
@@ -155,8 +155,8 @@ def blowdown_matrices(cells: dict, image, simplex: SimplexComplex) -> dict:
             if block is None:
                 continue
             p = block.bit_count()
-            coefficient = image(alpha)[1] * blowdown_coefficient(alpha)
-            entries[(rows[p][format_block(block, n)], j)] = coefficient
+            sign = 1 if image is None else image(alpha.blocks)[1]
+            entries[(simplex.rows[block], j)] = sign * blowdown_coefficient(alpha)
         if entries:
             matrices[r] = SparseMatrix.from_entries(
                 simplex.complex.dim(p - 1), len(cells[r]), entries)
@@ -169,7 +169,7 @@ def perm_to_simplex(perm: PermComplex, simplex: SimplexComplex) -> ChainMap:
     blocks singletons goes to its least block in degree p with
     coefficient ``blowdown_coefficient``, everything else to zero.
     The map is not checked here; ``verify_chain_map`` does that."""
-    matrices = blowdown_matrices(perm.cells, _unit, simplex)
+    matrices = blowdown_matrices(perm.cells, None, simplex)
     # P1 has a single cell, mapped with +1: the unit sign.
     convention = "unit" if perm.n == 1 else "ordering_parity"
     return ChainMap.build(perm.complex, simplex.complex, 0, matrices,

@@ -98,24 +98,25 @@ def _ordered_partitions(n: int) -> Iterator[tuple]:
             yield rest[:i] + (bit,) + rest[i:]
 
 
-def differential_terms(alpha: TOPartition) -> list:
-    """One signed term per ordered split of one block into two.
+def splits(blocks: tuple) -> Iterator[tuple]:
+    """(block masks, sign) of each ordered split of one of ``blocks`` in two.
 
     Splitting the i-th block from the left (1-based) into B' > B''
     carries the sign (-1)**(i-1); there are 2**|B| - 2 ordered splits
     of a block B, taken with B' ascending as a mask.
     """
-    terms = []
-    blocks = alpha.blocks
     for i, block in enumerate(blocks):
         sign = -1 if i % 2 else 1
         head, tail = blocks[:i], blocks[i + 1:]
         first = -block & block
         while first != block:
-            terms.append(SignedTerm(
-                TOPartition(alpha.n, head + (first, block ^ first) + tail), sign))
+            yield head + (first, block ^ first) + tail, sign
             first = first - block & block
-    return terms
+
+
+def differential_terms(alpha: TOPartition) -> list:
+    """One signed term per ordered split of one block into two (``splits``)."""
+    return [SignedTerm(TOPartition(alpha.n, b), s) for b, s in splits(alpha.blocks)]
 
 
 def width(alpha: TOPartition) -> int:

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from permfiber.cli import CHECK_TOKENS, Collector, _run_checks, main
+from permfiber.cli import CHECK_TOKENS, Collector, _maps, _run_checks, main
 from permfiber.complexes import ChainComplex
 from permfiber.linalg import SparseMatrix
 from permfiber.polytopes import SimplexComplex
@@ -57,24 +57,31 @@ def test_caps_above_the_ceiling(capsys, monkeypatch, corpus_dir):
     monkeypatch.setattr("permfiber.cli.build_perm", refuse)
     monkeypatch.setattr("permfiber.cli.build_fiber", refuse)
     graph = str(corpus_dir / "path3.edges")
+    corpus = str(corpus_dir)
     cases = [
-        (("perm", "--n", "20", "--cap", "20"), None, "--cap 20", 8),
-        (("perm", "--n", "20"), "20", "PERMFIBER_CAP 20", 8),
-        (("perm", "--n", "3", "--cap", "9"), None, "--cap 9", 8),
-        (("fiber", "--graph", graph, "--cap", "10"), None, "--cap 10", 9),
-        (("fiber", "--graph", graph), "10", "PERMFIBER_CAP 10", 9),
-        (("suite", "--corpus", str(corpus_dir), "--cap", "10"), None, "--cap 10", 8),
-        (("suite", "--corpus", str(corpus_dir)), "10", "PERMFIBER_CAP 10", 8),
-        (("simplex", "--n", "3"), "10", "PERMFIBER_CAP 10", 9),
+        (("perm", "--n", "20", "--cap", "20"), None, "--cap 20 is above the ceiling 8"),
+        (("perm", "--n", "20"), "20", "PERMFIBER_CAP 20 is above the ceiling 8"),
+        (("perm", "--n", "3", "--cap", "9"), None, "--cap 9 is above the ceiling 8"),
+        (("fiber", "--graph", graph, "--cap", "10"), None, "--cap 10 is above the ceiling 9"),
+        (("fiber", "--graph", graph), "10", "PERMFIBER_CAP 10 is above the ceiling 9"),
+        (("suite", "--corpus", corpus, "--cap", "10"), None,
+         "--cap 10 is above the ceiling 8"),
+        (("suite", "--corpus", corpus), "10", "PERMFIBER_CAP 10 is above the ceiling 8"),
+        (("simplex", "--n", "3"), "10", "PERMFIBER_CAP 10 is above the ceiling 9"),
+        # and below 1: no cap admits a complex
+        (("suite", "--corpus", corpus, "--cap", "0"), None, "--cap must be at least 1, got 0"),
+        (("perm", "--n", "3", "--cap", "-1"), None, "--cap must be at least 1, got -1"),
+        (("fiber", "--graph", graph), "0", "PERMFIBER_CAP must be at least 1, got 0"),
+        (("simplex", "--n", "3"), "-2", "PERMFIBER_CAP must be at least 1, got -2"),
     ]
-    for argv, env, source, ceiling in cases:
+    for argv, env, message in cases:
         if env is None:
             monkeypatch.delenv("PERMFIBER_CAP", raising=False)
         else:
             monkeypatch.setenv("PERMFIBER_CAP", env)
         code, out, err = run_cli(capsys, *argv)
         assert code == 2 and out == "", argv
-        assert err == f"error: {source} is above the ceiling {ceiling}\n", argv
+        assert err == f"error: {message}\n", argv
 
 
 class _Built(Exception):
@@ -118,6 +125,10 @@ def test_pages_above_n_plus_one(capsys, monkeypatch, corpus_dir):
         (("perm", "--n", "1", "--pages", "3"), "--pages must be at most n+1 (2), got 3"),
         (("fiber", "--graph", str(corpus_dir / "path3.edges"), "--pages", "5"),
          "--pages must be at most n+1 (4), got 5"),
+        # -1 omits the pages; nothing below it means anything
+        (("perm", "--n", "3", "--pages", "-3"), "--pages must be at least -1, got -3"),
+        (("fiber", "--graph", str(corpus_dir / "path3.edges"), "--pages", "-2"),
+         "--pages must be at least -1, got -2"),
     ]
     for argv, message in cases:
         code, out, err = run_cli(capsys, *argv)
@@ -234,17 +245,19 @@ def _flip_one_sign(c: ChainComplex, degree: int, key=None) -> ChainComplex:
 def test_battery_reports_a_flipped_sign(perms, simplexes, corpus_fibers):
     perm = perms[3]
     fib = corpus_fibers["path3"]
+    # the flipped P3 builds its own maps; the fiber maps from the intact P3
     cases = [
         ("P3", dataclasses.replace(perm, complex=_flip_one_sign(perm.complex, 1)),
-         CHECK_TOKENS, 2, 2),
+         CHECK_TOKENS, 2, 2, None),
         ("path3", dataclasses.replace(fib, complex=_flip_one_sign(fib.complex, -2)),
-         CHECK_TOKENS, -1, -1),
-        ("D2", SimplexComplex(3, _flip_one_sign(simplexes[3].complex, 1)),
-         ("d2", "homology"), 2, -1),
+         CHECK_TOKENS, -1, -1, _maps(perm)),
+        ("D2", dataclasses.replace(
+            simplexes[3], complex=_flip_one_sign(simplexes[3].complex, 1)),
+         ("d2", "homology"), 2, -1, None),
     ]
-    for name, obj, checks, degree, pages in cases:
+    for name, obj, checks, degree, pages, maps in cases:
         col = Collector()
-        _run_checks(col, name, obj, checks, pages, perm=perm)
+        _run_checks(col, name, obj, checks, pages, maps=maps)
         assert col.failed, name
         assert f"check d2: FAIL (fails at degree {degree})" in col.lines, name
         assert "check homology: FAIL (skipped: d2 failed)" in col.lines, name
@@ -274,7 +287,7 @@ def test_maps_check_of_a_complex_that_fails_d2(perms, corpus_fibers):
     # a fiber whose P_3 fails d^2 while both of its maps commute
     broken = dataclasses.replace(perm, complex=_flip_one_sign(perm.complex, 2, (1, 0)))
     col = Collector()
-    _run_checks(col, "path3", corpus_fibers["path3"], ("maps",), perm=broken)
+    _run_checks(col, "path3", corpus_fibers["path3"], ("maps",), maps=_maps(broken))
     assert col.lines[-1] == ("check maps: FAIL (chain maps=true, cones acyclic=false, "
                              "factorization=true, well-defined=true; skipped: d2 failed)")
 
@@ -303,7 +316,7 @@ def test_homology_failure_names_degree_and_cell(monkeypatch, perms):
     acyclic = ChainComplex.build({0: ("a",), 1: ("b",)},
                                  {1: SparseMatrix.from_entries(1, 1, {(0, 0): 1})})
     col = Collector()
-    _run_checks(col, "C", SimplexComplex(2, acyclic), ("homology",))
+    _run_checks(col, "C", SimplexComplex(2, acyclic, {}), ("homology",))
     assert col.lines[-1] == "check homology: FAIL (zero; no class at degree 0)"
 
 
@@ -323,7 +336,7 @@ def test_maps_failure_names_degree_and_cell(capsys, monkeypatch, perms, corpus_f
     fib = corpus_fibers["path3"]
     flipped = dataclasses.replace(fib, complex=_flip_one_sign(fib.complex, -2))
     col = Collector()
-    _run_checks(col, "path3", flipped, ("maps",), perm=perms[3])
+    _run_checks(col, "path3", flipped, ("maps",), maps=_maps(perms[3]))
     [line] = [line for line in col.lines if line.startswith("check maps")]
     assert "; fiber->simplex does not commute at degree -2, cell ({12} ({3}))" in line
     assert line.endswith("; not well defined at tree ({12} ({3})))")
@@ -360,6 +373,53 @@ def test_passing_suite_builds_no_cone_and_no_second_pushforward(
     code, out, _ = run_cli(capsys, "suite", "--corpus", str(corpus_dir))
     assert code == 0 and out.count("check maps: pass") == 20
     assert calls == []
+
+
+def test_suite_builds_one_simplex_and_one_blowdown_per_n(capsys, monkeypatch,
+                                                         corpus_dir):
+    """Every fiber with n edges and the P_n battery share one simplex on n
+    vertices and one blow-down of P_n, so each is built once per n."""
+    import permfiber.cli as cli
+    simplexes, blowdowns = [], []
+    build_simplex, perm_to_simplex = cli.build_simplex, cli.perm_to_simplex
+    monkeypatch.setattr(cli, "build_simplex",
+                        lambda n: simplexes.append(n) or build_simplex(n))
+    monkeypatch.setattr(cli, "perm_to_simplex", lambda perm, simplex:
+                        blowdowns.append(perm.n) or perm_to_simplex(perm, simplex))
+    code, out, _ = run_cli(capsys, "suite", "--corpus", str(corpus_dir))
+    assert code == 0 and out.count("check maps: pass") == 20
+    assert sorted(simplexes) == sorted(blowdowns) == [1, 2, 3, 4, 5, 6]
+
+
+def test_fiber_verdicts_are_invariant_under_relabelling(corpus_graphs, perms):
+    """Renaming the vertices, reversing edges and reordering the edge
+    list (a seeded shuffle per graph) changes edge ids, so labels and
+    basis orders, but not the fiber: its dims, its pages E^0 to E^2 and
+    every verdict of the battery, maps included, stay the same."""
+    import random
+    from permfiber.fiber import MultiGraph, build_fiber
+    moved = 0   # graphs whose fiber changes its labels or its matrices
+    for name, g in sorted(corpus_graphs.items()):
+        rng = random.Random(name)
+        vertices = sorted(g.vertices())
+        rename = dict(zip(vertices, rng.sample(range(100), len(vertices))))
+        edges = [(rename[v], rename[u]) if rng.random() < 0.5 else (rename[u], rename[v])
+                 for u, v in g.edges]
+        rng.shuffle(edges)
+        runs, fibers = [], []
+        for graph in (g, MultiGraph.from_edges(edges)):
+            col = Collector()
+            fibers.append(build_fiber(graph))
+            _run_checks(col, name, fibers[-1], CHECK_TOKENS, 2, _maps(perms[g.n]))
+            runs.append(col)
+        before, after = runs
+        moved += fibers[0].complex != fibers[1].complex
+        assert after.dims_rows == before.dims_rows, name
+        assert after.pages_rows == before.pages_rows, name
+        assert after.checks_rows == before.checks_rows, name
+        assert len(before.checks_rows) == len(CHECK_TOKENS), name
+        assert after.lines == before.lines, name
+    assert moved >= 5
 
 
 def test_fiber_koszul(capsys, corpus_dir):

@@ -27,8 +27,9 @@ from permfiber.fiber import (
     push_forward_well_defined,
 )
 from permfiber.linalg import SparseMatrix
-from permfiber.polytopes import perm_to_simplex
+from permfiber.polytopes import build_perm, build_simplex, perm_to_simplex
 from permfiber.topartitions import (
+    TOPartition,
     enumerate_topartitions,
     parse_topartition,
 )
@@ -223,7 +224,12 @@ def test_degenerate_pushforward_vanishes(corpus_graphs, corpus_fibers):
         images = corpus_fibers[name].images
         for alpha in enumerate_topartitions(g.n):
             if fiber_element(g, alpha).degenerate:
-                assert pushforward(alpha, images.get) == {}, (name, alpha.pretty())
+                assert pushforward(alpha.blocks, images.get) == {}, (name, alpha.pretty())
+
+
+def _image_label(fib, blocks) -> str:
+    """The label of the tree that ``fib.images`` sends ``blocks`` to."""
+    return fib.complex.labels(-len(blocks))[fib.images[blocks][0]]
 
 
 def test_images_record_every_nondegenerate_fiber_element(corpus_fibers):
@@ -232,9 +238,11 @@ def test_images_record_every_nondegenerate_fiber_element(corpus_fibers):
         for alpha in enumerate_topartitions(fib.n):
             t = fiber_element(fib.graph, alpha)
             if not t.degenerate:
-                want[alpha] = (t.canonical().label(), t.sign)
+                r = -len(alpha.blocks)
+                want[alpha.blocks] = (fib.complex.labels(r).index(t.canonical().label()),
+                                      t.sign)
         assert fib.images == want, name
-        assert {lab for lab, _ in fib.images.values()} == set(fib.trees), name
+        assert {_image_label(fib, b) for b in fib.images} == set(fib.trees), name
 
 
 def test_build_fiber_enumerates_no_topartitions(monkeypatch, corpus_graphs,
@@ -254,6 +262,34 @@ def test_build_fiber_enumerates_no_topartitions(monkeypatch, corpus_graphs,
         assert fib.trees == want.trees, name
         assert fib.complex == want.complex, name
         assert fib.cells == want.cells, name
+
+
+def test_quotients_and_maps_build_without_differential_terms(
+        monkeypatch, corpus_graphs, corpus_fibers, perms):
+    """P_n, a fiber and its three maps find every row from block masks
+    (``topartitions.splits`` and the images), never from the TOPartition
+    terms of ``differential_terms``."""
+    import sys
+    import permfiber.topartitions as topartitions
+
+    def refuse(alpha):
+        raise AssertionError(f"differential_terms({alpha.label()})")
+
+    real = topartitions.differential_terms
+    bound = [module for name, module in sorted(sys.modules.items())
+             if (name == "permfiber" or name.startswith("permfiber."))
+             and getattr(module, "differential_terms", None) is real]
+    assert topartitions in bound
+    for module in bound:
+        monkeypatch.setattr(module, "differential_terms", refuse)
+    perm, simplex = build_perm(4), build_simplex(4)
+    fib = build_fiber(corpus_graphs["cycle4"])
+    assert perm.complex == perms[4].complex
+    assert fib.complex == corpus_fibers["cycle4"].complex
+    for f in (perm_to_simplex(perm, simplex), perm_to_fiber(fib, perm),
+              fiber_to_simplex(fib, simplex)):
+        assert verify_chain_map(f).passed
+    assert push_forward_well_defined(fib).passed
 
 
 def test_build_fiber_leaves_no_garbage_cycles(corpus_graphs):
@@ -384,7 +420,7 @@ def test_factorization_through_fiber(perms, simplexes, corpus_fibers):
 def test_push_forward_well_defined_star_vacuous(corpus_fibers):
     fib = corpus_fibers["star3"]
     # one representative per tree: images is a bijection onto the trees
-    labels = [lab for lab, _ in fib.images.values()]
+    labels = [_image_label(fib, b) for b in fib.images]
     assert sorted(labels) == sorted(fib.trees)
     report = push_forward_well_defined(fib)
     assert report.passed and report.checked == 13 and report.label is None
@@ -422,9 +458,9 @@ def test_perm_to_fiber_commutes_exactly_when_well_defined(perms, corpus_fibers):
                      r: SparseMatrix.from_entries(d.rows, d.cols, entries)}
             cases.append((f"path3 d_{r}{key}", dataclasses.replace(
                 fib, complex=ChainComplex.build(c.basis, diffs, c.levels))))
-    for alpha, (lab, sign) in fib.images.items():
-        cases.append((f"path3 {alpha.label()}", dataclasses.replace(
-            fib, images={**fib.images, alpha: (lab, -sign)})))
+    for blocks, (row, sign) in fib.images.items():
+        cases.append((f"path3 {TOPartition(3, blocks).label()}", dataclasses.replace(
+            fib, images={**fib.images, blocks: (row, -sign)})))
     for name, case in cases:
         commutes = verify_chain_map(perm_to_fiber(case, perms[case.n])).passed
         assert commutes is push_forward_well_defined(case).passed, name
@@ -447,8 +483,8 @@ def test_push_forward_reports_the_tree_of_a_flipped_entry(corpus_fibers):
     assert report.label == c.labels(-2)[key[1]]
     assert report.detail.startswith("pushforward of ")
     # every representative met before the first failure agrees
-    assert all(lab != report.label for lab, _ in
-               list(fib.images.values())[:report.checked])
+    assert all(_image_label(fib, b) != report.label
+               for b in list(fib.images)[:report.checked])
 
 
 def test_koszul_check_path3(corpus_fibers):

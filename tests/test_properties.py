@@ -7,7 +7,7 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from permfiber.cli import CHECK_TOKENS, Collector, _run_checks  # noqa: E402
+from permfiber.cli import CHECK_TOKENS, Collector, _maps, _run_checks  # noqa: E402
 from permfiber.fiber import MultiGraph, build_fiber  # noqa: E402
 
 from oracles import fiber_tree_sets, nested_set_counts, nondegenerate_count  # noqa: E402
@@ -41,6 +41,6 @@ def test_random_multigraph_fibers(perms, edges):
     assert dims == nested_set_counts(g.edges), edges
     assert len(fib.images) == nondegenerate_count(g.edges), edges
     col = Collector()
-    _run_checks(col, "g", fib, CHECK_TOKENS, pages=2, perm=perms[g.n])
+    _run_checks(col, "g", fib, CHECK_TOKENS, pages=2, maps=_maps(perms[g.n]))
     assert not col.failed, (edges, col.lines)
     assert sorted(row.split(",")[1] for row in col.checks_rows) == sorted(CHECK_TOKENS)
