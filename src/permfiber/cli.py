@@ -39,14 +39,12 @@ from .fiber import (
     perm_to_fiber,
     push_forward_well_defined,
 )
-from .polytopes import DEFAULT_PERM_CAP, build_perm, build_simplex, perm_to_simplex
+from .polytopes import PERM_CAP, build_perm, build_simplex, perm_to_simplex
 
 CAP_ENV_VAR = "PERMFIBER_CAP"
-# Fixed ceilings on any --cap or PERMFIBER_CAP: P8 has Fubini(8) = 545,835
-# cells, and a 9-edge fiber has at most Fubini(9) TO partitions to visit.
-# The maps check of an n-edge fiber builds P_n, so it stays under the
-# perm ceiling; suite always runs it.
-PERM_CAP_CEILING = 8
+# Fixed ceilings on any --cap or PERMFIBER_CAP: PERM_CAP (also perm's default),
+# and for fiber 9, since a 9-edge fiber has at most Fubini(9) TO partitions to
+# visit.  The maps check of an n-edge fiber builds P_n, and suite always runs it.
 FIBER_CAP_CEILING = 9
 CHECK_TOKENS = ("d2", "homology", "maps", "koszul")
 
@@ -317,7 +315,7 @@ def _collector(args) -> Collector:
 
 
 def cmd_perm(args) -> int:
-    cap = _cap(args.cap, DEFAULT_PERM_CAP, PERM_CAP_CEILING)
+    cap = _cap(args.cap, PERM_CAP, PERM_CAP)
     if not 1 <= args.n <= cap:
         raise InvalidInput(f"--n must satisfy 1 <= n <= cap ({cap}), got {args.n}")
     checks = _parse_checks(args.checks)
@@ -359,9 +357,9 @@ def cmd_fiber(args) -> int:
         raise InvalidInput(f"graph has {graph.n} edges, above the cap {cap}")
     checks = _parse_checks(args.checks)
     _check_pages(args.pages, graph.n)
-    if "maps" in checks and graph.n > PERM_CAP_CEILING:
+    if "maps" in checks and graph.n > PERM_CAP:
         raise InvalidInput(f"check maps builds P{graph.n}, "
-                           f"above the ceiling {PERM_CAP_CEILING}")
+                           f"above the ceiling {PERM_CAP}")
     col = _collector(args)
     fib = build_fiber(graph, cap=cap)
     maps = _maps(build_perm(graph.n, cap=cap)) if "maps" in checks else None
@@ -391,7 +389,7 @@ def _check_manifest(manifest, path: Path) -> None:
 
 
 def cmd_suite(args) -> int:
-    cap = _cap(args.cap, DEFAULT_FIBER_CAP, PERM_CAP_CEILING)
+    cap = _cap(args.cap, DEFAULT_FIBER_CAP, PERM_CAP)
     corpus = Path(args.corpus)
     if not corpus.is_dir():
         raise InvalidInput(f"corpus directory not found: {corpus}")

@@ -6,11 +6,11 @@ Complexes are graded homologically with a sparse differential matrix
 per degree.  Basis labels are opaque strings, unique across the whole
 complex, so one engine serves permutohedra, simplices and fibers.  A
 filtered complex is a complex with one level per cell, held by index.
-Homology and every spectral page come from one reduction of the whole
-complex (``linalg.pivots``, top degree down, with clearing), cached on
-the complex: in index order for d^2, homology and maps, and in (level,
-index) order for the pages, whose dimensions are read off the
-persistence pairs.
+d^2, homology, the class test and every spectral page are read off one
+reduction of the whole complex (``linalg.pivots``, top degree down,
+with clearing), cached on the complex.  It takes a filtered complex's
+cells in (level, index) order, so its pivot pairs are the persistence
+pairs, and an unfiltered one's in index order.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping
 
-from .linalg import SparseMatrix, multiply, pivots, product_vanishes, rank
+from .linalg import SparseMatrix, _times, multiply, pivots, product_vanishes, rank
 
 
 @dataclass(frozen=True, eq=True)
@@ -42,12 +42,8 @@ class ChainComplex:
         diffs = {}
         for r, m in differentials.items():
             r = int(r)
-            want_rows = len(basis_t.get(r - 1, ()))
-            want_cols = len(basis_t.get(r, ()))
-            if (m.rows, m.cols) != (want_rows, want_cols):
-                raise ValueError(
-                    f"differential at degree {r} is {m.rows}x{m.cols}, "
-                    f"expected {want_rows}x{want_cols}")
+            _check_matrix(m, len(basis_t.get(r - 1, ())), len(basis_t.get(r, ())),
+                          f"differential at degree {r}")
             if not m.is_zero():
                 diffs[r] = m
         if levels is not None:
@@ -87,6 +83,18 @@ class ChainComplex:
         return m
 
 
+def _check_matrix(m: SparseMatrix, rows: int, cols: int, what: str) -> None:
+    """Refuse m unless it is rows x cols with every entry in its rows, a
+    negative row included, which a list would index silently.  A matrix
+    is checked here, once, where it joins a complex or a map."""
+    if (m.rows, m.cols) != (rows, cols):
+        raise ValueError(f"{what} is {m.rows}x{m.cols}, expected {rows}x{cols}")
+    for column in m.columns:
+        if column and (min(column) < 0 or max(column) >= m.rows):
+            row = min(column) if min(column) < 0 else max(column)
+            raise ValueError(f"{what} has an entry in row {row}, outside its {m.rows} rows")
+
+
 @dataclass(frozen=True)
 class D2Report:
     passed: bool
@@ -97,11 +105,11 @@ class D2Report:
 def verify_d_squared(c: ChainComplex) -> D2Report:
     """Pass iff d_r . d_{r+1} vanishes in every degree.
 
-    The check rides on the index-order reduction that homology reads
-    (``_reduce``), and a passing check caches its pivot pairs.  On a
-    failure the products are formed whole, lowest degree first, so the
-    report names the least (row, col) entry of the lowest failing
-    product.  The report is cached on the complex."""
+    The check rides on the one reduction that homology, the class test
+    and the pages read (``_reduce``), and a passing check caches its
+    pivot pairs.  On a failure the products are formed whole, lowest
+    degree first, so the report names the least (row, col) entry of the
+    lowest failing product.  The report is cached on the complex."""
     if "d2" in c._cache:
         return c._cache["d2"]
     pairs = _reduce(c, verify=True)
@@ -132,13 +140,14 @@ def _require_complex(c: ChainComplex) -> None:
         raise ValueError(f"not a chain complex: d^2 != 0 at degree {report.degree}")
 
 
-def _reduce(c: ChainComplex, order=lambda n: None, verify=False) -> dict | None:
+def _reduce(c: ChainComplex, verify=False) -> dict | None:
     """degree n -> the (row, col) pivot pairs of d_n, from one reduction
     of the whole complex.  It runs from the top degree down, and a
     column of d_n that is a pivot row of d_{n+1} is a boundary, hence a
-    cycle since d^2 = 0, so it is cleared instead of reduced.
-    ``order(n)`` lists the degree-n cells in the order the reduction
-    takes them, None for index order.
+    cycle since d^2 = 0, so it is cleared instead of reduced.  The cells
+    of a filtered complex are taken in (level, index) order, so the
+    pairs are its persistence pairs; an unfiltered complex's in index
+    order.
 
     With ``verify``, d^2 = 0 is proved on the way, and None returned
     when it fails.  Before d_n is reduced, d_n is applied to the pivot
@@ -146,7 +155,10 @@ def _reduce(c: ChainComplex, order=lambda n: None, verify=False) -> dict | None:
     reduced to zero against earlier columns, or was cleared, and a
     cleared column is a combination of earlier ones once
     d_{n+1} d_{n+2} = 0 is known, which the step before proved.  So
-    d_n d_{n+1} = 0 exactly when d_n kills those columns."""
+    d_n d_{n+1} = 0 exactly when d_n kills those columns, whatever the
+    order the cells are taken in."""
+    order = {n: sorted(range(len(ps)), key=ps.__getitem__)
+             for n, ps in (c.levels or {}).items()}
     pairs: dict = {}
     for n in sorted(c.differentials, reverse=True):
         above = pairs.get(n + 1, ())
@@ -154,13 +166,13 @@ def _reduce(c: ChainComplex, order=lambda n: None, verify=False) -> dict | None:
                 c.differentials[n], c.differentials[n + 1], [j for _, j in above]):
             return None
         boundaries = {row for row, _ in above}
-        pairs[n] = pivots(c.differentials[n], order(n - 1), order(n), boundaries)
+        pairs[n] = pivots(c.differentials[n], order.get(n - 1), order.get(n), boundaries)
     return pairs
 
 
 def _pairs(c: ChainComplex) -> dict:
-    """The index-order pivot pairs of ``_reduce``, cached on the complex
-    by ``verify_d_squared``, or here for a complex whose d^2 report was
+    """The pivot pairs of ``_reduce``, cached on the complex by
+    ``verify_d_squared``, or here for a complex whose d^2 report was
     given (a mapping cone)."""
     _require_complex(c)
     if "pairs" not in c._cache:
@@ -194,18 +206,14 @@ def unpaired_cells(c: ChainComplex, r: int) -> tuple:
 
 def _spans(c: ChainComplex) -> dict:
     """(p, q) -> Counter of spans over the cells of level p and degree
-    p + q: e - b for a cell in a persistence pair (b, e) of the
-    (level, index)-ordered reduction, None for an unpaired cell.
-    Cached on the complex."""
+    p + q: e - b for a cell in a persistence pair (b, e) of the cached
+    reduction, None for an unpaired cell.  Cached on the complex."""
     if "spans" not in c._cache:
         levels = c.levels
         if levels is None:
             raise ValueError("complex has no filtration levels")
-        order = {n: sorted(range(c.dim(n)), key=ps.__getitem__)
-                 for n, ps in levels.items()}
-        pairs = _reduce(c, order.get)
         spans = {n: [None] * c.dim(n) for n in c.degrees()}
-        for n, ps in pairs.items():
+        for n, ps in _pairs(c).items():
             for i, j in ps:
                 spans[n][j] = spans[n - 1][i] = levels[n][j] - levels[n - 1][i]
         out: dict = {}
@@ -265,10 +273,8 @@ class ChainMap:
         clean = {}
         for r, m in matrices.items():
             r = int(r)
-            want = (target.dim(r + shift), source.dim(r))
-            if (m.rows, m.cols) != want:
-                raise ValueError(
-                    f"map matrix at degree {r} is {m.rows}x{m.cols}, expected {want}")
+            _check_matrix(m, target.dim(r + shift), source.dim(r),
+                          f"map matrix at degree {r}")
             if not m.is_zero():
                 clean[r] = m
         return ChainMap(source, target, shift, clean, note)
@@ -288,22 +294,21 @@ class ChainMapReport:
 
 
 def verify_chain_map(f: ChainMap) -> ChainMapReport:
-    """Pass iff d_target . f = f . d_source in every degree.  A failing
-    report names the lowest failing degree and, in it, the first source
-    cell whose columns of the two sides differ.  The report is cached on
-    the map, like the d^2 report on a complex."""
+    """Pass iff d_target . f = f . d_source in every degree, one source
+    cell at a time: its columns of the two sides are formed, compared
+    and dropped.  A failing report names the lowest failing degree and,
+    in it, the first source cell whose columns differ.  The report is
+    cached on the map, like the d^2 report on a complex."""
     if "commutes" in f._cache:
         return f._cache["commutes"]
     report = ChainMapReport(True)
-    degrees = sorted(set(f.source.degrees()) | {r + 1 for r in f.source.degrees()})
-    for r in degrees:
-        if f.source.dim(r) == 0:
-            continue
-        lhs = multiply(f.target.d(r + f.shift), f.matrix(r))
-        rhs = multiply(f.matrix(r - 1), f.source.d(r))
-        if lhs != rhs:
-            j = next(j for j, column in enumerate(lhs.columns)
-                     if column != rhs.columns[j])
+    for r in f.source.degrees():
+        d_target, f_r = f.target.d(r + f.shift), f.matrix(r)
+        f_below, d_source = f.matrix(r - 1), f.source.d(r)
+        j = next((j for j in range(f.source.dim(r))
+                  if _times(d_target, f_r.columns[j])
+                  != _times(f_below, d_source.columns[j])), None)
+        if j is not None:
             report = ChainMapReport(False, r, f.source.labels(r)[j])
             break
     f._cache["commutes"] = report
@@ -398,8 +403,9 @@ def quasi_isomorphism_report(f: ChainMap) -> ChainMapReport:
     A generator: when d_a vanishes, as in the bottom degree, every chain
     of degree a is a cycle, and the cells that no pivot pair of the
     cached reduction holds give a basis of H_a (the pivot rows of
-    d_{a+1} index an echelon basis of its image).  So the first such
-    cell v is a generator.  Its image f(v) is a cycle, since f commutes,
+    d_{a+1} index an echelon basis of its image, in whatever order the
+    reduction took the cells).  So the first such cell v is a
+    generator.  Its image f(v) is a cycle, since f commutes,
     and its class is nonzero exactly when f(v) is not a boundary: when
     appending f(v) to the pivot columns of d_{b+1}, a basis of the
     boundaries, raises their rank.  That one reduction uses

@@ -366,14 +366,10 @@ def perm_to_fiber(fiber: FiberComplex, perm: PermComplex) -> ChainMap:
     n, source, target = fiber.n, perm.complex, fiber.complex
     matrices = {}
     for r, alphas in perm.cells.items():
-        entries = {}
-        for j, alpha in enumerate(alphas):
-            hit = fiber.images.get(alpha.blocks)
-            if hit is not None:
-                entries[(hit[0], j)] = hit[1]
-        if entries:
-            matrices[r] = SparseMatrix.from_entries(
-                target.dim(r - n), source.dim(r), entries)
+        hits = [fiber.images.get(alpha.blocks) for alpha in alphas]
+        if any(hits):   # a hit (row, sign) is the column {row: sign}
+            matrices[r] = SparseMatrix(target.dim(r - n),
+                                       tuple(dict([hit]) if hit else {} for hit in hits))
     return ChainMap.build(source, target, -n, matrices, note="alpha -> t_alpha")
 
 

@@ -34,10 +34,11 @@ class SparseMatrix:
     integral and a ``Fraction`` only otherwise, so the integer
     differentials this package builds stay in machine-int arithmetic.
     Entries compare by value (``1 == Fraction(1)``), and both kinds
-    carry ``numerator`` and ``denominator``.  ``from_entries`` is the
-    validated constructor for (row, col) input.  Instances are treated
-    as immutable values; all operations return fresh matrices, and a
-    stored column is copied before anything changes it.
+    carry ``numerator`` and ``denominator``.  Builders write columns;
+    ``from_entries`` takes (row, col) input from outside (JSON, tests).
+    Instances are treated as immutable values; all operations return
+    fresh matrices, and a stored column is copied before anything
+    changes it.
     """
 
     rows: int

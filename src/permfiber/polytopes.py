@@ -18,7 +18,7 @@ from .topartitions import (
     width,
 )
 
-DEFAULT_PERM_CAP = 7
+PERM_CAP = 8   # build_perm's default and the CLI's ceiling: Fubini(8) = 545,835 cells
 
 
 @dataclass(frozen=True)
@@ -48,7 +48,7 @@ class SimplexComplex:
     rows: dict
 
 
-def build_perm(n: int, cap: int = DEFAULT_PERM_CAP) -> PermComplex:
+def build_perm(n: int, cap: int = PERM_CAP) -> PermComplex:
     if not 1 <= n <= cap:
         raise ValueError(f"n must satisfy 1 <= n <= {cap}, got {n}")
     cells: dict = {}
@@ -90,12 +90,13 @@ def quotient_complex(basis: dict, cells: dict, image) -> ChainComplex:
     for r in sorted(cells):
         if r - 1 not in cells:
             continue
-        entries = {}
-        for j, alpha in enumerate(cells[r]):
+        columns = []
+        for alpha in cells[r]:
+            column = pushforward(alpha.blocks, image)
             sign = image(alpha.blocks)[1]
-            for i, value in pushforward(alpha.blocks, image).items():
-                entries[(i, j)] = sign * value
-        diffs[r] = SparseMatrix.from_entries(len(cells[r - 1]), len(cells[r]), entries)
+            columns.append(column if sign == 1 else
+                           {i: sign * v for i, v in column.items()})
+        diffs[r] = SparseMatrix(len(cells[r - 1]), tuple(columns))
     levels = {r: tuple(map(width, alphas)) for r, alphas in cells.items()}
     return ChainComplex.build(basis, diffs, levels)
 
@@ -112,14 +113,12 @@ def build_simplex(n: int) -> SimplexComplex:
         rows.update((s, j) for j, s in enumerate(subsets))
     diffs = {}
     for p in range(2, n + 1):
-        entries = {}
-        for j, s in enumerate(combinations(bits, p)):
+        columns = []
+        for s in combinations(bits, p):
             whole = sum(s)
-            for i, bit in enumerate(s):
-                sign = -1 if i % 2 else 1
-                entries[(rows[whole ^ bit], j)] = sign
-        diffs[p - 1] = SparseMatrix.from_entries(
-            len(basis[p - 2]), len(basis[p - 1]), entries)
+            columns.append({rows[whole ^ bit]: -1 if i % 2 else 1
+                            for i, bit in enumerate(s)})
+        diffs[p - 1] = SparseMatrix(len(basis[p - 2]), tuple(columns))
     return SimplexComplex(n, ChainComplex.build(basis, diffs), rows)
 
 
@@ -149,17 +148,16 @@ def blowdown_matrices(cells: dict, image, simplex: SimplexComplex) -> dict:
     every other class goes to zero."""
     matrices = {}
     for r in sorted(cells):
-        entries = {}
-        for j, alpha in enumerate(cells[r]):
+        columns = [{} for _ in cells[r]]
+        for column, alpha in zip(columns, cells[r]):
             block = blowdown_support(alpha)
             if block is None:
                 continue
             p = block.bit_count()
             sign = 1 if image is None else image(alpha.blocks)[1]
-            entries[(simplex.rows[block], j)] = sign * blowdown_coefficient(alpha)
-        if entries:
-            matrices[r] = SparseMatrix.from_entries(
-                simplex.complex.dim(p - 1), len(cells[r]), entries)
+            column[simplex.rows[block]] = sign * blowdown_coefficient(alpha)
+        if any(columns):
+            matrices[r] = SparseMatrix(simplex.complex.dim(p - 1), tuple(columns))
     return matrices
 
 

@@ -33,7 +33,7 @@ def dense_rank(matrix) -> int:
         for i in range(nrows):
             if i != r and m[i][c] != 0:
                 factor = m[i][c] / pv
-                m[i] = [x - factor * y for x, y in zip(m[i], m[r])]
+                m[i] = [x - factor * y if y else x for x, y in zip(m[i], m[r])]
         r += 1
         if r == nrows:
             break

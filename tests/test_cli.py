@@ -358,6 +358,91 @@ def test_maps_failure_names_the_lost_class(capsys, monkeypatch, perms):
                     f"of cell {v} at degree 0 to a boundary)")
 
 
+# The FAIL lines of five broken inputs, byte for byte: each names its
+# witness, a degree with a cell or a tree.
+PINNED_FAILING_LINES = {
+    "P3 without d_1": [
+        "check homology: FAIL (H_0=6 H_1=5; unexpected class at degree 0, cell 1>2>3)",
+    ],
+    # the first unpaired cell of the (level, index)-ordered reduction
+    "path3 without d_-1": [
+        "check homology: FAIL (H_-3=1 H_-2=1 H_-1=1; unexpected class at degree -2, "
+        "cell ({23} ({1})))",
+    ],
+    "P3 with a zero blow-down": [
+        "check maps: FAIL (blow-down [sign convention: ordering_parity], "
+        "surjective=false, cone acyclic=false; blow-down sends the class of "
+        "cell 1>2>3 at degree 0 to a boundary)",
+    ],
+    "P4 with the blow-down flipped on three blocks": [
+        "check maps: FAIL (blow-down [sign convention: ordering_parity], "
+        "surjective=true, cone acyclic=false; blow-down does not commute at "
+        "degree 1, cell 1>2>34)",
+    ],
+    "path3 with one sign of d_-2 flipped": [
+        "check maps: FAIL (chain maps=false, cones acyclic=false, "
+        "factorization=false, well-defined=false; perm->fiber does not commute "
+        "at degree 1, cell 3>12; fiber->simplex does not commute at degree -2, "
+        "cell ({12} ({3})); not well defined at tree ({12} ({3})))",
+    ],
+}
+
+
+def test_failing_lines_are_pinned(monkeypatch, perms, corpus_fibers):
+    import permfiber.polytopes as polytopes
+
+    def failing(name, obj, checks, maps=None):
+        col = Collector()
+        _run_checks(col, name, obj, checks, maps=maps)
+        return [line for line in col.lines if "FAIL" in line]
+
+    def cut(obj, degree):
+        c = obj.complex
+        return dataclasses.replace(obj, complex=ChainComplex.build(
+            c.basis, {r: m for r, m in c.differentials.items() if r != degree}, c.levels))
+
+    fib = corpus_fibers["path3"]
+    got = {
+        "P3 without d_1": failing("P3", cut(perms[3], 1), ("d2", "homology")),
+        "path3 without d_-1": failing("path3", cut(fib, -1), ("d2", "homology")),
+        "path3 with one sign of d_-2 flipped": failing(
+            "path3", dataclasses.replace(fib, complex=_flip_one_sign(fib.complex, -2)),
+            ("maps",), _maps(perms[3])),
+    }
+    # P_n without maps builds its own blow-down, through the patched module
+    with monkeypatch.context() as patch:
+        patch.setattr(polytopes, "blowdown_support", lambda alpha: None)
+        got["P3 with a zero blow-down"] = failing("P3", perms[3], ("maps",))
+    unit = polytopes.blowdown_coefficient
+    with monkeypatch.context() as patch:
+        patch.setattr(polytopes, "blowdown_coefficient", lambda alpha:
+                      -unit(alpha) if len(alpha.blocks) == 3 else unit(alpha))
+        got["P4 with the blow-down flipped on three blocks"] = failing(
+            "P4", perms[4], ("maps",))
+    assert got == PINNED_FAILING_LINES
+
+
+def test_passing_battery_reduces_each_complex_once(monkeypatch, corpus_graphs):
+    """d2, homology, pages, koszul and maps on P4 and on the cycle4 fiber
+    read one reduction of each complex they touch: P4, the simplex D3
+    and the fiber."""
+    import permfiber.complexes as complexes
+    from permfiber.fiber import build_fiber
+    from permfiber.polytopes import build_perm
+    reduced = []
+    real = complexes._reduce
+    monkeypatch.setattr(complexes, "_reduce", lambda c, *a, **k:
+                        reduced.append(c) or real(c, *a, **k))
+    maps = _maps(build_perm(4))
+    fib = build_fiber(corpus_graphs["cycle4"])
+    for name, obj in (("P4", maps.perm), ("cycle4", fib)):
+        col = Collector()
+        _run_checks(col, name, obj, CHECK_TOKENS, 2, maps)
+        assert not col.failed and any(line.startswith("E2: ") for line in col.lines), name
+    touched = (maps.perm.complex, maps.simplex.complex, fib.complex)
+    assert sorted(map(id, reduced)) == sorted(map(id, touched))
+
+
 def test_passing_suite_builds_no_cone_and_no_second_pushforward(
         capsys, monkeypatch, corpus_dir):
     """On a passing run the cone verdicts come from one homology class

@@ -19,12 +19,13 @@ from permfiber.complexes import (
     mapping_cone,
     page_dims,
     quasi_isomorphism_report,
+    unpaired_cells,
     verify_chain_map,
     verify_d_squared,
 )
-from permfiber.linalg import SparseMatrix, multiply
+from permfiber.linalg import SparseMatrix
 
-from oracles import dense_multiply, page_dims_dense
+from oracles import dense_multiply, dense_rank, page_dims_dense
 
 
 def identity_map(c: ChainComplex) -> ChainMap:
@@ -436,13 +437,10 @@ def test_pages_need_levels(simplexes):
 def test_chain_map_report_is_cached_for_the_cone(perms, monkeypatch):
     import permfiber.complexes as complexes
     products = []
-    vanishes = complexes.product_vanishes
-
-    def counting(a, b):
-        products.append((a, b))
-        return multiply(a, b)
-
-    monkeypatch.setattr(complexes, "multiply", counting)
+    times, vanishes = complexes._times, complexes.product_vanishes
+    # column products: the chain-map check forms one per source cell
+    monkeypatch.setattr(complexes, "_times", lambda a, column:
+                        products.append((a, column)) or times(a, column))
     monkeypatch.setattr(complexes, "product_vanishes", lambda a, b, cols:
                         products.append((a, b)) or vanishes(a, b, cols))
     f = identity_map(perms[3].complex)
@@ -454,6 +452,56 @@ def test_chain_map_report_is_cached_for_the_cone(perms, monkeypatch):
     cone = mapping_cone(f)
     # d^2 = 0 on the cone follows from the three cached reports
     assert verify_d_squared(cone).passed and not products
+
+
+def test_rows_outside_a_matrix_are_refused_where_it_joins(perms):
+    """A matrix built from its columns is checked once, where it joins a
+    complex or a map: a row at or past ``rows``, or a negative row, which
+    a list would index silently, is refused with the degree named, for
+    filtered and unfiltered complexes alike."""
+    basis = {0: ("a", "b"), 1: ("e",)}
+    edge = SparseMatrix(2, ({0: -1, 1: 1},))
+    for levels in (None, {0: (1, 1), 1: (1,)}):
+        c = ChainComplex.build(basis, {1: edge}, levels)
+        for row in (2, 7, -1):
+            bad = SparseMatrix(2, ({0: -1, row: 1},))
+            with pytest.raises(ValueError, match=f"differential at degree 1 has an "
+                                                 f"entry in row {row}, outside its 2 rows"):
+                ChainComplex.build(basis, {1: bad}, levels)
+            with pytest.raises(ValueError, match=f"map matrix at degree 0 has an "
+                                                 f"entry in row {row}, outside its 2 rows"):
+                ChainMap.build(c, c, 0, {0: SparseMatrix(2, ({row: 1}, {}))})
+    p3 = perms[3].complex
+    for row in (p3.dim(0), -1):
+        columns = list(p3.d(1).columns)
+        columns[0] = {**columns[0], row: 1}
+        with pytest.raises(ValueError, match=f"differential at degree 1 has an "
+                                             f"entry in row {row}"):
+            ChainComplex.build(p3.basis, {**p3.differentials, 1: SparseMatrix(
+                p3.dim(0), tuple(columns))}, p3.levels)
+
+
+def test_unpaired_bottom_cells_complete_the_boundaries_to_a_basis(
+        perms, corpus_fibers):
+    """The class test takes its generator among the bottom-degree cells
+    that no pivot pair of the one cached reduction holds, which for a
+    filtered complex takes its cells in (level, index) order.  Its claim:
+    with the columns of d_{b+1} these cells span C_b, and they are
+    dim H_b of them.  Every complex here has the homology of a point,
+    so dim C_b - rank d_{b+1} = 1: one cell, which completes the columns
+    to a basis exactly when the rows of d_{b+1} off it have full rank."""
+    complexes = [(f"P{n}", perm.complex) for n, perm in perms.items()]
+    complexes += [(name, fib.complex) for name, fib in corpus_fibers.items()]
+    assert len(complexes) == 6 + 14
+    for name, c in complexes:
+        bottom = c.degrees()[0]
+        labels = c.labels(bottom)
+        unpaired = [labels.index(lab) for lab in unpaired_cells(c, bottom)]
+        assert len(unpaired) == 1, name
+        rows = c.d(bottom + 1).dense()
+        off = [row for i, row in enumerate(rows) if i not in unpaired]
+        want = c.dim(bottom) - len(unpaired)
+        assert dense_rank(off) == want, name
 
 
 def test_mapping_cone_refuses_a_non_complex(perms):

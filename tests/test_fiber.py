@@ -292,6 +292,29 @@ def test_quotients_and_maps_build_without_differential_terms(
     assert push_forward_well_defined(fib).passed
 
 
+def test_passing_chain_map_check_forms_no_whole_product(
+        monkeypatch, corpus_fibers, perms, simplexes):
+    """A passing ``verify_chain_map`` compares d.f with f.d one column at
+    a time, so ``multiply`` may raise in every ``permfiber`` namespace
+    that binds it: on P4's blow-down and on path3's two maps."""
+    import sys
+    import permfiber.linalg as linalg
+
+    def refuse(a, b):
+        raise AssertionError(f"multiply({a.rows}x{a.cols}, {b.rows}x{b.cols})")
+
+    bound = [module for name, module in sorted(sys.modules.items())
+             if (name == "permfiber" or name.startswith("permfiber."))
+             and getattr(module, "multiply", None) is linalg.multiply]
+    assert linalg in bound
+    for module in bound:
+        monkeypatch.setattr(module, "multiply", refuse)
+    fib = corpus_fibers["path3"]
+    for f in (perm_to_simplex(perms[4], simplexes[4]), perm_to_fiber(fib, perms[3]),
+              fiber_to_simplex(fib, simplexes[3])):
+        assert verify_chain_map(f).passed, f.note
+
+
 def test_build_fiber_leaves_no_garbage_cycles(corpus_graphs):
     """Nothing build_fiber makes waits for the cyclic collector: state
     held in a reference cycle outlives the build, so the fibers of a
