@@ -18,6 +18,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
 from typing import Mapping
 
 from .linalg import SparseMatrix, _times, multiply, pivots, product_vanishes, rank
@@ -83,16 +84,28 @@ class ChainComplex:
         return m
 
 
+_EXACT = frozenset((int, Fraction))
+
+
 def _check_matrix(m: SparseMatrix, rows: int, cols: int, what: str) -> None:
     """Refuse m unless it is rows x cols with every entry in its rows, a
-    negative row included, which a list would index silently.  A matrix
-    is checked here, once, where it joins a complex or a map."""
+    negative row included, which a list would index silently, and every
+    stored value a nonzero int or Fraction: an explicit zero would be
+    paired as a pivot, and a float is not exact.  A matrix is checked
+    here, once, where it joins a complex or a map."""
     if (m.rows, m.cols) != (rows, cols):
         raise ValueError(f"{what} is {m.rows}x{m.cols}, expected {rows}x{cols}")
-    for column in m.columns:
-        if column and (min(column) < 0 or max(column) >= m.rows):
-            row = min(column) if min(column) < 0 else max(column)
-            raise ValueError(f"{what} has an entry in row {row}, outside its {m.rows} rows")
+    low = min(chain.from_iterable(m.columns), default=0)
+    high = max(chain.from_iterable(m.columns), default=-1)
+    if low < 0 or high >= m.rows:
+        row = low if low < 0 else high
+        raise ValueError(f"{what} has an entry in row {row}, outside its {m.rows} rows")
+    if 0 in chain.from_iterable(map(dict.values, m.columns)):
+        raise ValueError(f"{what} stores an explicit zero")
+    kinds = set(map(type, chain.from_iterable(map(dict.values, m.columns))))
+    if not _EXACT.issuperset(kinds):
+        names = ", ".join(sorted(kind.__name__ for kind in kinds - _EXACT))
+        raise ValueError(f"{what} stores a value of type {names}, not int or Fraction")
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,12 @@ Edge sets are held as bitmasks, edge e at bit e-1.  The vertex clusters
 after contracting any edge set are read from one table per graph, so a
 block is one lookup: the fiber builder walks the block prefixes once,
 sharing each prefix between the TO partitions that extend it, and drops
-a prefix as soon as a block of it is degenerate.
+a prefix as soon as a block of it is degenerate.  A tree is its nested
+set, the clusters of its blocks, held as one int with a bit per cluster
+mask.  The walk takes blocks in ascending least edge, so the first TO
+partition it reaches for a tree is the tree's canonical representative
+(see ``build_fiber``), and each tree and its label are built once, from
+that partition.
 """
 
 from __future__ import annotations
@@ -280,8 +285,11 @@ class FiberComplex:
     sit in degree -k.  ``images`` maps the block masks of every TO
     partition alpha with a nondegenerate t_alpha to the row of its tree
     within its degree and the sign of t_alpha: ``images.get`` is the
-    quotient's image (``pushforward``).  ``cells`` maps each degree to
-    the canonical representatives of its trees in basis order."""
+    quotient's image (``pushforward``).  Its entries come in walk order,
+    the order ``build_fiber`` reaches the alpha.  ``cells`` maps each
+    degree to the canonical representatives of its trees in basis order,
+    each the first alpha of its tree in that order; ``trees`` maps each
+    label to its canonical tree, one entry per basis cell."""
 
     graph: MultiGraph
     complex: ChainComplex
@@ -297,65 +305,149 @@ class FiberComplex:
 def build_fiber(g: MultiGraph, cap: int = DEFAULT_FIBER_CAP) -> FiberComplex:
     """P_n divided out by alpha -> sign * t_alpha, degenerate alpha -> 0.
 
-    One depth-first walk over the block prefixes of the TO partitions:
-    a prefix is the edges contracted so far with the cluster each of its
-    blocks ended in, and a child applies one more block, a nonempty set
-    of the edges left.  A degenerate block makes every completion
-    degenerate, so its subtree is skipped, and the leaves are the
-    nondegenerate alpha.  A tree is known by its nested set, the
-    clusters of its blocks (each block's subtree edges), and is built
-    at the first alpha that reaches it; ``images`` holds its number
-    until the sorted labels give its row.  The sign of t_alpha is the
-    parity of its order, which lists the canonical ranks of alpha's
-    blocks, so it is the parity of the blocks' least edges in alpha's
-    order.  Each prefix carries that parity so far, with the mask of
-    the least edges seen: a block with least edge m adds one inversion
-    for each seen least edge above m.
+    One depth-first walk over the block prefixes of the TO partitions.
+    A prefix is the edges contracted so far with its blocks, and a child
+    applies one more block, a nonempty set of the edges left.  A
+    degenerate block makes every completion degenerate, so its subtree
+    is skipped, and the leaves are the nondegenerate alpha.  A prefix
+    also carries its nested set, the clusters of its blocks (each
+    block's subtree edges), as an int with bit ``cluster`` set for each,
+    and a tree is known by that mask.
+
+    The children of a prefix are taken in ascending least edge (among
+    those with the least one, the whole remainder first: it is a leaf).
+    The alpha of one tree are the orders of its blocks that put children
+    before parents.  Two of them first differ at two disjoint blocks,
+    whose least edges differ, and the walk reaches the one with the
+    smaller least edge there first; so the first alpha of each tree is
+    its least such order by least edges, ``canonical_representative``.
+    Each tree is built once, from that alpha, and its label is rendered
+    bottom up in the same pass (``_canonical_tree``).
+
+    The sign of t_alpha is the parity of its order, which lists the
+    canonical ranks of alpha's blocks, so it is the parity of the
+    blocks' least edges in alpha's order.  Each prefix carries that
+    parity so far, with the mask of the least edges seen: a block with
+    least edge m adds one inversion for each seen least edge above m.
+    ``images`` holds a tree's number, complemented when the sign is -1,
+    until the sorted labels give its row.
     """
     n = g.n
     if n > cap:
         raise ValueError(f"graph has {n} edges, above the cap {cap}")
     table = _cluster_table(g)
-    found: list = []      # the trees, in the order found
+    full = (1 << n) - 1
+    found: list = []      # the canonical representatives, in the order found
     images: dict = {}
-    tree_of: dict = {}    # nested set -> its tree's index in found
-    # (edges contracted, blocks, their clusters, least edges seen, sign)
-    prefixes = [(0, (), (), 0, 1)]
+    tree_of: dict = {}    # nested-set mask -> its tree's index in found
+    steps: list = [None] * (full + 1)   # edges contracted -> _steps
+    # (edges contracted, blocks, nested-set mask, least edges seen, sign)
+    prefixes = [(0, (), 0, 0, 1)]
     while prefixes:
-        done, blocks, clusters, seen, sign = prefixes.pop()
-        left = (1 << n) - 1 ^ done
-        if not left:
-            nested = frozenset(clusters)
-            t = tree_of.get(nested)
+        done, blocks, nest, seen, sign = prefixes.pop()
+        inner, leaf = steps[done] or _steps(table, steps, full, done)
+        for block, bit, least, shift in inner:
+            prefixes.append((done | block, blocks + (block,), nest | bit, seen | least,
+                             -sign if (seen >> shift).bit_count() & 1 else sign))
+        if leaf:
+            block, bit, _, shift = leaf
+            alpha = blocks + (block,)
+            t = tree_of.get(nest | bit)
             if t is None:
-                t = tree_of[nested] = len(found)
-                found.append(_tree(blocks, clusters, False))
-            images[blocks] = (t, sign)
-            continue
-        block = left
-        while block:
-            least = block & -block
-            piece, cluster = _step(table, done, block, least)
-            if piece == block:
-                flip = (seen >> least.bit_length()).bit_count() & 1
-                prefixes.append((done | block, blocks + (block,),
-                                 clusters + (cluster,), seen | least,
-                                 -sign if flip else sign))
-            block = block - 1 & left
-    labels = [t.label() for t in found]
+                t = tree_of[nest | bit] = len(found)
+                found.append(alpha)
+            after = -sign if (seen >> shift).bit_count() & 1 else sign
+            images[alpha] = t if after == 1 else ~t
+    heads = ["({" + format_block(block, n) + "}" for block in range(full + 1)]
+    labels, trees = [], []
+    for alpha in found:
+        label, tree = _canonical_tree(table, heads, alpha)
+        labels.append(label)
+        trees.append(tree)
     basis: dict = {}
+    cells: dict = {}
     row = [0] * len(found)
     for t in sorted(range(len(found)), key=labels.__getitem__):
-        degree = basis.setdefault(-len(found[t].blocks), [])
+        r = -len(found[t])
+        degree = basis.setdefault(r, [])
         row[t] = len(degree)
         degree.append(labels[t])
-    for blocks, (t, sign) in images.items():
-        images[blocks] = (row[t], sign)
-    trees = {lab: t.canonical() for lab, t in zip(labels, found)}
-    cells = {r: tuple(canonical_representative(trees[lab]) for lab in degree)
-             for r, degree in basis.items()}
+        cells.setdefault(r, []).append(TOPartition(n, found[t]))
+    plus = [(i, 1) for i in row]
+    minus = [(i, -1) for i in row]
+    for alpha, t in images.items():
+        images[alpha] = plus[t] if t >= 0 else minus[~t]
+    cells = {r: tuple(alphas) for r, alphas in cells.items()}
     return FiberComplex(g, quotient_complex(basis, cells, images.get),
-                        trees, images, cells)
+                        dict(zip(labels, trees)), images, cells)
+
+
+def _steps(table: list, steps: list, full: int, done: int) -> tuple:
+    """The nondegenerate blocks that can follow the edges ``done``, each
+    as ``(block, 1 << its cluster, its least edge, that edge's index +
+    1)``, cached in ``steps[done]``: those that leave edges, in the order
+    the walk pushes them, and the one holding every edge left (a leaf,
+    taken before them), or None when it is degenerate.  The pushes go by
+    descending least edge and then by ascending block, so the walk pops
+    them by ascending least edge, the largest block first."""
+    left = full ^ done
+    inner, leaf = [], None
+    below = left
+    while below:
+        least = 1 << below.bit_length() - 1
+        below ^= least
+        upper = left ^ below ^ least    # the edges left above the least
+        edge = least.bit_length() - 1
+        rest = 0
+        while True:
+            block = least | rest
+            cluster = table[done | block][edge]
+            if cluster & block == block:
+                step = (block, 1 << cluster, least, edge + 1)
+                if block == left:
+                    leaf = step
+                else:
+                    inner.append(step)
+            rest = rest - upper & upper
+            if not rest:
+                break
+    steps[done] = inner, leaf
+    return steps[done]
+
+
+def _canonical_tree(table: list, heads: list, alpha: tuple) -> tuple:
+    """The label and the canonical FiberTree of the tree whose canonical
+    representative has blocks ``alpha``, in one pass over them.  Blocks
+    come children first, so a block's children are the subtrees still
+    without a parent whose clusters meet its own, and its label is
+    ``heads[block]``, the children's labels by least edge, and ")".  A
+    block's canonical index is the number of least edges below its own."""
+    k = len(alpha)
+    leasts = [block & -block for block in alpha]
+    firsts = sum(leasts)
+    at = [(firsts & least - 1).bit_count() for least in leasts]
+    blocks = [0] * k
+    parent = [None] * k
+    loose: list = []      # (least edge, cluster, index, label) of parentless subtrees
+    done = 0
+    for i, block in enumerate(alpha):
+        done |= block
+        least = leasts[i]
+        cluster = table[done][least.bit_length() - 1]
+        blocks[at[i]] = block
+        if cluster == block:
+            label = heads[block] + ")"
+        else:
+            kids, rest = [], []
+            for entry in loose:
+                (kids if entry[1] & cluster else rest).append(entry)
+            kids.sort()
+            for entry in kids:
+                parent[at[entry[2]]] = at[i]
+            label = heads[block] + "".join([" " + entry[3] for entry in kids]) + ")"
+            loose = rest
+        loose.append((least, cluster, i, label))
+    return label, FiberTree(tuple(blocks), tuple(parent), tuple(range(k)))
 
 
 def perm_to_fiber(fiber: FiberComplex, perm: PermComplex) -> ChainMap:

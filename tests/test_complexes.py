@@ -481,6 +481,42 @@ def test_rows_outside_a_matrix_are_refused_where_it_joins(perms):
                 p3.dim(0), tuple(columns))}, p3.levels)
 
 
+def test_a_matrix_without_rows_joins_only_when_it_stores_nothing():
+    """The row-range scan runs over the whole matrix; with no rows and no
+    entries there is nothing to refuse, and any entry is out of range."""
+    assert ChainComplex.build({1: ("e",)}, {1: SparseMatrix(0, ({},))}).degrees() == [1]
+    with pytest.raises(ValueError, match="differential at degree 1 has an entry in "
+                                         "row 0, outside its 0 rows"):
+        ChainComplex.build({1: ("e",)}, {1: SparseMatrix(0, ({0: 1},))})
+
+
+def test_explicit_zeros_and_inexact_values_are_refused_where_they_join():
+    """An explicit zero in a hand-built column used to be paired as a
+    pivot, so the zero map on one edge read homology {0: 1, 1: 0} where
+    {0: 2, 1: 1} is right, and a float raised AttributeError deep in the
+    reduction.  Both are refused where the matrix joins a complex or a
+    map, with the degree named; int and Fraction values are kept."""
+    basis = {0: ("a", "b"), 1: ("e",)}
+    zero = "differential at degree 1 stores an explicit zero"
+    for column, message in (
+            ({0: 0, 1: 0}, zero),
+            ({0: 1, 1: Fraction(0)}, zero),
+            ({0: 0.5, 1: -0.5}, "differential at degree 1 stores a value of type "
+                                "float, not int or Fraction"),
+            ({0: True, 1: -1}, "differential at degree 1 stores a value of type "
+                               "bool, not int or Fraction")):
+        with pytest.raises(ValueError, match=message):
+            ChainComplex.build(basis, {1: SparseMatrix(2, (column,))})
+    c = ChainComplex.build(basis, {1: SparseMatrix(2, ({0: Fraction(1, 2), 1: -1},))})
+    assert homology_dims(c) == {0: 1, 1: 0}
+    assert homology_dims(ChainComplex.build(basis, {})) == {0: 2, 1: 1}
+    for column, message in (({0: 0}, "map matrix at degree 0 stores an explicit zero"),
+                            ({1: 1.0}, "map matrix at degree 0 stores a value of type "
+                                       "float, not int or Fraction")):
+        with pytest.raises(ValueError, match=message):
+            ChainMap.build(c, c, 0, {0: SparseMatrix(2, (column, {}))})
+
+
 def test_unpaired_bottom_cells_complete_the_boundaries_to_a_basis(
         perms, corpus_fibers):
     """The class test takes its generator among the bottom-degree cells

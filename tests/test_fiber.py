@@ -293,10 +293,13 @@ def test_quotients_and_maps_build_without_differential_terms(
 
 
 def test_passing_chain_map_check_forms_no_whole_product(
-        monkeypatch, corpus_fibers, perms, simplexes):
+        capsys, monkeypatch, corpus_dir, corpus_fibers, perms, simplexes):
     """A passing ``verify_chain_map`` compares d.f with f.d one column at
-    a time, so ``multiply`` may raise in every ``permfiber`` namespace
-    that binds it: on P4's blow-down and on path3's two maps."""
+    a time, and the factorization check compares the blow-down with
+    fiber->simplex after perm->fiber the same way, so ``multiply`` may
+    raise in every ``permfiber`` namespace that binds it: on P4's
+    blow-down, on path3's two maps and in a passing suite run."""
+    from permfiber.cli import main
     import sys
     import permfiber.linalg as linalg
 
@@ -313,6 +316,8 @@ def test_passing_chain_map_check_forms_no_whole_product(
     for f in (perm_to_simplex(perms[4], simplexes[4]), perm_to_fiber(fib, perms[3]),
               fiber_to_simplex(fib, simplexes[3])):
         assert verify_chain_map(f).passed, f.note
+    assert main(["suite", "--corpus", str(corpus_dir)]) == 0
+    assert capsys.readouterr().out.count("factorization=true") == 14
 
 
 def test_build_fiber_leaves_no_garbage_cycles(corpus_graphs):
@@ -330,22 +335,43 @@ def test_build_fiber_leaves_no_garbage_cycles(corpus_graphs):
         gc.enable()
 
 
-def test_canonical_representative_runs_once_per_tree(monkeypatch, corpus_graphs,
-                                                     perms, simplexes):
+def assert_built_from_representatives(fib, name):
+    """The cells of each degree are the canonical representatives of its
+    trees in basis order, and each basis label is the recursive rendering
+    ``FiberTree.label`` of its tree."""
+    assert len(fib.trees) == sum(map(fib.complex.dim, fib.complex.degrees())), name
+    for r in fib.complex.degrees():
+        labels = fib.complex.labels(r)
+        assert fib.cells[r] == tuple(canonical_representative(fib.trees[lab])
+                                     for lab in labels), (name, r)
+        assert [fib.trees[lab].label() for lab in labels] == list(labels), (name, r)
+
+
+def test_first_alpha_of_each_tree_is_its_canonical_representative(
+        monkeypatch, corpus_graphs, corpus_fibers, perms, simplexes):
+    """The walk reaches each tree first at its least linear extension by
+    least edges, its canonical representative, and builds the tree and
+    its label from that alpha alone: neither the build nor the maps call
+    the per-tree helpers, which stay as the oracles checked against."""
     import permfiber.fiber as fiber
-    seen = []
-    real = fiber.canonical_representative
-    monkeypatch.setattr(fiber, "canonical_representative",
-                        lambda tree: seen.append(tree) or real(tree))
+
+    def refuse(*args):
+        raise AssertionError("per-tree helper called")
+
+    for name in ("_tree", "canonical_representative"):
+        monkeypatch.setattr(fiber, name, refuse)
+    for name in ("label", "canonical"):
+        monkeypatch.setattr(fiber.FiberTree, name, refuse)
     fib = build_fiber(corpus_graphs["cycle4"])
     perm_to_fiber(fib, perms[4])
     fiber_to_simplex(fib, simplexes[4])
     push_forward_well_defined(fib)
     koszul_check(fib)
-    assert len(seen) == len(fib.trees)
-    # the representatives are kept in basis order, like PermComplex.cells
-    for r in fib.complex.degrees():
-        assert fib.cells[r] == tuple(real(fib.trees[lab]) for lab in fib.complex.labels(r))
+    monkeypatch.undo()
+    assert fib.cells == corpus_fibers["cycle4"].cells
+    assert len(corpus_fibers) == 14
+    for name, fib in sorted(corpus_fibers.items()):
+        assert_built_from_representatives(fib, name)
 
 
 def test_fiber_cap_enforced():

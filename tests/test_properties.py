@@ -10,6 +10,8 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 from permfiber.cli import CHECK_TOKENS, Collector, _maps, _run_checks  # noqa: E402
 from permfiber.fiber import MultiGraph, build_fiber  # noqa: E402
 
+from test_fiber import assert_built_from_representatives  # noqa: E402
+
 from oracles import fiber_tree_sets, nested_set_counts, nondegenerate_count  # noqa: E402
 
 MAX_EDGES = 5
@@ -40,6 +42,7 @@ def test_random_multigraph_fibers(perms, edges):
     assert dims == {k: len(trees) for k, trees in oracle.items()}, edges
     assert dims == nested_set_counts(g.edges), edges
     assert len(fib.images) == nondegenerate_count(g.edges), edges
+    assert_built_from_representatives(fib, edges)
     col = Collector()
     _run_checks(col, "g", fib, CHECK_TOKENS, pages=2, maps=_maps(perms[g.n]))
     assert not col.failed, (edges, col.lines)
