@@ -29,7 +29,7 @@ from .complexes import (
     verify_d_squared,
 )
 from .fiber import (
-    DEFAULT_FIBER_CAP,
+    FIBER_CAP,
     FiberComplex,
     build_fiber,
     fiber_to_simplex,
@@ -41,11 +41,6 @@ from .fiber import (
 from .linalg import _times
 from .polytopes import PERM_CAP, build_perm, build_simplex, perm_to_simplex
 
-CAP_ENV_VAR = "PERMFIBER_CAP"
-# Fixed ceilings on any --cap or PERMFIBER_CAP: PERM_CAP (also perm's default),
-# and for fiber 9, since a 9-edge fiber has at most Fubini(9) TO partitions to
-# visit.  The maps check of an n-edge fiber builds P_n, and suite always runs it.
-FIBER_CAP_CEILING = 9
 CHECK_TOKENS = ("d2", "homology", "maps", "koszul")
 
 EXIT_OK = 0
@@ -57,23 +52,25 @@ class InvalidInput(Exception):
     pass
 
 
-def _cap(given, fallback: int, ceiling: int) -> int:
-    """The cap a command builds up to: ``--cap`` when given, else
-    PERMFIBER_CAP, else ``fallback``; refused below 1 and above ``ceiling``."""
-    source, cap = "--cap", given
-    if cap is None:
-        source, raw = CAP_ENV_VAR, os.environ.get(CAP_ENV_VAR)
-        if raw is None:
-            return fallback
-        try:
-            cap = int(raw)
-        except ValueError:
-            raise InvalidInput(f"{CAP_ENV_VAR} must be an integer, got {raw!r}")
+class _Parser(argparse.ArgumentParser):
+    """Refuses bad arguments with InvalidInput, as every other check does."""
+
+    def error(self, message):
+        raise InvalidInput(message)
+
+
+def _cap(cap: int, ceiling: int) -> int:
+    """The ``--cap`` a command builds up to, refused below 1 and above ``ceiling``."""
     if cap < 1:
-        raise InvalidInput(f"{source} must be at least 1, got {cap}")
+        raise InvalidInput(f"--cap must be at least 1, got {cap}")
     if cap > ceiling:
-        raise InvalidInput(f"{source} {cap} is above the ceiling {ceiling}")
+        raise InvalidInput(f"--cap {cap} is above the ceiling {ceiling}")
     return cap
+
+
+def _check_n(n: int) -> None:
+    if not 1 <= n <= PERM_CAP:
+        raise InvalidInput(f"--n must satisfy 1 <= n <= cap ({PERM_CAP}), got {n}")
 
 
 def _check_pages(pages: int, n: int) -> None:
@@ -100,8 +97,12 @@ def _parse_checks(raw: str, allowed=CHECK_TOKENS) -> tuple:
 def _atomic_write(path: Path, text: str) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
+    # mkstemp makes the file 0600; give it open()'s mode, 0666 less the umask
+    umask = os.umask(0)
+    os.umask(umask)
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
+            os.fchmod(handle.fileno(), 0o666 & ~umask)
             handle.write(text)
         os.replace(tmp, path)
     except BaseException:
@@ -325,13 +326,11 @@ def _collector(args) -> Collector:
 
 
 def cmd_perm(args) -> int:
-    cap = _cap(args.cap, PERM_CAP, PERM_CAP)
-    if not 1 <= args.n <= cap:
-        raise InvalidInput(f"--n must satisfy 1 <= n <= cap ({cap}), got {args.n}")
+    _check_n(args.n)
     checks = _parse_checks(args.checks)
     _check_pages(args.pages, args.n)
     col = _collector(args)
-    perm = build_perm(args.n, cap=cap)
+    perm = build_perm(args.n)
     _run_checks(col, f"P{args.n}", perm, checks, args.pages)
     if args.out:
         col.json_docs[f"P{args.n}"] = complex_to_json(perm.complex)
@@ -339,9 +338,7 @@ def cmd_perm(args) -> int:
 
 
 def cmd_simplex(args) -> int:
-    cap = _cap(None, DEFAULT_FIBER_CAP, FIBER_CAP_CEILING)
-    if not 1 <= args.n <= cap:
-        raise InvalidInput(f"--n must satisfy 1 <= n <= cap ({cap}), got {args.n}")
+    _check_n(args.n)
     checks = _parse_checks(args.checks, allowed=("d2", "homology"))
     col = _collector(args)
     simplex = build_simplex(args.n)
@@ -353,7 +350,7 @@ def cmd_simplex(args) -> int:
 
 
 def cmd_fiber(args) -> int:
-    cap = _cap(args.cap, DEFAULT_FIBER_CAP, FIBER_CAP_CEILING)
+    cap = _cap(args.cap, FIBER_CAP)
     path = Path(args.graph)
     if not path.exists():
         raise InvalidInput(f"graph file not found: {path}")
@@ -371,8 +368,8 @@ def cmd_fiber(args) -> int:
         raise InvalidInput(f"check maps builds P{graph.n}, "
                            f"above the ceiling {PERM_CAP}")
     col = _collector(args)
-    fib = build_fiber(graph, cap=cap)
-    maps = _maps(build_perm(graph.n, cap=cap)) if "maps" in checks else None
+    fib = build_fiber(graph)
+    maps = _maps(build_perm(graph.n)) if "maps" in checks else None
     name = path.stem
     _run_checks(col, name, fib, checks, args.pages, maps)
     if args.out:
@@ -399,7 +396,7 @@ def _check_manifest(manifest, path: Path) -> None:
 
 
 def cmd_suite(args) -> int:
-    cap = _cap(args.cap, DEFAULT_FIBER_CAP, PERM_CAP)
+    cap = _cap(args.cap, PERM_CAP)
     corpus = Path(args.corpus)
     if not corpus.is_dir():
         raise InvalidInput(f"corpus directory not found: {corpus}")
@@ -421,7 +418,7 @@ def cmd_suite(args) -> int:
     @cache
     def maps_of(n: int) -> Maps:
         """P_n and its maps, built once for every fiber and the P_n battery."""
-        return _maps(build_perm(n, cap=cap))
+        return _maps(build_perm(n))
 
     for path in graph_files:
         name = path.stem
@@ -441,7 +438,7 @@ def cmd_suite(args) -> int:
             col.check(name, "load", False,
                       f"graph has {graph.n} edges, above the cap {cap}")
             continue
-        fib = build_fiber(graph, cap=cap)
+        fib = build_fiber(graph)
         _run_checks(col, name, fib, CHECK_TOKENS, maps=maps_of(graph.n))
         got = {str(r): fib.complex.dim(r) for r in fib.complex.degrees()}
         want = entry.get("dims", {})
@@ -476,7 +473,7 @@ def _finish(col: Collector, args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="permfiber",
         description="Exact verification of permutohedron, simplex and "
                     "graph-contraction fiber chain complexes.")
@@ -489,7 +486,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checks", default="all",
                    help="comma list of d2,homology,maps,koszul or 'all'")
     p.add_argument("--out", help="directory for CSV/JSON exports")
-    p.add_argument("--cap", type=int, default=None)
     p.set_defaults(func=cmd_perm)
 
     p = sub.add_parser("simplex", help="simplex complex on n vertices")
@@ -505,22 +501,25 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checks", default="all",
                    help="comma list of d2,homology,maps,koszul or 'all'")
     p.add_argument("--out", help="directory for CSV/JSON exports")
-    p.add_argument("--cap", type=int, default=None)
+    p.add_argument("--cap", type=int, default=PERM_CAP,
+                   help=f"most edges to build (default %(default)s, at most "
+                        f"{FIBER_CAP}; above {PERM_CAP} the maps check is refused)")
     p.set_defaults(func=cmd_fiber)
 
     p = sub.add_parser("suite", help="run every check over a corpus directory")
     p.add_argument("--corpus", required=True,
                    help="directory of .edges files plus manifest.json")
     p.add_argument("--out", help="directory for CSV exports")
-    p.add_argument("--cap", type=int, default=None)
+    p.add_argument("--cap", type=int, default=PERM_CAP,
+                   help="most edges of a corpus graph, and the n of the "
+                        "P_1..P_min(6, cap) battery (default and ceiling %(default)s)")
     p.set_defaults(func=cmd_suite)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except InvalidInput as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -48,7 +48,7 @@ from .polytopes import (
 )
 from .topartitions import TOPartition, format_block, parity
 
-DEFAULT_FIBER_CAP = 8
+FIBER_CAP = 9   # the most edges build_fiber admits: Fubini(9) TO partitions to walk
 
 
 @dataclass(frozen=True, eq=True)
@@ -302,7 +302,7 @@ class FiberComplex:
         return self.graph.n
 
 
-def build_fiber(g: MultiGraph, cap: int = DEFAULT_FIBER_CAP) -> FiberComplex:
+def build_fiber(g: MultiGraph) -> FiberComplex:
     """P_n divided out by alpha -> sign * t_alpha, degenerate alpha -> 0.
 
     One depth-first walk over the block prefixes of the TO partitions.
@@ -333,8 +333,8 @@ def build_fiber(g: MultiGraph, cap: int = DEFAULT_FIBER_CAP) -> FiberComplex:
     until the sorted labels give its row.
     """
     n = g.n
-    if n > cap:
-        raise ValueError(f"graph has {n} edges, above the cap {cap}")
+    if n > FIBER_CAP:
+        raise ValueError(f"graph has {n} edges, above the cap {FIBER_CAP}")
     table = _cluster_table(g)
     full = (1 << n) - 1
     found: list = []      # the canonical representatives, in the order found

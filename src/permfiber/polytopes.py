@@ -18,7 +18,7 @@ from .topartitions import (
     width,
 )
 
-PERM_CAP = 8   # build_perm's default and the CLI's ceiling: Fubini(8) = 545,835 cells
+PERM_CAP = 8   # the largest n build_perm admits: Fubini(8) = 545,835 cells
 
 
 @dataclass(frozen=True)
@@ -48,9 +48,9 @@ class SimplexComplex:
     rows: dict
 
 
-def build_perm(n: int, cap: int = PERM_CAP) -> PermComplex:
-    if not 1 <= n <= cap:
-        raise ValueError(f"n must satisfy 1 <= n <= {cap}, got {n}")
+def build_perm(n: int) -> PermComplex:
+    if not 1 <= n <= PERM_CAP:
+        raise ValueError(f"n must satisfy 1 <= n <= {PERM_CAP}, got {n}")
     cells: dict = {}
     for alpha in enumerate_topartitions(n):
         cells.setdefault(n - alpha.block_count(), []).append(alpha)

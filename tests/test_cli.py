@@ -42,12 +42,16 @@ def test_perm_out_of_cap(capsys):
     assert "cap" in err
 
 
-def test_perm_cap_env_override(capsys, monkeypatch):
+def test_size_limits_are_not_read_from_the_environment(capsys, monkeypatch,
+                                                      corpus_dir):
+    # the limits are PERM_CAP and FIBER_CAP and the two --cap flags, no variable
     monkeypatch.setenv("PERMFIBER_CAP", "2")
-    code, _, err = run_cli(capsys, "perm", "--n", "3")
-    assert code == 2
-    code, _, _ = run_cli(capsys, "perm", "--n", "3", "--cap", "3")
-    assert code == 0
+    for argv in (("perm", "--n", "3", "--checks", "d2"),
+                 ("simplex", "--n", "3"),
+                 ("fiber", "--graph", str(corpus_dir / "path3.edges"), "--checks", "d2")):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0 and err == "", argv
+        assert out.endswith("result: PASS\n"), argv
 
 
 def test_caps_above_the_ceiling(capsys, monkeypatch, corpus_dir):
@@ -59,26 +63,14 @@ def test_caps_above_the_ceiling(capsys, monkeypatch, corpus_dir):
     graph = str(corpus_dir / "path3.edges")
     corpus = str(corpus_dir)
     cases = [
-        (("perm", "--n", "20", "--cap", "20"), None, "--cap 20 is above the ceiling 8"),
-        (("perm", "--n", "20"), "20", "PERMFIBER_CAP 20 is above the ceiling 8"),
-        (("perm", "--n", "3", "--cap", "9"), None, "--cap 9 is above the ceiling 8"),
-        (("fiber", "--graph", graph, "--cap", "10"), None, "--cap 10 is above the ceiling 9"),
-        (("fiber", "--graph", graph), "10", "PERMFIBER_CAP 10 is above the ceiling 9"),
-        (("suite", "--corpus", corpus, "--cap", "10"), None,
-         "--cap 10 is above the ceiling 8"),
-        (("suite", "--corpus", corpus), "10", "PERMFIBER_CAP 10 is above the ceiling 8"),
-        (("simplex", "--n", "3"), "10", "PERMFIBER_CAP 10 is above the ceiling 9"),
+        (("perm", "--n", "20"), "--n must satisfy 1 <= n <= cap (8), got 20"),
+        (("fiber", "--graph", graph, "--cap", "10"), "--cap 10 is above the ceiling 9"),
+        (("suite", "--corpus", corpus, "--cap", "10"), "--cap 10 is above the ceiling 8"),
         # and below 1: no cap admits a complex
-        (("suite", "--corpus", corpus, "--cap", "0"), None, "--cap must be at least 1, got 0"),
-        (("perm", "--n", "3", "--cap", "-1"), None, "--cap must be at least 1, got -1"),
-        (("fiber", "--graph", graph), "0", "PERMFIBER_CAP must be at least 1, got 0"),
-        (("simplex", "--n", "3"), "-2", "PERMFIBER_CAP must be at least 1, got -2"),
+        (("suite", "--corpus", corpus, "--cap", "0"), "--cap must be at least 1, got 0"),
+        (("fiber", "--graph", graph, "--cap", "-1"), "--cap must be at least 1, got -1"),
     ]
-    for argv, env, message in cases:
-        if env is None:
-            monkeypatch.delenv("PERMFIBER_CAP", raising=False)
-        else:
-            monkeypatch.setenv("PERMFIBER_CAP", env)
+    for argv, message in cases:
         code, out, err = run_cli(capsys, *argv)
         assert code == 2 and out == "", argv
         assert err == f"error: {message}\n", argv
@@ -94,7 +86,6 @@ def test_maps_above_the_perm_ceiling(capsys, monkeypatch, tmp_path, corpus_dir):
 
     monkeypatch.setattr("permfiber.cli.build_perm", refuse)
     monkeypatch.setattr("permfiber.cli.build_fiber", refuse)
-    monkeypatch.delenv("PERMFIBER_CAP", raising=False)
     path9 = tmp_path / "path9.edges"
     path9.write_text("".join(f"{v} {v + 1}\n" for v in range(9)))
     for checks in ("maps", "all", "d2,maps"):
@@ -105,6 +96,10 @@ def test_maps_above_the_perm_ceiling(capsys, monkeypatch, tmp_path, corpus_dir):
     code, out, err = run_cli(capsys, "suite", "--corpus", str(corpus_dir), "--cap", "9")
     assert code == 2 and out == ""
     assert err == "error: --cap 9 is above the ceiling 8\n"
+    # a 9-edge fiber is built only on request: --cap 9
+    code, out, err = run_cli(capsys, "fiber", "--graph", str(path9), "--checks", "d2")
+    assert code == 2 and out == ""
+    assert err == "error: graph has 9 edges, above the cap 8\n"
     # without maps a 9-edge fiber is still within its own ceiling
     with pytest.raises(_Built):
         main(["fiber", "--graph", str(path9), "--cap", "9", "--checks", "d2,koszul"])
@@ -183,14 +178,30 @@ def test_perm_koszul_and_maps_lines_are_pinned(capsys):
         assert [line for line in lines if line.startswith("check maps")] == [maps_line]
 
 
-def test_simplex_out_of_cap(capsys, monkeypatch):
-    code, out, err = run_cli(capsys, "simplex", "--n", "30")
-    assert code == 2 and out == ""
-    assert "cap" in err
-    monkeypatch.setenv("PERMFIBER_CAP", "2")
-    code, _, err = run_cli(capsys, "simplex", "--n", "3")
-    assert code == 2
-    assert "cap (2)" in err
+def test_simplex_out_of_cap(capsys):
+    for n in ("30", "9", "0"):
+        code, out, err = run_cli(capsys, "simplex", "--n", n)
+        assert code == 2 and out == ""
+        assert err == f"error: --n must satisfy 1 <= n <= cap (8), got {n}\n"
+
+
+def test_bad_arguments_are_one_error_line(capsys, corpus_dir):
+    # argparse's refusals leave through main's one handler, as the others do
+    for argv in (("perm", "--n", "abc"),
+                 ("perm", "--n", "3", "--cap", "3"),
+                 ("suite", "--corpus", str(corpus_dir), "--cap", "x"),
+                 ("fiber",),
+                 ("nonsense",),
+                 ()):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == "", argv
+        assert len(err.splitlines()) == 1 and err.startswith("error: "), argv
+    code, out, err = run_cli(capsys, "perm", "--n", "3", "--cap", "3")
+    assert err == "error: unrecognized arguments: --cap 3\n"
+    with pytest.raises(SystemExit) as done:
+        main(["perm", "-h"])
+    assert done.value.code == 0
+    assert "--n N" in capsys.readouterr().out
 
 
 def test_out_naming_an_existing_file(capsys, tmp_path, monkeypatch):
@@ -209,6 +220,23 @@ def test_out_naming_an_existing_file(capsys, tmp_path, monkeypatch):
     assert code == 2 and out == ""
     assert err.startswith("error: cannot write --out")
     assert built == []
+
+
+def test_exports_honour_the_umask(capsys, tmp_path):
+    for umask in (0o022, 0o077, 0o002):
+        out_dir = tmp_path / oct(umask)
+        out_dir.mkdir()
+        old = os.umask(umask)
+        try:
+            code, _, _ = run_cli(capsys, "simplex", "--n", "3", "--out", str(out_dir))
+            with open(out_dir / "made-by-open", "w"):
+                pass
+        finally:
+            os.umask(old)
+        assert code == 0
+        want = (out_dir / "made-by-open").stat().st_mode
+        for name in ("D2.json", "checks.csv", "dims.csv"):
+            assert (out_dir / name).stat().st_mode == want, (oct(umask), name)
 
 
 def test_fiber_graph_is_a_directory(capsys, tmp_path):

@@ -374,10 +374,16 @@ def test_first_alpha_of_each_tree_is_its_canonical_representative(
         assert_built_from_representatives(fib, name)
 
 
-def test_fiber_cap_enforced():
-    g = MultiGraph.from_edges([(0, 1)] * 3)
-    with pytest.raises(ValueError):
-        build_fiber(g, cap=2)
+def test_fiber_cap_enforced(monkeypatch):
+    import permfiber.fiber as fiber
+
+    def refuse(g):
+        raise AssertionError("built the cluster table of a graph above the cap")
+
+    monkeypatch.setattr(fiber, "_cluster_table", refuse)
+    g = MultiGraph.from_edges((v, v + 1) for v in range(10))
+    with pytest.raises(ValueError, match="graph has 10 edges, above the cap 9"):
+        build_fiber(g)
 
 
 def test_canonical_representative_round_trip(corpus_fibers):

@@ -36,9 +36,7 @@ def test_perm_cap_enforced():
     with pytest.raises(ValueError):
         build_perm(0)
     with pytest.raises(ValueError):
-        build_perm(9)   # past the default cap, PERM_CAP = 8
-    with pytest.raises(ValueError):
-        build_perm(4, cap=3)
+        build_perm(9)   # past PERM_CAP = 8
 
 
 def test_perm_filtration_is_width(perms):
