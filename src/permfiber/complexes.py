@@ -8,9 +8,10 @@ complex, so one engine serves permutohedra, simplices and fibers.  A
 filtered complex is a complex with one level per cell, held by index.
 d^2, homology, the class test and every spectral page are read off one
 reduction of the whole complex (``linalg.pivots``, top degree down,
-with clearing), cached on the complex.  It takes a filtered complex's
-cells in (level, index) order, so its pivot pairs are the persistence
-pairs, and an unfiltered one's in index order.
+with clearing), cached on the complex; it proves d^2 = 0 as it goes,
+a mapping cone's included.  It takes a filtered complex's cells in
+(level, index) order, so its pivot pairs are the persistence pairs, and
+an unfiltered one's in index order.  No verdict multiplies whole matrices.
 """
 
 from __future__ import annotations
@@ -118,64 +119,53 @@ class D2Report:
 def verify_d_squared(c: ChainComplex) -> D2Report:
     """Pass iff d_r . d_{r+1} vanishes in every degree.
 
-    The check rides on the one reduction that homology, the class test
-    and the pages read (``_reduce``), and a passing check caches its
-    pivot pairs.  On a failure the products are formed whole, lowest
-    degree first, so the report names the least (row, col) entry of the
+    The check is the one reduction that homology, the class test and
+    the pages read (``_reduce``), and a passing check caches its pivot
+    pairs.  A failing report names the least (row, col) entry of the
     lowest failing product.  The report is cached on the complex."""
-    if "d2" in c._cache:
-        return c._cache["d2"]
-    pairs = _reduce(c, verify=True)
-    if pairs is None:
-        report = _d2_witness(c)
-    else:
-        c._cache["pairs"] = pairs
-        report = D2Report(True)
-    c._cache["d2"] = report
-    return report
+    if "d2" not in c._cache:
+        pairs = _reduce(c)
+        if pairs is None:
+            c._cache["d2"] = _d2_witness(c)
+        else:
+            c._cache["pairs"] = pairs
+            c._cache["d2"] = D2Report(True)
+    return c._cache["d2"]
 
 
 def _d2_witness(c: ChainComplex) -> D2Report:
+    """The least (row, col) entry of the lowest nonzero d_r . d_{r+1}; its
+    columns are formed one at a time, and only the least one is kept."""
     for r in c.degrees():
-        if c.dim(r + 1) == 0 or c.dim(r - 1) == 0:
-            continue
-        product = multiply(c.d(r), c.d(r + 1))
-        if not product.is_zero():
-            (i, j), value = min(product.items())
-            return D2Report(False, r + 1,
-                            (c.labels(r - 1)[i], c.labels(r + 1)[j], value))
+        d = c.d(r)
+        product = (_times(d, column) for column in c.d(r + 1).columns)
+        least = min(((min(col), j, col) for j, col in enumerate(product) if col),
+                    default=None)
+        if least is not None:
+            i, j, col = least
+            return D2Report(False, r + 1, (c.labels(r - 1)[i], c.labels(r + 1)[j], col[i]))
     return D2Report(True)
 
 
-def _require_complex(c: ChainComplex) -> None:
-    report = verify_d_squared(c)
-    if not report.passed:
-        raise ValueError(f"not a chain complex: d^2 != 0 at degree {report.degree}")
-
-
-def _reduce(c: ChainComplex, verify=False) -> dict | None:
+def _reduce(c: ChainComplex) -> dict | None:
     """degree n -> the (row, col) pivot pairs of d_n, from one reduction
-    of the whole complex.  It runs from the top degree down, and a
-    column of d_n that is a pivot row of d_{n+1} is a boundary, hence a
-    cycle since d^2 = 0, so it is cleared instead of reduced.  The cells
-    of a filtered complex are taken in (level, index) order, so the
-    pairs are its persistence pairs; an unfiltered complex's in index
-    order.
+    of the whole complex, or None when d^2 != 0.  It runs from the top
+    degree down.  The cells of a filtered complex are taken in (level,
+    index) order, so the pairs are its persistence pairs; an unfiltered
+    complex's in index order.
 
-    With ``verify``, d^2 = 0 is proved on the way, and None returned
-    when it fails.  Before d_n is reduced, d_n is applied to the pivot
-    columns of d_{n+1}, which span its image: every other column
-    reduced to zero against earlier columns, or was cleared, and a
-    cleared column is a combination of earlier ones once
-    d_{n+1} d_{n+2} = 0 is known, which the step before proved.  So
-    d_n d_{n+1} = 0 exactly when d_n kills those columns, whatever the
-    order the cells are taken in."""
+    Before d_n is reduced, it is applied to the pivot columns of
+    d_{n+1}, which span the image of d_{n+1}: every other column of
+    d_{n+1} reduced to zero, or was cleared as a boundary, hence a
+    cycle by the step before.  So d_n d_{n+1} = 0 exactly when d_n
+    kills those columns, and then a column of d_n that is a pivot row
+    of d_{n+1} is a cycle, so it is cleared instead of reduced."""
     order = {n: sorted(range(len(ps)), key=ps.__getitem__)
              for n, ps in (c.levels or {}).items()}
     pairs: dict = {}
     for n in sorted(c.differentials, reverse=True):
         above = pairs.get(n + 1, ())
-        if verify and above and not product_vanishes(
+        if above and not product_vanishes(
                 c.differentials[n], c.differentials[n + 1], [j for _, j in above]):
             return None
         boundaries = {row for row, _ in above}
@@ -184,12 +174,11 @@ def _reduce(c: ChainComplex, verify=False) -> dict | None:
 
 
 def _pairs(c: ChainComplex) -> dict:
-    """The pivot pairs of ``_reduce``, cached on the complex by
-    ``verify_d_squared``, or here for a complex whose d^2 report was
-    given (a mapping cone)."""
-    _require_complex(c)
-    if "pairs" not in c._cache:
-        c._cache["pairs"] = _reduce(c)
+    """The pivot pairs of ``_reduce``, cached by ``verify_d_squared``: the
+    one gate to them, which refuses a complex whose d^2 fails."""
+    report = verify_d_squared(c)
+    if not report.passed:
+        raise ValueError(f"not a chain complex: d^2 != 0 at degree {report.degree}")
     return c._cache["pairs"]
 
 
@@ -222,11 +211,12 @@ def _spans(c: ChainComplex) -> dict:
     p + q: e - b for a cell in a persistence pair (b, e) of the cached
     reduction, None for an unpaired cell.  Cached on the complex."""
     if "spans" not in c._cache:
+        pairs = _pairs(c)
         levels = c.levels
         if levels is None:
             raise ValueError("complex has no filtration levels")
         spans = {n: [None] * c.dim(n) for n in c.degrees()}
-        for n, ps in _pairs(c).items():
+        for n, ps in pairs.items():
             for i, j in ps:
                 spans[n][j] = spans[n - 1][i] = levels[n][j] - levels[n - 1][i]
         out: dict = {}
@@ -260,7 +250,6 @@ def page_dims(c: ChainComplex, r: int) -> PageTable:
     """
     if r < 0:
         raise ValueError("page index must be a natural number")
-    _require_complex(c)
     table = {}
     for key, spans in sorted(_spans(c).items()):
         d = sum(k for span, k in spans.items() if span is None or span >= r)
@@ -355,16 +344,16 @@ def mapping_cone(f: ChainMap) -> ChainComplex:
     working definition of f being a quasi-isomorphism, and the oracle
     that ``quasi_isomorphism_report`` is checked against.
 
-    The cone's D^2 is [[d^2, 0], [d f - f d, d^2]], so the cached d^2
-    reports of source and target and the chain-map report of f prove
-    D^2 = 0; the cone starts with that passing d^2 report."""
+    f must commute, and ``_pairs`` refuses a source or target whose d^2
+    fails.  The cone proves its own D^2 = 0, like any complex, in the
+    one reduction its homology reads."""
     report = verify_chain_map(f)
     if not report.passed:
         raise ValueError(f"mapping cone of a non-chain-map (fails at degree {report.degree})")
-    _require_complex(f.source)
-    _require_complex(f.target)
     s = f.shift
     src, tgt = f.source, f.target
+    _pairs(src)
+    _pairs(tgt)
     degrees = sorted({r + 1 + s for r in src.degrees()} | set(tgt.degrees()))
     basis = {}
     for r in degrees:
@@ -383,9 +372,7 @@ def mapping_cone(f: ChainMap) -> ChainComplex:
         m = SparseMatrix(top + tgt.dim(r - 1), tuple(columns))
         if not m.is_zero():
             diffs[r] = m
-    cone = ChainComplex.build(basis, diffs)
-    cone._cache["d2"] = D2Report(True)
-    return cone
+    return ChainComplex.build(basis, diffs)
 
 
 def is_quasi_isomorphism(f: ChainMap) -> bool:
@@ -464,14 +451,25 @@ def complex_to_json(c: ChainComplex) -> dict:
     return doc
 
 
+def _exactly(kind: type, value):
+    """value, refused unless its type is kind itself (a bool is not an
+    int): a document holds indices, levels and label lists as written."""
+    if type(value) is not kind:
+        raise TypeError(f"{value!r} is not of type {kind.__name__}")
+    return value
+
+
 def complex_from_json(doc: Mapping) -> ChainComplex:
-    """Inverse of complex_to_json; a malformed document raises ValueError."""
+    """Inverse of complex_to_json; a malformed document raises ValueError.
+    Rows, columns and levels must be ints and label lists lists."""
     try:
-        basis = {int(r): tuple(labels) for r, labels in doc["degrees"].items()}
+        basis = {int(r): tuple(_exactly(list, labels))
+                 for r, labels in doc["degrees"].items()}
         diffs = {}
         for r, triples in doc.get("differentials", {}).items():
             r = int(r)
-            entries = {(int(i), int(j)): Fraction(value) for i, j, value in triples}
+            entries = {(_exactly(int, i), _exactly(int, j)): Fraction(value)
+                       for i, j, value in triples}
             diffs[r] = SparseMatrix.from_entries(
                 len(basis.get(r - 1, ())), len(basis.get(r, ())), entries)
         levels = doc.get("levels")
@@ -481,9 +479,9 @@ def complex_from_json(doc: Mapping) -> ChainComplex:
                     if lab not in levels:
                         raise ValueError(
                             f"no filtration level for basis element {lab!r}")
-            levels = {r: tuple(int(levels[lab]) for lab in labels)
+            levels = {r: tuple(_exactly(int, levels[lab]) for lab in labels)
                       for r, labels in basis.items()}
-    except (KeyError, TypeError, AttributeError, ZeroDivisionError) as exc:
+    except (KeyError, TypeError, ValueError, AttributeError, ZeroDivisionError) as exc:
         raise ValueError(f"malformed complex document: "
                          f"{type(exc).__name__}: {exc}") from exc
     return ChainComplex.build(basis, diffs, levels)

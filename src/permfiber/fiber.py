@@ -61,10 +61,10 @@ class MultiGraph:
 
     @staticmethod
     def from_edges(edges: Iterable) -> MultiGraph:
-        edges = tuple((int(u), int(v)) for u, v in edges)
+        edges = tuple((u, v) for u, v in edges)
         if not edges:
             raise ValueError("graph needs at least one edge")
-        if any(u < 0 or v < 0 for u, v in edges):
+        if any(type(x) is not int or x < 0 for edge in edges for x in edge):
             raise ValueError("vertex ids must be nonnegative integers")
         g = MultiGraph(edges)
         if not g.is_connected():
@@ -456,6 +456,9 @@ def perm_to_fiber(fiber: FiberComplex, perm: PermComplex) -> ChainMap:
     and to zero when t_alpha is degenerate.  Surjective and width
     preserving; for star graphs it is a degreewise bijection."""
     n, source, target = fiber.n, perm.complex, fiber.complex
+    if perm.n != n:
+        raise ValueError(f"perm_to_fiber needs P_{n} for a fiber of {n} edges, "
+                         f"got P_{perm.n}")
     matrices = {}
     for r, alphas in perm.cells.items():
         hits = [fiber.images.get(alpha.blocks) for alpha in alphas]
@@ -471,6 +474,9 @@ def fiber_to_simplex(fiber: FiberComplex, simplex: SimplexComplex) -> ChainMap:
     (every non-root block a singleton), and every other tree to zero;
     the coefficients are fixed by factoring the permutohedron blow-down
     through the fiber."""
+    if simplex.n != fiber.n:
+        raise ValueError(f"fiber_to_simplex needs the simplex on {fiber.n} vertices "
+                         f"for a fiber of {fiber.n} edges, got {simplex.n} vertices")
     matrices = blowdown_matrices(fiber.cells, fiber.images.get, simplex)
     return ChainMap.build(fiber.complex, simplex.complex, fiber.n, matrices,
                           note="root block of singleton-fringe trees")

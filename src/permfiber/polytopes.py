@@ -167,6 +167,9 @@ def perm_to_simplex(perm: PermComplex, simplex: SimplexComplex) -> ChainMap:
     blocks singletons goes to its least block in degree p with
     coefficient ``blowdown_coefficient``, everything else to zero.
     The map is not checked here; ``verify_chain_map`` does that."""
+    if simplex.n != perm.n:
+        raise ValueError(f"perm_to_simplex needs the simplex on {perm.n} vertices "
+                         f"for P_{perm.n}, got {simplex.n} vertices")
     matrices = blowdown_matrices(perm.cells, None, simplex)
     # P1 has a single cell, mapped with +1: the unit sign.
     convention = "unit" if perm.n == 1 else "ordering_parity"

@@ -107,6 +107,36 @@ def test_d_squared_matches_dense_products_under_every_flip(perms, corpus_fibers)
                 assert verify_d_squared(broken) == dense_d2_report(broken), (r, key)
 
 
+def test_d_squared_witness_forms_no_whole_product(monkeypatch, perms, corpus_fibers):
+    """A failing d^2 check forms the lowest failing product one column at
+    a time, so ``multiply`` may raise in every ``permfiber`` namespace
+    that binds it, and still names the least (row, col) entry of that
+    product: on two failing columns it is not in the first one."""
+    import sys
+    import permfiber.linalg as linalg
+
+    def refuse(a, b):
+        raise AssertionError(f"multiply({a.rows}x{a.cols}, {b.rows}x{b.cols})")
+
+    bound = [module for name, module in sorted(sys.modules.items())
+             if (name == "permfiber" or name.startswith("permfiber."))
+             and getattr(module, "multiply", None) is linalg.multiply]
+    assert linalg in bound
+    for module in bound:
+        monkeypatch.setattr(module, "multiply", refuse)
+    two_columns = ChainComplex.build(
+        {0: tuple(f"v{k}" for k in range(6)), 1: ("a", "b"), 2: ("s", "t")},
+        {1: SparseMatrix(6, ({5: 1}, {2: 1})), 2: SparseMatrix(2, ({0: 1}, {1: 1}))})
+    assert verify_d_squared(two_columns) == D2Report(False, 2, ("v2", "t", 1))
+    for c in (perms[3].complex, perms[4].complex, corpus_fibers["cycle4"].complex):
+        for r, d in sorted(c.differentials.items()):
+            keys = sorted(dict(d.items()))
+            for key in (keys[0], keys[-1]):
+                broken = flip_one_entry(c, r, key)
+                report = verify_d_squared(broken)
+                assert not report.passed and report == dense_d2_report(broken), (r, key)
+
+
 def test_homology_rejects_non_complex(perms):
     c = perms[3].complex
     key = next(iter(dict(c.d(1).items())))
@@ -450,8 +480,10 @@ def test_chain_map_report_is_cached_for_the_cone(perms, monkeypatch):
     del products[:]
     assert verify_chain_map(f) is report and not products
     cone = mapping_cone(f)
-    # d^2 = 0 on the cone follows from the three cached reports
-    assert verify_d_squared(cone).passed and not products
+    # the cone proves its own d^2, on its own differentials
+    assert verify_d_squared(cone).passed and products
+    own = list(map(id, cone.differentials.values()))
+    assert all(id(a) in own and id(b) in own for a, b in products)
 
 
 def test_rows_outside_a_matrix_are_refused_where_it_joins(perms):
@@ -571,3 +603,28 @@ def test_json_refuses_a_document_without_degrees(perms):
     del doc["degrees"]
     with pytest.raises(ValueError, match="malformed complex document: KeyError"):
         complex_from_json(doc)
+
+
+def test_json_refuses_what_it_would_bend(perms):
+    """A row or column that is not an int, a bool included, a level that
+    is not an int, a label list that is not a list and a degree that is
+    not an integer are refused, not rounded, counted or split."""
+    def refused(*path, value):
+        doc = json.loads(json.dumps(complex_to_json(perms[2].complex)))
+        *parents, last = path
+        node = doc
+        for key in parents:
+            node = node[key]
+        node[last] = value
+        with pytest.raises(ValueError, match="^malformed complex document: "):
+            complex_from_json(doc)
+
+    for k in (0, 1):
+        for value in (0.7, True, 0.0, "0"):
+            refused("differentials", "1", 0, k, value=value)
+    for value in (1.9, True, "1"):
+        refused("levels", "12", value=value)
+    refused("degrees", "0", value="ab")
+    refused("degrees", "0", value=("1>2", "2>1"))
+    refused("degrees", value={"1.5": []})
+    refused("differentials", "1.5", value=[])

@@ -76,6 +76,14 @@ def test_parse_graph_rejects_bad_input():
         parse_graph("a b\n")
 
 
+def test_vertex_ids_must_be_ints():
+    """A float or a bool is not read as the int it rounds or compares to."""
+    for edges in ([(0, 1.7), (1, 2)], [(0, 1), (1, True)], [(0, "1")]):
+        with pytest.raises(ValueError, match="vertex ids must be nonnegative integers"):
+            MultiGraph.from_edges(edges)
+    assert MultiGraph.from_edges([[0, 1], (1, 2)]).edges == ((0, 1), (1, 2))
+
+
 def test_loop_only_graph_is_connected():
     g = parse_graph("0 0\n0 0\n")
     assert g.n == 2
@@ -290,6 +298,24 @@ def test_quotients_and_maps_build_without_differential_terms(
               fiber_to_simplex(fib, simplex)):
         assert verify_chain_map(f).passed
     assert push_forward_well_defined(fib).passed
+
+
+def test_map_builders_refuse_another_n(corpus_fibers, perms, simplexes):
+    """A map between complexes of different n is refused, naming both
+    sizes, rather than built as a zero map or into the wrong simplex."""
+    fib = corpus_fibers["path3"]
+    for build, message in (
+            (lambda: perm_to_fiber(fib, perms[4]),
+             "perm_to_fiber needs P_3 for a fiber of 3 edges, got P_4"),
+            (lambda: fiber_to_simplex(fib, simplexes[4]), "fiber_to_simplex needs the "
+             "simplex on 3 vertices for a fiber of 3 edges, got 4 vertices"),
+            (lambda: fiber_to_simplex(fib, simplexes[2]), "fiber_to_simplex needs the "
+             "simplex on 3 vertices for a fiber of 3 edges, got 2 vertices"),
+            (lambda: perm_to_simplex(perms[3], simplexes[4]), "perm_to_simplex needs the "
+             "simplex on 3 vertices for P_3, got 4 vertices")):
+        with pytest.raises(ValueError) as caught:
+            build()
+        assert str(caught.value) == message
 
 
 def test_passing_chain_map_check_forms_no_whole_product(
