@@ -222,7 +222,10 @@ def _spans(c: ChainComplex) -> dict:
         out: dict = {}
         for n in c.degrees():
             for p, span in zip(levels[n], spans[n]):
-                out.setdefault((p, n - p), Counter())[span] += 1
+                counts = out.get((p, n - p))
+                if counts is None:
+                    counts = out[p, n - p] = Counter()
+                counts[span] += 1
         c._cache["spans"] = out
     return c._cache["spans"]
 
@@ -459,16 +462,25 @@ def _exactly(kind: type, value):
     return value
 
 
+def _entry(value) -> Fraction:
+    """A document's entry value, written as an "n/d" string or an int (a
+    bool is not one); a float or anything else is refused, not rounded."""
+    if type(value) is not str and type(value) is not int:
+        raise TypeError(f"entry value {value!r} is neither a string nor an int")
+    return Fraction(value)
+
+
 def complex_from_json(doc: Mapping) -> ChainComplex:
     """Inverse of complex_to_json; a malformed document raises ValueError.
-    Rows, columns and levels must be ints and label lists lists."""
+    Rows, columns and levels must be ints, label lists lists and entry
+    values strings or ints."""
     try:
         basis = {int(r): tuple(_exactly(list, labels))
                  for r, labels in doc["degrees"].items()}
         diffs = {}
         for r, triples in doc.get("differentials", {}).items():
             r = int(r)
-            entries = {(_exactly(int, i), _exactly(int, j)): Fraction(value)
+            entries = {(_exactly(int, i), _exactly(int, j)): _entry(value)
                        for i, j, value in triples}
             diffs[r] = SparseMatrix.from_entries(
                 len(basis.get(r - 1, ())), len(basis.get(r, ())), entries)

@@ -20,13 +20,15 @@ a prefix as soon as a block of it is degenerate.  A tree is its nested
 set, the clusters of its blocks, held as one int with a bit per cluster
 mask.  The walk takes blocks in ascending least edge, so the first TO
 partition it reaches for a tree is the tree's canonical representative
-(see ``build_fiber``), and each tree and its label are built once, from
-that partition.
+(see ``build_fiber``), and each tree's label is rendered once, from that
+partition.  The build makes no FiberTree: a fiber's ``trees`` are built
+from its representatives on first read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from heapq import heappop, heappush
 from math import comb
 from typing import Iterable, Sequence
@@ -288,18 +290,24 @@ class FiberComplex:
     quotient's image (``pushforward``).  Its entries come in walk order,
     the order ``build_fiber`` reaches the alpha.  ``cells`` maps each
     degree to the canonical representatives of its trees in basis order,
-    each the first alpha of its tree in that order; ``trees`` maps each
-    label to its canonical tree, one entry per basis cell."""
+    each the first alpha of its tree in that order."""
 
     graph: MultiGraph
     complex: ChainComplex
-    trees: dict       # label -> canonical FiberTree
     images: dict      # block masks of alpha -> (row of t_alpha, its sign)
     cells: dict       # degree -> canonical representatives in basis order
 
     @property
     def n(self) -> int:
         return self.graph.n
+
+    @cached_property
+    def trees(self) -> dict:
+        """Each basis label -> its canonical tree, one entry per basis
+        cell, built from ``cells`` on first read; no verdict reads them."""
+        trees = (fiber_element(self.graph, alpha).canonical()
+                 for alphas in self.cells.values() for alpha in alphas)
+        return {tree.label(): tree for tree in trees}
 
 
 def build_fiber(g: MultiGraph) -> FiberComplex:
@@ -321,8 +329,8 @@ def build_fiber(g: MultiGraph) -> FiberComplex:
     whose least edges differ, and the walk reaches the one with the
     smaller least edge there first; so the first alpha of each tree is
     its least such order by least edges, ``canonical_representative``.
-    Each tree is built once, from that alpha, and its label is rendered
-    bottom up in the same pass (``_canonical_tree``).
+    Each tree's label is rendered once, bottom up, from that alpha
+    (``_label``); no FiberTree is made.
 
     The sign of t_alpha is the parity of its order, which lists the
     canonical ranks of alpha's blocks, so it is the parity of the
@@ -359,11 +367,7 @@ def build_fiber(g: MultiGraph) -> FiberComplex:
             after = -sign if (seen >> shift).bit_count() & 1 else sign
             images[alpha] = t if after == 1 else ~t
     heads = ["({" + format_block(block, n) + "}" for block in range(full + 1)]
-    labels, trees = [], []
-    for alpha in found:
-        label, tree = _canonical_tree(table, heads, alpha)
-        labels.append(label)
-        trees.append(tree)
+    labels = [_label(table, heads, alpha) for alpha in found]
     basis: dict = {}
     cells: dict = {}
     row = [0] * len(found)
@@ -378,8 +382,7 @@ def build_fiber(g: MultiGraph) -> FiberComplex:
     for alpha, t in images.items():
         images[alpha] = plus[t] if t >= 0 else minus[~t]
     cells = {r: tuple(alphas) for r, alphas in cells.items()}
-    return FiberComplex(g, quotient_complex(basis, cells, images.get),
-                        dict(zip(labels, trees)), images, cells)
+    return FiberComplex(g, quotient_complex(basis, cells, images.get), images, cells)
 
 
 def _steps(table: list, steps: list, full: int, done: int) -> tuple:
@@ -415,26 +418,18 @@ def _steps(table: list, steps: list, full: int, done: int) -> tuple:
     return steps[done]
 
 
-def _canonical_tree(table: list, heads: list, alpha: tuple) -> tuple:
-    """The label and the canonical FiberTree of the tree whose canonical
-    representative has blocks ``alpha``, in one pass over them.  Blocks
-    come children first, so a block's children are the subtrees still
-    without a parent whose clusters meet its own, and its label is
-    ``heads[block]``, the children's labels by least edge, and ")".  A
-    block's canonical index is the number of least edges below its own."""
-    k = len(alpha)
-    leasts = [block & -block for block in alpha]
-    firsts = sum(leasts)
-    at = [(firsts & least - 1).bit_count() for least in leasts]
-    blocks = [0] * k
-    parent = [None] * k
-    loose: list = []      # (least edge, cluster, index, label) of parentless subtrees
+def _label(table: list, heads: list, alpha: tuple) -> str:
+    """The label of the tree whose canonical representative has blocks
+    ``alpha``, in one pass over them.  Blocks come children first, so a
+    block's children are the subtrees still without a parent whose
+    clusters meet its own, and its label is ``heads[block]``, the
+    children's labels by least edge, and ")"."""
+    loose: list = []      # (least edge, cluster, label) of parentless subtrees
     done = 0
-    for i, block in enumerate(alpha):
+    for block in alpha:
         done |= block
-        least = leasts[i]
+        least = block & -block
         cluster = table[done][least.bit_length() - 1]
-        blocks[at[i]] = block
         if cluster == block:
             label = heads[block] + ")"
         else:
@@ -442,12 +437,10 @@ def _canonical_tree(table: list, heads: list, alpha: tuple) -> tuple:
             for entry in loose:
                 (kids if entry[1] & cluster else rest).append(entry)
             kids.sort()
-            for entry in kids:
-                parent[at[entry[2]]] = at[i]
-            label = heads[block] + "".join([" " + entry[3] for entry in kids]) + ")"
+            label = heads[block] + "".join([" " + entry[2] for entry in kids]) + ")"
             loose = rest
-        loose.append((least, cluster, i, label))
-    return label, FiberTree(tuple(blocks), tuple(parent), tuple(range(k)))
+        loose.append((least, cluster, label))
+    return label
 
 
 def perm_to_fiber(fiber: FiberComplex, perm: PermComplex) -> ChainMap:

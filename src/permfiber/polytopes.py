@@ -123,10 +123,11 @@ def build_simplex(n: int) -> SimplexComplex:
 
 
 def blowdown_support(alpha: TOPartition):
-    """The least block when every other block is a singleton, else None."""
-    if any(b & b - 1 for b in alpha.blocks[:-1]):
-        return None
-    return alpha.blocks[-1]
+    """The least block when every other block is a singleton, else None:
+    the other blocks hold the n - |least| other elements, so they are
+    all singletons exactly when there are that many of them."""
+    last = alpha.blocks[-1]
+    return last if alpha.n - last.bit_count() == len(alpha.blocks) - 1 else None
 
 
 def blowdown_coefficient(alpha: TOPartition) -> int:

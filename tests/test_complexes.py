@@ -606,9 +606,11 @@ def test_json_refuses_a_document_without_degrees(perms):
 
 
 def test_json_refuses_what_it_would_bend(perms):
-    """A row or column that is not an int, a bool included, a level that
-    is not an int, a label list that is not a list and a degree that is
-    not an integer are refused, not rounded, counted or split."""
+    """A row or column that is not an int, a bool included, an entry
+    value that is neither a string nor an int (a float or a bool), a
+    level that is not an int, a label list that is not a list and a
+    degree that is not an integer are refused, not rounded, counted or
+    split.  An int entry value is read as written."""
     def refused(*path, value):
         doc = json.loads(json.dumps(complex_to_json(perms[2].complex)))
         *parents, last = path
@@ -622,9 +624,15 @@ def test_json_refuses_what_it_would_bend(perms):
     for k in (0, 1):
         for value in (0.7, True, 0.0, "0"):
             refused("differentials", "1", 0, k, value=value)
+    for value in (0.5, True, None, [1, 2]):
+        refused("differentials", "1", 0, 2, value=value)
     for value in (1.9, True, "1"):
         refused("levels", "12", value=value)
     refused("degrees", "0", value="ab")
     refused("degrees", "0", value=("1>2", "2>1"))
     refused("degrees", value={"1.5": []})
     refused("differentials", "1.5", value=[])
+    doc = json.loads(json.dumps(complex_to_json(perms[2].complex)))
+    i, j, _ = doc["differentials"]["1"][0]
+    doc["differentials"]["1"][0][2] = -3
+    assert complex_from_json(doc).differentials[1].get(i, j) == -3

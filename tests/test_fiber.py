@@ -272,6 +272,31 @@ def test_build_fiber_enumerates_no_topartitions(monkeypatch, corpus_graphs,
         assert fib.cells == want.cells, name
 
 
+def test_fiber_build_makes_no_tree(monkeypatch, capsys, corpus_dir, corpus_graphs):
+    """A suite run and the fiber builds make no FiberTree: only labels are
+    rendered.  ``trees`` is built from the canonical representatives on
+    first read."""
+    import permfiber.fiber as fiber
+    from permfiber.cli import main
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("built a FiberTree")
+
+    monkeypatch.setattr(fiber, "_canonical_tree", refuse, raising=False)
+    monkeypatch.setattr(fiber.FiberTree, "__init__", refuse)
+    assert main(["suite", "--corpus", str(corpus_dir)]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "result: PASS"
+    fibers = {name: build_fiber(g) for name, g in corpus_graphs.items()}
+    monkeypatch.undo()
+    for name, fib in fibers.items():
+        g = corpus_graphs[name]
+        want = [fiber_element(g, rep).canonical()
+                for reps in fib.cells.values() for rep in reps]
+        assert fib.trees == {t.label(): t for t in want}, name
+        assert len(fib.trees) == len(want), name
+        assert fib.trees is fib.trees, name
+
+
 def test_quotients_and_maps_build_without_differential_terms(
         monkeypatch, corpus_graphs, corpus_fibers, perms):
     """P_n, a fiber and its three maps find every row from block masks
