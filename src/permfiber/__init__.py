@@ -13,9 +13,11 @@ from .complexes import (
     is_surjective,
     mapping_cone,
     page_dims,
+    point_degree,
     quasi_isomorphism_report,
     verify_chain_map,
     verify_d_squared,
+    verify_factorization,
 )
 from .fiber import (
     FiberComplex,

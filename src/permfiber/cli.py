@@ -13,7 +13,6 @@ import argparse
 import json
 import os
 import sys
-import tempfile
 from collections import namedtuple
 from functools import cache
 from pathlib import Path
@@ -23,10 +22,12 @@ from .complexes import (
     homology_dims,
     is_surjective,
     page_dims,
+    point_degree,
     quasi_isomorphism_report,
     unpaired_cells,
     verify_chain_map,
     verify_d_squared,
+    verify_factorization,
 )
 from .fiber import (
     FIBER_CAP,
@@ -38,7 +39,6 @@ from .fiber import (
     perm_to_fiber,
     push_forward_well_defined,
 )
-from .linalg import _times
 from .polytopes import PERM_CAP, build_perm, build_simplex, perm_to_simplex
 
 CHECK_TOKENS = ("d2", "homology", "maps", "koszul")
@@ -95,19 +95,16 @@ def _parse_checks(raw: str, allowed=CHECK_TOKENS) -> tuple:
 
 
 def _atomic_write(path: Path, text: str) -> None:
+    """Write text to a new file beside path, then move it over path."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
-    # mkstemp makes the file 0600; give it open()'s mode, 0666 less the umask
-    umask = os.umask(0)
-    os.umask(umask)
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    handle = open(tmp, "x", encoding="utf-8")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            os.fchmod(handle.fileno(), 0o666 & ~umask)
+        with handle:
             handle.write(text)
         os.replace(tmp, path)
     except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+        tmp.unlink(missing_ok=True)
         raise
 
 
@@ -160,24 +157,22 @@ def _homology_detail(h: dict) -> str:
     return " ".join(f"H_{r}={d}" for r, d in nonzero.items()) or "zero"
 
 
-def _unexpected_class(c, h: dict, want: dict) -> str:
+def _unexpected_class(c, h: dict, bottom: int) -> str:
     """Witness suffix for a failing homology line: the first degree with
-    more homology than expected and the label of a cell that carries a
-    class there, else the first degree that lacks its class."""
+    more homology than a point with its class at ``bottom``, and a cell
+    that carries a class there, else ``bottom`` when it has no class."""
     for r in c.degrees():
-        if h[r] > want[r]:
+        if h[r] > (1 if r == bottom else 0):
             return f"; unexpected class at degree {r}, cell {unpaired_cells(c, r)[0]}"
-    for r in c.degrees():
-        if h[r] < want[r]:
-            return f"; no class at degree {r}"
-    return ""
+    return "" if h[bottom] else f"; no class at degree {bottom}"
 
 
-def _not_commuting(name: str, report) -> str:
-    """Witness suffix for a maps line: where a chain map fails to commute."""
-    if report.passed:
+def _fails(what: str, report) -> str:
+    """Witness suffix for a maps line: the degree and cell at which
+    ``what`` fails, read off a chain-map report, when it fails."""
+    if report is None or report.passed:
         return ""
-    return f"; {name} does not commute at degree {report.degree}, cell {report.label}"
+    return f"; {what} at degree {report.degree}, cell {report.label}"
 
 
 def _lost_class(name: str, report) -> str:
@@ -186,12 +181,6 @@ def _lost_class(name: str, report) -> str:
         return ""
     return (f"; {name} sends the class of cell {report.label} "
             f"at degree {report.degree} to a boundary")
-
-
-def _d2_holds(*complexes) -> bool:
-    """Whether every one of ``complexes`` passes d^2: the class test
-    reads their homology, which needs it."""
-    return all(verify_d_squared(c).passed for c in complexes)
 
 
 # What the maps check of an n-letter object maps through: P_n, the
@@ -204,78 +193,70 @@ def _maps(perm) -> Maps:
     return Maps(perm, simplex, perm_to_simplex(perm, simplex))
 
 
-def _perm_maps(f) -> tuple:
+MapFacts = namedtuple("MapFacts", "commutes surjective qi skipped")
+
+
+def _map_facts(f) -> MapFacts:
+    """What the maps check reads of f: its commuting report, whether it
+    is surjective, its class-test report, and whether that test was
+    skipped.  The class test runs iff f commutes and d^2 holds at its
+    two ends, whose homology it reads; otherwise the report is None."""
     commutes = verify_chain_map(f)
-    surj = is_surjective(f)
-    skipped = commutes.passed and not _d2_holds(f.source, f.target)
+    skipped = commutes.passed and not (verify_d_squared(f.source).passed
+                                       and verify_d_squared(f.target).passed)
     qi = quasi_isomorphism_report(f) if commutes.passed and not skipped else None
-    cone_ok = qi is not None and qi.passed
-    return (commutes.passed and surj and cone_ok,
-            f"blow-down [{f.note}], surjective={str(surj).lower()}, "
+    return MapFacts(commutes, is_surjective(f), qi, skipped)
+
+
+def _perm_maps(f) -> tuple:
+    m = _map_facts(f)
+    cone_ok = m.qi is not None and m.qi.passed
+    return (m.commutes.passed and m.surjective and cone_ok,
+            f"blow-down [{f.note}], surjective={str(m.surjective).lower()}, "
             f"cone acyclic={str(cone_ok).lower()}"
-            + _not_commuting("blow-down", commutes)
-            + _lost_class("blow-down", qi)
-            + ("; skipped: d2 failed" if skipped else ""))
-
-
-def _factors(h, g, f) -> bool:
-    """Whether h = g after f, one column of f at a time: each column of
-    g after f is formed, compared with h's and dropped, and the check
-    stops at the first that differs, as ``verify_chain_map`` does."""
-    for r in f.source.degrees():
-        g_r, h_r = g.matrix(r + f.shift), h.matrix(r)
-        if any(_times(g_r, column) != h_r.columns[j]
-               for j, column in enumerate(f.matrix(r).columns)):
-            return False
-    return True
+            + _fails("blow-down does not commute", m.commutes)
+            + _lost_class("blow-down", m.qi)
+            + ("; skipped: d2 failed" if m.skipped else ""))
 
 
 def _fiber_maps(fib, maps: Maps) -> tuple:
     perm, simplex, p2s = maps
     p2f = perm_to_fiber(fib, perm)
     f2s = fiber_to_simplex(fib, simplex)
-    p2f_commutes = verify_chain_map(p2f)
-    f2s_commutes = verify_chain_map(f2s)
-    ok_p2f = p2f_commutes.passed and is_surjective(p2f)
-    ok_f2s = f2s_commutes.passed and is_surjective(f2s)
-    skipped = ok_p2f and ok_f2s and not _d2_holds(perm.complex, fib.complex,
-                                                  simplex.complex)
-    p2f_qi = f2s_qi = None
-    cones_ok = factor_ok = False
-    if ok_p2f and ok_f2s:
-        if not skipped:
-            p2f_qi = quasi_isomorphism_report(p2f)
-            f2s_qi = quasi_isomorphism_report(f2s)
-            cones_ok = p2f_qi.passed and f2s_qi.passed
-        factor_ok = _factors(p2s, f2s, p2f)
+    p2f_m, f2s_m = _map_facts(p2f), _map_facts(f2s)
+    chain_maps = all(m.commutes.passed and m.surjective for m in (p2f_m, f2s_m))
+    cones_ok = all(m.qi is not None and m.qi.passed for m in (p2f_m, f2s_m))
+    factors = verify_factorization(p2s, f2s, p2f) if chain_maps else None
+    factor_ok = factors is not None and factors.passed
     # P_n is its own quotient, each cell its own row with sign 1, so column alpha of
     # p2f's commuting check compares sign * (column of t_alpha in d) with
     # pushforward(alpha): the comparison push_forward_well_defined makes
     # for every nondegenerate alpha.  A commuting p2f is well defined;
     # otherwise the check runs to name its tree.
-    welldef = None if p2f_commutes.passed else push_forward_well_defined(fib)
+    welldef = None if p2f_m.commutes.passed else push_forward_well_defined(fib)
     welldef_ok = welldef is None or welldef.passed
-    return (ok_p2f and ok_f2s and cones_ok and factor_ok and welldef_ok,
-            f"chain maps={str(ok_p2f and ok_f2s).lower()}, "
+    return (chain_maps and cones_ok and factor_ok and welldef_ok,
+            f"chain maps={str(chain_maps).lower()}, "
             f"cones acyclic={str(cones_ok).lower()}, "
             f"factorization={str(factor_ok).lower()}, "
             f"well-defined={str(welldef_ok).lower()}"
-            + _not_commuting("perm->fiber", p2f_commutes)
-            + _not_commuting("fiber->simplex", f2s_commutes)
-            + _lost_class("perm->fiber", p2f_qi)
-            + _lost_class("fiber->simplex", f2s_qi)
+            + _fails("perm->fiber does not commute", p2f_m.commutes)
+            + _fails("fiber->simplex does not commute", f2s_m.commutes)
+            + _lost_class("perm->fiber", p2f_m.qi)
+            + _lost_class("fiber->simplex", f2s_m.qi)
+            + _fails("blow-down does not factor through the fiber", factors)
             + ("" if welldef_ok else f"; not well defined at tree {welldef.label}")
-            + ("; skipped: d2 failed" if skipped else ""))
+            + ("; skipped: d2 failed" if p2f_m.skipped or f2s_m.skipped else ""))
 
 
 def _run_checks(col: Collector, name: str, obj, checks, pages: int = -1,
                 maps: Maps | None = None) -> None:
     """The check battery for a PermComplex, SimplexComplex or
-    FiberComplex: d2, homology (one class in the lowest degree), pages,
-    koszul, maps.  Only the dims heading, the Koszul detail text and
-    the maps check depend on the kind of object; a simplex has neither
-    pages, a Koszul check nor maps.  The maps check reads the caller's
-    ``maps`` for n; a P_n builds its own when none are given."""
+    FiberComplex: d2, homology (``point_degree`` is the lowest degree),
+    pages, koszul, maps.  The library decides each verdict and this
+    words it; the wording of dims, koszul and maps depends on the kind
+    of object, and a simplex has no pages, koszul or maps.  The maps
+    check reads the caller's ``maps``; a P_n builds its own if none."""
     c = obj.complex
     fiber = isinstance(obj, FiberComplex)
     col.say(f"object: {name}")
@@ -295,9 +276,8 @@ def _run_checks(col: Collector, name: str, obj, checks, pages: int = -1,
         else:
             h = homology_dims(c)
             bottom = c.degrees()[0]
-            want = {r: int(r == bottom) for r in c.degrees()}
-            col.check(name, "homology", h == want,
-                      _homology_detail(h) + _unexpected_class(c, h, want))
+            col.check(name, "homology", point_degree(c) == bottom,
+                      _homology_detail(h) + _unexpected_class(c, h, bottom))
     if pages >= 0:
         if d2.passed:
             col.pages(name, c, pages)
@@ -306,8 +286,9 @@ def _run_checks(col: Collector, name: str, obj, checks, pages: int = -1,
             col.failed = True
     if "koszul" in checks:
         rep = koszul_check(obj)
-        detail = (f"homology {_homology_detail(rep.homology)}; {rep.note}" if fiber
-                  else "E1 binomial row at q=-1, E2 single class at p=1")
+        detail = (f"homology {_homology_detail(rep.homology)}; pages indexed by "
+                  "(p, q) = (width, degree - width); the binomial row sits at q = -n-1"
+                  if fiber else "E1 binomial row at q=-1, E2 single class at p=1")
         col.check(name, "koszul", rep.passed, detail)
     if "maps" in checks:
         col.check(name, "maps", *(_fiber_maps(obj, maps) if fiber

@@ -58,6 +58,10 @@ class ChainComplex:
                 if len(ps) > len(labels):
                     raise ValueError(f"{len(ps)} filtration levels for "
                                      f"{len(labels)} basis elements at degree {r}")
+                for label, p in zip(labels, ps):
+                    if type(p) is not int or p < 0:  # a bool is not an int
+                        raise ValueError(f"filtration level {p!r} of {label!r} at "
+                                         f"degree {r} is not a natural number")
             for r, m in diffs.items():
                 src, tgt = basis_t[r], basis_t[r - 1]
                 for j, column in enumerate(m.columns):
@@ -320,6 +324,23 @@ def verify_chain_map(f: ChainMap) -> ChainMapReport:
     return report
 
 
+def verify_factorization(h: ChainMap, g: ChainMap, f: ChainMap) -> ChainMapReport:
+    """Pass iff h: A -> C equals g: B -> C after f: A -> B, one cell of A
+    at a time: its columns of h and of g after f are formed, compared
+    and dropped, as in ``verify_chain_map``.  A failing report names the
+    lowest failing degree and the first cell of A in it that differs."""
+    if (g.source != f.target or h.source != f.source or h.target != g.target
+            or h.shift != f.shift + g.shift):
+        raise ValueError("h, g and f do not form a triangle")
+    for r in f.source.degrees():
+        g_r, f_r, h_r = g.matrix(r + f.shift), f.matrix(r), h.matrix(r)
+        j = next((j for j in range(f.source.dim(r))
+                  if _times(g_r, f_r.columns[j]) != h_r.columns[j]), None)
+        if j is not None:
+            return ChainMapReport(False, r, f.source.labels(r)[j])
+    return ChainMapReport(True)
+
+
 def compose(g: ChainMap, f: ChainMap) -> ChainMap:
     """g after f; shifts add."""
     if g.source is not f.target and g.source != f.target:
@@ -383,7 +404,7 @@ def is_quasi_isomorphism(f: ChainMap) -> bool:
     return all(v == 0 for v in homology_dims(mapping_cone(f)).values())
 
 
-def _point_degree(c: ChainComplex) -> int | None:
+def point_degree(c: ChainComplex) -> int | None:
     """The degree of the one class when H(c) is a point, else None."""
     h = homology_dims(c)
     classes = [r for r, d in h.items() if d]
@@ -422,7 +443,7 @@ def quasi_isomorphism_report(f: ChainMap) -> ChainMapReport:
     report = verify_chain_map(f)
     if not report.passed:
         raise ValueError(f"class test of a non-chain-map (fails at degree {report.degree})")
-    a, b = _point_degree(f.source), _point_degree(f.target)
+    a, b = point_degree(f.source), point_degree(f.target)
     if a is None or b is None or a in f.source.differentials:
         return ChainMapReport(is_quasi_isomorphism(f))
     v = _unpaired(f.source, a)[0]
@@ -493,7 +514,7 @@ def complex_from_json(doc: Mapping) -> ChainComplex:
                             f"no filtration level for basis element {lab!r}")
             levels = {r: tuple(_exactly(int, levels[lab]) for lab in labels)
                       for r, labels in basis.items()}
+        return ChainComplex.build(basis, diffs, levels)
     except (KeyError, TypeError, ValueError, AttributeError, ZeroDivisionError) as exc:
         raise ValueError(f"malformed complex document: "
                          f"{type(exc).__name__}: {exc}") from exc
-    return ChainComplex.build(basis, diffs, levels)

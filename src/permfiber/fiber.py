@@ -38,6 +38,7 @@ from .complexes import (
     ChainMap,
     homology_dims,
     page_dims,
+    point_degree,
     verify_d_squared,
 )
 from .linalg import SparseMatrix
@@ -502,12 +503,9 @@ def push_forward_well_defined(fiber: FiberComplex) -> WellDefinednessReport:
     return WellDefinednessReport(True, checked)
 
 
-_PAGES_NOTE = ("pages indexed by (p, q) = (width, degree - width); "
-               "the binomial row sits at q = {}")
-
-
 @dataclass(frozen=True)
 class KoszulReport:
+    """The verdicts of ``koszul_check`` and what they read; no wording."""
     n: int
     d_squared_ok: bool
     homology: dict
@@ -515,7 +513,6 @@ class KoszulReport:
     pages: dict            # r -> PageTable for r = 1, 2; empty if d^2 != 0
     e1_ok: bool
     e2_ok: bool
-    note: str = _PAGES_NOTE.format("-n-1")
 
     @property
     def passed(self) -> bool:
@@ -523,23 +520,21 @@ class KoszulReport:
 
 
 def koszul_check(obj) -> KoszulReport:
-    """One homology class in the bottom degree, an E^1 page that is a
-    single row of binomial dimensions at q = bottom - 1, and an E^2 page
-    with a single class at width 1.
+    """One homology class in the bottom degree (``point_degree``), an
+    E^1 page that is a single row of binomial dimensions at q = bottom
+    - 1, and an E^2 page with a single class at width 1.
 
     ``obj`` is a PermComplex (bottom degree 0) or a FiberComplex (bottom
-    degree -n).  Only the E^1 and E^2 pages are computed, and none when
-    d^2 != 0.
-    """
+    degree -n); the check reads only its n and complex, and the caller
+    words the result.  Only the E^1 and E^2 pages are computed, and
+    none when d^2 != 0."""
     n, c = obj.n, obj.complex
-    row = "-1" if isinstance(obj, PermComplex) else "-n-1"
     bottom = c.degrees()[0]
     d2_ok = verify_d_squared(c).passed
     homology = homology_dims(c) if d2_ok else {}
-    homology_ok = homology == {r: int(r == bottom) for r in c.degrees()}
+    homology_ok = d2_ok and point_degree(c) == bottom
     pages = {r: page_dims(c, r) for r in (1, 2)} if d2_ok else {}
     e1_ok = d2_ok and pages[1].dims == {(p, bottom - 1): comb(n, p)
                                         for p in range(1, n + 1)}
     e2_ok = d2_ok and pages[2].dims == {(1, bottom - 1): 1}
-    return KoszulReport(n, d2_ok, homology, homology_ok, pages, e1_ok, e2_ok,
-                        note=_PAGES_NOTE.format(row))
+    return KoszulReport(n, d2_ok, homology, homology_ok, pages, e1_ok, e2_ok)

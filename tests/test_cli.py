@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from permfiber.cli import CHECK_TOKENS, Collector, _maps, _run_checks, main
-from permfiber.complexes import ChainComplex
+from permfiber.complexes import ChainComplex, ChainMap
 from permfiber.linalg import SparseMatrix
 from permfiber.polytopes import SimplexComplex
 
@@ -198,6 +198,8 @@ def test_bad_arguments_are_one_error_line(capsys, corpus_dir):
         assert len(err.splitlines()) == 1 and err.startswith("error: "), argv
     code, out, err = run_cli(capsys, "perm", "--n", "3", "--cap", "3")
     assert err == "error: unrecognized arguments: --cap 3\n"
+    code, out, err = run_cli(capsys, "perm", "--n", "3", "--checks", " , ")
+    assert code == 2 and out == "" and err == "error: empty --checks\n"
     with pytest.raises(SystemExit) as done:
         main(["perm", "-h"])
     assert done.value.code == 0
@@ -237,6 +239,35 @@ def test_exports_honour_the_umask(capsys, tmp_path):
         want = (out_dir / "made-by-open").stat().st_mode
         for name in ("D2.json", "checks.csv", "dims.csv"):
             assert (out_dir / name).stat().st_mode == want, (oct(umask), name)
+
+
+def test_exports_leave_the_umask_alone(capsys, tmp_path, monkeypatch):
+    """An export takes its mode from open(), so no run reads or sets the
+    process umask, and the files are the same with os.umask refusing."""
+    code, _, _ = run_cli(capsys, "perm", "--n", "3", "--out", str(tmp_path / "free"))
+    assert code == 0
+
+    def refuse(*args):
+        raise AssertionError("os.umask called")
+
+    monkeypatch.setattr(os, "umask", refuse)
+    code, _, _ = run_cli(capsys, "perm", "--n", "3", "--out", str(tmp_path / "refused"))
+    assert code == 0
+    free = sorted((tmp_path / "free").iterdir())
+    refused = sorted((tmp_path / "refused").iterdir())
+    assert [p.name for p in free] == [p.name for p in refused] == [
+        "P3.json", "checks.csv", "dims.csv", "pages.csv"]
+    assert [p.read_bytes() for p in free] == [p.read_bytes() for p in refused]
+
+
+def test_export_onto_a_directory_leaves_no_temporary_file(capsys, tmp_path):
+    out_dir = tmp_path / "out"
+    (out_dir / "dims.csv").mkdir(parents=True)
+    code, out, err = run_cli(capsys, "perm", "--n", "3", "--out", str(out_dir))
+    assert code == 2 and out == ""
+    assert err == f"error: cannot write --out {out_dir}: Is a directory\n"
+    assert [p.name for p in out_dir.iterdir()] == ["dims.csv"]
+    assert list((out_dir / "dims.csv").iterdir()) == []
 
 
 def test_fiber_graph_is_a_directory(capsys, tmp_path):
@@ -413,10 +444,26 @@ PINNED_FAILING_LINES = {
         "at degree 1, cell 3>12; fiber->simplex does not commute at degree -2, "
         "cell ({12} ({3})); not well defined at tree ({12} ({3})))",
     ],
+    # the negated map commutes, is surjective and keeps the class
+    "path3 with fiber->simplex negated": [
+        "check maps: FAIL (chain maps=true, cones acyclic=true, factorization=false, "
+        "well-defined=true; blow-down does not factor through the fiber at degree 0, "
+        "cell 1>2>3)",
+    ],
 }
 
 
+def _scaled(f: ChainMap, k: int, degrees=None) -> ChainMap:
+    """f with every entry in ``degrees`` (default: all) multiplied by k,
+    a nonzero int."""
+    return ChainMap.build(f.source, f.target, f.shift, {
+        r: m if degrees is not None and r not in degrees else SparseMatrix(
+            m.rows, tuple({i: k * v for i, v in col.items()} for col in m.columns))
+        for r, m in f.matrices.items()}, f.note)
+
+
 def test_failing_lines_are_pinned(monkeypatch, perms, corpus_fibers):
+    import permfiber.cli as cli
     import permfiber.polytopes as polytopes
 
     def failing(name, obj, checks, maps=None):
@@ -441,6 +488,12 @@ def test_failing_lines_are_pinned(monkeypatch, perms, corpus_fibers):
     with monkeypatch.context() as patch:
         patch.setattr(polytopes, "blowdown_support", lambda alpha: None)
         got["P3 with a zero blow-down"] = failing("P3", perms[3], ("maps",))
+    to_simplex = cli.fiber_to_simplex
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "fiber_to_simplex", lambda fib, simplex:
+                      _scaled(to_simplex(fib, simplex), -1))
+        got["path3 with fiber->simplex negated"] = failing(
+            "path3", fib, ("maps",), _maps(perms[3]))
     unit = polytopes.blowdown_coefficient
     with monkeypatch.context() as patch:
         patch.setattr(polytopes, "blowdown_coefficient", lambda alpha:
@@ -448,6 +501,40 @@ def test_failing_lines_are_pinned(monkeypatch, perms, corpus_fibers):
         got["P4 with the blow-down flipped on three blocks"] = failing(
             "P4", perms[4], ("maps",))
     assert got == PINNED_FAILING_LINES
+
+
+def test_class_test_runs_on_each_commuting_map_whose_ends_pass_d2(
+        monkeypatch, perms, corpus_fibers):
+    """One gate for every map: the class test runs iff the map commutes
+    and d^2 holds at its own two ends, whatever the other map does.  A
+    zero fiber->simplex commutes but is not surjective; it is tested and
+    loses the class, and perm->fiber is tested beside it.  A
+    fiber->simplex that does not commute is not tested; perm->fiber is."""
+    import permfiber.cli as cli
+    tested = []
+    real_qi, to_simplex = cli.quasi_isomorphism_report, cli.fiber_to_simplex
+    monkeypatch.setattr(cli, "quasi_isomorphism_report",
+                        lambda f: tested.append(f.note) or real_qi(f))
+    fib = corpus_fibers["path3"]
+    monkeypatch.setattr(cli, "fiber_to_simplex", lambda fib, simplex:
+                        dataclasses.replace(to_simplex(fib, simplex), matrices={}))
+    col = Collector()
+    _run_checks(col, "path3", fib, ("maps",), maps=_maps(perms[3]))
+    assert tested == ["alpha -> t_alpha", "root block of singleton-fringe trees"]
+    assert col.lines[-1] == (
+        "check maps: FAIL (chain maps=false, cones acyclic=false, "
+        "factorization=false, well-defined=true; fiber->simplex sends the "
+        "class of cell ({1} ({2} ({3}))) at degree -3 to a boundary)")
+    tested.clear()
+    monkeypatch.setattr(cli, "fiber_to_simplex", lambda fib, simplex:
+                        _scaled(to_simplex(fib, simplex), -1, degrees=(-3,)))
+    col = Collector()
+    _run_checks(col, "path3", fib, ("maps",), maps=_maps(perms[3]))
+    assert tested == ["alpha -> t_alpha"]
+    assert col.lines[-1] == (
+        "check maps: FAIL (chain maps=false, cones acyclic=false, "
+        "factorization=false, well-defined=true; fiber->simplex does not "
+        "commute at degree -2, cell ({12} ({3})))")
 
 
 def test_passing_battery_reduces_each_complex_once(monkeypatch, corpus_graphs):
@@ -713,6 +800,37 @@ def test_suite_manifest_of_the_wrong_shape(capsys, tmp_path, corpus_dir,
     assert out == ""
     assert err.splitlines() == [
         f"error: bad manifest {corpus / 'manifest.json'}: {complaint}"]
+
+
+@pytest.mark.parametrize("spoil, complaint", [
+    (lambda corpus: shutil.rmtree(corpus), "corpus directory not found: {corpus}"),
+    (lambda corpus: ((corpus / "manifest.json").unlink(),
+                     (corpus / "manifest.json").mkdir()),
+     "cannot read manifest {corpus}/manifest.json: Is a directory"),
+    (lambda corpus: (corpus / "manifest.json").write_text("{path3: 1}"),
+     "bad manifest {corpus}/manifest.json: Expecting property name enclosed in "
+     "double quotes: line 1 column 2 (char 1)"),
+])
+def test_suite_refuses_an_unusable_corpus(capsys, tmp_path, corpus_dir,
+                                          spoil, complaint):
+    corpus = small_corpus(tmp_path, corpus_dir)
+    spoil(corpus)
+    code, out, err = run_cli(capsys, "suite", "--corpus", str(corpus), "--cap", "3")
+    assert code == 2 and out == ""
+    assert err.splitlines() == ["error: " + complaint.format(corpus=corpus)]
+
+
+def test_suite_reports_a_disconnected_graph(capsys, tmp_path, corpus_dir):
+    corpus = small_corpus(tmp_path, corpus_dir)
+    (corpus / "split.edges").write_text("0 1\n2 3\n")
+    manifest = json.loads((corpus / "manifest.json").read_text())
+    (corpus / "manifest.json").write_text(json.dumps({**manifest, "split": {}}))
+    code, out, _ = run_cli(capsys, "suite", "--corpus", str(corpus), "--cap", "3")
+    assert code == 1
+    lines = out.splitlines()
+    at = lines.index("object: split")
+    assert lines[at + 1] == "check load: FAIL (graph is not connected)"
+    assert lines[at + 2].startswith("object: ")
 
 
 def test_suite_missing_manifest(capsys, tmp_path):

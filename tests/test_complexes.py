@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import re
 from collections import Counter
 from fractions import Fraction
 
@@ -18,6 +19,7 @@ from permfiber.complexes import (
     is_surjective,
     mapping_cone,
     page_dims,
+    point_degree,
     quasi_isomorphism_report,
     unpaired_cells,
     verify_chain_map,
@@ -259,6 +261,28 @@ def test_compose_shifts_add(perms, simplexes, corpus_fibers):
     f = perm_to_fiber(fib, perms[3])
     g = fiber_to_simplex(fib, simplexes[3])
     assert compose(g, f).shift == 0
+    with pytest.raises(ValueError, match="^maps are not composable$"):
+        compose(f, g)
+
+
+def test_point_degree(perms, simplexes):
+    """The degree of the one class of a point, else None; a complex whose
+    d^2 fails has no homology to read."""
+    for n in range(1, 5):
+        assert point_degree(perms[n].complex) == 0
+        assert point_degree(simplexes[n].complex) == 0
+    assert point_degree(interval_complex()) == 0
+    two = ChainComplex.build({0: ("a", "b")}, {})
+    circle = ChainComplex.build({0: ("a",), 1: ("e",)}, {})
+    doubled = ChainComplex.build({0: ("a",), 1: ("e",)},
+                                 {1: SparseMatrix.from_entries(1, 1, {(0, 0): 2})})
+    assert point_degree(two) is None
+    assert point_degree(circle) is None
+    assert point_degree(doubled) is None   # acyclic over Q: no class at all
+    assert point_degree(ChainComplex.build({3: ("x",)}, {})) == 3
+    broken = flip_one_entry(perms[3].complex, 1, (0, 0))
+    with pytest.raises(ValueError, match="not a chain complex"):
+        point_degree(broken)
 
 
 def test_quasi_isomorphism_criterion(perms):
@@ -327,6 +351,26 @@ def test_filtration_must_not_increase_levels():
         ChainComplex.build(c.basis, c.differentials, {0: (1, 1)})  # missing level
     with pytest.raises(ValueError, match="3 filtration levels for 2 basis elements"):
         ChainComplex.build(c.basis, c.differentials, {0: (1, 1, 1), 1: (1,)})
+
+
+def test_filtration_levels_are_natural_numbers():
+    """A level is an int of at least 0, and a bool is not one; the refusal
+    names the level, the cell and its degree.  Level 0 is allowed."""
+    c = interval_complex()
+    ChainComplex.build(c.basis, c.differentials, {0: (0, 0), 1: (0,)})
+    for bad in (-1, 0.5, True, Fraction(1), None, "1"):
+        with pytest.raises(ValueError, match=re.escape(
+                f"filtration level {bad!r} of 'b' at degree 0 is not a natural number")):
+            ChainComplex.build(c.basis, c.differentials, {0: (1, bad), 1: (1,)})
+
+
+def test_json_refuses_a_negative_level(perms):
+    doc = complex_to_json(perms[2].complex)
+    doc["levels"]["12"] = -1
+    with pytest.raises(ValueError, match=re.escape(
+            "malformed complex document: ValueError: filtration level -1 of "
+            "'12' at degree 1 is not a natural number")):
+        complex_from_json(doc)
 
 
 def test_page_zero_counts_levels(perms):

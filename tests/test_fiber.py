@@ -6,6 +6,7 @@ import pytest
 
 from permfiber.complexes import (
     ChainComplex,
+    ChainMap,
     compose,
     homology_dims,
     is_surjective,
@@ -14,6 +15,7 @@ from permfiber.complexes import (
     quasi_isomorphism_report,
     verify_chain_map,
     verify_d_squared,
+    verify_factorization,
 )
 from permfiber.fiber import (
     MultiGraph,
@@ -337,7 +339,9 @@ def test_map_builders_refuse_another_n(corpus_fibers, perms, simplexes):
             (lambda: fiber_to_simplex(fib, simplexes[2]), "fiber_to_simplex needs the "
              "simplex on 3 vertices for a fiber of 3 edges, got 2 vertices"),
             (lambda: perm_to_simplex(perms[3], simplexes[4]), "perm_to_simplex needs the "
-             "simplex on 3 vertices for P_3, got 4 vertices")):
+             "simplex on 3 vertices for P_3, got 4 vertices"),
+            (lambda: fiber_element(fib.graph, TOPartition.of(2, [1], [2])),
+             "partition of 1..2 does not match 3 edges")):
         with pytest.raises(ValueError) as caught:
             build()
         assert str(caught.value) == message
@@ -518,6 +522,55 @@ def test_factorization_through_fiber(perms, simplexes, corpus_fibers):
         composite = compose(g, f)
         for r in perms[n].complex.degrees():
             assert composite.matrix(r) == p2s.matrix(r), (name, r)
+        assert verify_factorization(p2s, g, f).passed, name
+
+
+def _first_difference(h, composite):
+    """The lowest degree, and in it the first source cell, where the
+    whole matrices of h and of a composite differ, else None."""
+    for r in h.source.degrees():
+        left, right = h.matrix(r).columns, composite.matrix(r).columns
+        for j, (a, b) in enumerate(zip(left, right)):
+            if a != b:
+                return r, h.source.labels(r)[j]
+    return None
+
+
+def test_factorization_names_the_first_cell_that_differs(perms, simplexes,
+                                                         corpus_fibers):
+    """With one entry of fiber->simplex negated or dropped, the column-
+    by-column check fails exactly where the whole product of compose
+    differs from the blow-down, and names the same degree and cell."""
+    for name in ("path3", "theta", "star3"):
+        fib = corpus_fibers[name]
+        n = fib.n
+        f = perm_to_fiber(fib, perm=perms[n])
+        g = fiber_to_simplex(fib, simplex=simplexes[n])
+        h = perm_to_simplex(perms[n], simplexes[n])
+        for r, m in g.matrices.items():
+            for key, value in m.items():
+                for new in (-value, 0):
+                    entries = dict(m.items())
+                    entries[key] = new
+                    broken = ChainMap.build(g.source, g.target, g.shift, {
+                        **g.matrices,
+                        r: SparseMatrix.from_entries(m.rows, m.cols, entries)})
+                    want = _first_difference(h, compose(broken, f))
+                    report = verify_factorization(h, broken, f)
+                    got = None if report.passed else (report.degree, report.label)
+                    assert got == want, (name, r, key, new)
+
+
+def test_factorization_refuses_maps_that_do_not_form_a_triangle(perms, simplexes,
+                                                                corpus_fibers):
+    fib = corpus_fibers["path3"]
+    f = perm_to_fiber(fib, perm=perms[3])
+    g = fiber_to_simplex(fib, simplex=simplexes[3])
+    h = perm_to_simplex(perms[3], simplexes[3])
+    for triangle in ((h, f, g), (g, g, f), (f, g, f),
+                     (perm_to_simplex(perms[2], simplexes[2]), g, f)):
+        with pytest.raises(ValueError, match="do not form a triangle"):
+            verify_factorization(*triangle)
 
 
 # ------------------------------------------------ well-definedness, pages
@@ -620,7 +673,6 @@ def test_koszul_check_accepts_perm_complexes(perms):
         assert sorted(report.pages) == [1, 2]
         assert report.pages[1].dims == {(p, -1): comb(n, p) for p in range(1, n + 1)}
         assert report.pages[2].dims == {(1, -1): 1}
-        assert report.note.endswith("q = -1")
 
 
 def test_koszul_single_edge_trivial(corpus_fibers):

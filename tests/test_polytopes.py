@@ -37,6 +37,8 @@ def test_perm_cap_enforced():
         build_perm(0)
     with pytest.raises(ValueError):
         build_perm(9)   # past PERM_CAP = 8
+    with pytest.raises(ValueError, match="^n must be at least 1$"):
+        build_simplex(0)
 
 
 def test_perm_filtration_is_width(perms):

@@ -144,6 +144,8 @@ def test_invalid_partitions_rejected():
         TOPartition.of(3, [1, 2], [2, 3])  # overlap
     with pytest.raises(ValueError):
         TOPartition.of(3, (), (1, 2, 3))  # empty block
+    with pytest.raises(ValueError, match="^ground set must be nonempty$"):
+        TOPartition.of(0)
 
 
 def test_invalid_ids_give_the_same_messages():
