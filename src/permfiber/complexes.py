@@ -22,7 +22,8 @@ from fractions import Fraction
 from itertools import chain
 from typing import Mapping
 
-from .linalg import SparseMatrix, _times, multiply, pivots, product_vanishes, rank
+from .linalg import (SparseMatrix, _times, first_mismatch, multiply, pivots,
+                     product_vanishes, rank)
 
 
 @dataclass(frozen=True, eq=True)
@@ -303,20 +304,17 @@ class ChainMapReport:
 
 
 def verify_chain_map(f: ChainMap) -> ChainMapReport:
-    """Pass iff d_target . f = f . d_source in every degree, one source
-    cell at a time: its columns of the two sides are formed, compared
-    and dropped.  A failing report names the lowest failing degree and,
-    in it, the first source cell whose columns differ.  The report is
-    cached on the map, like the d^2 report on a complex."""
+    """Pass iff d_target . f = f . d_source in every degree, decided by
+    one ``linalg.first_mismatch`` per degree, which forms neither side.
+    A failing report names the lowest failing degree and, in it, the
+    first source cell whose columns differ.  The report is cached on
+    the map, like the d^2 report on a complex."""
     if "commutes" in f._cache:
         return f._cache["commutes"]
     report = ChainMapReport(True)
     for r in f.source.degrees():
-        d_target, f_r = f.target.d(r + f.shift), f.matrix(r)
-        f_below, d_source = f.matrix(r - 1), f.source.d(r)
-        j = next((j for j in range(f.source.dim(r))
-                  if _times(d_target, f_r.columns[j])
-                  != _times(f_below, d_source.columns[j])), None)
+        j = first_mismatch(f.target.d(r + f.shift), f.matrix(r).columns,
+                           f.matrix(r - 1), f.source.d(r).columns)
         if j is not None:
             report = ChainMapReport(False, r, f.source.labels(r)[j])
             break
@@ -325,17 +323,16 @@ def verify_chain_map(f: ChainMap) -> ChainMapReport:
 
 
 def verify_factorization(h: ChainMap, g: ChainMap, f: ChainMap) -> ChainMapReport:
-    """Pass iff h: A -> C equals g: B -> C after f: A -> B, one cell of A
-    at a time: its columns of h and of g after f are formed, compared
-    and dropped, as in ``verify_chain_map``.  A failing report names the
-    lowest failing degree and the first cell of A in it that differs."""
+    """Pass iff h: A -> C equals g: B -> C after f: A -> B, decided by
+    one ``linalg.first_mismatch`` per degree, as in ``verify_chain_map``,
+    so g after f is never formed.  A failing report names the lowest
+    failing degree and the first cell of A in it that differs."""
     if (g.source != f.target or h.source != f.source or h.target != g.target
             or h.shift != f.shift + g.shift):
         raise ValueError("h, g and f do not form a triangle")
     for r in f.source.degrees():
-        g_r, f_r, h_r = g.matrix(r + f.shift), f.matrix(r), h.matrix(r)
-        j = next((j for j in range(f.source.dim(r))
-                  if _times(g_r, f_r.columns[j]) != h_r.columns[j]), None)
+        j = first_mismatch(g.matrix(r + f.shift), f.matrix(r).columns,
+                           None, h.matrix(r).columns)
         if j is not None:
             return ChainMapReport(False, r, f.source.labels(r)[j])
     return ChainMapReport(True)

@@ -8,6 +8,7 @@ the package implementations it checks.
 
 from __future__ import annotations
 
+from collections import deque
 from fractions import Fraction
 from itertools import combinations
 from math import comb, factorial
@@ -73,9 +74,10 @@ def page_dims_dense(levels, basis, differentials, r: int) -> dict:
 
 
 def dense_multiply(a, b):
-    """Naive triple loop product of list-of-lists matrices."""
+    """Naive triple loop product of list-of-lists matrices, exact: an
+    entry stays an int while its terms are ints."""
     rows, inner, cols = len(a), len(b), len(b[0]) if b else 0
-    out = [[Fraction(0)] * cols for _ in range(rows)]
+    out = [[0] * cols for _ in range(rows)]
     for i in range(rows):
         for k in range(inner):
             if a[i][k] == 0:
@@ -83,6 +85,59 @@ def dense_multiply(a, b):
             for j in range(cols):
                 out[i][j] += a[i][k] * b[k][j]
     return out
+
+
+def coreduction_critical_cells(c) -> list:
+    """The critical cells, as (degree, label), of a coreduction of the
+    chain complex c (Mrozek and Batko, "Coreduction homology algorithm").
+
+    The first cell of the lowest degree is marked critical and removed.
+    Then a live cell with exactly one live face is paired with that face
+    and both are removed; the face's coefficient in the cell must be +-1,
+    so the pair cancels over the integers.  When no such cell is left, a
+    cell of the lowest live degree, which has no live face, is marked
+    critical, and pairing goes on until no cell is live.  Each pair is an
+    elementary collapse of an acyclic matching, so when d^2 = 0 the
+    critical cells carry the homology of c over Z: one critical cell
+    means one class, in its degree, and no torsion.  More than one is a
+    witness, not a verdict; a coreduction can stop short on an acyclic
+    part.  No elimination and no fraction enters."""
+    faces = {}       # (degree, index) -> {face: coefficient}
+    cofaces = {}     # (degree, index) -> cells that hold it as a face
+    for r in c.degrees():
+        for j in range(c.dim(r)):
+            faces[r, j] = {}
+        for (i, j), value in c.d(r).items():
+            faces[r, j][r - 1, i] = value
+            cofaces.setdefault((r - 1, i), []).append((r, j))
+    live_faces = {cell: len(fs) for cell, fs in faces.items()}
+    live = set(faces)
+    queue = deque()
+
+    def remove(cell):
+        live.remove(cell)
+        for coface in cofaces.get(cell, ()):
+            if coface in live:
+                live_faces[coface] -= 1
+                queue.append(coface)
+
+    critical = []
+    cells = iter(sorted(faces))    # by degree, then index
+    while live:
+        cell = next(cell for cell in cells if cell in live)
+        critical.append(cell)
+        remove(cell)
+        queue.extend(cell for cell in sorted(live) if live_faces[cell] == 1)
+        while queue:
+            cell = queue.popleft()
+            if cell not in live or live_faces[cell] != 1:
+                continue
+            (face,) = [face for face in faces[cell] if face in live]
+            value = faces[cell][face]
+            assert value in (1, -1), (cell, face, value)
+            remove(cell)
+            remove(face)
+    return [(r, c.labels(r)[j]) for r, j in critical]
 
 
 def fubini(n: int) -> int:

@@ -27,7 +27,8 @@ from permfiber.complexes import (
 )
 from permfiber.linalg import SparseMatrix
 
-from oracles import dense_multiply, dense_rank, page_dims_dense
+from oracles import (coreduction_critical_cells, dense_multiply, dense_rank,
+                     page_dims_dense)
 
 
 def identity_map(c: ChainComplex) -> ChainMap:
@@ -285,6 +286,56 @@ def test_point_degree(perms, simplexes):
         point_degree(broken)
 
 
+def check_homology_by_coreduction(c: ChainComplex, name) -> list:
+    """The critical cells of ``oracles.coreduction_critical_cells`` on c.
+    One critical cell is an independent proof that H(c) is one class in
+    its degree, which ``point_degree`` must name.  More than one names
+    the cells the coreduction could not pair; then the dense ranks
+    decide, and the check fails only if they disagree with
+    ``homology_dims``."""
+    critical = coreduction_critical_cells(c)
+    if len(critical) == 1:
+        assert point_degree(c) == critical[0][0], (name, critical)
+    else:
+        dense = {r: c.dim(r) - dense_rank(c.d(r).dense()) - dense_rank(c.d(r + 1).dense())
+                 for r in c.degrees()}
+        assert homology_dims(c) == dense, (name, critical)
+    return critical
+
+
+def test_coreduction_leaves_one_bottom_cell(perms, corpus_fibers):
+    """On P1-P6 and every corpus fiber, d^2 = 0 and a coreduction pairs
+    every cell but one of the bottom degree, each pair through a +-1
+    coefficient: the homology is one class, over Z, by a method that
+    shares nothing with the rank engine."""
+    complexes = [(f"P{n}", perms[n].complex) for n in perms]
+    complexes += [(name, fib.complex) for name, fib in corpus_fibers.items()]
+    assert len(complexes) == 6 + 14
+    for name, c in complexes:
+        assert verify_d_squared(c).passed, name
+        critical = check_homology_by_coreduction(c, name)
+        assert len(critical) == 1 and critical[0][0] == c.degrees()[0], (name, critical)
+
+
+def test_coreduction_names_the_cells_it_cannot_pair():
+    """Where more than one cell stays critical, the oracle names them and
+    the dense ranks decide: two points, a circle, and a cell whose one
+    face has coefficient 2, which is acyclic over Q but not paired."""
+    two = ChainComplex.build({0: ("a", "b")}, {})
+    circle = ChainComplex.build(
+        {0: ("a", "b"), 1: ("e", "f")},
+        {1: SparseMatrix.from_entries(2, 2, {(0, 0): -1, (1, 0): 1,
+                                             (0, 1): -1, (1, 1): 1})})
+    doubled = ChainComplex.build({0: ("a",), 1: ("e",)},
+                                 {1: SparseMatrix.from_entries(1, 1, {(0, 0): 2})})
+    assert check_homology_by_coreduction(two, "two") == [(0, "a"), (0, "b")]
+    assert check_homology_by_coreduction(circle, "circle") == [(0, "a"), (1, "f")]
+    assert check_homology_by_coreduction(doubled, "doubled") == [(0, "a"), (1, "e")]
+    assert check_homology_by_coreduction(interval_complex(), "interval") == [(0, "a")]
+    flipped = flip_one_entry(interval_complex(), 1, (0, 0))   # d(e) = a + b
+    assert check_homology_by_coreduction(flipped, "flipped") == [(0, "a")]
+
+
 def test_quasi_isomorphism_criterion(perms):
     assert is_quasi_isomorphism(identity_map(perms[2].complex))
     f = ChainMap.build(point_complex("p"), point_complex("q"), 0, {})
@@ -511,10 +562,10 @@ def test_pages_need_levels(simplexes):
 def test_chain_map_report_is_cached_for_the_cone(perms, monkeypatch):
     import permfiber.complexes as complexes
     products = []
-    times, vanishes = complexes._times, complexes.product_vanishes
-    # column products: the chain-map check forms one per source cell
-    monkeypatch.setattr(complexes, "_times", lambda a, column:
-                        products.append((a, column)) or times(a, column))
+    kernel, vanishes = complexes.first_mismatch, complexes.product_vanishes
+    # the chain-map check compares its products in one kernel call per degree
+    monkeypatch.setattr(complexes, "first_mismatch", lambda a, xs, b, ys:
+                        products.append((a, b)) or kernel(a, xs, b, ys))
     monkeypatch.setattr(complexes, "product_vanishes", lambda a, b, cols:
                         products.append((a, b)) or vanishes(a, b, cols))
     f = identity_map(perms[3].complex)

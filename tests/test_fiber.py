@@ -7,6 +7,7 @@ import pytest
 from permfiber.complexes import (
     ChainComplex,
     ChainMap,
+    ChainMapReport,
     compose,
     homology_dims,
     is_surjective,
@@ -38,6 +39,7 @@ from permfiber.topartitions import (
 
 from oracles import (
     contracted_tree_key,
+    dense_multiply,
     fiber_tree_sets,
     ids,
     nested_set_counts,
@@ -571,6 +573,117 @@ def test_factorization_refuses_maps_that_do_not_form_a_triangle(perms, simplexes
                      (perm_to_simplex(perms[2], simplexes[2]), g, f)):
         with pytest.raises(ValueError, match="do not form a triangle"):
             verify_factorization(*triangle)
+
+
+class DenseProducts:
+    """The reports of the chain-map and factorization checks, read off
+    whole triple-loop products.  A product is kept under the identity of
+    its two factors, which it holds, so a map with one matrix replaced
+    forms only the products that matrix enters."""
+
+    def __init__(self):
+        self.kept = {}
+
+    def product(self, a: SparseMatrix, b: SparseMatrix) -> list:
+        key = (id(a), id(b))
+        if key not in self.kept:
+            dense = (dense_multiply(a.dense(), b.dense()) if a.nnz and b.nnz
+                     else [[0] * b.cols for _ in range(a.rows)])
+            self.kept[key] = (a, b, dense)
+        return self.kept[key][2]
+
+    @staticmethod
+    def first_column(left: list, right: list, cols: int):
+        return next((j for j in range(cols)
+                     if any(row_l[j] != row_r[j] for row_l, row_r in zip(left, right))),
+                    None)
+
+    def chain_map(self, f: ChainMap) -> ChainMapReport:
+        for r in f.source.degrees():
+            j = self.first_column(self.product(f.target.d(r + f.shift), f.matrix(r)),
+                                  self.product(f.matrix(r - 1), f.source.d(r)),
+                                  f.source.dim(r))
+            if j is not None:
+                return ChainMapReport(False, r, f.source.labels(r)[j])
+        return ChainMapReport(True)
+
+    def factorization(self, h: ChainMap, g: ChainMap, f: ChainMap) -> ChainMapReport:
+        for r in f.source.degrees():
+            j = self.first_column(self.product(g.matrix(r + f.shift), f.matrix(r)),
+                                  h.matrix(r).dense(), f.source.dim(r))
+            if j is not None:
+                return ChainMapReport(False, r, f.source.labels(r)[j])
+        return ChainMapReport(True)
+
+
+def extreme_flips(f: ChainMap):
+    """f with the least, then the greatest (row, col) entry of one of its
+    matrices negated, for each matrix in degree order."""
+    for r, m in sorted(f.matrices.items()):
+        keys = sorted(dict(m.items()))
+        for key in sorted({keys[0], keys[-1]}):
+            entries = dict(m.items())
+            entries[key] = -entries[key]
+            yield ChainMap.build(f.source, f.target, f.shift, {
+                **f.matrices, r: SparseMatrix.from_entries(m.rows, m.cols, entries)})
+
+
+def test_map_checks_match_dense_products_under_extreme_flips(perms, simplexes,
+                                                             corpus_fibers):
+    """With the least or the greatest entry of one map matrix negated,
+    ``verify_chain_map`` and ``verify_factorization`` return the reports
+    of the whole dense products, witness included: on the blow-downs of
+    P3-P5, and on perm->fiber, fiber->simplex and the factorization of
+    the blow-down through them for every corpus fiber of 3 to 5 edges."""
+    dense = DenseProducts()
+    blowdowns = {n: perm_to_simplex(perms[n], simplexes[n]) for n in (3, 4, 5)}
+    reports = []
+    for h in blowdowns.values():
+        assert verify_chain_map(h) == dense.chain_map(h) == ChainMapReport(True)
+        for broken in extreme_flips(h):
+            reports.append(verify_chain_map(broken))
+            assert reports[-1] == dense.chain_map(broken), broken.note
+    fibers = [fib for fib in corpus_fibers.values() if 3 <= fib.n <= 5]
+    for fib in fibers:
+        n = fib.n
+        h = blowdowns[n]
+        f = perm_to_fiber(fib, perm=perms[n])
+        g = fiber_to_simplex(fib, simplex=simplexes[n])
+        assert verify_factorization(h, g, f) == dense.factorization(h, g, f) \
+            == ChainMapReport(True)
+        triangles = [(h, g, broken, broken) for broken in extreme_flips(f)]
+        triangles += [(h, broken, f, broken) for broken in extreme_flips(g)]
+        triangles += [(broken, g, f, None) for broken in extreme_flips(h)]
+        for h_, g_, f_, broken in triangles:
+            if broken is not None:
+                reports.append(verify_chain_map(broken))
+                assert reports[-1] == dense.chain_map(broken), (fib.graph.edges, broken.note)
+            reports.append(verify_factorization(h_, g_, f_))
+            assert reports[-1] == dense.factorization(h_, g_, f_), fib.graph.edges
+    assert len(fibers) == 11 and len(reports) == 396
+    assert {report.passed for report in reports} == {True, False}
+
+
+def test_passing_checks_form_no_product_column(capsys, monkeypatch, corpus_dir):
+    """The chain-map, factorization and d^2 checks of a passing suite run
+    compare products through ``linalg.first_mismatch`` without forming
+    a product column, so ``_times`` may raise in every ``permfiber``
+    namespace that binds it."""
+    from permfiber.cli import main
+    import sys
+    import permfiber.linalg as linalg
+
+    def refuse(a, column):
+        raise AssertionError(f"_times({a.rows}x{a.cols}, {column})")
+
+    bound = [module for name, module in sorted(sys.modules.items())
+             if (name == "permfiber" or name.startswith("permfiber."))
+             and getattr(module, "_times", None) is linalg._times]
+    assert linalg in bound
+    for module in bound:
+        monkeypatch.setattr(module, "_times", refuse)
+    assert main(["suite", "--corpus", str(corpus_dir)]) == 0
+    assert capsys.readouterr().out.count("factorization=true") == 14
 
 
 # ------------------------------------------------ well-definedness, pages

@@ -3,10 +3,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from permfiber.complexes import ChainComplex, homology_dims, page_dims
 import permfiber.linalg as linalg
-from permfiber.linalg import SparseMatrix, multiply, pivots, product_vanishes, rank
+from permfiber.linalg import (SparseMatrix, first_mismatch, multiply, pivots,
+                              product_vanishes, rank)
 
 from oracles import dense_multiply, dense_rank
 
@@ -68,6 +70,68 @@ def test_product_vanishes_matches_dense_products():
     assert found == {True, False}
     with pytest.raises(ValueError):
         product_vanishes(SparseMatrix.identity(2), SparseMatrix.identity(3), [0])
+
+
+VALUES = st.sampled_from((-2, -1, 1, 3, Fraction(1, 2), Fraction(-2, 3)))
+
+
+def columns(draw, rows: int, count: int) -> list:
+    """count columns over ``rows`` rows, each {row: nonzero value}."""
+    return [draw(st.dictionaries(st.integers(0, rows - 1), VALUES, max_size=3))
+            if rows else {} for _ in range(count)]
+
+
+@st.composite
+def kernel_cases(draw):
+    """(a, xs, b, ys) for ``first_mismatch``.  a holds the negation of
+    one of its own columns, so a column of xs can cancel to zero; b is
+    None or a followed by more columns, and many pairs are made equal
+    (ys[k] = xs[k], or a @ xs[k] written out when b is None) and then
+    perhaps changed in one entry, so both answers occur at any k."""
+    rows, inner = draw(st.integers(0, 4)), draw(st.integers(1, 4))
+    a_cols = columns(draw, rows, inner)
+    a_cols.append({i: -v for i, v in a_cols[draw(st.integers(0, inner - 1))].items()})
+    a = SparseMatrix(rows, tuple(a_cols))
+    b = None
+    if draw(st.booleans()):
+        b = SparseMatrix(rows, a.columns + tuple(columns(draw, rows, draw(st.integers(0, 2)))))
+    count = draw(st.integers(0, 5))
+    xs = columns(draw, a.cols, count)
+    ys = columns(draw, rows if b is None else b.cols, count)
+    for k in range(count):
+        if draw(st.booleans()):
+            ys[k] = dict(xs[k]) if b is not None else dense_column(a, xs[k])
+            if ys[k] and draw(st.booleans()):
+                key = draw(st.sampled_from(sorted(ys[k])))
+                ys[k][key] *= -2
+    return a, xs, b, ys
+
+
+def dense_column(a: SparseMatrix, x: dict) -> dict:
+    """a @ x by the triple loop, zeros dropped."""
+    product = dense_multiply(a.dense(), [[x.get(k, 0)] for k in range(a.cols)])
+    return {i: row[0] for i, row in enumerate(product) if row[0]}
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(kernel_cases())
+def test_first_mismatch_matches_dense_products(case):
+    """The kernel returns the first k at which the triple-loop products
+    a @ xs[k] and b @ ys[k] (ys[k] itself when b is None) differ, for int
+    and Fraction entries, columns that cancel to zero and empty columns;
+    a length mismatch raises ValueError rather than being cut short."""
+    a, xs, b, ys = case
+    want = next((k for k, (x, y) in enumerate(zip(xs, ys))
+                 if dense_column(a, x) != (y if b is None else dense_column(b, y))),
+                None)
+    assert first_mismatch(a, xs, b, ys) == want
+    if want is None:
+        with pytest.raises(ValueError):
+            first_mismatch(a, xs, b, ys + [{}])
+        with pytest.raises(ValueError):
+            first_mismatch(a, xs + [{}], b, ys)
+    else:   # the answer is read before the shorter list runs out
+        assert first_mismatch(a, xs + [{}], b, ys) == want
 
 
 def test_reductions_leave_their_input_alone(perms, corpus_fibers):

@@ -1,6 +1,7 @@
 """Property tests over random connected multigraphs with loops and
 parallel edges: the fiber's dimensions match two independent oracles,
-flow-chart trees and nested sets of connected edge sets, and the full check battery of the command line passes."""
+flow-chart trees and nested sets of connected edge sets, a coreduction
+agrees with its homology, and the full check battery of the command line passes."""
 
 import pytest
 
@@ -10,6 +11,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 from permfiber.cli import CHECK_TOKENS, Collector, _maps, _run_checks  # noqa: E402
 from permfiber.fiber import MultiGraph, build_fiber  # noqa: E402
 
+from test_complexes import check_homology_by_coreduction  # noqa: E402
 from test_fiber import assert_built_from_representatives  # noqa: E402
 
 from oracles import fiber_tree_sets, nested_set_counts, nondegenerate_count  # noqa: E402
@@ -43,6 +45,7 @@ def test_random_multigraph_fibers(perms, edges):
     assert dims == nested_set_counts(g.edges), edges
     assert len(fib.images) == nondegenerate_count(g.edges), edges
     assert_built_from_representatives(fib, edges)
+    check_homology_by_coreduction(fib.complex, edges)
     col = Collector()
     _run_checks(col, "g", fib, CHECK_TOKENS, pages=2, maps=_maps(perms[g.n]))
     assert not col.failed, (edges, col.lines)
