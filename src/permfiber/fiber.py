@@ -12,11 +12,15 @@ they touch into one.  The fiber complex is spanned by the distinct
 nondegenerate t_alpha, each carried with a mod-2 order on its blocks,
 modelled as a canonical block order plus a parity sign.
 
-Edge sets are held as bitmasks, edge e at bit e-1.  The vertex clusters
-after contracting any edge set are read from one table per graph, so a
-block is one lookup: the fiber builder walks the block prefixes once,
-sharing each prefix between the TO partitions that extend it, and drops
-a prefix as soon as a block of it is degenerate.  A tree is its nested
+Edge sets are held as bitmasks, edge e at bit e-1.  The edges of each
+vertex cluster after contracting any edge set, the components of the
+line graph (which edges share a vertex) on that set, are read from one
+table per graph, built from the line graph alone.  So a graph reaches
+its fiber only through n and its line graph, and graphs with equal line
+graphs have equal fibers.  A block is one lookup in that table: the
+fiber builder walks the block prefixes once, sharing each prefix
+between the TO partitions that extend it, and drops a prefix as soon
+as a block of it is degenerate.  A tree is its nested
 set, the clusters of its blocks, held as one int with a bit per cluster
 mask.  The walk takes blocks in ascending least edge, so the first TO
 partition it reaches for a tree is the tree's canonical representative
@@ -81,6 +85,15 @@ class MultiGraph:
     def vertices(self) -> set:
         return {v for edge in self.edges for v in edge}
 
+    def line_graph(self) -> tuple:
+        """One edge mask per edge: the edges that share a vertex with it,
+        itself included."""
+        touching: dict = {}   # vertex -> the edges at it
+        for e, (u, v) in enumerate(self.edges):
+            touching[u] = touching.get(u, 0) | 1 << e
+            touching[v] = touching.get(v, 0) | 1 << e
+        return tuple(touching[u] | touching[v] for u, v in self.edges)
+
     def is_connected(self) -> bool:
         parent: dict = {}
         for u, v in self.edges:
@@ -124,25 +137,31 @@ def _find(parent: dict, x):
 
 
 def _cluster_table(g: MultiGraph) -> list:
-    """One row per edge mask ``done``: for each edge e, the edges of
-    ``done`` in the vertex cluster of e's first end (which holds both
-    ends when e is in ``done``) once the edges in ``done`` are
-    contracted, as an edge mask.  Built once per graph (2**n rows) and
-    cached on it."""
+    """One row per edge mask ``done``: for each edge e of ``done``, the
+    edges of its component in the line graph restricted to ``done`` (the
+    edges of the vertex cluster holding e once the edges in ``done`` are
+    contracted), as an edge mask; 0 for an edge outside ``done``.  Read
+    from ``g.line_graph()`` alone, a row at a time: the row of ``done``
+    is the row without its top edge, with that edge's component, the
+    edge and the components it touches, written over each of their
+    edges.  Built once per graph (2**n rows) and cached on it."""
     table = g._cache.get("clusters")
     if table is None:
-        table = []
-        for done in range(1 << g.n):
-            roots: dict = {}
-            inside = [e for e in range(g.n) if done >> e & 1]
-            for e in inside:
-                u, v = g.edges[e]
-                roots[_find(roots, u)] = _find(roots, v)
-            edges: dict = {}
-            for e in inside:
-                root = _find(roots, g.edges[e][0])
-                edges[root] = edges.get(root, 0) | 1 << e
-            table.append(tuple(edges.get(_find(roots, u), 0) for u, _ in g.edges))
+        lines = g.line_graph()
+        table = [(0,) * g.n]
+        for done in range(1, 1 << g.n):
+            top = done.bit_length() - 1
+            row = list(table[done ^ 1 << top])
+            cluster = 1 << top
+            touched = lines[top] & done ^ cluster
+            while touched:
+                cluster |= row[(touched & -touched).bit_length() - 1]
+                touched &= ~cluster
+            rest = cluster
+            while rest:
+                row[(rest & -rest).bit_length() - 1] = cluster
+                rest &= rest - 1
+            table.append(tuple(row))
         g._cache["clusters"] = table
     return table
 

@@ -289,6 +289,24 @@ def fiber_tree_sets(edges):
     return out
 
 
+def edge_components(edges, subset):
+    """The connected components of the edges with ids in ``subset`` (ids
+    1..n), as frozensets of edge ids, found by merging explicit vertex
+    sets until no two of them meet."""
+    clusters = [({e}, set(edges[e - 1])) for e in subset]
+    merged = True
+    while merged:
+        merged = False
+        for a, b in combinations(range(len(clusters)), 2):
+            if clusters[a][1] & clusters[b][1]:
+                ids_b, vertices_b = clusters.pop(b)
+                clusters[a][0].update(ids_b)
+                clusters[a][1].update(vertices_b)
+                merged = True
+                break
+    return [frozenset(ids_) for ids_, _ in clusters]
+
+
 def nested_sets(edges):
     """Every nested set that holds the whole edge set, as a frozenset of
     frozensets of edge ids 1..n.
@@ -302,20 +320,9 @@ def nested_sets(edges):
     """
     n = len(edges)
 
-    def connected(subset):
-        clusters = [set(edges[e - 1]) for e in subset]
-        merged = True
-        while merged:
-            merged = False
-            for a, b in combinations(range(len(clusters)), 2):
-                if clusters[a] & clusters[b]:
-                    clusters[a] |= clusters.pop(b)
-                    merged = True
-                    break
-        return len(clusters) == 1
-
     building = {frozenset(s) for k in range(1, n + 1)
-                for s in combinations(range(1, n + 1), k) if connected(s)}
+                for s in combinations(range(1, n + 1), k)
+                if len(edge_components(edges, s)) == 1}
     whole = frozenset(range(1, n + 1))
     members = sorted(building - {whole}, key=sorted)
     found = []

@@ -105,6 +105,33 @@ def test_maps_above_the_perm_ceiling(capsys, monkeypatch, tmp_path, corpus_dir):
         main(["fiber", "--graph", str(path9), "--cap", "9", "--checks", "d2,koszul"])
 
 
+def test_size_refusals_come_before_any_line_graph(capsys, monkeypatch, tmp_path,
+                                                  corpus_dir):
+    """A graph above the cap is refused before its line graph is formed:
+    fiber still exits 2 at once, and suite still reports it too large."""
+    from permfiber.fiber import MultiGraph
+    path10 = tmp_path / "path10.edges"
+    path10.write_text("".join(f"{v} {v + 1}\n" for v in range(10)))
+    runs = [("fiber", "--graph", str(path10)),
+            ("fiber", "--graph", str(path10), "--cap", "9"),
+            ("suite", "--corpus", str(corpus_dir), "--cap", "3")]
+    before = [run_cli(capsys, *argv) for argv in runs]
+    line_graph = MultiGraph.line_graph
+
+    def refuse(g):
+        if g.n > 3:
+            raise AssertionError(f"formed the line graph of a {g.n}-edge graph")
+        return line_graph(g)
+
+    monkeypatch.setattr(MultiGraph, "line_graph", refuse)
+    assert [run_cli(capsys, *argv) for argv in runs] == before
+    assert [(code, err) for code, _, err in before] == [
+        (2, "error: graph has 10 edges, above the cap 8\n"),
+        (2, "error: graph has 10 edges, above the cap 9\n"),
+        (1, "")]
+    assert "check load: FAIL (graph has 4 edges, above the cap 3)" in before[2][1]
+
+
 def test_pages_above_n_plus_one(capsys, monkeypatch, corpus_dir):
     import permfiber.cli as cli
     build_perm = cli.build_perm
@@ -589,6 +616,48 @@ def test_suite_builds_one_simplex_and_one_blowdown_per_n(capsys, monkeypatch,
     code, out, _ = run_cli(capsys, "suite", "--corpus", str(corpus_dir))
     assert code == 0 and out.count("check maps: pass") == 20
     assert sorted(simplexes) == sorted(blowdowns) == [1, 2, 3, 4, 5, 6]
+
+
+def test_suite_checks_each_line_graph_once(capsys, monkeypatch, corpus_dir):
+    """The 14 shipped graphs have 11 line graphs (the triangle, the 3-star
+    and the theta graph share one, as do the 2-path and the 2-star), so
+    the suite builds and checks 11 fibers."""
+    import permfiber.cli as cli
+    build_fiber, built = cli.build_fiber, []
+    monkeypatch.setattr(cli, "build_fiber", lambda g: built.append(g.n) or build_fiber(g))
+    code, out, _ = run_cli(capsys, "suite", "--corpus", str(corpus_dir))
+    assert code == 0 and out.count("check dims-manifest: pass") == 14
+    assert sorted(built) == [1, 2, 3, 3, 4, 4, 4, 4, 5, 5, 5]
+
+
+def test_suite_replays_one_battery_under_each_name(capsys, tmp_path, corpus_dir):
+    """star3 and cycle3 share a line graph, so one battery serves both,
+    in the report and in the CSVs; dims-manifest still reads each graph's
+    own manifest entry."""
+    corpus = small_corpus(tmp_path, corpus_dir, names=("cycle3", "star3"))
+    manifest = json.loads((corpus / "manifest.json").read_text())
+    manifest["cycle3"]["dims"]["-2"] = 7
+    (corpus / "manifest.json").write_text(json.dumps(manifest))
+    out_dir = tmp_path / "out"
+    code, out, _ = run_cli(capsys, "suite", "--corpus", str(corpus), "--cap", "3",
+                           "--out", str(out_dir))
+    assert code == 1
+    lines = out.splitlines()
+    at = [lines.index(f"object: {name}") for name in ("cycle3", "star3", "P1")]
+    cycle3, star3 = lines[at[0] + 1:at[1]], lines[at[1] + 1:at[2]]
+    assert cycle3[-1] == "check dims-manifest: FAIL (degree -2: got 6, manifest 7)"
+    assert star3[-1] == "check dims-manifest: pass"
+    assert cycle3[:-1] == star3[:-1] and len(star3) == 2 + len(CHECK_TOKENS)
+    assert [line for line in lines if "FAIL" in line] == [cycle3[-1], "result: FAIL"]
+    rows: dict = {}
+    for table in ("dims", "checks"):
+        for row in (out_dir / f"{table}.csv").read_text().splitlines()[1:]:
+            name, rest = row.split(",", 1)
+            rows.setdefault((table, name), []).append(rest)
+    assert rows["dims", "cycle3"] == rows["dims", "star3"] == ["-3,6", "-2,6", "-1,1"]
+    assert rows["checks", "cycle3"][:-1] == rows["checks", "star3"][:-1]
+    assert rows["checks", "cycle3"][-1] == "dims-manifest,false"
+    assert rows["checks", "star3"][-1] == "dims-manifest,true"
 
 
 def test_fiber_verdicts_are_invariant_under_relabelling(corpus_graphs, perms):

@@ -20,6 +20,7 @@ from permfiber.complexes import (
 )
 from permfiber.fiber import (
     MultiGraph,
+    _cluster_table,
     build_fiber,
     canonical_representative,
     fiber_element,
@@ -40,6 +41,7 @@ from permfiber.topartitions import (
 from oracles import (
     contracted_tree_key,
     dense_multiply,
+    edge_components,
     fiber_tree_sets,
     ids,
     nested_set_counts,
@@ -219,6 +221,46 @@ def test_fiber_trees_biject_onto_nested_sets(corpus_graphs, corpus_fibers):
         families = {subtree_edge_sets(tree) for tree in fib.trees.values()}
         assert len(families) == len(fib.trees), name
         assert families == set(nested_sets(corpus_graphs[name].edges)), name
+
+
+def assert_clusters_match_oracle(g, context):
+    """``g.line_graph()`` marks the edge pairs that share a vertex, and
+    each entry of the cluster table for an edge of ``done`` is that
+    edge's component among the edges of ``done``, by the oracle."""
+    edges = range(1, g.n + 1)
+    assert g.line_graph() == tuple(
+        sum(1 << f - 1 for f in edges if len(edge_components(g.edges, {e, f})) == 1)
+        for e in edges), context
+    table = _cluster_table(g)
+    assert len(table) == 1 << g.n, context
+    for done, row in enumerate(table):
+        for part in edge_components(g.edges, ids(done)):
+            mask = sum(1 << e - 1 for e in part)
+            assert all(row[e - 1] == mask for e in part), (context, done, sorted(part))
+
+
+def assert_equal_fibers(fib, other, context):
+    """Equal complexes, and equal images and cells in the same order."""
+    assert fib.complex == other.complex, context
+    assert list(fib.images.items()) == list(other.images.items()), context
+    assert list(fib.cells.items()) == list(other.cells.items()), context
+
+
+def test_cluster_table_rows_are_edge_components(corpus_graphs):
+    assert len(corpus_graphs) == 14
+    for name, g in sorted(corpus_graphs.items()):
+        assert_clusters_match_oracle(g, name)
+
+
+def test_equal_line_graphs_build_equal_fibers(corpus_graphs, corpus_fibers):
+    """A fiber is read off the line graph alone: the triangle, the
+    3-star and the theta graph have one line graph, as have the 2-path
+    and the 2-star, and each group builds one fiber."""
+    for first, *rest in (("cycle3", "star3", "theta"), ("path2", "star2")):
+        for name in rest:
+            assert corpus_graphs[name].line_graph() == corpus_graphs[first].line_graph()
+            assert_equal_fibers(corpus_fibers[name], corpus_fibers[first], name)
+    assert len({g.line_graph() for g in corpus_graphs.values()}) == 11
 
 
 def test_fiber_d_squared_and_width_filtration(corpus_fibers):

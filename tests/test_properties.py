@@ -1,7 +1,11 @@
 """Property tests over random connected multigraphs with loops and
 parallel edges: the fiber's dimensions match two independent oracles,
-flow-chart trees and nested sets of connected edge sets, a coreduction
-agrees with its homology, and the full check battery of the command line passes."""
+flow-chart trees and nested sets of connected edge sets, its cluster
+table holds the edge components an oracle finds, a renamed copy of the
+graph builds the same fiber, a coreduction agrees with its homology,
+and the full check battery of the command line passes."""
+
+import random
 
 import pytest
 
@@ -12,7 +16,11 @@ from permfiber.cli import CHECK_TOKENS, Collector, _maps, _run_checks  # noqa: E
 from permfiber.fiber import MultiGraph, build_fiber  # noqa: E402
 
 from test_complexes import check_homology_by_coreduction  # noqa: E402
-from test_fiber import assert_built_from_representatives  # noqa: E402
+from test_fiber import (  # noqa: E402
+    assert_built_from_representatives,
+    assert_clusters_match_oracle,
+    assert_equal_fibers,
+)
 
 from oracles import fiber_tree_sets, nested_set_counts, nondegenerate_count  # noqa: E402
 
@@ -46,6 +54,15 @@ def test_random_multigraph_fibers(perms, edges):
     assert len(fib.images) == nondegenerate_count(g.edges), edges
     assert_built_from_representatives(fib, edges)
     check_homology_by_coreduction(fib.complex, edges)
+    assert_clusters_match_oracle(g, edges)
+    # renaming the vertices and reversing edges keeps the line graph, so the fiber
+    rng = random.Random(repr(edges))
+    vertices = sorted(g.vertices())
+    rename = dict(zip(vertices, rng.sample(range(100), len(vertices))))
+    moved = MultiGraph.from_edges((rename[v], rename[u]) if rng.random() < 0.5
+                                  else (rename[u], rename[v]) for u, v in edges)
+    assert moved.line_graph() == g.line_graph(), edges
+    assert_equal_fibers(build_fiber(moved), fib, edges)
     col = Collector()
     _run_checks(col, "g", fib, CHECK_TOKENS, pages=2, maps=_maps(perms[g.n]))
     assert not col.failed, (edges, col.lines)
