@@ -64,14 +64,14 @@ class ChainComplex:
                         raise ValueError(f"filtration level {p!r} of {label!r} at "
                                          f"degree {r} is not a natural number")
             for r, m in diffs.items():
-                src, tgt = basis_t[r], basis_t[r - 1]
-                for j, column in enumerate(m.columns):
+                below = levels[r - 1]
+                for j, (column, p) in enumerate(zip(m.columns, levels[r])):
                     for i in column:
-                        if levels[r - 1][i] > levels[r][j]:
+                        if below[i] > p:
                             raise ValueError(
                                 f"differential raises filtration level at degree {r}: "
-                                f"{src[j]!r} (level {levels[r][j]}) -> "
-                                f"{tgt[i]!r} (level {levels[r - 1][i]})")
+                                f"{basis_t[r][j]!r} (level {p}) -> "
+                                f"{basis_t[r - 1][i]!r} (level {below[i]})")
         return ChainComplex(basis_t, diffs, levels)
 
     def degrees(self) -> list:
@@ -98,17 +98,18 @@ def _check_matrix(m: SparseMatrix, rows: int, cols: int, what: str) -> None:
     negative row included, which a list would index silently, and every
     stored value a nonzero int or Fraction: an explicit zero would be
     paired as a pivot, and a float is not exact.  A matrix is checked
-    here, once, where it joins a complex or a map."""
+    here, once, where it joins a complex or a map.  The keys of its
+    nonempty columns are read once, into the set of rows it uses."""
     if (m.rows, m.cols) != (rows, cols):
         raise ValueError(f"{what} is {m.rows}x{m.cols}, expected {rows}x{cols}")
-    low = min(chain.from_iterable(m.columns), default=0)
-    high = max(chain.from_iterable(m.columns), default=-1)
-    if low < 0 or high >= m.rows:
-        row = low if low < 0 else high
+    nonempty = list(filter(None, m.columns))
+    used = set().union(*nonempty)
+    if used and (min(used) < 0 or max(used) >= m.rows):
+        row = min(used) if min(used) < 0 else max(used)
         raise ValueError(f"{what} has an entry in row {row}, outside its {m.rows} rows")
-    if 0 in chain.from_iterable(map(dict.values, m.columns)):
+    if 0 in chain.from_iterable(map(dict.values, nonempty)):
         raise ValueError(f"{what} stores an explicit zero")
-    kinds = set(map(type, chain.from_iterable(map(dict.values, m.columns))))
+    kinds = set(map(type, chain.from_iterable(map(dict.values, nonempty))))
     if not _EXACT.issuperset(kinds):
         names = ", ".join(sorted(kind.__name__ for kind in kinds - _EXACT))
         raise ValueError(f"{what} stores a value of type {names}, not int or Fraction")

@@ -1,20 +1,29 @@
-"""Permutohedron and simplex chain complexes, and the blow-down map
-from ordered partitions onto their least blocks.
+"""Permutohedron and simplex chain complexes, the quotient builder for
+the fibers, and the blow-down map from ordered partitions onto their
+least blocks.
+
+P_n is enumerated in label order and its differential assembled from
+those of smaller permutohedra by index arithmetic (``build_perm``); a
+quotient of P_n, such as a fiber, is assembled cell by cell through its
+image (``pushforward``, ``quotient_complex``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, repeat
 
 from .complexes import ChainComplex, ChainMap
 from .linalg import SparseMatrix
 from .topartitions import (
     TOPartition,
     enumerate_topartitions,
+    first_blocks,
     format_block,
+    ordered_counts,
     parity,
     splits,
+    spread,
     width,
 )
 
@@ -49,17 +58,87 @@ class SimplexComplex:
 
 
 def build_perm(n: int) -> PermComplex:
+    """P_n, its cells enumerated in label order degree by degree
+    (``enumerate_topartitions``) and its differential assembled from
+    those of smaller permutohedra by index arithmetic (``_perm_columns``);
+    each label is rendered once."""
     if not 1 <= n <= PERM_CAP:
         raise ValueError(f"n must satisfy 1 <= n <= {PERM_CAP}, got {n}")
-    cells: dict = {}
-    for alpha in enumerate_topartitions(n):
-        cells.setdefault(n - alpha.block_count(), []).append(alpha)
-    basis = {}
-    for r, alphas in cells.items():
-        basis[r], cells[r] = zip(*sorted((alpha.label(), alpha) for alpha in alphas))
-    table = {alpha.blocks: (j, 1) for alphas in cells.values()
-             for j, alpha in enumerate(alphas)}
-    return PermComplex(n, quotient_complex(basis, cells, table.get), cells)
+    alphas = enumerate_topartitions(n)
+    cells, basis, levels, start = {}, {}, {}, 0
+    for k, count in enumerate(ordered_counts(n)[1:], 1):
+        cells[n - k] = tuple(alphas[start:start + count])
+        basis[n - k] = tuple(map(TOPartition.label, cells[n - k]))
+        levels[n - k] = tuple(map(width, cells[n - k]))
+        start += count
+    del alphas
+    columns = _perm_columns(n)[n]
+    diffs = {n - k: SparseMatrix(len(cells[n - k - 1]), tuple(columns[k]))
+             for k in range(n - 1, 0, -1)}
+    return PermComplex(n, ChainComplex.build(basis, diffs, levels), cells)
+
+
+def _perm_columns(n: int) -> list:
+    """columns[m][k]: the column of d on each k-block cell of P_m, in label
+    order, for m = 0 .. n.
+
+    A k-block cell of P_m is C>gamma, with gamma a (k-1)-block cell of
+    P_m' on the m' = m - |C| ids outside C, at row off(m, k, C) + index
+    of gamma, where off(m, k, C) counts the k-block cells whose first
+    block precedes C (``first_blocks``).  Splitting block i carries the
+    sign (-1)**(i-1), so d(C>gamma) is the sum over the ordered splits
+    B'>B'' of C of B'>B''>gamma, at row off(m, k+1, B') + off(m - |B'|,
+    k, B'' on its own ids) + index of gamma, minus C>d(gamma), the
+    column of gamma in P_m' shifted by off(m, k+1, C).  The rows come
+    in the order of ``splits``.  No two terms share a row: the split
+    terms begin with distinct proper parts of C, and the others with C.
+    """
+    columns: list = [[[{}]]]   # P_0: the empty partition, with d = 0
+    offsets: list = [[{}]]
+    negated: dict = {}         # (m', k) -> the negated values of each column
+    for m in range(1, n + 1):
+        full = (1 << m) - 1
+        offset: list = [{}]
+        for k in range(1, m + 1):
+            at, starts = 0, {}
+            for c in first_blocks(m):
+                starts[c] = at
+                counts = ordered_counts(m - c.bit_count())
+                at += counts[k - 1] if k - 1 < len(counts) else 0
+            offset.append(starts)
+        offsets.append(offset)
+        # (B', the mask of B'' on the ids outside B') for each split of C
+        squeeze = [{mask: j for j, mask in enumerate(spread(full ^ b))}
+                   for b in range(full)]
+        parts = {c: [(b, squeeze[b][b2]) for (b, b2), _ in splits((c,))]
+                 for c in first_blocks(m)}
+        layer: list = [[] for _ in range(m + 1)]
+        row = list(range(max(ordered_counts(m))))   # one int per row, shared
+        for k in range(1, m + 1):
+            for c in first_blocks(m):
+                rest = m - c.bit_count()
+                if k - 1 > rest:
+                    continue
+                tails = columns[rest][k - 1]
+                # the rows of B'>B''>gamma run over a slice as gamma does
+                bases = [offset[k + 1][b] + offsets[m - b.bit_count()][k][b2]
+                         for b, b2 in parts[c]]
+                heads = (zip(*(row[base:base + len(tails)] for base in bases)) if bases
+                         else repeat((), len(tails)))
+                # the row of C>delta, by the index of delta in P_m'
+                above = ordered_counts(rest)[k] if k <= rest else 0
+                start = offset[k + 1][c] if above else 0
+                shifted = row[start:start + above].__getitem__
+                minus = negated.get((rest, k - 1))
+                if minus is None:
+                    minus = negated[rest, k - 1] = [tuple(-v for v in column.values())
+                                                    for column in tails]
+                for head, column, values in zip(heads, tails, minus):
+                    new = dict.fromkeys(head, 1)
+                    new.update(zip(map(shifted, column), values))
+                    layer[k].append(new)
+        columns.append(layer)
+    return columns
 
 
 def pushforward(blocks: tuple, image) -> dict:
@@ -69,7 +148,8 @@ def pushforward(blocks: tuple, image) -> dict:
     ``image(beta)`` is the (row, sign) of the class of the TO partition
     with block masks beta, the row indexing the class within its degree,
     or None when beta is zero in the quotient.  P_n itself is the
-    quotient whose image sends each cell to its own row with sign 1.
+    quotient whose image sends each cell to its own row with sign 1, but
+    ``build_perm`` does not go through here.
     """
     acc: dict = {}
     for beta, sign in splits(blocks):
@@ -81,11 +161,13 @@ def pushforward(blocks: tuple, image) -> dict:
 
 
 def quotient_complex(basis: dict, cells: dict, image) -> ChainComplex:
-    """A quotient of P_n, filtered by width.  ``basis`` and ``cells`` map
-    each degree to its labels and to one TO partition representing each
-    label, in basis order, and ``image`` is the quotient's image, as in
-    ``pushforward``: it sends cells[r][j] to row j with some sign.  Column
-    j of d_r is the pushforward of d(cells[r][j]) divided by that sign."""
+    """A quotient of P_n, filtered by width: a fiber.  ``basis`` and
+    ``cells`` map each degree to its labels and to one TO partition
+    representing each label, in basis order, and ``image`` is the
+    quotient's image, as in ``pushforward``: it sends cells[r][j] to row
+    j with some sign.  Column j of d_r is the pushforward of
+    d(cells[r][j]) divided by that sign.  With the identity image it
+    gives P_n itself, which the tests compare with ``build_perm``."""
     diffs = {}
     for r in sorted(cells):
         if r - 1 not in cells:

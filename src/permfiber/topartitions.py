@@ -33,7 +33,8 @@ class TOPartition(NamedTuple):
         return _validated(n, tuple(tuple(sorted(b)) for b in blocks))
 
     def label(self) -> str:
-        return ">".join(format_block(b, self.n) for b in self.blocks)
+        texts = _block_texts(self.n, "" if self.n <= 9 else ",")
+        return ">".join(map(texts.__getitem__, self.blocks))
 
     def pretty(self) -> str:
         texts = _block_texts(self.n, ",")
@@ -80,22 +81,66 @@ def _block_texts(n: int, sep: str) -> tuple:
 
 
 def enumerate_topartitions(n: int) -> list:
-    """All TO partitions of {1..n}, each exactly once (Fubini(n) of them)."""
+    """All TO partitions of {1..n}, each exactly once (Fubini(n) of them):
+    by block count ascending, and within a block count in label order
+    (for n <= 9, where every id is one digit).
+
+    Labels with k blocks then all have the same length, n ids and k-1
+    '>', so they sort by first block (``first_blocks``), then by the
+    rest.  The k-block cells of P(S) are therefore, for each first block
+    C of S in that order, C followed by the (k-1)-block cells of
+    P(S - C), which are ordered as P_|S - C| is, through the increasing
+    bijection.  The cells of P_0 .. P_{n-1} are built on {1..m} and
+    spread onto S - C through a table of masks per C (``spread``).
+    """
     if n < 1:
         raise ValueError("n must be at least 1")
-    return [TOPartition(n, blocks) for blocks in _ordered_partitions(n)]
+    layers = [[[()]]]   # layers[m][k]: the k-block cells of P_m, as block tuples
+    for m in range(1, n + 1):
+        full = (1 << m) - 1
+        layer: list = [[] for _ in range(m + 1)]
+        for c in first_blocks(m):
+            onto = spread(full ^ c)
+            for k, tails in enumerate(layers[m - c.bit_count()], 1):
+                layer[k] += [(c, *map(onto.__getitem__, t)) for t in tails]
+        layers.append(layer)
+    return [TOPartition(n, blocks) for cells in layers[n] for blocks in cells]
 
 
-def _ordered_partitions(n: int) -> Iterator[tuple]:
-    if n == 0:
-        yield ()
-        return
-    bit = 1 << n - 1
-    for rest in _ordered_partitions(n - 1):
-        for i, block in enumerate(rest):
-            yield rest[:i] + (block | bit,) + rest[i + 1:]
-        for i in range(len(rest) + 1):
-            yield rest[:i] + (bit,) + rest[i:]
+@cache
+def first_blocks(m: int) -> tuple:
+    """The nonempty blocks of {1..m}, as masks, in the order of the labels
+    they begin: ids compared ascending, and a block before its own proper
+    prefix, since '>' sorts after every digit."""
+    return tuple(sorted(range(1, 1 << m), key=lambda b: (*_ids(b), m + 1)))
+
+
+@cache
+def ordered_counts(m: int) -> tuple:
+    """F(m, k) = k! S(m, k), the k-block TO partitions of an m-set, for
+    k = 0 .. m: F(m, k) = sum over first blocks of F(m - |C|, k - 1)."""
+    if m == 0:
+        return (1,)
+    counts = [0] * (m + 1)
+    for c in first_blocks(m):
+        for k, count in enumerate(ordered_counts(m - c.bit_count()), 1):
+            counts[k] += count
+    return tuple(counts)
+
+
+def spread(rest: int) -> list:
+    """The masks of rest's subsets, indexed by their masks on {1..|rest|}
+    through the increasing bijection."""
+    masks = [0]
+    while rest:
+        bit = rest & -rest
+        masks += [b | bit for b in masks]
+        rest ^= bit
+    return masks
+
+
+def _ids(block: int) -> tuple:
+    return tuple(x + 1 for x in range(block.bit_length()) if block >> x & 1)
 
 
 def splits(blocks: tuple) -> Iterator[tuple]:

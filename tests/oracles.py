@@ -177,6 +177,33 @@ def ordered_partitions(elements):
                 yield tail[:pos] + (block,) + tail[pos:]
 
 
+def perm_differential(n: int):
+    """P_n from labels alone: (basis, d) with basis[r] the sorted labels
+    of the ordered partitions of 1..n with n - r blocks, and d[r] the
+    entries {(row, col): value} of d_r.  Splitting block i (counted from
+    1 at the left) in two, in every order, carries the sign (-1)**(i-1);
+    the rows and columns are positions in the sorted labels."""
+    def label(blocks):
+        return ">".join("".join(map(str, block)) for block in blocks)
+
+    by_degree = {}
+    for blocks in ordered_partitions(range(1, n + 1)):
+        by_degree.setdefault(n - len(blocks), []).append(label(blocks))
+    basis = {r: sorted(labels) for r, labels in by_degree.items()}
+    index = {lab: i for labels in basis.values() for i, lab in enumerate(labels)}
+    d = {r: {} for r in basis if r - 1 in basis}
+    for r in d:
+        for j, lab in enumerate(basis[r]):
+            blocks = [tuple(int(ch) for ch in part) for part in lab.split(">")]
+            for i, block in enumerate(blocks):
+                for size in range(1, len(block)):
+                    for first in combinations(block, size):
+                        second = tuple(x for x in block if x not in first)
+                        split = blocks[:i] + [first, second] + blocks[i + 1:]
+                        d[r][index[label(split)], j] = (-1) ** i
+    return basis, d
+
+
 def contraction_parents(edges, order):
     """Flow-chart parents by explicit vertex-merge tracking.
 

@@ -26,6 +26,7 @@ from permfiber.complexes import (
     verify_d_squared,
 )
 from permfiber.linalg import SparseMatrix
+from permfiber.polytopes import build_perm
 
 from oracles import (coreduction_critical_cells, dense_multiply, dense_rank,
                      page_dims_dense)
@@ -304,17 +305,26 @@ def check_homology_by_coreduction(c: ChainComplex, name) -> list:
 
 
 def test_coreduction_leaves_one_bottom_cell(perms, corpus_fibers):
-    """On P1-P6 and every corpus fiber, d^2 = 0 and a coreduction pairs
+    """On P1-P7 and every corpus fiber, d^2 = 0 and a coreduction pairs
     every cell but one of the bottom degree, each pair through a +-1
     coefficient: the homology is one class, over Z, by a method that
     shares nothing with the rank engine."""
     complexes = [(f"P{n}", perms[n].complex) for n in perms]
+    complexes += [("P7", build_perm(7).complex)]
     complexes += [(name, fib.complex) for name, fib in corpus_fibers.items()]
-    assert len(complexes) == 6 + 14
+    assert len(complexes) == 7 + 14
     for name, c in complexes:
         assert verify_d_squared(c).passed, name
         critical = check_homology_by_coreduction(c, name)
         assert len(critical) == 1 and critical[0][0] == c.degrees()[0], (name, critical)
+
+
+@pytest.mark.slow
+def test_coreduction_leaves_one_bottom_cell_on_p8():
+    c = build_perm(8).complex
+    assert verify_d_squared(c).passed
+    critical = check_homology_by_coreduction(c, "P8")
+    assert len(critical) == 1 and critical[0][0] == c.degrees()[0], critical
 
 
 def test_coreduction_names_the_cells_it_cannot_pair():

@@ -15,10 +15,11 @@ from permfiber.polytopes import (
     build_perm,
     build_simplex,
     perm_to_simplex,
+    quotient_complex,
 )
 from permfiber.topartitions import TOPartition, parse_topartition
 
-from oracles import fubini, ids, stirling2
+from oracles import fubini, ids, perm_differential, stirling2
 
 
 def test_perm_dimensions(perms):
@@ -73,6 +74,43 @@ def test_build_perm_renders_each_label_once(monkeypatch):
         del calls[:]
         build_perm(n)
         assert len(calls) == fubini(n), n
+
+
+def test_build_perm_matches_the_label_oracle(perms):
+    """P1-P6 have the labels, rows and signs of ``perm_differential``,
+    which sorts label strings and splits blocks by hand."""
+    for n in range(1, 7):
+        c = perms[n].complex
+        basis, d = perm_differential(n)
+        assert {r: list(labels) for r, labels in c.basis.items()} == basis, n
+        for r in c.degrees():
+            assert dict(c.d(r).items()) == d.get(r, {}), (n, r)
+
+
+def identity_quotient(perm):
+    """P_n through the quotient builder, whose image sends each cell to
+    its own row with sign 1: the path fibers take."""
+    image = {alpha.blocks: (j, 1) for alphas in perm.cells.values()
+             for j, alpha in enumerate(alphas)}
+    return quotient_complex(perm.complex.basis, perm.cells, image.get)
+
+
+def test_build_perm_matches_the_identity_quotient(perms):
+    for n in range(1, 7):
+        assert identity_quotient(perms[n]) == perms[n].complex, n
+
+
+def test_perm_labels_strictly_increase_in_each_degree(perms):
+    for perm in [*perms.values(), build_perm(7)]:
+        for r in perm.complex.degrees():
+            labels = perm.complex.labels(r)
+            assert all(a < b for a, b in zip(labels, labels[1:])), (perm.n, r)
+
+
+@pytest.mark.slow
+def test_build_perm_matches_the_identity_quotient_on_p8():
+    perm = build_perm(8)
+    assert identity_quotient(perm) == perm.complex
 
 
 def test_perm_differential_lowers_degree_and_not_width(perms):

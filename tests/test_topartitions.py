@@ -17,10 +17,12 @@ from oracles import fubini, ids, ordered_partitions, stirling2
 
 
 def test_enumerate_counts_match_fubini_recurrence():
+    # each cell once, by block count and then in label order
     for n in range(1, 8):
         parts = enumerate_topartitions(n)
         assert len(parts) == fubini(n)
-        assert len({p.label() for p in parts}) == len(parts)
+        keys = [(p.block_count(), p.label()) for p in parts]
+        assert keys == sorted(set(keys)), n
 
 
 def test_enumerate_small_cases():
