@@ -491,10 +491,10 @@ def _entry(value) -> Fraction:
 
 def complex_from_json(doc: Mapping) -> ChainComplex:
     """Inverse of complex_to_json; a malformed document raises ValueError.
-    Rows, columns and levels must be ints, label lists lists and entry
-    values strings or ints."""
+    Rows, columns and levels must be ints, label lists lists of strings
+    and entry values strings or ints."""
     try:
-        basis = {int(r): tuple(_exactly(list, labels))
+        basis = {int(r): tuple(_exactly(str, lab) for lab in _exactly(list, labels))
                  for r, labels in doc["degrees"].items()}
         diffs = {}
         for r, triples in doc.get("differentials", {}).items():

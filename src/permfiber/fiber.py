@@ -27,6 +27,10 @@ partition it reaches for a tree is the tree's canonical representative
 (see ``build_fiber``), and each tree's label is rendered once, from that
 partition.  The build makes no FiberTree: a fiber's ``trees`` are built
 from its representatives on first read.
+
+The fiber complex is P_n divided out by alpha -> sign * t_alpha, and
+its ``images`` dict is that quotient's image.  The quotient builder
+(``pushforward``, ``quotient_complex``) reads that dict and lives here.
 """
 
 from __future__ import annotations
@@ -46,14 +50,8 @@ from .complexes import (
     verify_d_squared,
 )
 from .linalg import SparseMatrix
-from .polytopes import (
-    PermComplex,
-    SimplexComplex,
-    blowdown_matrices,
-    pushforward,
-    quotient_complex,
-)
-from .topartitions import TOPartition, format_block, parity
+from .polytopes import PermComplex, SimplexComplex, blowdown_matrices
+from .topartitions import TOPartition, format_block, parity, splits, width
 
 FIBER_CAP = 9   # the most edges build_fiber admits: Fubini(9) TO partitions to walk
 
@@ -306,9 +304,9 @@ class FiberComplex:
     filtered by width (the size of the root block); the k-block trees
     sit in degree -k.  ``images`` maps the block masks of every TO
     partition alpha with a nondegenerate t_alpha to the row of its tree
-    within its degree and the sign of t_alpha: ``images.get`` is the
-    quotient's image (``pushforward``).  Its entries come in walk order,
-    the order ``build_fiber`` reaches the alpha.  ``cells`` maps each
+    within its degree and the sign of t_alpha: the quotient's image,
+    which ``pushforward`` reads.  Its entries come in walk order, the
+    order ``build_fiber`` reaches the alpha.  ``cells`` maps each
     degree to the canonical representatives of its trees in basis order,
     each the first alpha of its tree in that order."""
 
@@ -402,7 +400,7 @@ def build_fiber(g: MultiGraph) -> FiberComplex:
     for alpha, t in images.items():
         images[alpha] = plus[t] if t >= 0 else minus[~t]
     cells = {r: tuple(alphas) for r, alphas in cells.items()}
-    return FiberComplex(g, quotient_complex(basis, cells, images.get), images, cells)
+    return FiberComplex(g, quotient_complex(basis, cells, images), images, cells)
 
 
 def _steps(table: list, steps: list, full: int, done: int) -> tuple:
@@ -463,6 +461,48 @@ def _label(table: list, heads: list, alpha: tuple) -> str:
     return label
 
 
+def pushforward(blocks: tuple, images: dict) -> dict:
+    """Image of d(alpha) in a quotient of P_n, for alpha with block masks
+    ``blocks``: row -> coefficient.
+
+    ``images`` maps the block masks of each TO partition beta that is
+    not zero in the quotient to the (row, sign) of its class, the row
+    indexing the class within its degree, as ``FiberComplex.images``
+    does.  P_n itself is the quotient that sends each cell to its own
+    row with sign 1, but ``build_perm`` does not go through here.
+    """
+    acc: dict = {}
+    for beta, sign in splits(blocks):
+        hit = images.get(beta)
+        if hit is not None:
+            row, s = hit
+            acc[row] = acc.get(row, 0) + sign * s
+    return {row: v for row, v in acc.items() if v}
+
+
+def quotient_complex(basis: dict, cells: dict, images: dict) -> ChainComplex:
+    """A quotient of P_n, filtered by width: a fiber.  ``basis`` and
+    ``cells`` map each degree to its labels and to one TO partition
+    representing each label, in basis order, and ``images`` is the
+    quotient's image, as in ``pushforward``: it sends cells[r][j] to row
+    j with some sign.  Column j of d_r is the pushforward of
+    d(cells[r][j]) divided by that sign.  With the identity image it
+    gives P_n itself, which the tests compare with ``build_perm``."""
+    diffs = {}
+    for r in sorted(cells):
+        if r - 1 not in cells:
+            continue
+        columns = []
+        for alpha in cells[r]:
+            column = pushforward(alpha.blocks, images)
+            sign = images[alpha.blocks][1]
+            columns.append(column if sign == 1 else
+                           {i: sign * v for i, v in column.items()})
+        diffs[r] = SparseMatrix(len(cells[r - 1]), tuple(columns))
+    levels = {r: tuple(map(width, alphas)) for r, alphas in cells.items()}
+    return ChainComplex.build(basis, diffs, levels)
+
+
 def perm_to_fiber(fiber: FiberComplex, perm: PermComplex) -> ChainMap:
     """Chain map of shift -n sending a TO partition alpha to t_alpha
     with the sign relating alpha's block order to the canonical one,
@@ -490,7 +530,9 @@ def fiber_to_simplex(fiber: FiberComplex, simplex: SimplexComplex) -> ChainMap:
     if simplex.n != fiber.n:
         raise ValueError(f"fiber_to_simplex needs the simplex on {fiber.n} vertices "
                          f"for a fiber of {fiber.n} edges, got {simplex.n} vertices")
-    matrices = blowdown_matrices(fiber.cells, fiber.images.get, simplex)
+    signs = {r: [fiber.images[alpha.blocks][1] for alpha in alphas]
+             for r, alphas in fiber.cells.items()}
+    matrices = blowdown_matrices(fiber.cells, simplex, signs)
     return ChainMap.build(fiber.complex, simplex.complex, fiber.n, matrices,
                           note="root block of singleton-fringe trees")
 
@@ -513,7 +555,7 @@ def push_forward_well_defined(fiber: FiberComplex) -> WellDefinednessReport:
     for blocks, (row, sign) in fiber.images.items():
         d = c.differentials.get(-len(blocks))
         want = {} if d is None else {i: sign * v for i, v in d.columns[row].items()}
-        if pushforward(blocks, fiber.images.get) != want:
+        if pushforward(blocks, fiber.images) != want:
             alpha = TOPartition(fiber.n, blocks)
             return WellDefinednessReport(
                 False, checked, c.labels(-len(blocks))[row],

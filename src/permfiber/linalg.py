@@ -37,7 +37,9 @@ class SparseMatrix:
     differentials this package builds stay in machine-int arithmetic.
     Entries compare by value (``1 == Fraction(1)``), and both kinds
     carry ``numerator`` and ``denominator``.  Builders write columns;
-    ``from_entries`` takes (row, col) input from outside (JSON, tests).
+    ``from_entries`` takes (row, col) input from outside (JSON, tests),
+    with int and Fraction values only: a float or a bool is refused,
+    not rounded.
     Instances are treated as immutable values; all operations return
     fresh matrices, and a stored column is copied before anything
     changes it.
@@ -52,6 +54,9 @@ class SparseMatrix:
         for (i, j), value in entries.items():
             if not (0 <= i < rows and 0 <= j < cols):
                 raise ValueError(f"entry ({i},{j}) outside a {rows}x{cols} matrix")
+            if type(value) not in (int, Fraction):
+                raise ValueError(f"entry ({i},{j}) is {value!r}, of type "
+                                 f"{type(value).__name__}, not int or Fraction")
             value = _exact(value)
             if value != 0:
                 columns[j][i] = value

@@ -9,11 +9,17 @@ A block is held as a bitmask, element x at bit x-1.  Element ids are
 read only by ``TOPartition.of`` and ``parse_topartition``, and written
 only from cached tables of block texts, one per n and separator
 (``format_block``, ``label``, ``pretty``).
+
+P_n's label order is decided here alone: ``enumerate_topartitions``
+lists the cells in it, and ``perm_columns`` the columns of d in it, by
+index arithmetic on smaller permutohedra.  Its tables, ``first_blocks``
+and ``spread``, are read by no other module.
 """
 
 from __future__ import annotations
 
 from functools import cache
+from itertools import repeat
 from typing import Iterator, NamedTuple
 
 
@@ -107,25 +113,74 @@ def enumerate_topartitions(n: int) -> list:
     return [TOPartition(n, blocks) for cells in layers[n] for blocks in cells]
 
 
+def perm_columns(n: int) -> list:
+    """columns[m][k]: the column of d on each k-block cell of P_m, in the
+    order of ``enumerate_topartitions``, for m = 0 .. n.
+
+    A k-block cell of P_m is C>gamma, with gamma a (k-1)-block cell of
+    P_m' on the m' = m - |C| ids outside C, at row start(m, k, C) + index
+    of gamma, where start(m, k, C) counts the k-block cells whose first
+    block precedes C (``first_blocks``): the length of the k-block layer
+    when C is reached.  Splitting block i carries the sign (-1)**(i-1),
+    so d(C>gamma) is the sum over the ordered splits B'>B'' of C of
+    B'>B''>gamma, at row start(m, k+1, B') + start(m - |B'|, k, B'' on
+    its own ids) + index of gamma, minus C>d(gamma), the column of gamma
+    in P_m' shifted by start(m, k+1, C).  The layers are built with k
+    descending, so the (k+1)-block layer, with its starts, is complete
+    before any k-block column points into it.  The rows come in the
+    order of ``splits``.  No two terms share a row: the split terms
+    begin with distinct proper parts of C, and the others with C.
+    """
+    columns: list = [[[{}]]]   # P_0: the empty partition, with d = 0
+    starts: list = [[{}]]      # starts[m][k][C] = start(m, k, C)
+    negated: dict = {}         # (m', k) -> the negated values of each column
+    row: list = []             # row[i] = i, as long as the longest layer built
+    for m in range(1, n + 1):
+        full = (1 << m) - 1
+        # (B', the mask of B'' on the ids outside B') for each split of C
+        squeeze = [{mask: j for j, mask in enumerate(spread(full ^ b))}
+                   for b in range(full)]
+        parts = {c: [(b, squeeze[b][b2]) for (b, b2), _ in splits((c,))]
+                 for c in first_blocks(m)}
+        layer: list = [[] for _ in range(m + 1)]
+        start: list = [{} for _ in range(m + 1)]
+        for k in range(m, 0, -1):
+            cells, at = layer[k], start[k]
+            for c in first_blocks(m):
+                at[c] = len(cells)
+                rest = m - c.bit_count()
+                if k - 1 > rest:
+                    continue
+                tails = columns[rest][k - 1]
+                # the rows of B'>B''>gamma run over a slice as gamma does
+                bases = [start[k + 1][b] + starts[m - b.bit_count()][k][b2]
+                         for b, b2 in parts[c]]
+                heads = (zip(*(row[base:base + len(tails)] for base in bases)) if bases
+                         else repeat((), len(tails)))
+                # the row of C>delta, by the index of delta in P_m'
+                above = len(columns[rest][k]) if k <= rest else 0
+                first = start[k + 1][c] if above else 0
+                shifted = row[first:first + above].__getitem__
+                minus = negated.get((rest, k - 1))
+                if minus is None:
+                    minus = negated[rest, k - 1] = [tuple(-v for v in column.values())
+                                                    for column in tails]
+                for head, column, values in zip(heads, tails, minus):
+                    new = dict.fromkeys(head, 1)
+                    new.update(zip(map(shifted, column), values))
+                    cells.append(new)
+            row += range(len(row), len(cells))
+        columns.append(layer)
+        starts.append(start)
+    return columns
+
+
 @cache
 def first_blocks(m: int) -> tuple:
     """The nonempty blocks of {1..m}, as masks, in the order of the labels
     they begin: ids compared ascending, and a block before its own proper
     prefix, since '>' sorts after every digit."""
     return tuple(sorted(range(1, 1 << m), key=lambda b: (*_ids(b), m + 1)))
-
-
-@cache
-def ordered_counts(m: int) -> tuple:
-    """F(m, k) = k! S(m, k), the k-block TO partitions of an m-set, for
-    k = 0 .. m: F(m, k) = sum over first blocks of F(m - |C|, k - 1)."""
-    if m == 0:
-        return (1,)
-    counts = [0] * (m + 1)
-    for c in first_blocks(m):
-        for k, count in enumerate(ordered_counts(m - c.bit_count()), 1):
-            counts[k] += count
-    return tuple(counts)
 
 
 def spread(rest: int) -> list:

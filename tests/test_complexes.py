@@ -25,6 +25,7 @@ from permfiber.complexes import (
     verify_chain_map,
     verify_d_squared,
 )
+from permfiber.fiber import MultiGraph, build_fiber
 from permfiber.linalg import SparseMatrix
 from permfiber.polytopes import build_perm
 
@@ -304,15 +305,20 @@ def check_homology_by_coreduction(c: ChainComplex, name) -> list:
     return critical
 
 
+def path_fiber(n: int):
+    return build_fiber(MultiGraph.from_edges((v, v + 1) for v in range(n)))
+
+
 def test_coreduction_leaves_one_bottom_cell(perms, corpus_fibers):
-    """On P1-P7 and every corpus fiber, d^2 = 0 and a coreduction pairs
-    every cell but one of the bottom degree, each pair through a +-1
-    coefficient: the homology is one class, over Z, by a method that
-    shares nothing with the rank engine."""
+    """On P1-P7, every corpus fiber and the 8-edge path's fiber, d^2 = 0
+    and a coreduction pairs every cell but one of the bottom degree,
+    each pair through a +-1 coefficient: the homology is one class, over
+    Z, by a method that shares nothing with the rank engine."""
     complexes = [(f"P{n}", perms[n].complex) for n in perms]
     complexes += [("P7", build_perm(7).complex)]
     complexes += [(name, fib.complex) for name, fib in corpus_fibers.items()]
-    assert len(complexes) == 7 + 14
+    complexes += [("path8", path_fiber(8).complex)]
+    assert len(complexes) == 7 + 15
     for name, c in complexes:
         assert verify_d_squared(c).passed, name
         critical = check_homology_by_coreduction(c, name)
@@ -324,6 +330,14 @@ def test_coreduction_leaves_one_bottom_cell_on_p8():
     c = build_perm(8).complex
     assert verify_d_squared(c).passed
     critical = check_homology_by_coreduction(c, "P8")
+    assert len(critical) == 1 and critical[0][0] == c.degrees()[0], critical
+
+
+@pytest.mark.slow
+def test_coreduction_leaves_one_bottom_cell_on_the_9_edge_path():
+    c = path_fiber(9).complex
+    assert verify_d_squared(c).passed
+    critical = check_homology_by_coreduction(c, "path9")
     assert len(critical) == 1 and critical[0][0] == c.degrees()[0], critical
 
 
@@ -652,6 +666,16 @@ def test_explicit_zeros_and_inexact_values_are_refused_where_they_join():
                                        "float, not int or Fraction")):
         with pytest.raises(ValueError, match=message):
             ChainMap.build(c, c, 0, {0: SparseMatrix(2, (column, {}))})
+
+
+def test_json_refuses_a_label_that_is_not_a_string():
+    """An int or null label used to load, and a mapping cone on the
+    complex then raised a bare TypeError; it is refused on loading."""
+    for label in (1, None, ["a"]):
+        with pytest.raises(ValueError, match="^malformed complex document: TypeError: "
+                                             + re.escape(repr(label))):
+            complex_from_json({"degrees": {"0": [label]}})
+    assert complex_from_json({"degrees": {"0": ["1"]}}).labels(0) == ("1",)
 
 
 def test_unpaired_bottom_cells_complete_the_boundaries_to_a_basis(

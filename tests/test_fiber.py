@@ -272,13 +272,13 @@ def test_fiber_d_squared_and_width_filtration(corpus_fibers):
 
 
 def test_degenerate_pushforward_vanishes(corpus_graphs, corpus_fibers):
-    from permfiber.polytopes import pushforward
+    from permfiber.fiber import pushforward
     for name in ("path3", "path4", "cycle4", "twoloop"):
         g = corpus_graphs[name]
         images = corpus_fibers[name].images
         for alpha in enumerate_topartitions(g.n):
             if fiber_element(g, alpha).degenerate:
-                assert pushforward(alpha.blocks, images.get) == {}, (name, alpha.pretty())
+                assert pushforward(alpha.blocks, images) == {}, (name, alpha.pretty())
 
 
 def _image_label(fib, blocks) -> str:

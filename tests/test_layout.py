@@ -1,0 +1,69 @@
+"""Each design decision lives in one module: the modules import only
+from the layers below them, the label-order tables of
+``topartitions`` stay inside it, and the quotient builder is ``fiber``'s.
+Read from the source with ``ast``; nothing is imported."""
+
+import ast
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "permfiber"
+
+# module -> the package modules it may import from
+BELOW = {
+    "linalg": set(),
+    "topartitions": set(),
+    "complexes": {"linalg"},
+    "polytopes": {"linalg", "complexes", "topartitions"},
+    "fiber": {"linalg", "complexes", "topartitions", "polytopes"},
+    "cli": {"linalg", "complexes", "topartitions", "polytopes", "fiber"},
+}
+LABEL_ORDER = {"first_blocks", "spread"}
+QUOTIENT = {"pushforward", "quotient_complex"}
+
+
+def _trees() -> dict:
+    return {path.stem: ast.parse(path.read_text(), str(path))
+            for path in sorted(PACKAGE.glob("*.py"))}
+
+
+def _imports(tree) -> list:
+    """(package module, imported names) of each import from the package,
+    relative (``from .fiber import x``) or absolute."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level or module == "permfiber" or module.startswith("permfiber."):
+                found.append((module.rpartition(".")[2],
+                              {alias.name for alias in node.names}))
+        elif isinstance(node, ast.Import):
+            found += [(alias.name.rpartition(".")[2], set()) for alias in node.names
+                      if alias.name.startswith("permfiber")]
+    return found
+
+
+def test_every_module_has_a_layer():
+    assert set(_trees()) - {"__init__", "__main__"} == set(BELOW)
+
+
+def test_imports_follow_the_layers():
+    for name, tree in _trees().items():
+        if name in BELOW:
+            for module, _ in _imports(tree):
+                assert module in BELOW[name], (name, module)
+
+
+def test_only_topartitions_imports_the_label_order_tables():
+    for name, tree in _trees().items():
+        if name != "topartitions":
+            for module, names in _imports(tree):
+                assert not names & LABEL_ORDER, (name, module, names & LABEL_ORDER)
+
+
+def test_only_fiber_defines_the_quotient_builder():
+    for name, tree in _trees().items():
+        defined = {node.name for node in ast.walk(tree)
+                   if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))}
+        assert name == "fiber" or not defined & QUOTIENT, (name, defined & QUOTIENT)
+    assert QUOTIENT <= {node.name for node in ast.walk(_trees()["fiber"])
+                        if isinstance(node, ast.FunctionDef)}

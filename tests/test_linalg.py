@@ -1,5 +1,6 @@
 import copy
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -293,6 +294,17 @@ def test_no_zero_entries_stored():
     b = SparseMatrix.from_entries(2, 2, {(0, 0): 1, (1, 0): -1})
     assert 0 not in multiply(a, b).columns[0]
     assert SparseMatrix.from_entries(2, 2, {(1, 1): 0}).is_zero()
+
+
+def test_inexact_entries_are_refused_not_rounded():
+    """A float used to become the Fraction nearest it (0.1 became
+    3602879701896397/36028797018963968) and a bool an int."""
+    for value, kind in ((0.1, "float"), (1.0, "float"), (True, "bool"), ("1", "str")):
+        with pytest.raises(ValueError, match=rf"^entry \(1,0\) is {re.escape(repr(value))}, "
+                                             rf"of type {kind}, not int or Fraction$"):
+            SparseMatrix.from_entries(2, 2, {(0, 0): 1, (1, 0): value})
+    m = SparseMatrix.from_entries(1, 2, {(0, 0): Fraction(6, 3), (0, 1): Fraction(1, 3)})
+    assert m.columns == ({0: 2}, {0: Fraction(1, 3)}) and type(m.get(0, 0)) is int
 
 
 def test_out_of_range_entry_rejected():

@@ -9,13 +9,13 @@ from permfiber.complexes import (
     verify_chain_map,
     verify_d_squared,
 )
+from permfiber.fiber import quotient_complex
 from permfiber.polytopes import (
     blowdown_coefficient,
     blowdown_support,
     build_perm,
     build_simplex,
     perm_to_simplex,
-    quotient_complex,
 )
 from permfiber.topartitions import TOPartition, parse_topartition
 
@@ -77,10 +77,10 @@ def test_build_perm_renders_each_label_once(monkeypatch):
 
 
 def test_build_perm_matches_the_label_oracle(perms):
-    """P1-P6 have the labels, rows and signs of ``perm_differential``,
+    """P1-P7 have the labels, rows and signs of ``perm_differential``,
     which sorts label strings and splits blocks by hand."""
-    for n in range(1, 7):
-        c = perms[n].complex
+    for n, perm in [*perms.items(), (7, build_perm(7))]:
+        c = perm.complex
         basis, d = perm_differential(n)
         assert {r: list(labels) for r, labels in c.basis.items()} == basis, n
         for r in c.degrees():
@@ -92,12 +92,12 @@ def identity_quotient(perm):
     its own row with sign 1: the path fibers take."""
     image = {alpha.blocks: (j, 1) for alphas in perm.cells.values()
              for j, alpha in enumerate(alphas)}
-    return quotient_complex(perm.complex.basis, perm.cells, image.get)
+    return quotient_complex(perm.complex.basis, perm.cells, image)
 
 
 def test_build_perm_matches_the_identity_quotient(perms):
-    for n in range(1, 7):
-        assert identity_quotient(perms[n]) == perms[n].complex, n
+    for n, perm in [*perms.items(), (7, build_perm(7))]:
+        assert identity_quotient(perm) == perm.complex, n
 
 
 def test_perm_labels_strictly_increase_in_each_degree(perms):
