@@ -6,6 +6,7 @@ from .complexes import (
     ChainMap,
     PageTable,
     complex_from_json,
+    complex_json_pieces,
     complex_to_json,
     compose,
     homology_dims,

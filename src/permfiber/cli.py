@@ -18,7 +18,7 @@ from functools import cache
 from pathlib import Path
 
 from .complexes import (
-    complex_to_json,
+    complex_json_pieces,
     homology_dims,
     is_surjective,
     page_dims,
@@ -94,14 +94,15 @@ def _parse_checks(raw: str, allowed=CHECK_TOKENS) -> tuple:
     return tokens
 
 
-def _atomic_write(path: Path, text: str) -> None:
-    """Write text to a new file beside path, then move it over path."""
+def _atomic_write(path: Path, pieces) -> None:
+    """Write the text pieces to a new file beside path, then move it over
+    path; if any piece fails, remove the new file and leave path as it was."""
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
     handle = open(tmp, "x", encoding="utf-8")
     try:
         with handle:
-            handle.write(text)
+            handle.writelines(pieces)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
@@ -117,7 +118,7 @@ class Collector:
         self.pages_rows: list = []    # object,r,p,q,dim
         self.checks_rows: list = []   # object,check,pass
         self.failed = False
-        self.json_docs: dict = {}
+        self.complexes: dict = {}     # object -> complex to export as JSON
 
     def say(self, line: str) -> None:
         self.lines.append(line)
@@ -158,10 +159,9 @@ class Collector:
                                    ("pages", "object,r,p,q,dim", self.pages_rows),
                                    ("checks", "object,check,pass", self.checks_rows)):
             if rows:
-                _atomic_write(out_dir / f"{name}.csv", "\n".join([header] + rows) + "\n")
-        for name, doc in sorted(self.json_docs.items()):
-            _atomic_write(out_dir / f"{name}.json",
-                          json.dumps(doc, indent=1, sort_keys=True) + "\n")
+                _atomic_write(out_dir / f"{name}.csv", ["\n".join([header] + rows) + "\n"])
+        for name, c in sorted(self.complexes.items()):
+            _atomic_write(out_dir / f"{name}.json", complex_json_pieces(c))
 
 
 def _homology_detail(h: dict) -> str:
@@ -326,7 +326,7 @@ def cmd_perm(args) -> int:
     perm = build_perm(args.n)
     _run_checks(col, f"P{args.n}", perm, checks, args.pages)
     if args.out:
-        col.json_docs[f"P{args.n}"] = complex_to_json(perm.complex)
+        col.complexes[f"P{args.n}"] = perm.complex
     return _finish(col, args)
 
 
@@ -338,7 +338,7 @@ def cmd_simplex(args) -> int:
     name = f"D{args.n - 1}"
     _run_checks(col, name, simplex, checks)
     if args.out:
-        col.json_docs[name] = complex_to_json(simplex.complex)
+        col.complexes[name] = simplex.complex
     return _finish(col, args)
 
 
@@ -366,7 +366,7 @@ def cmd_fiber(args) -> int:
     name = path.stem
     _run_checks(col, name, fib, checks, args.pages, maps)
     if args.out:
-        col.json_docs[name] = complex_to_json(fib.complex)
+        col.complexes[name] = fib.complex
     return _finish(col, args)
 
 

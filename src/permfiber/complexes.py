@@ -17,21 +17,36 @@ an unfiltered one's in index order.  No verdict multiplies whole matrices.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain
-from typing import Mapping
+from json.encoder import encode_basestring_ascii
+from typing import Mapping, NamedTuple
 
 from .linalg import (SparseMatrix, _times, first_mismatch, multiply, pivots,
                      product_vanishes, rank)
 
 
-@dataclass(frozen=True, eq=True)
 class ChainComplex:
-    basis: dict           # degree -> tuple of labels
-    differentials: dict   # degree r -> SparseMatrix of d_r : C_r -> C_{r-1}
-    levels: dict | None = None  # degree -> filtration levels in basis order
-    _cache: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    """``basis``: degree -> tuple of labels; ``differentials``: degree r
+    -> SparseMatrix of d_r : C_r -> C_{r-1}; ``levels``: degree ->
+    filtration levels in basis order, or None.  Complexes compare by
+    those three; ``_cache`` starts empty with each instance."""
+
+    def __init__(self, basis: dict, differentials: dict, levels: dict | None = None):
+        self.basis = basis
+        self.differentials = differentials
+        self.levels = levels
+        self._cache: dict = {}
+
+    def __eq__(self, other):
+        if type(other) is not ChainComplex:
+            return NotImplemented
+        return ((self.basis, self.differentials, self.levels)
+                == (other.basis, other.differentials, other.levels))
+
+    def __repr__(self) -> str:
+        return (f"ChainComplex(basis={self.basis!r}, differentials={self.differentials!r}, "
+                f"levels={self.levels!r})")
 
     @staticmethod
     def build(basis: Mapping, differentials: Mapping,
@@ -40,6 +55,10 @@ class ChainComplex:
         natural number per cell, and d never raises a level."""
         basis_t = {int(r): tuple(labels) for r, labels in basis.items() if labels}
         all_labels = [lab for labs in basis_t.values() for lab in labs]
+        if set(map(type, all_labels)) - {str}:
+            r, label = next((r, lab) for r, labs in basis_t.items() for lab in labs
+                            if type(lab) is not str)
+            raise ValueError(f"basis label {label!r} at degree {r} is not a string")
         if len(set(all_labels)) != len(all_labels):
             raise ValueError("basis labels must be unique across the complex")
         diffs = {}
@@ -115,8 +134,7 @@ def _check_matrix(m: SparseMatrix, rows: int, cols: int, what: str) -> None:
         raise ValueError(f"{what} stores a value of type {names}, not int or Fraction")
 
 
-@dataclass(frozen=True)
-class D2Report:
+class D2Report(NamedTuple):
     passed: bool
     degree: int | None = None
     entry: tuple | None = None  # (target label, source label, value)
@@ -236,8 +254,7 @@ def _spans(c: ChainComplex) -> dict:
     return c._cache["spans"]
 
 
-@dataclass(frozen=True)
-class PageTable:
+class PageTable(NamedTuple):
     r: int
     dims: dict  # (p, q) -> positive dimension
 
@@ -267,17 +284,30 @@ def page_dims(c: ChainComplex, r: int) -> PageTable:
     return PageTable(r, table)
 
 
-@dataclass(frozen=True, eq=True)
 class ChainMap:
     """Degree-shifted map f_r : source_r -> target_{r+shift} given by
-    per-degree sparse matrices; missing degrees are zero."""
+    per-degree sparse matrices; missing degrees are zero.  Maps compare
+    by source, target, shift and matrices, not by ``note``; ``_cache``
+    starts empty with each instance."""
 
-    source: ChainComplex
-    target: ChainComplex
-    shift: int
-    matrices: dict
-    note: str = field(default="", compare=False)
-    _cache: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    def __init__(self, source: ChainComplex, target: ChainComplex, shift: int,
+                 matrices: dict, note: str = ""):
+        self.source = source
+        self.target = target
+        self.shift = shift
+        self.matrices = matrices
+        self.note = note
+        self._cache: dict = {}
+
+    def __eq__(self, other):
+        if type(other) is not ChainMap:
+            return NotImplemented
+        return ((self.source, self.target, self.shift, self.matrices)
+                == (other.source, other.target, other.shift, other.matrices))
+
+    def __repr__(self) -> str:
+        return (f"ChainMap(source={self.source!r}, target={self.target!r}, "
+                f"shift={self.shift!r}, matrices={self.matrices!r}, note={self.note!r})")
 
     @staticmethod
     def build(source, target, shift, matrices, note="") -> ChainMap:
@@ -297,8 +327,7 @@ class ChainMap:
         return m
 
 
-@dataclass(frozen=True)
-class ChainMapReport:
+class ChainMapReport(NamedTuple):
     passed: bool
     degree: int | None = None
     label: str | None = None  # source basis element that witnesses a failure
@@ -471,6 +500,74 @@ def complex_to_json(c: ChainComplex) -> dict:
         doc["levels"] = dict(sorted(
             (lab, p) for r in c.degrees() for lab, p in zip(c.labels(r), c.levels[r])))
     return doc
+
+
+def complex_json_pieces(c: ChainComplex):
+    """The text of ``json.dumps(complex_to_json(c), indent=1,
+    sort_keys=True)`` and a newline, in pieces, with no document and no
+    whole text built.  Keys come in string order, as ``sort_keys`` puts
+    them ("10" before "9", "-1" before "-2"), and labels are quoted by
+    the encoder's own ``encode_basestring_ascii``.  The levels are one
+    sorted (label, level) list."""
+    yield '{\n "degrees": {'
+    sep = "\n  "
+    for key, labels in sorted((str(r), labels) for r, labels in c.basis.items()):
+        yield (f'{sep}"{key}": [\n   ' + ",\n   ".join(map(encode_basestring_ascii, labels))
+               + "\n  ]" if labels else f'{sep}"{key}": []')
+        sep = ",\n  "
+    yield "}" if sep == "\n  " else "\n }"
+    yield ',\n "differentials": {'
+    sep = "\n  "
+    tails = _Tails()
+    for key, m in sorted((str(r), m) for r, m in c.differentials.items()):
+        yield f'{sep}"{key}": ['
+        yield from _triples(m, tails)
+        sep = ",\n  "
+    yield "}" if sep == "\n  " else "\n }"
+    if c.levels is not None:
+        pairs = sorted((label, p) for r, labels in c.basis.items()
+                       for label, p in zip(labels, c.levels[r]))
+        yield ',\n "levels": {'
+        sep = "\n  "
+        for start in range(0, len(pairs), 4096):
+            yield sep + ",\n  ".join([encode_basestring_ascii(label) + ": " + str(p)
+                                      for label, p in pairs[start:start + 4096]])
+            sep = ",\n  "
+        yield "}" if sep == "\n  " else "\n }"
+    yield "\n}\n"
+
+
+class _Tails(dict):
+    """value -> the text that ends a JSON triple [i, j, "n/d"] after j."""
+
+    def __missing__(self, v):
+        text = self[v] = f',\n    "{v.numerator}/{v.denominator}"\n   ]'
+        return text
+
+
+def _triples(m: SparseMatrix, tails: _Tails):
+    """The entries of m as JSON triples [i, j, "n/d"], in (i, j) order as
+    sorting puts them, and the list's closing bracket, in pieces of at
+    most 512 rows.  The columns are dealt into one bucket per row,
+    column by column, so each bucket holds its columns in order."""
+    columns = m.columns
+    buckets = [[] for _ in range(m.rows)]
+    for j, column in enumerate(columns):
+        for i in column:
+            buckets[i].append(j)
+    cols = [*map(str, range(len(columns)))]
+    sep, rows = "\n   ", []
+    for i, bucket in enumerate(buckets):
+        if bucket:
+            head = f"[\n    {i},\n    "
+            rows.append(sep + head + (",\n   " + head).join(
+                [cols[j] + tails[columns[j][i]] for j in bucket]))
+            sep = ",\n   "
+            if len(rows) == 512:
+                yield "".join(rows)
+                rows.clear()
+    rows.append("]" if sep == "\n   " else "\n  ]")
+    yield "".join(rows)
 
 
 def _exactly(kind: type, value):

@@ -35,11 +35,10 @@ its ``images`` dict is that quotient's image.  The quotient builder
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 from heapq import heappop, heappush
 from math import comb
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .complexes import (
     ChainComplex,
@@ -56,13 +55,25 @@ from .topartitions import TOPartition, format_block, parity, splits, width
 FIBER_CAP = 9   # the most edges build_fiber admits: Fubini(9) TO partitions to walk
 
 
-@dataclass(frozen=True, eq=True)
 class MultiGraph:
     """Connected multigraph; edge ids are 1..n by position, loops allowed.
-    ``_cache`` holds its ``_cluster_table``, built on first use."""
+    Graphs compare and hash by ``edges``; ``_cache`` holds the graph's
+    ``_cluster_table``, built on first use."""
 
-    edges: tuple
-    _cache: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    def __init__(self, edges: tuple):
+        self.edges = edges
+        self._cache: dict = {}
+
+    def __eq__(self, other):
+        if type(other) is not MultiGraph:
+            return NotImplemented
+        return self.edges == other.edges
+
+    def __hash__(self) -> int:
+        return hash(self.edges)
+
+    def __repr__(self) -> str:
+        return f"MultiGraph(edges={self.edges!r})"
 
     @staticmethod
     def from_edges(edges: Iterable) -> MultiGraph:
@@ -175,8 +186,7 @@ def _step(table: list, done: int, block: int, edge: int) -> tuple:
     return block & cluster, cluster
 
 
-@dataclass(frozen=True, eq=True)
-class FiberTree:
+class FiberTree(NamedTuple):
     """Rooted tree whose vertices carry disjoint blocks of edges.
 
     ``blocks`` are edge masks, edge e at bit e-1, kept in the canonical
@@ -298,7 +308,6 @@ def canonical_representative(tree: FiberTree) -> TOPartition:
     return TOPartition(n, tuple(tree.blocks[i] for i in placed))
 
 
-@dataclass(frozen=True)
 class FiberComplex:
     """Chain complex of the fiber over total contraction of ``graph``,
     filtered by width (the size of the root block); the k-block trees
@@ -310,10 +319,22 @@ class FiberComplex:
     degree to the canonical representatives of its trees in basis order,
     each the first alpha of its tree in that order."""
 
-    graph: MultiGraph
-    complex: ChainComplex
-    images: dict      # block masks of alpha -> (row of t_alpha, its sign)
-    cells: dict       # degree -> canonical representatives in basis order
+    def __init__(self, graph: MultiGraph, complex: ChainComplex, images: dict,
+                 cells: dict):
+        self.graph = graph
+        self.complex = complex
+        self.images = images  # block masks of alpha -> (row of t_alpha, its sign)
+        self.cells = cells    # degree -> canonical representatives in basis order
+
+    def __eq__(self, other):
+        if type(other) is not FiberComplex:
+            return NotImplemented
+        return ((self.graph, self.complex, self.images, self.cells)
+                == (other.graph, other.complex, other.images, other.cells))
+
+    def __repr__(self) -> str:
+        return (f"FiberComplex(graph={self.graph!r}, complex={self.complex!r}, "
+                f"images={self.images!r}, cells={self.cells!r})")
 
     @property
     def n(self) -> int:
@@ -537,8 +558,7 @@ def fiber_to_simplex(fiber: FiberComplex, simplex: SimplexComplex) -> ChainMap:
                           note="root block of singleton-fringe trees")
 
 
-@dataclass(frozen=True)
-class WellDefinednessReport:
+class WellDefinednessReport(NamedTuple):
     passed: bool
     checked: int
     label: str | None = None  # a tree whose representatives disagree
@@ -564,8 +584,7 @@ def push_forward_well_defined(fiber: FiberComplex) -> WellDefinednessReport:
     return WellDefinednessReport(True, checked)
 
 
-@dataclass(frozen=True)
-class KoszulReport:
+class KoszulReport(NamedTuple):
     """The verdicts of ``koszul_check`` and what they read; no wording."""
     n: int
     d_squared_ok: bool

@@ -13,10 +13,9 @@ decision.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 
 def _exact(value):
@@ -27,8 +26,7 @@ def _exact(value):
     return value.numerator if value.denominator == 1 else value
 
 
-@dataclass(frozen=True, eq=True)
-class SparseMatrix:
+class SparseMatrix(NamedTuple):
     """Immutable matrix with ``rows`` rows, held column by column.
 
     ``columns`` holds one dict per column, mapping the row of each

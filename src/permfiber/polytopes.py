@@ -10,8 +10,8 @@ of P_n.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
+from typing import NamedTuple
 
 from .complexes import ChainComplex, ChainMap
 from .linalg import SparseMatrix
@@ -27,8 +27,7 @@ from .topartitions import (
 PERM_CAP = 8   # the largest n build_perm admits: Fubini(8) = 545,835 cells
 
 
-@dataclass(frozen=True)
-class PermComplex:
+class PermComplex(NamedTuple):
     """Cellular chains of the permutohedron on n letters, filtered by width.
 
     Degree r holds the TO partitions of {1..n} with n-r blocks; the
@@ -42,8 +41,7 @@ class PermComplex:
     cells: dict
 
 
-@dataclass(frozen=True)
-class SimplexComplex:
+class SimplexComplex(NamedTuple):
     """Standard simplicial chains of the (n-1)-simplex on vertices {1..n};
     degree p-1 holds the p-element subsets, with no augmentation.
     ``rows`` maps each subset, as a mask (element x at bit x-1), to its

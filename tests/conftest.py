@@ -32,5 +32,11 @@ def perms():
 
 
 @pytest.fixture(scope="session")
+def perm7():
+    """P7, built once per session for the tests that reach past ``perms``."""
+    return build_perm(7)
+
+
+@pytest.fixture(scope="session")
 def simplexes():
     return {n: build_simplex(n) for n in range(1, 8)}

@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import json
 import os
@@ -9,10 +8,19 @@ from pathlib import Path
 
 import pytest
 
-from permfiber.cli import CHECK_TOKENS, Collector, _maps, _run_checks, main
+from permfiber.cli import CHECK_TOKENS, Collector, _atomic_write, _maps, _run_checks, main
 from permfiber.complexes import ChainComplex, ChainMap
+from permfiber.fiber import FiberComplex
 from permfiber.linalg import SparseMatrix
 from permfiber.polytopes import SimplexComplex
+
+
+def _with_complex(obj, c):
+    """A PermComplex, SimplexComplex or FiberComplex like obj, with
+    complex c in place of its own."""
+    if isinstance(obj, FiberComplex):
+        return FiberComplex(obj.graph, c, obj.images, obj.cells)
+    return obj._replace(complex=c)
 
 
 def run_cli(capsys, *argv):
@@ -297,6 +305,52 @@ def test_export_onto_a_directory_leaves_no_temporary_file(capsys, tmp_path):
     assert list((out_dir / "dims.csv").iterdir()) == []
 
 
+def test_a_failing_writer_leaves_no_temporary_file_and_the_target_unchanged(
+        capsys, tmp_path, monkeypatch):
+    """A writer that raises after its first piece leaves an existing
+    target byte for byte as it was, and no temporary file: called
+    directly, and through --out, where a full disk exits 2."""
+    target = tmp_path / "P3.json"
+    old = "old export \u00e9\n".encode()
+    target.write_bytes(old)
+
+    def failing(error):
+        def pieces(*args):
+            yield "{\n"
+            raise error
+        return pieces
+
+    with pytest.raises(RuntimeError, match="writer failed"):
+        _atomic_write(target, failing(RuntimeError("writer failed"))())
+    assert [p.name for p in tmp_path.iterdir()] == ["P3.json"]
+    assert target.read_bytes() == old
+
+    monkeypatch.setattr("permfiber.cli.complex_json_pieces",
+                        failing(OSError(28, "No space left on device")))
+    code, out, err = run_cli(capsys, "perm", "--n", "3", "--out", str(tmp_path))
+    assert (code, out) == (2, "")
+    assert err == f"error: cannot write --out {tmp_path}: No space left on device\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "P3.json", "checks.csv", "dims.csv", "pages.csv"]
+    assert target.read_bytes() == old
+
+
+def test_importing_the_cli_loads_no_dataclasses():
+    """The value records are named tuples and plain classes, so start-up
+    leaves out ``dataclasses`` and its class builder."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    probe = ("import sys\n"
+             "before = set(sys.modules)\n"
+             "import permfiber.cli\n"
+             "loaded = set(sys.modules) - before\n"
+             "assert 'permfiber.cli' in loaded, sorted(loaded)\n"
+             "print('dataclasses' in loaded)\n")
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          cwd=src, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "False\n"
+
+
 def test_fiber_graph_is_a_directory(capsys, tmp_path):
     code, _, err = run_cli(capsys, "fiber", "--graph", str(tmp_path))
     assert code == 2
@@ -333,12 +387,11 @@ def test_battery_reports_a_flipped_sign(perms, simplexes, corpus_fibers):
     fib = corpus_fibers["path3"]
     # the flipped P3 builds its own maps; the fiber maps from the intact P3
     cases = [
-        ("P3", dataclasses.replace(perm, complex=_flip_one_sign(perm.complex, 1)),
+        ("P3", perm._replace(complex=_flip_one_sign(perm.complex, 1)),
          CHECK_TOKENS, 2, 2, None),
-        ("path3", dataclasses.replace(fib, complex=_flip_one_sign(fib.complex, -2)),
+        ("path3", _with_complex(fib, _flip_one_sign(fib.complex, -2)),
          CHECK_TOKENS, -1, -1, _maps(perm)),
-        ("D2", dataclasses.replace(
-            simplexes[3], complex=_flip_one_sign(simplexes[3].complex, 1)),
+        ("D2", simplexes[3]._replace(complex=_flip_one_sign(simplexes[3].complex, 1)),
          ("d2", "homology"), 2, -1, None),
     ]
     for name, obj, checks, degree, pages, maps in cases:
@@ -358,7 +411,7 @@ def test_maps_check_of_a_complex_that_fails_d2(perms, corpus_fibers):
     test, since homology needs d^2 = 0: its maps line says so instead of
     raising, and every single-entry flip of P3 runs the battery."""
     perm = perms[3]
-    flipped = dataclasses.replace(perm, complex=_flip_one_sign(perm.complex, 2, (0, 0)))
+    flipped = perm._replace(complex=_flip_one_sign(perm.complex, 2, (0, 0)))
     col = Collector()
     _run_checks(col, "P3", flipped, ("maps",))
     assert col.lines[-1] == ("check maps: FAIL (blow-down [sign convention: "
@@ -367,11 +420,11 @@ def test_maps_check_of_a_complex_that_fails_d2(perms, corpus_fibers):
     for r, d in sorted(perm.complex.differentials.items()):
         for key, _ in d.items():
             col = Collector()
-            _run_checks(col, "P3", dataclasses.replace(
-                perm, complex=_flip_one_sign(perm.complex, r, key)), CHECK_TOKENS, 2)
+            _run_checks(col, "P3", perm._replace(
+                complex=_flip_one_sign(perm.complex, r, key)), CHECK_TOKENS, 2)
             assert col.failed, (r, key)
     # a fiber whose P_3 fails d^2 while both of its maps commute
-    broken = dataclasses.replace(perm, complex=_flip_one_sign(perm.complex, 2, (1, 0)))
+    broken = perm._replace(complex=_flip_one_sign(perm.complex, 2, (1, 0)))
     col = Collector()
     _run_checks(col, "path3", corpus_fibers["path3"], ("maps",), maps=_maps(broken))
     assert col.lines[-1] == ("check maps: FAIL (chain maps=true, cones acyclic=false, "
@@ -391,7 +444,7 @@ def test_homology_failure_names_degree_and_cell(monkeypatch, perms):
     cut = ChainComplex.build(
         c.basis, {r: m for r, m in c.differentials.items() if r != 1}, c.levels)
     col = Collector()
-    _run_checks(col, "P3", dataclasses.replace(perms[3], complex=cut), ("d2", "homology"))
+    _run_checks(col, "P3", perms[3]._replace(complex=cut), ("d2", "homology"))
     assert "check d2: pass" in col.lines
     [line] = [line for line in col.lines if line.startswith("check homology")]
     prefix = "check homology: FAIL (H_0=6 H_1=5; unexpected class at degree 0, cell "
@@ -420,7 +473,7 @@ def test_maps_failure_names_degree_and_cell(capsys, monkeypatch, perms, corpus_f
     assert line.endswith("; blow-down does not commute at degree 1, cell 1>2>34)")
 
     fib = corpus_fibers["path3"]
-    flipped = dataclasses.replace(fib, complex=_flip_one_sign(fib.complex, -2))
+    flipped = _with_complex(fib, _flip_one_sign(fib.complex, -2))
     col = Collector()
     _run_checks(col, "path3", flipped, ("maps",), maps=_maps(perms[3]))
     [line] = [line for line in col.lines if line.startswith("check maps")]
@@ -500,7 +553,7 @@ def test_failing_lines_are_pinned(monkeypatch, perms, corpus_fibers):
 
     def cut(obj, degree):
         c = obj.complex
-        return dataclasses.replace(obj, complex=ChainComplex.build(
+        return _with_complex(obj, ChainComplex.build(
             c.basis, {r: m for r, m in c.differentials.items() if r != degree}, c.levels))
 
     fib = corpus_fibers["path3"]
@@ -508,7 +561,7 @@ def test_failing_lines_are_pinned(monkeypatch, perms, corpus_fibers):
         "P3 without d_1": failing("P3", cut(perms[3], 1), ("d2", "homology")),
         "path3 without d_-1": failing("path3", cut(fib, -1), ("d2", "homology")),
         "path3 with one sign of d_-2 flipped": failing(
-            "path3", dataclasses.replace(fib, complex=_flip_one_sign(fib.complex, -2)),
+            "path3", _with_complex(fib, _flip_one_sign(fib.complex, -2)),
             ("maps",), _maps(perms[3])),
     }
     # P_n without maps builds its own blow-down, through the patched module
@@ -543,8 +596,12 @@ def test_class_test_runs_on_each_commuting_map_whose_ends_pass_d2(
     monkeypatch.setattr(cli, "quasi_isomorphism_report",
                         lambda f: tested.append(f.note) or real_qi(f))
     fib = corpus_fibers["path3"]
-    monkeypatch.setattr(cli, "fiber_to_simplex", lambda fib, simplex:
-                        dataclasses.replace(to_simplex(fib, simplex), matrices={}))
+
+    def zero_to_simplex(fib, simplex):
+        f = to_simplex(fib, simplex)
+        return ChainMap(f.source, f.target, f.shift, {}, f.note)
+
+    monkeypatch.setattr(cli, "fiber_to_simplex", zero_to_simplex)
     col = Collector()
     _run_checks(col, "path3", fib, ("maps",), maps=_maps(perms[3]))
     assert tested == ["alpha -> t_alpha", "root block of singleton-fringe trees"]
@@ -784,15 +841,18 @@ def test_output_bytes_are_pinned(capsys, tmp_path, corpus_dir):
         assert got == want, argv
 
 
-def test_json_is_built_only_for_out(capsys, monkeypatch, corpus_dir):
+def test_json_is_built_only_for_out(capsys, monkeypatch, tmp_path, corpus_dir):
     def refuse(c):
         raise AssertionError("built a JSON document without --out")
 
-    monkeypatch.setattr("permfiber.cli.complex_to_json", refuse)
+    monkeypatch.setattr("permfiber.cli.complex_json_pieces", refuse)
     for argv in (("perm", "--n", "3"), ("simplex", "--n", "3"),
                  ("fiber", "--graph", str(corpus_dir / "path3.edges"))):
         code, _, _ = run_cli(capsys, *argv)
         assert code == 0, argv
+        # the same stand-in is what --out writes through
+        with pytest.raises(AssertionError, match="without --out"):
+            main([*argv, "--out", str(tmp_path / argv[0])])
 
 
 def small_corpus(tmp_path, corpus_dir, names=("path2", "path3", "star3")):

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import re
 from collections import Counter
@@ -12,6 +11,7 @@ from permfiber.complexes import (
     ChainMapReport,
     D2Report,
     complex_from_json,
+    complex_json_pieces,
     complex_to_json,
     compose,
     homology_dims,
@@ -183,6 +183,16 @@ def test_build_rejects_duplicate_labels():
         ChainComplex.build({0: ("a",), 1: ("a",)}, {})
 
 
+def test_build_refuses_a_label_that_is_not_a_string():
+    """A label that is not a str used to build, and a mapping cone on the
+    complex then raised a bare TypeError; the refusal names its degree."""
+    for label in (1, None, b"a", ("a",)):
+        with pytest.raises(ValueError) as refused:
+            ChainComplex.build({0: ("a",), -2: ("b", label)}, {})
+        assert str(refused.value) == f"basis label {label!r} at degree -2 is not a string"
+    assert ChainComplex.build({0: ("1",)}, {}).labels(0) == ("1",)
+
+
 def test_mapping_cone_of_identity_is_acyclic(perms):
     cone = mapping_cone(identity_map(perms[3].complex))
     assert all(v == 0 for v in homology_dims(cone).values())
@@ -309,13 +319,13 @@ def path_fiber(n: int):
     return build_fiber(MultiGraph.from_edges((v, v + 1) for v in range(n)))
 
 
-def test_coreduction_leaves_one_bottom_cell(perms, corpus_fibers):
+def test_coreduction_leaves_one_bottom_cell(perms, perm7, corpus_fibers):
     """On P1-P7, every corpus fiber and the 8-edge path's fiber, d^2 = 0
     and a coreduction pairs every cell but one of the bottom degree,
     each pair through a +-1 coefficient: the homology is one class, over
     Z, by a method that shares nothing with the rank engine."""
     complexes = [(f"P{n}", perms[n].complex) for n in perms]
-    complexes += [("P7", build_perm(7).complex)]
+    complexes += [("P7", perm7.complex)]
     complexes += [(name, fib.complex) for name, fib in corpus_fibers.items()]
     complexes += [("path8", path_fiber(8).complex)]
     assert len(complexes) == 7 + 15
@@ -568,8 +578,9 @@ def test_replace_starts_an_empty_cache(perms):
     entries = dict(c.d(1).items())
     key = min(entries)
     entries[key] = -entries[key]
-    broken = dataclasses.replace(c, differentials={
-        **c.differentials, 1: SparseMatrix.from_entries(c.dim(0), c.dim(1), entries)})
+    broken = ChainComplex(c.basis, {
+        **c.differentials, 1: SparseMatrix.from_entries(c.dim(0), c.dim(1), entries)},
+        c.levels)
     assert not broken._cache
     assert not verify_d_squared(broken).passed
     with pytest.raises(ValueError, match="not a chain complex"):
@@ -765,3 +776,52 @@ def test_json_refuses_what_it_would_bend(perms):
     i, j, _ = doc["differentials"]["1"][0]
     doc["differentials"]["1"][0][2] = -3
     assert complex_from_json(doc).differentials[1].get(i, j) == -3
+
+
+def _dumped(c: ChainComplex) -> str:
+    return json.dumps(complex_to_json(c), indent=1, sort_keys=True) + "\n"
+
+
+def _scaled(c: ChainComplex, factor) -> ChainComplex:
+    return ChainComplex.build(c.basis, {
+        r: SparseMatrix(m.rows, tuple({i: v * factor for i, v in column.items()}
+                                      for column in m.columns))
+        for r, m in c.differentials.items()}, c.levels)
+
+
+def test_streamed_json_is_the_dumped_document(perms, perm7, simplexes, corpus_fibers):
+    """``complex_json_pieces`` writes the bytes of ``json.dumps`` with
+    ``indent=1`` and ``sort_keys``: keys in string order ("10" before
+    "9", "-1" before "-2"), labels escaped as the encoder escapes them,
+    Fraction entries, and no levels where a complex has none."""
+    c3 = perms[3].complex
+    escaped = ChainComplex.build(
+        {0: ('a"b', "c\\d"), 1: ("é\tf",)},
+        {1: SparseMatrix.from_entries(2, 1, {(0, 0): -1, (1, 0): 1})}, {0: (1, 1), 1: (2,)})
+    high = ChainComplex.build(
+        {9: ("a", "b", "c"), 10: ("e", "f", "g"), 11: ("h",)},
+        {10: SparseMatrix.from_entries(3, 3, {(0, 0): 1, (1, 0): -1, (1, 2): 2, (2, 1): 1}),
+         11: SparseMatrix.from_entries(3, 1, {(0, 0): 1, (2, 0): 3})},
+        {9: (0, 1, 2), 10: (3, 2, 4), 11: (5,)})
+    complexes = [(f"P{n}", perm.complex) for n, perm in perms.items()]
+    complexes += [("P7", perm7.complex)]
+    complexes += [(f"simplex{n}", s.complex) for n, s in simplexes.items()]
+    complexes += [(name, fib.complex) for name, fib in corpus_fibers.items()]
+    complexes += [
+        ("P3 flipped", flip_one_entry(c3, 1, next(iter(dict(c3.d(1).items()))))),
+        ("P4 times 2/3", _scaled(perms[4].complex, Fraction(2, 3))),
+        ("degrees 9-11", high),
+        ("escaped labels", escaped),
+        ("no differentials", ChainComplex.build({0: ("pt",), 3: ("x", "y")}, {})),
+        ("no differentials, levels", ChainComplex.build({0: ("pt",)}, {}, {0: (0,)})),
+        ("empty", ChainComplex.build({}, {})),
+    ]
+    assert len(complexes) == 7 + 7 + 14 + 7
+    for name, c in complexes:
+        pieces = list(complex_json_pieces(c))
+        assert all(type(piece) is str for piece in pieces), name
+        assert "".join(pieces) == _dumped(c), name
+    assert _dumped(high).index('"10": [') < _dumped(high).index('"9": [')
+    assert _dumped(escaped).count('"\\u00e9\\tf"') == 2
+    scaled = complexes[-6][1]
+    assert complex_from_json(json.loads("".join(complex_json_pieces(scaled)))) == scaled

@@ -1,4 +1,3 @@
-import dataclasses
 import random
 from math import comb
 
@@ -19,6 +18,7 @@ from permfiber.complexes import (
     verify_factorization,
 )
 from permfiber.fiber import (
+    FiberComplex,
     MultiGraph,
     _cluster_table,
     build_fiber,
@@ -770,11 +770,12 @@ def test_perm_to_fiber_commutes_exactly_when_well_defined(perms, corpus_fibers):
             entries[key] = -entries[key]
             diffs = {**c.differentials,
                      r: SparseMatrix.from_entries(d.rows, d.cols, entries)}
-            cases.append((f"path3 d_{r}{key}", dataclasses.replace(
-                fib, complex=ChainComplex.build(c.basis, diffs, c.levels))))
+            cases.append((f"path3 d_{r}{key}", FiberComplex(
+                fib.graph, ChainComplex.build(c.basis, diffs, c.levels), fib.images,
+                fib.cells)))
     for blocks, (row, sign) in fib.images.items():
-        cases.append((f"path3 {TOPartition(3, blocks).label()}", dataclasses.replace(
-            fib, images={**fib.images, blocks: (row, -sign)})))
+        cases.append((f"path3 {TOPartition(3, blocks).label()}", FiberComplex(
+            fib.graph, fib.complex, {**fib.images, blocks: (row, -sign)}, fib.cells)))
     for name, case in cases:
         commutes = verify_chain_map(perm_to_fiber(case, perms[case.n])).passed
         assert commutes is push_forward_well_defined(case).passed, name
@@ -790,8 +791,8 @@ def test_push_forward_reports_the_tree_of_a_flipped_entry(corpus_fibers):
     entries[key] = -entries[key]
     diffs = dict(c.differentials)
     diffs[-2] = SparseMatrix.from_entries(d.rows, d.cols, entries)
-    flipped = dataclasses.replace(
-        fib, complex=ChainComplex.build(c.basis, diffs, c.levels))
+    flipped = FiberComplex(fib.graph, ChainComplex.build(c.basis, diffs, c.levels),
+                           fib.images, fib.cells)
     report = push_forward_well_defined(flipped)
     assert not report.passed
     assert report.label == c.labels(-2)[key[1]]

@@ -76,10 +76,10 @@ def test_build_perm_renders_each_label_once(monkeypatch):
         assert len(calls) == fubini(n), n
 
 
-def test_build_perm_matches_the_label_oracle(perms):
+def test_build_perm_matches_the_label_oracle(perms, perm7):
     """P1-P7 have the labels, rows and signs of ``perm_differential``,
     which sorts label strings and splits blocks by hand."""
-    for n, perm in [*perms.items(), (7, build_perm(7))]:
+    for n, perm in [*perms.items(), (7, perm7)]:
         c = perm.complex
         basis, d = perm_differential(n)
         assert {r: list(labels) for r, labels in c.basis.items()} == basis, n
@@ -95,13 +95,13 @@ def identity_quotient(perm):
     return quotient_complex(perm.complex.basis, perm.cells, image)
 
 
-def test_build_perm_matches_the_identity_quotient(perms):
-    for n, perm in [*perms.items(), (7, build_perm(7))]:
+def test_build_perm_matches_the_identity_quotient(perms, perm7):
+    for n, perm in [*perms.items(), (7, perm7)]:
         assert identity_quotient(perm) == perm.complex, n
 
 
-def test_perm_labels_strictly_increase_in_each_degree(perms):
-    for perm in [*perms.values(), build_perm(7)]:
+def test_perm_labels_strictly_increase_in_each_degree(perms, perm7):
+    for perm in [*perms.values(), perm7]:
         for r in perm.complex.degrees():
             labels = perm.complex.labels(r)
             assert all(a < b for a, b in zip(labels, labels[1:])), (perm.n, r)
