@@ -8,7 +8,6 @@ from .complexes import (
     complex_from_json,
     complex_json_pieces,
     complex_to_json,
-    compose,
     homology_dims,
     is_quasi_isomorphism,
     is_surjective,

@@ -22,7 +22,7 @@ from itertools import chain
 from json.encoder import encode_basestring_ascii
 from typing import Mapping, NamedTuple
 
-from .linalg import (SparseMatrix, _times, first_mismatch, multiply, pivots,
+from .linalg import (SparseMatrix, _times, first_mismatch, pivots,
                      product_vanishes, rank)
 
 
@@ -53,7 +53,7 @@ class ChainComplex:
               levels: Mapping | None = None) -> ChainComplex:
         """Validated complex; ``levels``, when given, filters it: one
         natural number per cell, and d never raises a level."""
-        basis_t = {int(r): tuple(labels) for r, labels in basis.items() if labels}
+        basis_t = {r: tuple(labels) for r, labels in _by_degree(basis) if labels}
         all_labels = [lab for labs in basis_t.values() for lab in labs]
         if set(map(type, all_labels)) - {str}:
             r, label = next((r, lab) for r, labs in basis_t.items() for lab in labs
@@ -62,14 +62,13 @@ class ChainComplex:
         if len(set(all_labels)) != len(all_labels):
             raise ValueError("basis labels must be unique across the complex")
         diffs = {}
-        for r, m in differentials.items():
-            r = int(r)
+        for r, m in _by_degree(differentials):
             _check_matrix(m, len(basis_t.get(r - 1, ())), len(basis_t.get(r, ())),
                           f"differential at degree {r}")
             if not m.is_zero():
                 diffs[r] = m
         if levels is not None:
-            levels = {int(r): tuple(ps) for r, ps in levels.items() if ps}
+            levels = {r: tuple(ps) for r, ps in _by_degree(levels) if ps}
             for r in sorted(set(basis_t) | set(levels)):
                 labels, ps = basis_t.get(r, ()), levels.get(r, ())
                 if len(ps) < len(labels):
@@ -107,6 +106,16 @@ class ChainComplex:
         if m is None:
             return SparseMatrix.zero(self.dim(r - 1), self.dim(r))
         return m
+
+
+def _by_degree(mapping: Mapping):
+    """The items of ``mapping``, refused unless every key is an int (a
+    bool is not one): a float or bool key would be truncated onto
+    another degree, and its cells lost."""
+    for r in mapping:
+        if type(r) is not int:
+            raise ValueError(f"degree key {r!r} is not an int")
+    return mapping.items()
 
 
 _EXACT = frozenset((int, Fraction))
@@ -312,8 +321,7 @@ class ChainMap:
     @staticmethod
     def build(source, target, shift, matrices, note="") -> ChainMap:
         clean = {}
-        for r, m in matrices.items():
-            r = int(r)
+        for r, m in _by_degree(matrices):
             _check_matrix(m, target.dim(r + shift), source.dim(r),
                           f"map matrix at degree {r}")
             if not m.is_zero():
@@ -366,18 +374,6 @@ def verify_factorization(h: ChainMap, g: ChainMap, f: ChainMap) -> ChainMapRepor
         if j is not None:
             return ChainMapReport(False, r, f.source.labels(r)[j])
     return ChainMapReport(True)
-
-
-def compose(g: ChainMap, f: ChainMap) -> ChainMap:
-    """g after f; shifts add."""
-    if g.source is not f.target and g.source != f.target:
-        raise ValueError("maps are not composable")
-    matrices = {}
-    for r in f.source.degrees():
-        m = multiply(g.matrix(r + f.shift), f.matrix(r))
-        if not m.is_zero():
-            matrices[r] = m
-    return ChainMap.build(f.source, g.target, f.shift + g.shift, matrices)
 
 
 def is_surjective(f: ChainMap) -> bool:

@@ -15,14 +15,15 @@ modelled as a canonical block order plus a parity sign.
 Edge sets are held as bitmasks, edge e at bit e-1.  The edges of each
 vertex cluster after contracting any edge set, the components of the
 line graph (which edges share a vertex) on that set, are read from one
-table per graph, built from the line graph alone.  So a graph reaches
-its fiber only through n and its line graph, and graphs with equal line
-graphs have equal fibers.  A block is one lookup in that table: the
-fiber builder walks the block prefixes once, sharing each prefix
-between the TO partitions that extend it, and drops a prefix as soon
-as a block of it is degenerate.  A tree is its nested
-set, the clusters of its blocks, held as one int with a bit per cluster
-mask.  The walk takes blocks in ascending least edge, so the first TO
+table per line graph, keyed by it and kept for the life of the process.
+So a graph reaches its fiber only through n and its line graph, and
+graphs with equal line graphs have equal fibers and share one table;
+a graph is a plain record of its edges.  A block is one lookup in that
+table: the fiber builder walks the block prefixes once, sharing each
+prefix between the TO partitions that extend it, and drops a prefix as
+soon as a block of it is degenerate.  A tree is its nested set, the
+clusters of its blocks, held as one int with a bit per cluster mask.
+The walk takes blocks in ascending least edge, so the first TO
 partition it reaches for a tree is the tree's canonical representative
 (see ``build_fiber``), and each tree's label is rendered once, from that
 partition.  The build makes no FiberTree: a fiber's ``trees`` are built
@@ -35,7 +36,7 @@ its ``images`` dict is that quotient's image.  The quotient builder
 
 from __future__ import annotations
 
-from functools import cached_property
+from functools import cache, cached_property
 from heapq import heappop, heappush
 from math import comb
 from typing import Iterable, NamedTuple, Sequence
@@ -55,25 +56,10 @@ from .topartitions import TOPartition, format_block, parity, splits, width
 FIBER_CAP = 9   # the most edges build_fiber admits: Fubini(9) TO partitions to walk
 
 
-class MultiGraph:
-    """Connected multigraph; edge ids are 1..n by position, loops allowed.
-    Graphs compare and hash by ``edges``; ``_cache`` holds the graph's
-    ``_cluster_table``, built on first use."""
+class MultiGraph(NamedTuple):
+    """Connected multigraph; edge ids are 1..n by position, loops allowed."""
 
-    def __init__(self, edges: tuple):
-        self.edges = edges
-        self._cache: dict = {}
-
-    def __eq__(self, other):
-        if type(other) is not MultiGraph:
-            return NotImplemented
-        return self.edges == other.edges
-
-    def __hash__(self) -> int:
-        return hash(self.edges)
-
-    def __repr__(self) -> str:
-        return f"MultiGraph(edges={self.edges!r})"
+    edges: tuple
 
     @staticmethod
     def from_edges(edges: Iterable) -> MultiGraph:
@@ -145,33 +131,32 @@ def _find(parent: dict, x):
     return root
 
 
-def _cluster_table(g: MultiGraph) -> list:
+@cache
+def _cluster_table(lines: tuple) -> list:
     """One row per edge mask ``done``: for each edge e of ``done``, the
-    edges of its component in the line graph restricted to ``done`` (the
-    edges of the vertex cluster holding e once the edges in ``done`` are
-    contracted), as an edge mask; 0 for an edge outside ``done``.  Read
-    from ``g.line_graph()`` alone, a row at a time: the row of ``done``
-    is the row without its top edge, with that edge's component, the
-    edge and the components it touches, written over each of their
-    edges.  Built once per graph (2**n rows) and cached on it."""
-    table = g._cache.get("clusters")
-    if table is None:
-        lines = g.line_graph()
-        table = [(0,) * g.n]
-        for done in range(1, 1 << g.n):
-            top = done.bit_length() - 1
-            row = list(table[done ^ 1 << top])
-            cluster = 1 << top
-            touched = lines[top] & done ^ cluster
-            while touched:
-                cluster |= row[(touched & -touched).bit_length() - 1]
-                touched &= ~cluster
-            rest = cluster
-            while rest:
-                row[(rest & -rest).bit_length() - 1] = cluster
-                rest &= rest - 1
-            table.append(tuple(row))
-        g._cache["clusters"] = table
+    edges of its component in the line graph ``lines`` (as
+    ``MultiGraph.line_graph`` gives it) restricted to ``done`` (the edges
+    of the vertex cluster holding e once the edges in ``done`` are
+    contracted), as an edge mask; 0 for an edge outside ``done``.  Built
+    a row at a time: the row of ``done`` is the row without its top
+    edge, with that edge's component, the edge and the components it
+    touches, written over each of their edges.  Built once per distinct
+    line graph (2**n rows) and kept for the life of the process, so
+    graphs with equal line graphs share one table."""
+    table = [(0,) * len(lines)]
+    for done in range(1, 1 << len(lines)):
+        top = done.bit_length() - 1
+        row = list(table[done ^ 1 << top])
+        cluster = 1 << top
+        touched = lines[top] & done ^ cluster
+        while touched:
+            cluster |= row[(touched & -touched).bit_length() - 1]
+            touched &= ~cluster
+        rest = cluster
+        while rest:
+            row[(rest & -rest).bit_length() - 1] = cluster
+            rest &= rest - 1
+        table.append(tuple(row))
     return table
 
 
@@ -257,7 +242,7 @@ def fiber_element(g: MultiGraph, alpha: TOPartition) -> FiberTree:
     """
     if alpha.n != g.n:
         raise ValueError(f"partition of 1..{alpha.n} does not match {g.n} edges")
-    table = _cluster_table(g)
+    table = _cluster_table(g.line_graph())
     done = 0
     pieces: list = []     # each piece, in the order made
     clusters: list = []   # the vertex cluster each piece ends in
@@ -382,7 +367,7 @@ def build_fiber(g: MultiGraph) -> FiberComplex:
     n = g.n
     if n > FIBER_CAP:
         raise ValueError(f"graph has {n} edges, above the cap {FIBER_CAP}")
-    table = _cluster_table(g)
+    table = _cluster_table(g.line_graph())
     full = (1 << n) - 1
     found: list = []      # the canonical representatives, in the order found
     images: dict = {}

@@ -375,6 +375,31 @@ def nested_sets(edges):
     return found
 
 
+def nested_set_of(label: str):
+    """The nested set of a fiber label such as '({1} ({3} ({2})))': the
+    edge ids of every parenthesized subtree, its own block and all the
+    blocks inside it, as a frozenset of frozensets.  A block's ids are
+    single digits, or comma-separated when the graph has over 9 edges."""
+    found, open_sets, i = [], [], 0
+    while i < len(label):
+        char = label[i]
+        if char == "(":
+            open_sets.append(set())
+        elif char == "{":
+            end = label.index("}", i)
+            text = label[i + 1:end]
+            open_sets[-1].update(map(int, text.split(",") if "," in text else text))
+            i = end
+        elif char == ")":
+            subtree = open_sets.pop()
+            found.append(frozenset(subtree))
+            if open_sets:
+                open_sets[-1] |= subtree
+        i += 1
+    assert not open_sets, label
+    return frozenset(found)
+
+
 def nested_set_counts(edges):
     """k -> number of nested sets of size k that hold the whole edge set;
     these count the trees of the fiber by block count."""

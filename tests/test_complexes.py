@@ -13,7 +13,6 @@ from permfiber.complexes import (
     complex_from_json,
     complex_json_pieces,
     complex_to_json,
-    compose,
     homology_dims,
     is_quasi_isomorphism,
     is_surjective,
@@ -24,6 +23,7 @@ from permfiber.complexes import (
     unpaired_cells,
     verify_chain_map,
     verify_d_squared,
+    verify_factorization,
 )
 from permfiber.fiber import MultiGraph, build_fiber
 from permfiber.linalg import SparseMatrix
@@ -193,6 +193,31 @@ def test_build_refuses_a_label_that_is_not_a_string():
     assert ChainComplex.build({0: ("1",)}, {}).labels(0) == ("1",)
 
 
+def test_builders_refuse_a_degree_key_that_is_not_an_int():
+    """A float or bool degree key used to be truncated onto an int degree:
+    {1.5: a, True: b} built the basis {1: (b,)} and lost a, and a
+    differential keyed 1.9 landed at degree 1.  Basis, differential,
+    level and map-matrix keys are refused by name; a bool is not an int."""
+    one = SparseMatrix.from_entries(1, 1, {(0, 0): 1})
+    c = ChainComplex.build({0: ("a",), 1: ("b",)}, {1: one}, {0: (0,), 1: (0,)})
+    refused = [
+        (1.5, lambda: ChainComplex.build({1.5: ("a",), True: ("b",)}, {})),
+        (True, lambda: ChainComplex.build({True: ("b",)}, {})),
+        (0.5, lambda: ChainComplex.build({0: ("a",), 0.5: ()}, {})),
+        ("1", lambda: ChainComplex.build({"1": ("a",)}, {})),
+        (1.9, lambda: ChainComplex.build(c.basis, {1.9: one})),
+        (False, lambda: ChainComplex.build(c.basis, c.differentials, {False: (0,), 1: (0,)})),
+        (True, lambda: ChainMap.build(c, c, 0, {True: one})),
+        (1.0, lambda: ChainMap.build(c, c, -1, {1.0: one})),
+    ]
+    for key, build in refused:
+        with pytest.raises(ValueError) as error:
+            build()
+        assert str(error.value) == f"degree key {key!r} is not an int"
+    assert ChainMap.build(c, c, -1, {1: one}).matrix(1) == one
+    assert c.differentials == {1: one}
+
+
 def test_mapping_cone_of_identity_is_acyclic(perms):
     cone = mapping_cone(identity_map(perms[3].complex))
     assert all(v == 0 for v in homology_dims(cone).values())
@@ -268,14 +293,21 @@ def test_chain_map_witness_matches_dense_products(perms, simplexes, corpus_fiber
     assert flips > 90
 
 
-def test_compose_shifts_add(perms, simplexes, corpus_fibers):
+def test_factorization_refuses_shifts_that_do_not_add(perms, simplexes, corpus_fibers):
+    """h = g after f needs h's shift to be f's plus g's: maps with the
+    right sources and targets but one shift off are refused."""
     from permfiber.fiber import fiber_to_simplex, perm_to_fiber
+    from permfiber.polytopes import perm_to_simplex
     fib = corpus_fibers["path3"]
     f = perm_to_fiber(fib, perms[3])
     g = fiber_to_simplex(fib, simplexes[3])
-    assert compose(g, f).shift == 0
-    with pytest.raises(ValueError, match="^maps are not composable$"):
-        compose(f, g)
+    h = perm_to_simplex(perms[3], simplexes[3])
+    assert verify_factorization(h, g, f).passed
+    for triangle in ((ChainMap.build(h.source, h.target, h.shift + 1, {}), g, f),
+                     (h, ChainMap.build(g.source, g.target, g.shift - 1, {}), f),
+                     (h, g, ChainMap.build(f.source, f.target, f.shift + 1, {}))):
+        with pytest.raises(ValueError, match="^h, g and f do not form a triangle$"):
+            verify_factorization(*triangle)
 
 
 def test_point_degree(perms, simplexes):

@@ -1,4 +1,6 @@
+import pickle
 import random
+from itertools import combinations
 from math import comb
 
 import pytest
@@ -7,7 +9,6 @@ from permfiber.complexes import (
     ChainComplex,
     ChainMap,
     ChainMapReport,
-    compose,
     homology_dims,
     is_surjective,
     mapping_cone,
@@ -45,6 +46,7 @@ from oracles import (
     fiber_tree_sets,
     ids,
     nested_set_counts,
+    nested_set_of,
     nested_sets,
     nondegenerate_count,
     tree_key,
@@ -223,6 +225,42 @@ def test_fiber_trees_biject_onto_nested_sets(corpus_graphs, corpus_fibers):
         assert families == set(nested_sets(corpus_graphs[name].edges)), name
 
 
+def test_differentials_are_the_face_lattice(corpus_graphs, corpus_fibers, perms):
+    """Each differential is the covering relation of its face lattice,
+    read off the labels alone.  A fiber's degree -k basis is the nested
+    sets of size k of its line graph's graph associahedron, and the
+    column of N holds +-1 at exactly the nested sets with one more
+    member that contain N.  A column of P_n holds +-1 at exactly the TO
+    partitions that split one block in two, sum(2**|B| - 2) of them."""
+    for name, fib in sorted(corpus_fibers.items()):
+        c = fib.complex
+        families = {r: [nested_set_of(label) for label in c.labels(r)] for r in c.degrees()}
+        assert {family for r in families for family in families[r]} \
+            == set(nested_sets(corpus_graphs[name].edges)), name
+        assert all(len(family) == -r for r in families for family in families[r]), name
+        for r in c.degrees():
+            below = families.get(r - 1, [])
+            for j, column in enumerate(c.d(r).columns):
+                assert set(column.values()) <= {1, -1}, (name, r, j)
+                want = {i for i, family in enumerate(below) if families[r][j] < family}
+                assert set(column) == want, (name, c.labels(r)[j])
+    for n, perm in sorted(perms.items()):
+        c = perm.complex
+        cells = {r: [tuple(frozenset(map(int, block)) for block in label.split(">"))
+                     for label in c.labels(r)] for r in c.degrees()}
+        for r in c.degrees():
+            row_of = {alpha: i for i, alpha in enumerate(cells.get(r - 1, []))}
+            for j, column in enumerate(c.d(r).columns):
+                alpha = cells[r][j]
+                want = {row_of[alpha[:i] + (part, block - part) + alpha[i + 1:]]
+                        for i, block in enumerate(alpha)
+                        for k in range(1, len(block))
+                        for part in map(frozenset, combinations(sorted(block), k))}
+                assert len(want) == sum(2 ** len(block) - 2 for block in alpha)
+                assert set(column.values()) <= {1, -1}, (n, r, j)
+                assert set(column) == want, (n, c.labels(r)[j])
+
+
 def assert_clusters_match_oracle(g, context):
     """``g.line_graph()`` marks the edge pairs that share a vertex, and
     each entry of the cluster table for an edge of ``done`` is that
@@ -231,7 +269,7 @@ def assert_clusters_match_oracle(g, context):
     assert g.line_graph() == tuple(
         sum(1 << f - 1 for f in edges if len(edge_components(g.edges, {e, f})) == 1)
         for e in edges), context
-    table = _cluster_table(g)
+    table = _cluster_table(g.line_graph())
     assert len(table) == 1 << g.n, context
     for done, row in enumerate(table):
         for part in edge_components(g.edges, ids(done)):
@@ -261,6 +299,40 @@ def test_equal_line_graphs_build_equal_fibers(corpus_graphs, corpus_fibers):
             assert corpus_graphs[name].line_graph() == corpus_graphs[first].line_graph()
             assert_equal_fibers(corpus_fibers[name], corpus_fibers[first], name)
     assert len({g.line_graph() for g in corpus_graphs.values()}) == 11
+
+
+def test_equal_line_graphs_share_one_cluster_table(corpus_graphs):
+    """The cluster table is keyed by the line graph, not by the graph:
+    the triangle, the 3-star and the theta graph get one table object,
+    the 2-path and the 2-star another, and the 3-path its own."""
+    def table(name):
+        return _cluster_table(corpus_graphs[name].line_graph())
+
+    assert table("cycle3") is table("star3") is table("theta")
+    assert table("path2") is table("star2")
+    assert table("path3") is not table("cycle3")
+
+
+def test_multigraph_is_a_record_of_its_edges():
+    """A graph is its edges and nothing derived: it compares, hashes,
+    pickles and reprs by them, equals the tuple ``(edges,)``, and
+    ``from_edges`` refuses what it refused."""
+    g = MultiGraph.from_edges([(0, 1), (1, 2), (2, 0)])
+    same = MultiGraph(((0, 1), (1, 2), (2, 0)))
+    assert g == same and hash(g) == hash(same) and len({g, same}) == 1
+    assert g != MultiGraph(((0, 1), (1, 2), (0, 2)))
+    assert repr(g) == "MultiGraph(edges=((0, 1), (1, 2), (2, 0)))"
+    assert pickle.loads(pickle.dumps(g)) == g
+    assert g == (g.edges,) and g._replace(edges=((0, 0),)).n == 1
+    assert not hasattr(g, "__dict__")
+    assert (g.n, g.vertices(), g.is_connected()) == (3, {0, 1, 2}, True)
+    for edges, message in (([], "graph needs at least one edge"),
+                           ([(0, -1)], "vertex ids must be nonnegative integers"),
+                           ([(0, True)], "vertex ids must be nonnegative integers"),
+                           ([(0, 1.0)], "vertex ids must be nonnegative integers"),
+                           ([(0, 1), (2, 3)], "graph is not connected")):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            MultiGraph.from_edges(edges)
 
 
 def test_fiber_d_squared_and_width_filtration(corpus_fibers):
@@ -563,28 +635,18 @@ def test_factorization_through_fiber(perms, simplexes, corpus_fibers):
         f = perm_to_fiber(fib, perm=perms[n])
         g = fiber_to_simplex(fib, simplex=simplexes[n])
         p2s = perm_to_simplex(perms[n], simplexes[n])
-        composite = compose(g, f)
         for r in perms[n].complex.degrees():
-            assert composite.matrix(r) == p2s.matrix(r), (name, r)
+            composite = dense_multiply(g.matrix(r + f.shift).dense(), f.matrix(r).dense())
+            assert composite == p2s.matrix(r).dense(), (name, r)
         assert verify_factorization(p2s, g, f).passed, name
-
-
-def _first_difference(h, composite):
-    """The lowest degree, and in it the first source cell, where the
-    whole matrices of h and of a composite differ, else None."""
-    for r in h.source.degrees():
-        left, right = h.matrix(r).columns, composite.matrix(r).columns
-        for j, (a, b) in enumerate(zip(left, right)):
-            if a != b:
-                return r, h.source.labels(r)[j]
-    return None
 
 
 def test_factorization_names_the_first_cell_that_differs(perms, simplexes,
                                                          corpus_fibers):
     """With one entry of fiber->simplex negated or dropped, the column-
-    by-column check fails exactly where the whole product of compose
+    by-column check fails exactly where the whole dense product g after f
     differs from the blow-down, and names the same degree and cell."""
+    dense = DenseProducts()
     for name in ("path3", "theta", "star3"):
         fib = corpus_fibers[name]
         n = fib.n
@@ -599,10 +661,8 @@ def test_factorization_names_the_first_cell_that_differs(perms, simplexes,
                     broken = ChainMap.build(g.source, g.target, g.shift, {
                         **g.matrices,
                         r: SparseMatrix.from_entries(m.rows, m.cols, entries)})
-                    want = _first_difference(h, compose(broken, f))
-                    report = verify_factorization(h, broken, f)
-                    got = None if report.passed else (report.degree, report.label)
-                    assert got == want, (name, r, key, new)
+                    assert verify_factorization(h, broken, f) \
+                        == dense.factorization(h, broken, f), (name, r, key, new)
 
 
 def test_factorization_refuses_maps_that_do_not_form_a_triangle(perms, simplexes,

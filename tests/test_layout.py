@@ -1,6 +1,7 @@
 """Each design decision lives in one module: the modules import only
 from the layers below them, the label-order tables of
-``topartitions`` stay inside it, and the quotient builder is ``fiber``'s.
+``topartitions`` stay inside it, the quotient builder is ``fiber``'s,
+only ``complexes`` keeps a ``_cache``, and no module composes maps.
 Read from the source with ``ast``; nothing is imported."""
 
 import ast
@@ -67,3 +68,25 @@ def test_only_fiber_defines_the_quotient_builder():
         assert name == "fiber" or not defined & QUOTIENT, (name, defined & QUOTIENT)
     assert QUOTIENT <= {node.name for node in ast.walk(_trees()["fiber"])
                         if isinstance(node, ast.FunctionDef)}
+
+
+def test_only_complexes_assigns_a_cache():
+    """Complexes and chain maps carry a ``_cache``; a graph holds nothing
+    derived, and its cluster table is cached per line graph instead."""
+    for name, tree in _trees().items():
+        targets = [target for node in ast.walk(tree)
+                   if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign))
+                   for target in (node.targets if isinstance(node, ast.Assign)
+                                  else [node.target])]
+        assigns = any(isinstance(part, ast.Attribute) and part.attr == "_cache"
+                      for target in targets for part in ast.walk(target))
+        assert name == "complexes" or not assigns, name
+
+
+def test_no_module_defines_compose():
+    """Maps are checked against a composite column by column
+    (``verify_factorization``); no module forms g after f."""
+    for name, tree in _trees().items():
+        defined = {node.name for node in ast.walk(tree)
+                   if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))}
+        assert "compose" not in defined, name
