@@ -47,7 +47,6 @@ from .topartitions import (
     differential_terms,
     enumerate_topartitions,
     parse_topartition,
-    shape,
     width,
 )
 

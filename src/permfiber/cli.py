@@ -165,8 +165,7 @@ class Collector:
 
 
 def _homology_detail(h: dict) -> str:
-    nonzero = {r: d for r, d in sorted(h.items()) if d}
-    return " ".join(f"H_{r}={d}" for r, d in nonzero.items()) or "zero"
+    return " ".join(f"H_{r}={d}" for r, d in sorted(h.items()) if d) or "zero"
 
 
 def _unexpected_class(c, h: dict, bottom: int) -> str:
@@ -177,6 +176,15 @@ def _unexpected_class(c, h: dict, bottom: int) -> str:
         if h[r] > (1 if r == bottom else 0):
             return f"; unexpected class at degree {r}, cell {unpaired_cells(c, r)[0]}"
     return "" if h[bottom] else f"; no class at degree {bottom}"
+
+
+def _koszul_failure(failure: tuple) -> str:
+    """Witness suffix for a failing koszul line: its first failing part."""
+    if failure[:1] == ("d2",):
+        return "; skipped: d2 failed"
+    if failure[:1] == ("homology",):
+        return f"; no single class at degree {failure[1]}"
+    return "; E{0} has dim {2} at {1}, expected {3}".format(*failure) if failure else ""
 
 
 def _fails(what: str, report) -> str:
@@ -301,7 +309,7 @@ def _run_checks(col: Collector, name: str, obj, checks, pages: int = -1,
         detail = (f"homology {_homology_detail(rep.homology)}; pages indexed by "
                   "(p, q) = (width, degree - width); the binomial row sits at q = -n-1"
                   if fiber else "E1 binomial row at q=-1, E2 single class at p=1")
-        col.check(name, "koszul", rep.passed, detail)
+        col.check(name, "koszul", rep.passed, detail + _koszul_failure(rep.failure))
     if "maps" in checks:
         col.check(name, "maps", *(_fiber_maps(obj, maps) if fiber
                                   else _perm_maps((maps or _maps(obj)).blowdown)))

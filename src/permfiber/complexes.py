@@ -320,6 +320,8 @@ class ChainMap:
 
     @staticmethod
     def build(source, target, shift, matrices, note="") -> ChainMap:
+        if type(shift) is not int:   # a bool is not one
+            raise ValueError(f"shift {shift!r} is not an int")
         clean = {}
         for r, m in _by_degree(matrices):
             _check_matrix(m, target.dim(r + shift), source.dim(r),
@@ -431,9 +433,7 @@ def point_degree(c: ChainComplex) -> int | None:
     """The degree of the one class when H(c) is a point, else None."""
     h = homology_dims(c)
     classes = [r for r, d in h.items() if d]
-    if len(classes) == 1 and h[classes[0]] == 1:
-        return classes[0]
-    return None
+    return classes[0] if len(classes) == 1 and h[classes[0]] == 1 else None
 
 
 def quasi_isomorphism_report(f: ChainMap) -> ChainMapReport:

@@ -12,22 +12,16 @@ they touch into one.  The fiber complex is spanned by the distinct
 nondegenerate t_alpha, each carried with a mod-2 order on its blocks,
 modelled as a canonical block order plus a parity sign.
 
-Edge sets are held as bitmasks, edge e at bit e-1.  The edges of each
-vertex cluster after contracting any edge set, the components of the
-line graph (which edges share a vertex) on that set, are read from one
-table per line graph, keyed by it and kept for the life of the process.
-So a graph reaches its fiber only through n and its line graph, and
-graphs with equal line graphs have equal fibers and share one table;
-a graph is a plain record of its edges.  A block is one lookup in that
-table: the fiber builder walks the block prefixes once, sharing each
-prefix between the TO partitions that extend it, and drops a prefix as
-soon as a block of it is degenerate.  A tree is its nested set, the
-clusters of its blocks, held as one int with a bit per cluster mask.
-The walk takes blocks in ascending least edge, so the first TO
-partition it reaches for a tree is the tree's canonical representative
-(see ``build_fiber``), and each tree's label is rendered once, from that
-partition.  The build makes no FiberTree: a fiber's ``trees`` are built
-from its representatives on first read.
+Edge sets are held as bitmasks, edge e at bit e-1, and a TO partition
+as the tuple of its block masks.  The edges of each vertex cluster
+after contracting any edge set, the components of the line graph
+(which edges share a vertex) on that set, are read from one table per
+line graph, kept for the life of the process, so graphs with equal
+line graphs have equal fibers and share one table; a graph is a plain
+record of its edges.  The fiber builder walks the block prefixes once,
+a block one lookup in that table, and reaches each tree first at its
+canonical representative (see ``build_fiber``).  It makes no
+FiberTree: a fiber's ``trees`` are built from its cells on first read.
 
 The fiber complex is P_n divided out by alpha -> sign * t_alpha, and
 its ``images`` dict is that quotient's image.  The quotient builder
@@ -229,9 +223,9 @@ def _render(tree: FiberTree, kids: list, n: int, i: int) -> str:
     return "(" + inner + "".join(" " + _render(tree, kids, n, j) for j in kids[i]) + ")"
 
 
-def fiber_element(g: MultiGraph, alpha: TOPartition) -> FiberTree:
-    """t_alpha: apply alpha's blocks left to right (least block last) to
-    the vertex clusters of ``g``.
+def fiber_element(g: MultiGraph, blocks: tuple) -> FiberTree:
+    """t_alpha, for alpha with block masks ``blocks``: apply them left to
+    right (least block last) to the vertex clusters of ``g``.
 
     Contracting a block's edges joins the clusters they touch into one
     or more components, the pieces of the block.  Each piece becomes the
@@ -240,13 +234,13 @@ def fiber_element(g: MultiGraph, alpha: TOPartition) -> FiberTree:
     piece; its tree then carries the pieces as blocks, and the maps
     below send it to zero.
     """
-    if alpha.n != g.n:
-        raise ValueError(f"partition of 1..{alpha.n} does not match {g.n} edges")
+    if sum(blocks) != (1 << g.n) - 1:
+        raise ValueError(f"blocks {blocks!r} do not partition the {g.n} edges")
     table = _cluster_table(g.line_graph())
     done = 0
     pieces: list = []     # each piece, in the order made
     clusters: list = []   # the vertex cluster each piece ends in
-    for block in alpha.blocks:
+    for block in blocks:
         rest = block
         while rest:
             piece, cluster = _step(table, done, block, rest & -rest)
@@ -254,7 +248,7 @@ def fiber_element(g: MultiGraph, alpha: TOPartition) -> FiberTree:
             pieces.append(piece)
             clusters.append(cluster)
         done |= block
-    return _tree(pieces, clusters, len(pieces) != len(alpha.blocks))
+    return _tree(pieces, clusters, len(pieces) != len(blocks))
 
 
 def _tree(pieces: Sequence, clusters: Sequence, degenerate: bool) -> FiberTree:
@@ -275,9 +269,10 @@ def _tree(pieces: Sequence, clusters: Sequence, degenerate: bool) -> FiberTree:
                      degenerate)
 
 
-def canonical_representative(tree: FiberTree) -> TOPartition:
-    """TO partition applying children before parents (ties broken by the
-    smallest edge id), so the root block comes last."""
+def canonical_representative(tree: FiberTree) -> tuple:
+    """The block masks of the TO partition applying children before
+    parents (ties broken by the smallest edge id), so the root block
+    comes last."""
     waiting = [len(kids) for kids in tree.child_lists()]
     ready = [i for i, w in enumerate(waiting) if not w]  # sorted, so a heap
     placed: list = []
@@ -289,8 +284,7 @@ def canonical_representative(tree: FiberTree) -> TOPartition:
             waiting[p] -= 1
             if not waiting[p]:
                 heappush(ready, p)
-    n = max(tree.blocks).bit_length()
-    return TOPartition(n, tuple(tree.blocks[i] for i in placed))
+    return tuple(tree.blocks[i] for i in placed)
 
 
 class FiberComplex:
@@ -302,7 +296,8 @@ class FiberComplex:
     which ``pushforward`` reads.  Its entries come in walk order, the
     order ``build_fiber`` reaches the alpha.  ``cells`` maps each
     degree to the canonical representatives of its trees in basis order,
-    each the first alpha of its tree in that order."""
+    each the first alpha of its tree in that order and the very tuple
+    that keys it in ``images``."""
 
     def __init__(self, graph: MultiGraph, complex: ChainComplex, images: dict,
                  cells: dict):
@@ -400,7 +395,7 @@ def build_fiber(g: MultiGraph) -> FiberComplex:
         degree = basis.setdefault(r, [])
         row[t] = len(degree)
         degree.append(labels[t])
-        cells.setdefault(r, []).append(TOPartition(n, found[t]))
+        cells.setdefault(r, []).append(found[t])
     plus = [(i, 1) for i in row]
     minus = [(i, -1) for i in row]
     for alpha, t in images.items():
@@ -488,20 +483,21 @@ def pushforward(blocks: tuple, images: dict) -> dict:
 
 def quotient_complex(basis: dict, cells: dict, images: dict) -> ChainComplex:
     """A quotient of P_n, filtered by width: a fiber.  ``basis`` and
-    ``cells`` map each degree to its labels and to one TO partition
-    representing each label, in basis order, and ``images`` is the
-    quotient's image, as in ``pushforward``: it sends cells[r][j] to row
-    j with some sign.  Column j of d_r is the pushforward of
-    d(cells[r][j]) divided by that sign.  With the identity image it
-    gives P_n itself, which the tests compare with ``build_perm``."""
+    ``cells`` map each degree to its labels and to the block masks of
+    one TO partition representing each label, in basis order, and
+    ``images`` is the quotient's image, as in ``pushforward``: it sends
+    cells[r][j] to row j with some sign.  Column j of d_r is the
+    pushforward of d(cells[r][j]) divided by that sign.  With the
+    identity image it gives P_n itself, which the tests compare with
+    ``build_perm``."""
     diffs = {}
     for r in sorted(cells):
         if r - 1 not in cells:
             continue
         columns = []
         for alpha in cells[r]:
-            column = pushforward(alpha.blocks, images)
-            sign = images[alpha.blocks][1]
+            column = pushforward(alpha, images)
+            sign = images[alpha][1]
             columns.append(column if sign == 1 else
                            {i: sign * v for i, v in column.items()})
         diffs[r] = SparseMatrix(len(cells[r - 1]), tuple(columns))
@@ -520,7 +516,7 @@ def perm_to_fiber(fiber: FiberComplex, perm: PermComplex) -> ChainMap:
                          f"got P_{perm.n}")
     matrices = {}
     for r, alphas in perm.cells.items():
-        hits = [fiber.images.get(alpha.blocks) for alpha in alphas]
+        hits = list(map(fiber.images.get, alphas))
         if any(hits):   # a hit (row, sign) is the column {row: sign}
             matrices[r] = SparseMatrix(target.dim(r - n),
                                        tuple(dict([hit]) if hit else {} for hit in hits))
@@ -536,7 +532,7 @@ def fiber_to_simplex(fiber: FiberComplex, simplex: SimplexComplex) -> ChainMap:
     if simplex.n != fiber.n:
         raise ValueError(f"fiber_to_simplex needs the simplex on {fiber.n} vertices "
                          f"for a fiber of {fiber.n} edges, got {simplex.n} vertices")
-    signs = {r: [fiber.images[alpha.blocks][1] for alpha in alphas]
+    signs = {r: [fiber.images[alpha][1] for alpha in alphas]
              for r, alphas in fiber.cells.items()}
     matrices = blowdown_matrices(fiber.cells, simplex, signs)
     return ChainMap.build(fiber.complex, simplex.complex, fiber.n, matrices,
@@ -561,10 +557,9 @@ def push_forward_well_defined(fiber: FiberComplex) -> WellDefinednessReport:
         d = c.differentials.get(-len(blocks))
         want = {} if d is None else {i: sign * v for i, v in d.columns[row].items()}
         if pushforward(blocks, fiber.images) != want:
-            alpha = TOPartition(fiber.n, blocks)
             return WellDefinednessReport(
                 False, checked, c.labels(-len(blocks))[row],
-                detail=f"pushforward of {alpha.pretty()} disagrees")
+                detail=f"pushforward of {TOPartition(fiber.n, blocks).pretty()} disagrees")
         checked += 1
     return WellDefinednessReport(True, checked)
 
@@ -578,6 +573,9 @@ class KoszulReport(NamedTuple):
     pages: dict            # r -> PageTable for r = 1, 2; empty if d^2 != 0
     e1_ok: bool
     e2_ok: bool
+    # the first failing part: ("d2",), ("homology", bottom degree), or for
+    # a page E^r (r, (p, q), dim, expected dim) at its least differing cell
+    failure: tuple = ()
 
     @property
     def passed(self) -> bool:
@@ -592,14 +590,19 @@ def koszul_check(obj) -> KoszulReport:
     ``obj`` is a PermComplex (bottom degree 0) or a FiberComplex (bottom
     degree -n); the check reads only its n and complex, and the caller
     words the result.  Only the E^1 and E^2 pages are computed, and
-    none when d^2 != 0."""
+    none when d^2 != 0.  The report's ``failure`` names the first failing
+    part, in the order d^2, homology, E^1, E^2."""
     n, c = obj.n, obj.complex
     bottom = c.degrees()[0]
     d2_ok = verify_d_squared(c).passed
     homology = homology_dims(c) if d2_ok else {}
     homology_ok = d2_ok and point_degree(c) == bottom
-    pages = {r: page_dims(c, r) for r in (1, 2)} if d2_ok else {}
-    e1_ok = d2_ok and pages[1].dims == {(p, bottom - 1): comb(n, p)
-                                        for p in range(1, n + 1)}
-    e2_ok = d2_ok and pages[2].dims == {(1, bottom - 1): 1}
-    return KoszulReport(n, d2_ok, homology, homology_ok, pages, e1_ok, e2_ok)
+    want = {1: {(p, bottom - 1): comb(n, p) for p in range(1, n + 1)},
+            2: {(1, bottom - 1): 1}}
+    pages = {r: page_dims(c, r) for r in want} if d2_ok else {}
+    e1_ok, e2_ok = (d2_ok and pages[r].dims == want[r] for r in want)
+    failure = (("d2",) if not d2_ok else ("homology", bottom) if not homology_ok else
+               next(((r, pq, pages[r].dim(*pq), want[r].get(pq, 0)) for r in want
+                     for pq in sorted(pages[r].dims.keys() | want[r].keys())
+                     if pages[r].dim(*pq) != want[r].get(pq, 0)), ()))
+    return KoszulReport(n, d2_ok, homology, homology_ok, pages, e1_ok, e2_ok, failure)

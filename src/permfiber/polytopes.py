@@ -16,9 +16,9 @@ from typing import NamedTuple
 from .complexes import ChainComplex, ChainMap
 from .linalg import SparseMatrix
 from .topartitions import (
-    TOPartition,
     enumerate_topartitions,
     format_block,
+    labels,
     parity,
     perm_columns,
     width,
@@ -32,8 +32,8 @@ class PermComplex(NamedTuple):
 
     Degree r holds the TO partitions of {1..n} with n-r blocks; the
     differential subdivides blocks in place.  ``cells`` maps each degree
-    to its TO partitions in basis order, so ``cells[r][j]`` is the cell
-    labelled ``complex.labels(r)[j]``.
+    to its TO partitions in basis order, each a tuple of block masks, so
+    ``cells[r][j]`` is the cell labelled ``complex.labels(r)[j]``.
     """
 
     n: int
@@ -56,7 +56,7 @@ def build_perm(n: int) -> PermComplex:
     """P_n, its cells enumerated in label order degree by degree
     (``enumerate_topartitions``) and its differential assembled from
     those of smaller permutohedra by index arithmetic (``perm_columns``);
-    each label is rendered once."""
+    each degree's labels are rendered at once (``labels``)."""
     if not 1 <= n <= PERM_CAP:
         raise ValueError(f"n must satisfy 1 <= n <= {PERM_CAP}, got {n}")
     columns = perm_columns(n)[n]
@@ -64,7 +64,7 @@ def build_perm(n: int) -> PermComplex:
     cells, basis, levels, start = {}, {}, {}, 0
     for k in range(1, n + 1):
         cells[n - k] = tuple(alphas[start:start + len(columns[k])])
-        basis[n - k] = tuple(map(TOPartition.label, cells[n - k]))
+        basis[n - k] = labels(n, cells[n - k])
         levels[n - k] = tuple(map(width, cells[n - k]))
         start += len(columns[k])
     del alphas
@@ -94,20 +94,20 @@ def build_simplex(n: int) -> SimplexComplex:
     return SimplexComplex(n, ChainComplex.build(basis, diffs), rows)
 
 
-def blowdown_support(alpha: TOPartition):
+def blowdown_support(blocks: tuple):
     """The least block when every other block is a singleton, else None:
-    the other blocks hold the n - |least| other elements, so they are
-    all singletons exactly when there are that many of them."""
-    last = alpha.blocks[-1]
-    return last if alpha.n - last.bit_count() == len(alpha.blocks) - 1 else None
+    the other blocks are all singletons exactly when they hold as many
+    elements as there are of them."""
+    singletons = sum(map(int.bit_count, blocks[:-1])) == len(blocks) - 1
+    return blocks[-1] if singletons else None
 
 
-def blowdown_coefficient(alpha: TOPartition) -> int:
+def blowdown_coefficient(blocks: tuple) -> int:
     """Sign on the image of a supported cell making the blow-down a chain
     map: the parity of the singleton ordering times a sign depending on
     which elements were split off the least block.  Normalised so the
     top cell maps with coefficient +1."""
-    singletons = [b.bit_length() for b in alpha.blocks[:-1]]
+    singletons = [b.bit_length() for b in blocks[:-1]]
     outside = sum(singletons) + len(singletons)
     return parity(singletons) * (-1 if outside % 2 else 1)
 

@@ -5,10 +5,12 @@ blocks, written left to right with the least block rightmost.  These
 are the cells of the permutohedron complex; the differential is the
 signed sum of ways to subdivide one block in place.
 
-A block is held as a bitmask, element x at bit x-1.  Element ids are
-read only by ``TOPartition.of`` and ``parse_topartition``, and written
-only from cached tables of block texts, one per n and separator
-(``format_block``, ``label``, ``pretty``).
+A block is held as a bitmask, element x at bit x-1, and a cell the
+package builds is the tuple of its block masks, least block last.
+``TOPartition`` is the parsed and validated form: element ids are read
+only by ``TOPartition.of`` and ``parse_topartition``, and written only
+from cached tables of block texts, one per n and separator
+(``format_block``, ``labels``, ``pretty``).
 
 P_n's label order is decided here alone: ``enumerate_topartitions``
 lists the cells in it, and ``perm_columns`` the columns of d in it, by
@@ -26,8 +28,9 @@ from typing import Iterator, NamedTuple
 class TOPartition(NamedTuple):
     """An ordered partition of {1..n}; each block a bitmask, least last.
 
-    Unchecked: the package builds only valid ones.  Outside input enters
-    through ``TOPartition.of`` and ``parse_topartition``, which validate.
+    The parsed and validated form of a cell: ``TOPartition.of`` and
+    ``parse_topartition`` validate outside input, the plain constructor
+    does not.  The package holds its own cells as bare ``blocks`` tuples.
     """
 
     n: int
@@ -35,34 +38,27 @@ class TOPartition(NamedTuple):
 
     @staticmethod
     def of(n: int, *blocks) -> TOPartition:
-        """The partition with blocks given as iterables of element ids."""
-        return _validated(n, tuple(tuple(sorted(b)) for b in blocks))
+        """The partition of 1..n with blocks given as iterables of element
+        ids, which are checked before any mask is made."""
+        blocks = tuple(tuple(sorted(b)) for b in blocks)
+        if n < 1:
+            raise ValueError("ground set must be nonempty")
+        for block in blocks:
+            if not block or any(a == b for a, b in zip(block, block[1:])):
+                raise ValueError(f"malformed block {block!r}")
+        ids = sorted(x for block in blocks for x in block)
+        if any(a == b for a, b in zip(ids, ids[1:])):
+            raise ValueError("blocks are not disjoint")
+        if ids != list(range(1, n + 1)):
+            raise ValueError(f"blocks do not partition 1..{n}")
+        return TOPartition(n, tuple(sum(1 << x - 1 for x in block) for block in blocks))
 
     def label(self) -> str:
-        texts = _block_texts(self.n, "" if self.n <= 9 else ",")
-        return ">".join(map(texts.__getitem__, self.blocks))
+        return labels(self.n, (self.blocks,))[0]
 
     def pretty(self) -> str:
         texts = _block_texts(self.n, ",")
         return ">".join("{" + texts[b] + "}" for b in self.blocks)
-
-    def block_count(self) -> int:
-        return len(self.blocks)
-
-
-def _validated(n: int, blocks: tuple) -> TOPartition:
-    """The partition of 1..n with the given blocks of sorted element ids."""
-    if n < 1:
-        raise ValueError("ground set must be nonempty")
-    for block in blocks:
-        if not block or any(a == b for a, b in zip(block, block[1:])):
-            raise ValueError(f"malformed block {block!r}")
-    ids = sorted(x for block in blocks for x in block)
-    if any(a == b for a, b in zip(ids, ids[1:])):
-        raise ValueError("blocks are not disjoint")
-    if ids != list(range(1, n + 1)):
-        raise ValueError(f"blocks do not partition 1..{n}")
-    return TOPartition(n, tuple(sum(1 << x - 1 for x in block) for block in blocks))
 
 
 class SignedTerm(NamedTuple):
@@ -73,6 +69,13 @@ class SignedTerm(NamedTuple):
 def format_block(block: int, n: int) -> str:
     """The ids of a block of 1..n, ascending: '134', or '1,3,10' when n > 9."""
     return _block_texts(n, "" if n <= 9 else ",")[block]
+
+
+def labels(n: int, cells) -> tuple:
+    """The basis label of each cell of P_n, given as block masks: the
+    blocks' ids joined by '>', as '13>24', or '2,10>1,3' when n > 9."""
+    texts = _block_texts(n, "" if n <= 9 else ",")
+    return tuple(">".join(map(texts.__getitem__, blocks)) for blocks in cells)
 
 
 @cache
@@ -87,9 +90,9 @@ def _block_texts(n: int, sep: str) -> tuple:
 
 
 def enumerate_topartitions(n: int) -> list:
-    """All TO partitions of {1..n}, each exactly once (Fubini(n) of them):
-    by block count ascending, and within a block count in label order
-    (for n <= 9, where every id is one digit).
+    """All TO partitions of {1..n} as tuples of block masks, each exactly
+    once (Fubini(n) of them): by block count ascending, and within a
+    block count in label order (for n <= 9, where every id is one digit).
 
     Labels with k blocks then all have the same length, n ids and k-1
     '>', so they sort by first block (``first_blocks``), then by the
@@ -110,7 +113,7 @@ def enumerate_topartitions(n: int) -> list:
             for k, tails in enumerate(layers[m - c.bit_count()], 1):
                 layer[k] += [(c, *map(onto.__getitem__, t)) for t in tails]
         layers.append(layer)
-    return [TOPartition(n, blocks) for cells in layers[n] for blocks in cells]
+    return [blocks for cells in layers[n] for blocks in cells]
 
 
 def perm_columns(n: int) -> list:
@@ -178,9 +181,11 @@ def perm_columns(n: int) -> list:
 @cache
 def first_blocks(m: int) -> tuple:
     """The nonempty blocks of {1..m}, as masks, in the order of the labels
-    they begin: ids compared ascending, and a block before its own proper
-    prefix, since '>' sorts after every digit."""
-    return tuple(sorted(range(1, 1 << m), key=lambda b: (*_ids(b), m + 1)))
+    they begin: ids compared ascending, as bit positions, and a block
+    before its own proper prefix, since '>' sorts after every digit (the
+    key ends in m, above every position)."""
+    return tuple(sorted(range(1, 1 << m),
+                        key=lambda b: (*(x for x in range(m) if b >> x & 1), m)))
 
 
 def spread(rest: int) -> list:
@@ -192,10 +197,6 @@ def spread(rest: int) -> list:
         masks += [b | bit for b in masks]
         rest ^= bit
     return masks
-
-
-def _ids(block: int) -> tuple:
-    return tuple(x + 1 for x in range(block.bit_length()) if block >> x & 1)
 
 
 def splits(blocks: tuple) -> Iterator[tuple]:
@@ -219,9 +220,9 @@ def differential_terms(alpha: TOPartition) -> list:
     return [SignedTerm(TOPartition(alpha.n, b), s) for b, s in splits(alpha.blocks)]
 
 
-def width(alpha: TOPartition) -> int:
+def width(blocks: tuple) -> int:
     """Cardinality of the least (rightmost) block."""
-    return alpha.blocks[-1].bit_count()
+    return blocks[-1].bit_count()
 
 
 def parity(sequence) -> int:
@@ -236,24 +237,12 @@ def parity(sequence) -> int:
     return -1 if inversions % 2 else 1
 
 
-def shape(alpha: TOPartition) -> tuple:
-    return tuple(b.bit_count() for b in alpha.blocks)
-
-
 def parse_topartition(text: str, n: int | None = None) -> TOPartition:
     """Parse '13|24', '13>24' or '{1,3}>{2,4}' into a TOPartition."""
-    raw = text.strip().replace("|", ">")
-    parts = [p.strip().strip("{}") for p in raw.split(">")]
     blocks = []
-    for part in parts:
+    for part in text.strip().replace("|", ">").split(">"):
+        part = part.strip().strip("{}")
         if not part:
             raise ValueError(f"empty block in {text!r}")
-        if "," in part:
-            elems = [int(x) for x in part.split(",")]
-        else:
-            elems = [int(ch) for ch in part]
-        blocks.append(tuple(sorted(elems)))
-    total = sum(len(b) for b in blocks)
-    if n is None:
-        n = total
-    return _validated(n, tuple(blocks))
+        blocks.append(list(map(int, part.split(",") if "," in part else part)))
+    return TOPartition.of(sum(map(len, blocks)) if n is None else n, *blocks)

@@ -463,7 +463,7 @@ def test_maps_failure_names_degree_and_cell(capsys, monkeypatch, perms, corpus_f
     import permfiber.polytopes as polytopes
     unit = polytopes.blowdown_coefficient
     monkeypatch.setattr(polytopes, "blowdown_coefficient",
-                        lambda alpha: -unit(alpha) if len(alpha.blocks) == 3
+                        lambda alpha: -unit(alpha) if len(alpha) == 3
                         else unit(alpha))
     code, out, _ = run_cli(capsys, "perm", "--n", "4", "--checks", "maps")
     assert code == 1
@@ -497,8 +497,8 @@ def test_maps_failure_names_the_lost_class(capsys, monkeypatch, perms):
                     f"of cell {v} at degree 0 to a boundary)")
 
 
-# The FAIL lines of five broken inputs, byte for byte: each names its
-# witness, a degree with a cell or a tree.
+# The FAIL lines of eight broken inputs, byte for byte: each names its
+# witness, a degree with a cell or a tree, or a page cell.
 PINNED_FAILING_LINES = {
     "P3 without d_1": [
         "check homology: FAIL (H_0=6 H_1=5; unexpected class at degree 0, cell 1>2>3)",
@@ -530,6 +530,20 @@ PINNED_FAILING_LINES = {
         "well-defined=true; blow-down does not factor through the fiber at degree 0, "
         "cell 1>2>3)",
     ],
+    # d2 and homology pass; E1 keeps one class, at width 1
+    "P3 with every level set to 1": [
+        "check koszul: FAIL (E1 binomial row at q=-1, E2 single class at p=1; "
+        "E1 has dim 1 at (1, -1), expected 3)",
+    ],
+    "P3 with one sign of d_1 flipped": [
+        "check koszul: FAIL (E1 binomial row at q=-1, E2 single class at p=1; "
+        "skipped: d2 failed)",
+    ],
+    "path3 without d_-1, koszul": [
+        "check koszul: FAIL (homology H_-3=1 H_-2=1 H_-1=1; pages indexed by (p, q) = "
+        "(width, degree - width); the binomial row sits at q = -n-1; "
+        "no single class at degree -3)",
+    ],
 }
 
 
@@ -556,13 +570,19 @@ def test_failing_lines_are_pinned(monkeypatch, perms, corpus_fibers):
         return _with_complex(obj, ChainComplex.build(
             c.basis, {r: m for r, m in c.differentials.items() if r != degree}, c.levels))
 
-    fib = corpus_fibers["path3"]
+    fib, c3 = corpus_fibers["path3"], perms[3].complex
     got = {
         "P3 without d_1": failing("P3", cut(perms[3], 1), ("d2", "homology")),
         "path3 without d_-1": failing("path3", cut(fib, -1), ("d2", "homology")),
         "path3 with one sign of d_-2 flipped": failing(
             "path3", _with_complex(fib, _flip_one_sign(fib.complex, -2)),
             ("maps",), _maps(perms[3])),
+        "P3 with every level set to 1": failing("P3", _with_complex(perms[3], ChainComplex(
+            c3.basis, c3.differentials, {r: (1,) * c3.dim(r) for r in c3.degrees()})),
+            ("d2", "homology", "koszul")),
+        "P3 with one sign of d_1 flipped": failing(
+            "P3", _with_complex(perms[3], _flip_one_sign(c3, 1)), ("koszul",)),
+        "path3 without d_-1, koszul": failing("path3", cut(fib, -1), ("koszul",)),
     }
     # P_n without maps builds its own blow-down, through the patched module
     with monkeypatch.context() as patch:
@@ -577,7 +597,7 @@ def test_failing_lines_are_pinned(monkeypatch, perms, corpus_fibers):
     unit = polytopes.blowdown_coefficient
     with monkeypatch.context() as patch:
         patch.setattr(polytopes, "blowdown_coefficient", lambda alpha:
-                      -unit(alpha) if len(alpha.blocks) == 3 else unit(alpha))
+                      -unit(alpha) if len(alpha) == 3 else unit(alpha))
         got["P4 with the blow-down flipped on three blocks"] = failing(
             "P4", perms[4], ("maps",))
     assert got == PINNED_FAILING_LINES

@@ -218,6 +218,19 @@ def test_builders_refuse_a_degree_key_that_is_not_an_int():
     assert c.differentials == {1: one}
 
 
+def test_chain_map_refuses_a_shift_that_is_not_an_int():
+    """A shift of 0.5 read only empty target degrees, so the map passed
+    ``verify_chain_map`` with nothing checked; a shift of True was kept
+    as a bool.  Both are refused by name."""
+    one = SparseMatrix.from_entries(1, 1, {(0, 0): 1})
+    c = ChainComplex.build({0: ("a",), 1: ("b",)}, {1: one})
+    for shift, matrices in ((0.5, {}), (True, {0: one})):
+        with pytest.raises(ValueError) as error:
+            ChainMap.build(c, c, shift, matrices)
+        assert str(error.value) == f"shift {shift!r} is not an int"
+    assert ChainMap.build(c, c, 0, {0: one}).shift == 0
+
+
 def test_mapping_cone_of_identity_is_acyclic(perms):
     cone = mapping_cone(identity_map(perms[3].complex))
     assert all(v == 0 for v in homology_dims(cone).values())

@@ -104,7 +104,7 @@ def test_single_block_always_one_vertex(corpus_graphs):
     from permfiber.topartitions import TOPartition
     for g in corpus_graphs.values():
         alpha = TOPartition.of(g.n, range(1, g.n + 1))
-        t = fiber_element(g, alpha)
+        t = fiber_element(g, alpha.blocks)
         assert not t.degenerate and len(t.blocks) == 1
 
 
@@ -117,11 +117,11 @@ def test_star_fibers_have_no_degenerate_elements(corpus_graphs):
 
 def test_path3_disjoint_block_applied_first_is_degenerate(corpus_graphs):
     g = corpus_graphs["path3"]
-    t = fiber_element(g, parse_topartition("13>2"))
+    t = fiber_element(g, parse_topartition("13>2").blocks)
     assert t.degenerate
     assert tuple(map(ids, t.blocks)) == ((1,), (2,), (3,))  # block {1,3} fell apart
     # the same block applied last labels the root instead
-    t2 = fiber_element(g, parse_topartition("2>13"))
+    t2 = fiber_element(g, parse_topartition("2>13").blocks)
     assert not t2.degenerate
     assert ids(t2.root_block) == (1, 3) and t2.width == 2
 
@@ -150,10 +150,10 @@ def test_fiber_element_matches_flow_chart_oracle(corpus_graphs):
     for g in graphs:
         for alpha in enumerate_topartitions(g.n):
             t = fiber_element(g, alpha)
-            want = contracted_tree_key(g.edges, [ids(b) for b in alpha.blocks])
-            assert t.degenerate == (want is None), (g.edges, alpha.pretty())
+            want = contracted_tree_key(g.edges, [ids(b) for b in alpha])
+            assert t.degenerate == (want is None), (g.edges, alpha)
             if want is not None:
-                assert tree_key(t) == want, (g.edges, alpha.pretty())
+                assert tree_key(t) == want, (g.edges, alpha)
 
 
 def test_fiber_element_refinement_independent(corpus_graphs):
@@ -164,7 +164,7 @@ def test_fiber_element_refinement_independent(corpus_graphs):
         parts = enumerate_topartitions(g.n)
         for _ in range(10):
             alpha = rng.choice(parts)
-            blocks = [ids(b) for b in alpha.blocks]
+            blocks = [ids(b) for b in alpha]
             order = []
             for block in blocks:
                 shuffled = list(block)
@@ -179,8 +179,8 @@ def test_fiber_element_refinement_independent(corpus_graphs):
 
 def test_nondegenerate_sign_tracks_block_order(corpus_graphs):
     g = corpus_graphs["path3"]
-    a = fiber_element(g, parse_topartition("1>3>2"))
-    b = fiber_element(g, parse_topartition("3>1>2"))
+    a = fiber_element(g, parse_topartition("1>3>2").blocks)
+    b = fiber_element(g, parse_topartition("3>1>2").blocks)
     assert tree_key(a) == tree_key(b)
     assert a.sign == -b.sign
 
@@ -225,40 +225,51 @@ def test_fiber_trees_biject_onto_nested_sets(corpus_graphs, corpus_fibers):
         assert families == set(nested_sets(corpus_graphs[name].edges)), name
 
 
-def test_differentials_are_the_face_lattice(corpus_graphs, corpus_fibers, perms):
-    """Each differential is the covering relation of its face lattice,
-    read off the labels alone.  A fiber's degree -k basis is the nested
-    sets of size k of its line graph's graph associahedron, and the
+def assert_fiber_is_its_face_lattice(fib, context):
+    """A fiber's degree -k basis is the nested sets of size k of its line
+    graph's graph associahedron, read off the labels alone, and the
     column of N holds +-1 at exactly the nested sets with one more
-    member that contain N.  A column of P_n holds +-1 at exactly the TO
-    partitions that split one block in two, sum(2**|B| - 2) of them."""
+    member that contain N."""
+    c = fib.complex
+    families = {r: [nested_set_of(label) for label in c.labels(r)] for r in c.degrees()}
+    assert {family for r in families for family in families[r]} \
+        == set(nested_sets(fib.graph.edges)), context
+    assert all(len(family) == -r for r in families for family in families[r]), context
+    for r in c.degrees():
+        below = families.get(r - 1, [])
+        for j, column in enumerate(c.d(r).columns):
+            assert set(column.values()) <= {1, -1}, (context, r, j)
+            want = {i for i, family in enumerate(below) if families[r][j] < family}
+            assert set(column) == want, (context, c.labels(r)[j])
+
+
+def assert_perm_is_its_face_lattice(perm):
+    """A column of P_n, read off the labels alone, holds +-1 at exactly
+    the TO partitions that split one block in two, sum(2**|B| - 2) of
+    them."""
+    n, c = perm.n, perm.complex
+    cells = {r: [tuple(frozenset(map(int, block)) for block in label.split(">"))
+                 for label in c.labels(r)] for r in c.degrees()}
+    for r in c.degrees():
+        row_of = {alpha: i for i, alpha in enumerate(cells.get(r - 1, []))}
+        for j, column in enumerate(c.d(r).columns):
+            alpha = cells[r][j]
+            want = {row_of[alpha[:i] + (part, block - part) + alpha[i + 1:]]
+                    for i, block in enumerate(alpha)
+                    for k in range(1, len(block))
+                    for part in map(frozenset, combinations(sorted(block), k))}
+            assert len(want) == sum(2 ** len(block) - 2 for block in alpha)
+            assert set(column.values()) <= {1, -1}, (n, r, j)
+            assert set(column) == want, (n, c.labels(r)[j])
+
+
+def test_differentials_are_the_face_lattice(corpus_fibers, perms, perm7):
+    """Each differential is the covering relation of its face lattice:
+    every corpus fiber's, and P1-P7's."""
     for name, fib in sorted(corpus_fibers.items()):
-        c = fib.complex
-        families = {r: [nested_set_of(label) for label in c.labels(r)] for r in c.degrees()}
-        assert {family for r in families for family in families[r]} \
-            == set(nested_sets(corpus_graphs[name].edges)), name
-        assert all(len(family) == -r for r in families for family in families[r]), name
-        for r in c.degrees():
-            below = families.get(r - 1, [])
-            for j, column in enumerate(c.d(r).columns):
-                assert set(column.values()) <= {1, -1}, (name, r, j)
-                want = {i for i, family in enumerate(below) if families[r][j] < family}
-                assert set(column) == want, (name, c.labels(r)[j])
-    for n, perm in sorted(perms.items()):
-        c = perm.complex
-        cells = {r: [tuple(frozenset(map(int, block)) for block in label.split(">"))
-                     for label in c.labels(r)] for r in c.degrees()}
-        for r in c.degrees():
-            row_of = {alpha: i for i, alpha in enumerate(cells.get(r - 1, []))}
-            for j, column in enumerate(c.d(r).columns):
-                alpha = cells[r][j]
-                want = {row_of[alpha[:i] + (part, block - part) + alpha[i + 1:]]
-                        for i, block in enumerate(alpha)
-                        for k in range(1, len(block))
-                        for part in map(frozenset, combinations(sorted(block), k))}
-                assert len(want) == sum(2 ** len(block) - 2 for block in alpha)
-                assert set(column.values()) <= {1, -1}, (n, r, j)
-                assert set(column) == want, (n, c.labels(r)[j])
+        assert_fiber_is_its_face_lattice(fib, name)
+    for perm in [*perms.values(), perm7]:
+        assert_perm_is_its_face_lattice(perm)
 
 
 def assert_clusters_match_oracle(g, context):
@@ -350,7 +361,7 @@ def test_degenerate_pushforward_vanishes(corpus_graphs, corpus_fibers):
         images = corpus_fibers[name].images
         for alpha in enumerate_topartitions(g.n):
             if fiber_element(g, alpha).degenerate:
-                assert pushforward(alpha.blocks, images) == {}, (name, alpha.pretty())
+                assert pushforward(alpha, images) == {}, (name, alpha)
 
 
 def _image_label(fib, blocks) -> str:
@@ -364,9 +375,8 @@ def test_images_record_every_nondegenerate_fiber_element(corpus_fibers):
         for alpha in enumerate_topartitions(fib.n):
             t = fiber_element(fib.graph, alpha)
             if not t.degenerate:
-                r = -len(alpha.blocks)
-                want[alpha.blocks] = (fib.complex.labels(r).index(t.canonical().label()),
-                                      t.sign)
+                r = -len(alpha)
+                want[alpha] = (fib.complex.labels(r).index(t.canonical().label()), t.sign)
         assert fib.images == want, name
         assert {_image_label(fib, b) for b in fib.images} == set(fib.trees), name
 
@@ -456,8 +466,8 @@ def test_map_builders_refuse_another_n(corpus_fibers, perms, simplexes):
              "simplex on 3 vertices for a fiber of 3 edges, got 2 vertices"),
             (lambda: perm_to_simplex(perms[3], simplexes[4]), "perm_to_simplex needs the "
              "simplex on 3 vertices for P_3, got 4 vertices"),
-            (lambda: fiber_element(fib.graph, TOPartition.of(2, [1], [2])),
-             "partition of 1..2 does not match 3 edges")):
+            (lambda: fiber_element(fib.graph, TOPartition.of(2, [1], [2]).blocks),
+             "blocks (1, 2) do not partition the 3 edges")):
         with pytest.raises(ValueError) as caught:
             build()
         assert str(caught.value) == message
@@ -545,6 +555,22 @@ def test_first_alpha_of_each_tree_is_its_canonical_representative(
         assert_built_from_representatives(fib, name)
 
 
+def test_cells_are_block_tuples(perms, corpus_fibers):
+    """P_n's and every fiber's cells are tuples of block masks, and a
+    fiber's cells are the very tuples that key its ``images``, each at
+    its own row with some sign."""
+    for n in range(1, 7):
+        for alphas in perms[n].cells.values():
+            assert all(type(alpha) is tuple and all(type(b) is int for b in alpha)
+                       for alpha in alphas), n
+    for name, fib in sorted(corpus_fibers.items()):
+        keys = set(map(id, fib.images))
+        for r, alphas in fib.cells.items():
+            for j, alpha in enumerate(alphas):
+                assert type(alpha) is tuple and all(type(b) is int for b in alpha), name
+                assert fib.images[alpha][0] == j and id(alpha) in keys, (name, r, j)
+
+
 def test_fiber_cap_enforced(monkeypatch):
     import permfiber.fiber as fiber
 
@@ -565,7 +591,7 @@ def test_canonical_representative_round_trip(corpus_fibers):
             assert not again.degenerate
             assert tree_key(again) == tree_key(tree)
             # blocks listed children before parents: root comes last
-            assert alpha.blocks[-1] == tree.root_block
+            assert alpha[-1] == tree.root_block
 
 
 # -------------------------------------------------------------- the maps
@@ -895,3 +921,22 @@ def test_koszul_single_edge_trivial(corpus_fibers):
     report = koszul_check(corpus_fibers["path1"])
     assert report.passed
     assert report.homology == {-1: 1}
+
+
+def test_koszul_check_names_the_first_failing_part(perms):
+    """d^2 first, then homology, then the least (p, q) at which E^1 or
+    E^2 differs from its expected shape; a passing report names none."""
+    c = perms[3].complex
+    assert koszul_check(perms[3]).failure == ()
+    flat = ChainComplex(c.basis, c.differentials, {r: (1,) * c.dim(r) for r in c.degrees()})
+    report = koszul_check(perms[3]._replace(complex=flat))
+    assert (report.d_squared_ok, report.homology_ok, report.e1_ok) == (True, True, False)
+    assert report.failure == (1, (1, -1), 1, 3)
+    cut = ChainComplex(c.basis, {2: c.d(2)}, c.levels)
+    assert koszul_check(perms[3]._replace(complex=cut)).failure == ("homology", 0)
+    top = dict(c.d(2).columns[0])
+    top[0] = -top[0]
+    broken = ChainComplex(c.basis, {**c.differentials,
+                                    2: SparseMatrix(c.d(2).rows, (top,))}, c.levels)
+    report = koszul_check(perms[3]._replace(complex=broken))
+    assert not report.d_squared_ok and report.failure == ("d2",)

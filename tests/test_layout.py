@@ -1,7 +1,8 @@
 """Each design decision lives in one module: the modules import only
 from the layers below them, the label-order tables of
 ``topartitions`` stay inside it, the quotient builder is ``fiber``'s,
-only ``complexes`` keeps a ``_cache``, and no module composes maps.
+only ``complexes`` keeps a ``_cache``, no module composes maps, and a
+cell is a tuple of block masks outside the input and witness text.
 Read from the source with ``ast``; nothing is imported."""
 
 import ast
@@ -90,3 +91,20 @@ def test_no_module_defines_compose():
         defined = {node.name for node in ast.walk(tree)
                    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))}
         assert "compose" not in defined, name
+
+
+def test_cells_are_block_tuples_past_the_input_boundary():
+    """``TOPartition`` is the parsed and validated form of a cell: P_n's
+    builder never imports it, and ``fiber`` builds one only to word the
+    witness of ``push_forward_well_defined``."""
+    trees = _trees()
+    for module, names in _imports(trees["polytopes"]):
+        assert "TOPartition" not in names, module
+    builders = set()
+    for node in ast.walk(trees["fiber"]):
+        if isinstance(node, ast.FunctionDef):
+            builders |= {node.name for call in ast.walk(node)
+                         if isinstance(call, ast.Call)
+                         and "TOPartition" in {n.id for n in ast.walk(call.func)
+                                               if isinstance(n, ast.Name)}}
+    assert builders == {"push_forward_well_defined"}

@@ -1,7 +1,8 @@
 """Property tests over random connected multigraphs with loops and
 parallel edges: the fiber's dimensions match two independent oracles,
 flow-chart trees and nested sets of connected edge sets, its cluster
-table holds the edge components an oracle finds, a renamed copy of the
+table holds the edge components an oracle finds, its differential is
+the covering relation of its nested sets, a renamed copy of the
 graph builds the same fiber, a coreduction agrees with its homology,
 and the full check battery of the command line passes."""
 
@@ -20,6 +21,7 @@ from test_fiber import (  # noqa: E402
     assert_built_from_representatives,
     assert_clusters_match_oracle,
     assert_equal_fibers,
+    assert_fiber_is_its_face_lattice,
 )
 
 from oracles import fiber_tree_sets, nested_set_counts, nondegenerate_count  # noqa: E402
@@ -53,6 +55,7 @@ def test_random_multigraph_fibers(perms, edges):
     assert dims == nested_set_counts(g.edges), edges
     assert len(fib.images) == nondegenerate_count(g.edges), edges
     assert_built_from_representatives(fib, edges)
+    assert_fiber_is_its_face_lattice(fib, edges)
     check_homology_by_coreduction(fib.complex, edges)
     assert_clusters_match_oracle(g, edges)
     # renaming the vertices and reversing edges keeps the line graph, so the fiber

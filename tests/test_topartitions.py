@@ -7,9 +7,9 @@ from permfiber.topartitions import (
     TOPartition,
     differential_terms,
     enumerate_topartitions,
+    labels,
     parity,
     parse_topartition,
-    shape,
     width,
 )
 
@@ -21,14 +21,13 @@ def test_enumerate_counts_match_fubini_recurrence():
     for n in range(1, 8):
         parts = enumerate_topartitions(n)
         assert len(parts) == fubini(n)
-        keys = [(p.block_count(), p.label()) for p in parts]
+        keys = list(zip(map(len, parts), labels(n, parts)))
         assert keys == sorted(set(keys)), n
 
 
 def test_enumerate_small_cases():
-    assert [p.blocks for p in enumerate_topartitions(1)] == [(0b1,)]
-    labels = {p.label() for p in enumerate_topartitions(2)}
-    assert labels == {"12", "1>2", "2>1"}
+    assert enumerate_topartitions(1) == [(0b1,)]
+    assert set(labels(2, enumerate_topartitions(2))) == {"12", "1>2", "2>1"}
 
 
 def test_enumerate_rejects_zero():
@@ -38,16 +37,16 @@ def test_enumerate_rejects_zero():
 
 def test_enumerate_matches_independent_enumerator():
     for n in range(1, 6):
-        ours = {tuple(map(ids, p.blocks)) for p in enumerate_topartitions(n)}
+        ours = {tuple(map(ids, p)) for p in enumerate_topartitions(n)}
         oracle = set(ordered_partitions(range(1, n + 1)))
         assert ours == oracle
 
 
 def test_block_count_distribution():
-    counts = Counter(p.block_count() for p in enumerate_topartitions(4))
+    counts = Counter(map(len, enumerate_topartitions(4)))
     assert counts == {1: 1, 2: 14, 3: 36, 4: 24}
     for n in range(1, 7):
-        counts = Counter(p.block_count() for p in enumerate_topartitions(n))
+        counts = Counter(map(len, enumerate_topartitions(n)))
         for k, c in counts.items():
             from math import factorial
             assert c == factorial(k) * stirling2(n, k)
@@ -83,28 +82,31 @@ def test_differential_of_single_block_brute_force():
 
 
 def test_term_count_and_block_count():
-    for alpha in enumerate_topartitions(4):
-        terms = differential_terms(alpha)
-        assert len(terms) == sum(2 ** b.bit_count() - 2 for b in alpha.blocks)
+    for blocks in enumerate_topartitions(4):
+        terms = differential_terms(TOPartition(4, blocks))
+        assert len(terms) == sum(2 ** b.bit_count() - 2 for b in blocks)
         for t in terms:
-            assert t.partition.block_count() == alpha.block_count() + 1
-            assert width(t.partition) <= width(alpha)
+            assert len(t.partition.blocks) == len(blocks) + 1
+            assert width(t.partition.blocks) <= width(blocks)
 
 
 def test_d_squared_vanishes_as_formal_sum():
     for n in range(1, 6):
-        for alpha in enumerate_topartitions(n):
+        for blocks in enumerate_topartitions(n):
             acc = Counter()
-            for t1 in differential_terms(alpha):
+            for t1 in differential_terms(TOPartition(n, blocks)):
                 for t2 in differential_terms(t1.partition):
                     acc[t2.partition] += t1.sign * t2.sign
             assert all(v == 0 for v in acc.values())
 
 
 def test_width_and_shape_examples():
-    assert width(parse_topartition("13|24")) == 2
-    assert width(TOPartition.of(4, [1, 2, 3, 4])) == 4
-    assert width(TOPartition.of(5, [4], [1], [2, 3, 5])) == 3
+    def shape(alpha):
+        return tuple(b.bit_count() for b in alpha.blocks)
+
+    assert width(parse_topartition("13|24").blocks) == 2
+    assert width(TOPartition.of(4, [1, 2, 3, 4]).blocks) == 4
+    assert width(TOPartition.of(5, [4], [1], [2, 3, 5]).blocks) == 3
     assert shape(parse_topartition("13|24")) == (2, 2)
     assert shape(TOPartition.of(4, [1, 2, 3, 4])) == (4,)
     assert shape(TOPartition.of(5, [1], [2], [3, 4, 5])) == (1, 1, 3)
