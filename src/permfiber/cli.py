@@ -32,6 +32,7 @@ from .complexes import (
 from .fiber import (
     FIBER_CAP,
     FiberComplex,
+    FiberTooLarge,
     build_fiber,
     fiber_to_simplex,
     koszul_check,
@@ -57,15 +58,6 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         raise InvalidInput(message)
-
-
-def _cap(cap: int, ceiling: int) -> int:
-    """The ``--cap`` a command builds up to, refused below 1 and above ``ceiling``."""
-    if cap < 1:
-        raise InvalidInput(f"--cap must be at least 1, got {cap}")
-    if cap > ceiling:
-        raise InvalidInput(f"--cap {cap} is above the ceiling {ceiling}")
-    return cap
 
 
 def _check_n(n: int) -> None:
@@ -306,7 +298,8 @@ def _run_checks(col: Collector, name: str, obj, checks, pages: int = -1,
             col.failed = True
     if "koszul" in checks:
         rep = koszul_check(obj)
-        detail = (f"homology {_homology_detail(rep.homology)}; pages indexed by "
+        homology = _homology_detail(rep.homology) if rep.d_squared_ok else "skipped"
+        detail = (f"homology {homology}; pages indexed by "
                   "(p, q) = (width, degree - width); the binomial row sits at q = -n-1"
                   if fiber else "E1 binomial row at q=-1, E2 single class at p=1")
         col.check(name, "koszul", rep.passed, detail + _koszul_failure(rep.failure))
@@ -351,7 +344,6 @@ def cmd_simplex(args) -> int:
 
 
 def cmd_fiber(args) -> int:
-    cap = _cap(args.cap, FIBER_CAP)
     path = Path(args.graph)
     if not path.exists():
         raise InvalidInput(f"graph file not found: {path}")
@@ -361,8 +353,8 @@ def cmd_fiber(args) -> int:
         raise InvalidInput(f"cannot read graph file {path}: {exc.strerror}")
     except ValueError as exc:
         raise InvalidInput(f"bad graph file {path}: {exc}")
-    if graph.n > cap:
-        raise InvalidInput(f"graph has {graph.n} edges, above the cap {cap}")
+    if graph.n > FIBER_CAP:
+        raise InvalidInput(f"graph has {graph.n} edges, above the cap {FIBER_CAP}")
     checks = _parse_checks(args.checks)
     _check_pages(args.pages, graph.n)
     if "maps" in checks and graph.n > PERM_CAP:
@@ -408,7 +400,10 @@ def _suite_battery(graph, maps: Maps) -> tuple:
 
 
 def cmd_suite(args) -> int:
-    cap = _cap(args.cap, PERM_CAP)
+    cap = args.cap
+    if not 1 <= cap <= PERM_CAP:
+        raise InvalidInput(f"--cap must be at least 1, got {cap}" if cap < 1 else
+                           f"--cap {cap} is above the ceiling {PERM_CAP}")
     corpus = Path(args.corpus)
     if not corpus.is_dir():
         raise InvalidInput(f"corpus directory not found: {corpus}")
@@ -516,9 +511,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checks", default="all",
                    help="comma list of d2,homology,maps,koszul or 'all'")
     p.add_argument("--out", help="directory for CSV/JSON exports")
-    p.add_argument("--cap", type=int, default=PERM_CAP,
-                   help=f"most edges to build (default %(default)s, at most "
-                        f"{FIBER_CAP}; above {PERM_CAP} the maps check is refused)")
     p.set_defaults(func=cmd_fiber)
 
     p = sub.add_parser("suite", help="run every check over a corpus directory")
@@ -536,7 +528,7 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)
-    except InvalidInput as exc:
+    except (InvalidInput, FiberTooLarge) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
 

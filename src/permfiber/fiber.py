@@ -30,7 +30,7 @@ its ``images`` dict is that quotient's image.  The quotient builder
 
 from __future__ import annotations
 
-from functools import cache, cached_property
+from functools import cache, cached_property, reduce
 from heapq import heappop, heappush
 from math import comb
 from typing import Iterable, NamedTuple, Sequence
@@ -47,7 +47,13 @@ from .linalg import SparseMatrix
 from .polytopes import PermComplex, SimplexComplex, blowdown_matrices
 from .topartitions import TOPartition, format_block, parity, splits, width
 
-FIBER_CAP = 9   # the most edges build_fiber admits: Fubini(9) TO partitions to walk
+FIBER_CAP = 9   # the most edges build_fiber admits: 2**9 rows of its cluster table
+TREE_BUDGET = 545_835      # the most trees build_fiber builds: Fubini(8), so 8 edges fit
+ORDER_BUDGET = 2_500_000   # the most nondegenerate alpha it walks: cycle9 has 2,345,851
+
+
+class FiberTooLarge(ValueError):
+    """``build_fiber`` found more trees or nondegenerate alpha than its budget."""
 
 
 class MultiGraph(NamedTuple):
@@ -234,7 +240,7 @@ def fiber_element(g: MultiGraph, blocks: tuple) -> FiberTree:
     piece; its tree then carries the pieces as blocks, and the maps
     below send it to zero.
     """
-    if sum(blocks) != (1 << g.n) - 1:
+    if 0 in blocks or not sum(blocks) == reduce(int.__or__, blocks, 0) == (1 << g.n) - 1:
         raise ValueError(f"blocks {blocks!r} do not partition the {g.n} edges")
     table = _cluster_table(g.line_graph())
     done = 0
@@ -338,8 +344,9 @@ def build_fiber(g: MultiGraph) -> FiberComplex:
     degenerate block makes every completion degenerate, so its subtree
     is skipped, and the leaves are the nondegenerate alpha.  A prefix
     also carries its nested set, the clusters of its blocks (each
-    block's subtree edges), as an int with bit ``cluster`` set for each,
-    and a tree is known by that mask.
+    block's subtree edges), as an int with bit ``cluster`` set for each.
+    A tree is known by the mask of the prefix before its root block,
+    whose cluster is the whole graph in every tree.
 
     The children of a prefix are taken in ascending least edge (among
     those with the least one, the whole remainder first: it is a leaf).
@@ -358,6 +365,9 @@ def build_fiber(g: MultiGraph) -> FiberComplex:
     least edge m adds one inversion for each seen least edge above m.
     ``images`` holds a tree's number, complemented when the sign is -1,
     until the sorted labels give its row.
+
+    The walk raises ``FiberTooLarge`` once it finds more than
+    ``TREE_BUDGET`` trees or ``ORDER_BUDGET`` nondegenerate alpha.
     """
     n = g.n
     if n > FIBER_CAP:
@@ -366,25 +376,28 @@ def build_fiber(g: MultiGraph) -> FiberComplex:
     full = (1 << n) - 1
     found: list = []      # the canonical representatives, in the order found
     images: dict = {}
-    tree_of: dict = {}    # nested-set mask -> its tree's index in found
+    tree_of: dict = {}    # nested-set mask below the root -> its tree's index in found
     steps: list = [None] * (full + 1)   # edges contracted -> _steps
     # (edges contracted, blocks, nested-set mask, least edges seen, sign)
     prefixes = [(0, (), 0, 0, 1)]
     while prefixes:
         done, blocks, nest, seen, sign = prefixes.pop()
-        inner, leaf = steps[done] or _steps(table, steps, full, done)
+        inner, root = steps[done] or _steps(table, steps, full, done)
         for block, bit, least, shift in inner:
             prefixes.append((done | block, blocks + (block,), nest | bit, seen | least,
                              -sign if (seen >> shift).bit_count() & 1 else sign))
-        if leaf:
-            block, bit, _, shift = leaf
-            alpha = blocks + (block,)
-            t = tree_of.get(nest | bit)
-            if t is None:
-                t = tree_of[nest | bit] = len(found)
-                found.append(alpha)
-            after = -sign if (seen >> shift).bit_count() & 1 else sign
-            images[alpha] = t if after == 1 else ~t
+        alpha = blocks + (root,)
+        t = tree_of.get(nest)
+        if t is None:
+            t = tree_of[nest] = len(found)
+            found.append(alpha)
+            if t == TREE_BUDGET:
+                raise FiberTooLarge(f"fiber has more than the budget of {TREE_BUDGET} trees")
+        after = -sign if (seen >> (root & -root).bit_length()).bit_count() & 1 else sign
+        images[alpha] = t if after == 1 else ~t
+        if len(images) > ORDER_BUDGET:
+            raise FiberTooLarge(f"fiber has more than the budget of {ORDER_BUDGET} "
+                                "nondegenerate orders")
     heads = ["({" + format_block(block, n) + "}" for block in range(full + 1)]
     labels = [_label(table, heads, alpha) for alpha in found]
     basis: dict = {}
@@ -405,15 +418,14 @@ def build_fiber(g: MultiGraph) -> FiberComplex:
 
 
 def _steps(table: list, steps: list, full: int, done: int) -> tuple:
-    """The nondegenerate blocks that can follow the edges ``done``, each
+    """The blocks that can follow the edges ``done``, cached in
+    ``steps[done]``: those that leave edges and are nondegenerate, each
     as ``(block, 1 << its cluster, its least edge, that edge's index +
-    1)``, cached in ``steps[done]``: those that leave edges, in the order
-    the walk pushes them, and the one holding every edge left (a leaf,
-    taken before them), or None when it is degenerate.  The pushes go by
-    descending least edge and then by ascending block, so the walk pops
-    them by ascending least edge, the largest block first."""
+    1)``, in the order the walk pushes them (by descending least edge,
+    then ascending block, so popped by ascending least edge, the largest
+    block first), and the one of every edge left, always nondegenerate."""
     left = full ^ done
-    inner, leaf = [], None
+    inner = []
     below = left
     while below:
         least = 1 << below.bit_length() - 1
@@ -421,19 +433,15 @@ def _steps(table: list, steps: list, full: int, done: int) -> tuple:
         upper = left ^ below ^ least    # the edges left above the least
         edge = least.bit_length() - 1
         rest = 0
-        while True:
+        while least | rest != left:
             block = least | rest
             cluster = table[done | block][edge]
             if cluster & block == block:
-                step = (block, 1 << cluster, least, edge + 1)
-                if block == left:
-                    leaf = step
-                else:
-                    inner.append(step)
+                inner.append((block, 1 << cluster, least, edge + 1))
             rest = rest - upper & upper
             if not rest:
                 break
-    steps[done] = inner, leaf
+    steps[done] = inner, left
     return steps[done]
 
 

@@ -52,7 +52,8 @@ def test_perm_out_of_cap(capsys):
 
 def test_size_limits_are_not_read_from_the_environment(capsys, monkeypatch,
                                                       corpus_dir):
-    # the limits are PERM_CAP and FIBER_CAP and the two --cap flags, no variable
+    # the limits are PERM_CAP, FIBER_CAP, the fiber budgets and suite's --cap,
+    # no variable
     monkeypatch.setenv("PERMFIBER_CAP", "2")
     for argv in (("perm", "--n", "3", "--checks", "d2"),
                  ("simplex", "--n", "3"),
@@ -62,21 +63,25 @@ def test_size_limits_are_not_read_from_the_environment(capsys, monkeypatch,
         assert out.endswith("result: PASS\n"), argv
 
 
-def test_caps_above_the_ceiling(capsys, monkeypatch, corpus_dir):
+def test_caps_above_the_ceiling(capsys, monkeypatch, tmp_path, corpus_dir):
     def refuse(*args, **kwargs):
         raise AssertionError("built a complex above the ceiling")
 
     monkeypatch.setattr("permfiber.cli.build_perm", refuse)
     monkeypatch.setattr("permfiber.cli.build_fiber", refuse)
     graph = str(corpus_dir / "path3.edges")
+    path10 = tmp_path / "path10.edges"
+    path10.write_text("".join(f"{v} {v + 1}\n" for v in range(10)))
     corpus = str(corpus_dir)
     cases = [
         (("perm", "--n", "20"), "--n must satisfy 1 <= n <= cap (8), got 20"),
-        (("fiber", "--graph", graph, "--cap", "10"), "--cap 10 is above the ceiling 9"),
+        # fiber's ceiling is FIBER_CAP edges, and it has no --cap
+        (("fiber", "--graph", str(path10)), "graph has 10 edges, above the cap 9"),
+        (("fiber", "--graph", graph, "--cap", "9"), "unrecognized arguments: --cap 9"),
+        (("fiber", "--graph", graph, "--cap", "-1"), "unrecognized arguments: --cap -1"),
         (("suite", "--corpus", corpus, "--cap", "10"), "--cap 10 is above the ceiling 8"),
         # and below 1: no cap admits a complex
         (("suite", "--corpus", corpus, "--cap", "0"), "--cap must be at least 1, got 0"),
-        (("fiber", "--graph", graph, "--cap", "-1"), "--cap must be at least 1, got -1"),
     ]
     for argv, message in cases:
         code, out, err = run_cli(capsys, *argv)
@@ -97,20 +102,40 @@ def test_maps_above_the_perm_ceiling(capsys, monkeypatch, tmp_path, corpus_dir):
     path9 = tmp_path / "path9.edges"
     path9.write_text("".join(f"{v} {v + 1}\n" for v in range(9)))
     for checks in ("maps", "all", "d2,maps"):
-        code, out, err = run_cli(capsys, "fiber", "--graph", str(path9),
-                                 "--cap", "9", "--checks", checks)
+        code, out, err = run_cli(capsys, "fiber", "--graph", str(path9), "--checks", checks)
         assert code == 2 and out == "", checks
         assert err == "error: check maps builds P9, above the ceiling 8\n", checks
     code, out, err = run_cli(capsys, "suite", "--corpus", str(corpus_dir), "--cap", "9")
     assert code == 2 and out == ""
     assert err == "error: --cap 9 is above the ceiling 8\n"
-    # a 9-edge fiber is built only on request: --cap 9
-    code, out, err = run_cli(capsys, "fiber", "--graph", str(path9), "--checks", "d2")
-    assert code == 2 and out == ""
-    assert err == "error: graph has 9 edges, above the cap 8\n"
-    # without maps a 9-edge fiber is still within its own ceiling
-    with pytest.raises(_Built):
-        main(["fiber", "--graph", str(path9), "--cap", "9", "--checks", "d2,koszul"])
+    # without maps a 9-edge fiber is within its own ceiling, with no flag
+    for checks in ("d2", "d2,koszul"):
+        with pytest.raises(_Built):
+            main(["fiber", "--graph", str(path9), "--checks", checks])
+
+
+def test_fibers_past_the_budget_exit_2(capsys, monkeypatch, tmp_path):
+    """The 9-edge star (P9, 7,087,261 trees) and K4 with three edges
+    doubled are within FIBER_CAP but past the tree budget: the walk stops
+    there, and fiber exits 2 with one line naming the bound.  Any other
+    ValueError of build_fiber is not turned into exit 2."""
+    import permfiber.cli as cli
+    graphs = {"star9": [(0, v) for v in range(1, 10)],
+              "k4doubled": [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3),
+                            (0, 1), (0, 2), (0, 3)]}
+    for name, edges in graphs.items():
+        path = tmp_path / f"{name}.edges"
+        path.write_text("".join(f"{u} {v}\n" for u, v in edges))
+        code, out, err = run_cli(capsys, "fiber", "--graph", str(path), "--checks", "d2")
+        assert (code, out) == (2, ""), name
+        assert err == "error: fiber has more than the budget of 545835 trees\n", name
+
+    def other(graph):
+        raise ValueError("some other fault")
+
+    monkeypatch.setattr(cli, "build_fiber", other)
+    with pytest.raises(ValueError, match="some other fault"):
+        main(["fiber", "--graph", str(tmp_path / "star9.edges"), "--checks", "d2"])
 
 
 def test_size_refusals_come_before_any_line_graph(capsys, monkeypatch, tmp_path,
@@ -121,7 +146,7 @@ def test_size_refusals_come_before_any_line_graph(capsys, monkeypatch, tmp_path,
     path10 = tmp_path / "path10.edges"
     path10.write_text("".join(f"{v} {v + 1}\n" for v in range(10)))
     runs = [("fiber", "--graph", str(path10)),
-            ("fiber", "--graph", str(path10), "--cap", "9"),
+            ("fiber", "--graph", str(path10), "--checks", "d2"),
             ("suite", "--corpus", str(corpus_dir), "--cap", "3")]
     before = [run_cli(capsys, *argv) for argv in runs]
     line_graph = MultiGraph.line_graph
@@ -134,7 +159,7 @@ def test_size_refusals_come_before_any_line_graph(capsys, monkeypatch, tmp_path,
     monkeypatch.setattr(MultiGraph, "line_graph", refuse)
     assert [run_cli(capsys, *argv) for argv in runs] == before
     assert [(code, err) for code, _, err in before] == [
-        (2, "error: graph has 10 edges, above the cap 8\n"),
+        (2, "error: graph has 10 edges, above the cap 9\n"),
         (2, "error: graph has 10 edges, above the cap 9\n"),
         (1, "")]
     assert "check load: FAIL (graph has 4 edges, above the cap 3)" in before[2][1]
@@ -180,6 +205,26 @@ def test_python_dash_m_runs_the_cli():
                           capture_output=True, text=True, env=env, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines()[-1] == "result: PASS"
+
+
+def test_reports_do_not_depend_on_the_hash_seed():
+    """Runs stay deterministic across processes: suite over the corpus
+    and fiber with every check print the same bytes and exit codes under
+    two PYTHONHASHSEED values."""
+    root = Path(__file__).resolve().parent.parent
+    runs = {}
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"),
+                                                         env.get("PYTHONPATH")]))
+        runs[seed] = [subprocess.run([sys.executable, "-m", "permfiber", *argv],
+                                     capture_output=True, env=env, cwd=root, timeout=300)
+                      for argv in (("suite", "--corpus", "corpus"),
+                                   ("fiber", "--graph", "corpus/theta.edges",
+                                    "--checks", "all", "--pages", "3"))]
+    for first, second in zip(runs["0"], runs["1"], strict=True):
+        assert first.returncode == second.returncode == 0
+        assert first.stdout == second.stdout and first.stdout.endswith(b"result: PASS\n")
 
 
 def test_unknown_check_token(capsys):
@@ -539,6 +584,12 @@ PINNED_FAILING_LINES = {
         "check koszul: FAIL (E1 binomial row at q=-1, E2 single class at p=1; "
         "skipped: d2 failed)",
     ],
+    # d2 fails, so no homology is computed
+    "path3 with one sign of d_-2 flipped, koszul": [
+        "check koszul: FAIL (homology skipped; pages indexed by (p, q) = "
+        "(width, degree - width); the binomial row sits at q = -n-1; "
+        "skipped: d2 failed)",
+    ],
     "path3 without d_-1, koszul": [
         "check koszul: FAIL (homology H_-3=1 H_-2=1 H_-1=1; pages indexed by (p, q) = "
         "(width, degree - width); the binomial row sits at q = -n-1; "
@@ -582,6 +633,8 @@ def test_failing_lines_are_pinned(monkeypatch, perms, corpus_fibers):
             ("d2", "homology", "koszul")),
         "P3 with one sign of d_1 flipped": failing(
             "P3", _with_complex(perms[3], _flip_one_sign(c3, 1)), ("koszul",)),
+        "path3 with one sign of d_-2 flipped, koszul": failing(
+            "path3", _with_complex(fib, _flip_one_sign(fib.complex, -2)), ("koszul",)),
         "path3 without d_-1, koszul": failing("path3", cut(fib, -1), ("koszul",)),
     }
     # P_n without maps builds its own blow-down, through the patched module

@@ -20,6 +20,7 @@ from permfiber.complexes import (
 )
 from permfiber.fiber import (
     FiberComplex,
+    FiberTooLarge,
     MultiGraph,
     _cluster_table,
     build_fiber,
@@ -44,6 +45,7 @@ from oracles import (
     dense_multiply,
     edge_components,
     fiber_tree_sets,
+    fubini,
     ids,
     nested_set_counts,
     nested_set_of,
@@ -456,7 +458,7 @@ def test_quotients_and_maps_build_without_differential_terms(
 def test_map_builders_refuse_another_n(corpus_fibers, perms, simplexes):
     """A map between complexes of different n is refused, naming both
     sizes, rather than built as a zero map or into the wrong simplex."""
-    fib = corpus_fibers["path3"]
+    fib, path2 = corpus_fibers["path3"], corpus_fibers["path2"].graph
     for build, message in (
             (lambda: perm_to_fiber(fib, perms[4]),
              "perm_to_fiber needs P_3 for a fiber of 3 edges, got P_4"),
@@ -467,7 +469,12 @@ def test_map_builders_refuse_another_n(corpus_fibers, perms, simplexes):
             (lambda: perm_to_simplex(perms[3], simplexes[4]), "perm_to_simplex needs the "
              "simplex on 3 vertices for P_3, got 4 vertices"),
             (lambda: fiber_element(fib.graph, TOPartition.of(2, [1], [2]).blocks),
-             "blocks (1, 2) do not partition the 3 edges")):
+             "blocks (1, 2) do not partition the 3 edges"),
+            # overlapping and empty blocks, on the 2-edge path
+            (lambda: fiber_element(path2, (1, 1, 1)),
+             "blocks (1, 1, 1) do not partition the 2 edges"),
+            (lambda: fiber_element(path2, (3, 0)),
+             "blocks (3, 0) do not partition the 2 edges")):
         with pytest.raises(ValueError) as caught:
             build()
         assert str(caught.value) == message
@@ -581,6 +588,59 @@ def test_fiber_cap_enforced(monkeypatch):
     g = MultiGraph.from_edges((v, v + 1) for v in range(10))
     with pytest.raises(ValueError, match="graph has 10 edges, above the cap 9"):
         build_fiber(g)
+
+
+def test_fiber_budget_refuses_exactly_the_graphs_past_it(monkeypatch, corpus_graphs):
+    """With both budgets set low, build_fiber refuses exactly the corpus
+    graphs whose tree count (the nested sets) or nondegenerate order
+    count exceeds them, naming the bound; at a graph's own counts it
+    builds, and one below either count it is refused."""
+    import permfiber.fiber as fiber
+    counts = {name: (sum(nested_set_counts(g.edges).values()), nondegenerate_count(g.edges))
+              for name, g in corpus_graphs.items()}
+
+    def refusal(g, trees, orders):
+        monkeypatch.setattr(fiber, "TREE_BUDGET", trees)
+        monkeypatch.setattr(fiber, "ORDER_BUDGET", orders)
+        try:
+            fib = build_fiber(g)
+        except FiberTooLarge as exc:
+            return str(exc)
+        assert sum(map(len, fib.cells.values())) <= trees and len(fib.images) <= orders
+        return None
+
+    for low in ((60, 10**9), (10**9, 60), (60, 100)):
+        refused = {name for name, g in corpus_graphs.items() if refusal(g, *low)}
+        assert refused == {name for name, (trees, orders) in counts.items()
+                           if trees > low[0] or orders > low[1]}, low
+        assert "cycle4" in refused and "path4" not in refused, low
+    for name, (trees, orders) in sorted(counts.items()):
+        g = corpus_graphs[name]
+        assert refusal(g, trees, orders) is None, name
+        assert refusal(g, trees - 1, orders) == (
+            f"fiber has more than the budget of {trees - 1} trees"), name
+        assert refusal(g, trees, orders - 1) == (
+            f"fiber has more than the budget of {orders - 1} nondegenerate orders"), name
+
+
+def test_fiber_budget_admits_every_graph_of_8_edges():
+    """A fiber's trees are at most its nondegenerate orders, which are TO
+    partitions of its edges, so a graph with n edges has at most
+    Fubini(n) of each.  Both budgets are at least Fubini(8), the 8-edge
+    star's P8, so no graph with 8 edges or fewer reaches them."""
+    import permfiber.fiber as fiber
+    assert fiber.TREE_BUDGET == fubini(8) == 545_835
+    assert fiber.ORDER_BUDGET >= fiber.TREE_BUDGET
+
+
+@pytest.mark.slow
+def test_the_9_edge_cycle_builds_within_the_budget():
+    """The 9-edge cycle builds with no flag: 265,729 trees reached by
+    2,345,851 nondegenerate orders, under the order budget."""
+    fib = build_fiber(MultiGraph.from_edges((v, (v + 1) % 9) for v in range(9)))
+    assert sum(map(len, fib.cells.values())) == 265_729
+    assert len(fib.images) == 2_345_851
+    assert verify_d_squared(fib.complex).passed
 
 
 def test_canonical_representative_round_trip(corpus_fibers):
