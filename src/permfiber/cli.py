@@ -14,6 +14,7 @@ import json
 import os
 import sys
 from collections import namedtuple
+from contextlib import suppress
 from functools import cache
 from pathlib import Path
 
@@ -25,6 +26,7 @@ from .complexes import (
     point_degree,
     quasi_isomorphism_report,
     unpaired_cells,
+    unreached,
     verify_chain_map,
     verify_d_squared,
     verify_factorization,
@@ -181,7 +183,7 @@ def _koszul_failure(failure: tuple) -> str:
 
 def _fails(what: str, report) -> str:
     """Witness suffix for a maps line: the degree and cell at which
-    ``what`` fails, read off a chain-map report, when it fails."""
+    ``what`` fails, read off a chain-map or ``unreached`` report."""
     if report is None or report.passed:
         return ""
     return f"; {what} at degree {report.degree}, cell {report.label}"
@@ -205,19 +207,20 @@ def _maps(perm) -> Maps:
     return Maps(perm, simplex, perm_to_simplex(perm, simplex))
 
 
-MapFacts = namedtuple("MapFacts", "commutes surjective qi skipped")
+MapFacts = namedtuple("MapFacts", "commutes surjective unreached qi skipped")
 
 
 def _map_facts(f) -> MapFacts:
     """What the maps check reads of f: its commuting report, whether it
-    is surjective, its class-test report, and whether that test was
-    skipped.  The class test runs iff f commutes and d^2 holds at its
-    two ends, whose homology it reads; otherwise the report is None."""
+    is surjective and if not ``unreached``, its class-test report, and
+    whether that test was skipped.  The class test runs iff f commutes
+    and d^2 holds at its two ends; otherwise the report is None."""
     commutes = verify_chain_map(f)
     skipped = commutes.passed and not (verify_d_squared(f.source).passed
                                        and verify_d_squared(f.target).passed)
     qi = quasi_isomorphism_report(f) if commutes.passed and not skipped else None
-    return MapFacts(commutes, is_surjective(f), qi, skipped)
+    surjective = is_surjective(f)
+    return MapFacts(commutes, surjective, None if surjective else unreached(f), qi, skipped)
 
 
 def _perm_maps(f) -> tuple:
@@ -227,6 +230,7 @@ def _perm_maps(f) -> tuple:
             f"blow-down [{f.note}], surjective={str(m.surjective).lower()}, "
             f"cone acyclic={str(cone_ok).lower()}"
             + _fails("blow-down does not commute", m.commutes)
+            + _fails("blow-down is not onto", m.unreached)
             + _lost_class("blow-down", m.qi)
             + ("; skipped: d2 failed" if m.skipped else ""))
 
@@ -254,6 +258,8 @@ def _fiber_maps(fib, maps: Maps) -> tuple:
             f"well-defined={str(welldef_ok).lower()}"
             + _fails("perm->fiber does not commute", p2f_m.commutes)
             + _fails("fiber->simplex does not commute", f2s_m.commutes)
+            + _fails("perm->fiber is not onto", p2f_m.unreached)
+            + _fails("fiber->simplex is not onto", f2s_m.unreached)
             + _lost_class("perm->fiber", p2f_m.qi)
             + _lost_class("fiber->simplex", f2s_m.qi)
             + _fails("blow-down does not factor through the fiber", factors)
@@ -360,8 +366,16 @@ def cmd_fiber(args) -> int:
     if "maps" in checks and graph.n > PERM_CAP:
         raise InvalidInput(f"check maps builds P{graph.n}, "
                            f"above the ceiling {PERM_CAP}")
+    out = [Path(args.out), *Path(args.out).parents] if args.out else []
+    made = [path for path in out if not path.exists()]   # deepest first
     col = _collector(args)
-    fib = build_fiber(graph)
+    try:
+        fib = build_fiber(graph)
+    except FiberTooLarge:   # take back the --out directories made, each while empty
+        with suppress(OSError):
+            for path in made:
+                path.rmdir()
+        raise
     maps = _maps(build_perm(graph.n)) if "maps" in checks else None
     name = path.stem
     _run_checks(col, name, fib, checks, args.pages, maps)

@@ -294,67 +294,97 @@ def page_dims(c: ChainComplex, r: int) -> PageTable:
 
 
 class ChainMap:
-    """Degree-shifted map f_r : source_r -> target_{r+shift} given by
-    per-degree sparse matrices; missing degrees are zero.  Maps compare
-    by source, target, shift and matrices, not by ``note``; ``_cache``
-    starts empty with each instance."""
+    """Degree-shifted map f_r : source_r -> target_{r+shift}; missing
+    degrees are zero.  ``table`` holds a degree whose columns each have
+    at most one entry as a signed row table, one entry per source cell,
+    ``(target row, value)`` or None, and any other as its SparseMatrix,
+    which ``matrix(r)`` and ``matrices`` render for general readers.
+    Maps compare by source, target, shift and table, not by ``note``;
+    ``_cache`` starts empty with each instance."""
 
     def __init__(self, source: ChainComplex, target: ChainComplex, shift: int,
-                 matrices: dict, note: str = ""):
+                 table: dict, note: str = ""):
         self.source = source
         self.target = target
         self.shift = shift
-        self.matrices = matrices
+        self.table = table
         self.note = note
         self._cache: dict = {}
 
     def __eq__(self, other):
         if type(other) is not ChainMap:
             return NotImplemented
-        return ((self.source, self.target, self.shift, self.matrices)
-                == (other.source, other.target, other.shift, other.matrices))
+        return ((self.source, self.target, self.shift, self.table)
+                == (other.source, other.target, other.shift, other.table))
 
     def __repr__(self) -> str:
         return (f"ChainMap(source={self.source!r}, target={self.target!r}, "
-                f"shift={self.shift!r}, matrices={self.matrices!r}, note={self.note!r})")
+                f"shift={self.shift!r}, table={self.table!r}, note={self.note!r})")
 
     @staticmethod
-    def build(source, target, shift, matrices, note="") -> ChainMap:
+    def build(source, target, shift, maps, note="") -> ChainMap:
+        """Validated map from degree -> row table or SparseMatrix, refused as
+        ``_check_matrix`` refuses its matrix; a zero degree is dropped."""
         if type(shift) is not int:   # a bool is not one
             raise ValueError(f"shift {shift!r} is not an int")
         clean = {}
-        for r, m in _by_degree(matrices):
-            _check_matrix(m, target.dim(r + shift), source.dim(r),
-                          f"map matrix at degree {r}")
-            if not m.is_zero():
+        for r, m in _by_degree(maps):
+            rows = target.dim(r + shift)
+            if type(m) is not SparseMatrix:
+                m = _render(rows, m)
+            _check_matrix(m, rows, source.dim(r), f"map matrix at degree {r}")
+            if max(map(len, m.columns), default=0) <= 1:
+                m = tuple(next(iter(column.items()), None) for column in m.columns)
+            if type(m) is SparseMatrix or any(m):
                 clean[r] = m
         return ChainMap(source, target, shift, clean, note)
 
     def matrix(self, r: int) -> SparseMatrix:
-        m = self.matrices.get(r)
-        if m is None:
-            return SparseMatrix.zero(self.target.dim(r + self.shift), self.source.dim(r))
-        return m
+        rows = _rows(self, r)
+        return self.table[r] if rows is None else _render(self.target.dim(r + self.shift), rows)
+
+    @property
+    def matrices(self) -> dict:
+        """Degree -> SparseMatrix of each degree in ``table``, rendered."""
+        return {r: self.matrix(r) for r in self.table}
+
+
+def _render(rows: int, table) -> SparseMatrix:
+    """The SparseMatrix with ``rows`` rows of a row table."""
+    return SparseMatrix(rows, tuple(dict([hit]) if hit else {} for hit in table))
+
+
+def _rows(f: ChainMap, r: int):
+    """f's row table at r (all None where f_r is 0), or None for a SparseMatrix."""
+    m = f.table.get(r)
+    if m is None:
+        return (None,) * f.source.dim(r)
+    return None if type(m) is SparseMatrix else m
 
 
 class ChainMapReport(NamedTuple):
     passed: bool
     degree: int | None = None
-    label: str | None = None  # source basis element that witnesses a failure
+    label: str | None = None  # basis element that witnesses a failure
 
 
 def verify_chain_map(f: ChainMap) -> ChainMapReport:
-    """Pass iff d_target . f = f . d_source in every degree, decided by
-    one ``linalg.first_mismatch`` per degree, which forms neither side.
-    A failing report names the lowest failing degree and, in it, the
-    first source cell whose columns differ.  The report is cached on
-    the map, like the d^2 report on a complex."""
+    """Pass iff d_target . f = f . d_source in every degree, with neither
+    side formed: by ``_first_noncommuting`` where f_r and f_{r-1} are row
+    tables, else by one ``linalg.first_mismatch``.  A failing report names
+    the lowest failing degree and, in it, the first source cell whose
+    columns differ.  It is cached on the map, as d^2's is on a complex."""
     if "commutes" in f._cache:
         return f._cache["commutes"]
     report = ChainMapReport(True)
     for r in f.source.degrees():
-        j = first_mismatch(f.target.d(r + f.shift), f.matrix(r).columns,
-                           f.matrix(r - 1), f.source.d(r).columns)
+        here, below = _rows(f, r), _rows(f, r - 1)
+        if here is None or below is None:
+            j = first_mismatch(f.target.d(r + f.shift), f.matrix(r).columns,
+                               f.matrix(r - 1), f.source.d(r).columns)
+        else:
+            j = _first_noncommuting(f.target.d(r + f.shift).columns, here, below,
+                                    f.source.d(r).columns)
         if j is not None:
             report = ChainMapReport(False, r, f.source.labels(r)[j])
             break
@@ -362,29 +392,69 @@ def verify_chain_map(f: ChainMap) -> ChainMapReport:
     return report
 
 
+def _first_noncommuting(targets: tuple, here, below, sources: tuple) -> int | None:
+    """The first cell j where d_target f_r and f_{r-1} d_source differ, for
+    row tables ``here`` = f_r and ``below`` = f_{r-1}: for f_r's entry (row,
+    u = +-1), u (f_{r-1} d_source)_j is compared with column row of d_target."""
+    for j, column in enumerate(sources):
+        hit = here[j]
+        if hit is None:
+            want, unit = {}, 1
+        else:
+            want, unit = targets[hit[0]], hit[1]
+            if unit != 1 and unit != -1:
+                want, unit = {i: unit * v for i, v in want.items()}, 1
+        acc: dict = {}
+        for i, v in column.items():
+            image = below[i]
+            if image is not None:
+                k, w = image
+                acc[k] = acc[k] + v * w * unit if k in acc else v * w * unit
+        if acc != want and {k: v for k, v in acc.items() if v} != want:
+            return j
+    return None
+
+
 def verify_factorization(h: ChainMap, g: ChainMap, f: ChainMap) -> ChainMapReport:
-    """Pass iff h: A -> C equals g: B -> C after f: A -> B, decided by
-    one ``linalg.first_mismatch`` per degree, as in ``verify_chain_map``,
-    so g after f is never formed.  A failing report names the lowest
+    """Pass iff h: A -> C equals g: B -> C after f: A -> B: g's row table
+    composed with f's against h's, else one ``linalg.first_mismatch`` per
+    degree, so no product is formed.  A failing report names the lowest
     failing degree and the first cell of A in it that differs."""
     if (g.source != f.target or h.source != f.source or h.target != g.target
             or h.shift != f.shift + g.shift):
         raise ValueError("h, g and f do not form a triangle")
     for r in f.source.degrees():
-        j = first_mismatch(g.matrix(r + f.shift), f.matrix(r).columns,
-                           None, h.matrix(r).columns)
+        fr, gr, hr = _rows(f, r), _rows(g, r + f.shift), _rows(h, r)
+        if fr is None or gr is None or hr is None:
+            j = first_mismatch(g.matrix(r + f.shift), f.matrix(r).columns,
+                               None, h.matrix(r).columns)
+        else:
+            both = [None if hit is None or (image := gr[hit[0]]) is None
+                    else (image[0], hit[1] * image[1]) for hit in fr]
+            j = None if both == list(hr) else next(
+                k for k, (x, y) in enumerate(zip(both, hr)) if x != y)
         if j is not None:
             return ChainMapReport(False, r, f.source.labels(r)[j])
     return ChainMapReport(True)
 
 
-def is_surjective(f: ChainMap) -> bool:
-    """Matrix rank equals target dimension in every degree."""
+def unreached(f: ChainMap) -> ChainMapReport:
+    """The first target degree where f is not onto and its first row f
+    misses, a row no table entry covers or no pivot of a SparseMatrix
+    holds (its reduced columns span the image), as a failing report."""
     for r in sorted(set(f.source.degrees()) | {r - f.shift for r in f.target.degrees()}):
-        want = f.target.dim(r + f.shift)
-        if want and rank(f.matrix(r)) != want:
-            return False
-    return True
+        m = f.table.get(r, ())
+        held = ({i for i, _ in pivots(m)} if type(m) is SparseMatrix
+                else {hit[0] for hit in m if hit is not None})
+        if len(held) < f.target.dim(r + f.shift):
+            missed = next(i for i in range(f.target.dim(r + f.shift)) if i not in held)
+            return ChainMapReport(False, r + f.shift, f.target.labels(r + f.shift)[missed])
+    return ChainMapReport(True)
+
+
+def is_surjective(f: ChainMap) -> bool:
+    """Whether f is onto in every degree (``unreached``)."""
+    return unreached(f).passed
 
 
 def mapping_cone(f: ChainMap) -> ChainComplex:
@@ -455,9 +525,9 @@ def quasi_isomorphism_report(f: ChainMap) -> ChainMapReport:
     generator.  Its image f(v) is a cycle, since f commutes,
     and its class is nonzero exactly when f(v) is not a boundary: when
     appending f(v) to the pivot columns of d_{b+1}, a basis of the
-    boundaries, raises their rank.  That one reduction uses
-    ``linalg.pivots`` over the integers; the ranks and unpaired cells
-    come from the reductions cached on A and B.
+    boundaries, raises their rank.  That one ``linalg.rank`` is the
+    only reduction; the ranks and unpaired cells come from the
+    reductions cached on A and B.
 
     A failing report names a and v.  When a side is not a point, or A's
     class sits where d_a does not vanish, the cone decides
@@ -471,13 +541,13 @@ def quasi_isomorphism_report(f: ChainMap) -> ChainMapReport:
         return ChainMapReport(is_quasi_isomorphism(f))
     v = _unpaired(f.source, a)[0]
     lost = ChainMapReport(False, a, f.source.labels(a)[v])
-    image = f.matrix(a).columns[v]
+    rows = _rows(f, a)
+    image = f.matrix(a).columns[v] if rows is None else dict([rows[v]] if rows[v] else [])
     if a + f.shift != b or not image:
         return lost
     d = f.target.d(b + 1)
-    basis = [j for _, j in _pairs(f.target).get(b + 1, ())]
-    extended = SparseMatrix(d.rows, d.columns + (image,))
-    if len(pivots(extended, cols=basis + [d.cols])) > len(basis):
+    basis = [d.columns[j] for _, j in _pairs(f.target).get(b + 1, ())]
+    if rank(SparseMatrix(d.rows, (*basis, image))) > len(basis):
         return ChainMapReport(True)
     return lost
 

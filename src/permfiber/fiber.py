@@ -44,8 +44,8 @@ from .complexes import (
     verify_d_squared,
 )
 from .linalg import SparseMatrix
-from .polytopes import PermComplex, SimplexComplex, blowdown_matrices
-from .topartitions import TOPartition, format_block, parity, splits, width
+from .polytopes import PermComplex, SimplexComplex, blowdown_table
+from .topartitions import TOPartition, block_splits, format_block, parity, width
 
 FIBER_CAP = 9   # the most edges build_fiber admits: 2**9 rows of its cluster table
 TREE_BUDGET = 545_835      # the most trees build_fiber builds: Fubini(8), so 8 edges fit
@@ -481,11 +481,14 @@ def pushforward(blocks: tuple, images: dict) -> dict:
     row with sign 1, but ``build_perm`` does not go through here.
     """
     acc: dict = {}
-    for beta, sign in splits(blocks):
-        hit = images.get(beta)
-        if hit is not None:
-            row, s = hit
-            acc[row] = acc.get(row, 0) + sign * s
+    get = images.get
+    for i, block in enumerate(blocks):
+        if block & (block - 1):   # a singleton has no split
+            head, tail, sign = blocks[:i], blocks[i + 1:], -1 if i % 2 else 1
+            for pair in block_splits(block):
+                hit = get(head + pair + tail)
+                if hit is not None:
+                    acc[hit[0]] = acc.get(hit[0], 0) + sign * hit[1]
     return {row: v for row, v in acc.items() if v}
 
 
@@ -517,18 +520,14 @@ def perm_to_fiber(fiber: FiberComplex, perm: PermComplex) -> ChainMap:
     """Chain map of shift -n sending a TO partition alpha to t_alpha
     with the sign relating alpha's block order to the canonical one,
     and to zero when t_alpha is degenerate.  Surjective and width
-    preserving; for star graphs it is a degreewise bijection."""
-    n, source, target = fiber.n, perm.complex, fiber.complex
+    preserving; for star graphs it is a degreewise bijection.  Its row
+    tables are read off ``fiber.images``, whose values are (row, sign)."""
+    n = fiber.n
     if perm.n != n:
         raise ValueError(f"perm_to_fiber needs P_{n} for a fiber of {n} edges, "
                          f"got P_{perm.n}")
-    matrices = {}
-    for r, alphas in perm.cells.items():
-        hits = list(map(fiber.images.get, alphas))
-        if any(hits):   # a hit (row, sign) is the column {row: sign}
-            matrices[r] = SparseMatrix(target.dim(r - n),
-                                       tuple(dict([hit]) if hit else {} for hit in hits))
-    return ChainMap.build(source, target, -n, matrices, note="alpha -> t_alpha")
+    table = {r: tuple(map(fiber.images.get, alphas)) for r, alphas in perm.cells.items()}
+    return ChainMap(perm.complex, fiber.complex, -n, table, note="alpha -> t_alpha")
 
 
 def fiber_to_simplex(fiber: FiberComplex, simplex: SimplexComplex) -> ChainMap:
@@ -540,11 +539,9 @@ def fiber_to_simplex(fiber: FiberComplex, simplex: SimplexComplex) -> ChainMap:
     if simplex.n != fiber.n:
         raise ValueError(f"fiber_to_simplex needs the simplex on {fiber.n} vertices "
                          f"for a fiber of {fiber.n} edges, got {simplex.n} vertices")
-    signs = {r: [fiber.images[alpha][1] for alpha in alphas]
-             for r, alphas in fiber.cells.items()}
-    matrices = blowdown_matrices(fiber.cells, simplex, signs)
-    return ChainMap.build(fiber.complex, simplex.complex, fiber.n, matrices,
-                          note="root block of singleton-fringe trees")
+    table = blowdown_table(fiber.cells, simplex, fiber.images)
+    return ChainMap(fiber.complex, simplex.complex, fiber.n, table,
+                    note="root block of singleton-fringe trees")
 
 
 class WellDefinednessReport(NamedTuple):

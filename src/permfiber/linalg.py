@@ -172,7 +172,9 @@ def pivots(m: SparseMatrix, rows=None, cols=None, cleared=()) -> list:
     until its pivot row is no earlier column's pivot row, or it is
     zero: col <- a*col - b*earlier cancels the pivot entry, and the
     result is divided by its gcd.  Columns in ``cleared`` are skipped;
-    a caller clears only columns it knows reduce to zero.
+    a caller clears only columns it knows reduce to zero.  A column
+    whose pivot row is new is paired as it stands (Ripser's apparent
+    pairs), and made primitive only when a later column reduces by it.
 
     The number of pairs is the rank of m.  Taken in the order of a
     filtration, the pairs are its persistence pairs (Edelsbrunner,
@@ -182,17 +184,26 @@ def pivots(m: SparseMatrix, rows=None, cols=None, cleared=()) -> list:
     position = [0] * m.rows
     for k, i in enumerate(rows):
         position[i] = k
+    standing = {}  # pivot position -> stored column, paired as it stands
     reduced = {}   # pivot position -> reduced column holding it
     pairs = []
     for j in range(m.cols) if cols is None else cols:
         column = m.columns[j]
         if j in cleared or not column:
             continue
+        low = max(map(position.__getitem__, column))
+        if low not in reduced and low not in standing:
+            standing[low] = column
+            pairs.append((rows[low], j))
+            continue
         # re-keyed to row positions, so a copy: the stored column is untouched
         col = _integral({position[i]: v for i, v in column.items()})
         while col:
             low = max(col)
             other = reduced.get(low)
+            if other is None and low in standing:
+                other = reduced[low] = _integral(
+                    {position[i]: v for i, v in standing.pop(low).items()})
             if other is None:
                 reduced[low] = col
                 pairs.append((rows[low], j))
@@ -213,7 +224,7 @@ def pivots(m: SparseMatrix, rows=None, cols=None, cleared=()) -> list:
                 if g > 1:
                     for k in col:
                         col[k] //= g
-        if len(reduced) == m.rows:
+        if len(reduced) + len(standing) == m.rows:
             break   # every row holds a pivot: the other columns reduce to zero
     return pairs
 

@@ -3,9 +3,9 @@ from ordered partitions onto their least blocks.
 
 P_n takes its cells and the columns of its differential, both in label
 order, from ``topartitions`` (``enumerate_topartitions``,
-``perm_columns``).  The blow-down serves P_n and, given the signs of
-their representatives, the fibers, which ``fiber`` builds as quotients
-of P_n.
+``perm_columns``).  The blow-down, a row table per degree, serves P_n
+and, given the signs of their representatives, the fibers, which
+``fiber`` builds as quotients of P_n.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from .topartitions import (
     enumerate_topartitions,
     format_block,
     labels,
-    parity,
     perm_columns,
     width,
 )
@@ -97,41 +96,41 @@ def build_simplex(n: int) -> SimplexComplex:
 def blowdown_support(blocks: tuple):
     """The least block when every other block is a singleton, else None:
     the other blocks are all singletons exactly when they hold as many
-    elements as there are of them."""
-    singletons = sum(map(int.bit_count, blocks[:-1])) == len(blocks) - 1
+    elements as there are of them.  The blocks are disjoint, so their
+    sum is their union."""
+    singletons = sum(blocks).bit_count() - blocks[-1].bit_count() == len(blocks) - 1
     return blocks[-1] if singletons else None
 
 
 def blowdown_coefficient(blocks: tuple) -> int:
     """Sign on the image of a supported cell making the blow-down a chain
-    map: the parity of the singleton ordering times a sign depending on
-    which elements were split off the least block.  Normalised so the
-    top cell maps with coefficient +1."""
-    singletons = [b.bit_length() for b in blocks[:-1]]
-    outside = sum(singletons) + len(singletons)
-    return parity(singletons) * (-1 if outside % 2 else 1)
+    map: (-1) to the inversions of the singletons' order plus the sum of
+    (id + 1) over them.  Normalised so the top cell maps with +1."""
+    seen = odd = 0
+    for b in blocks[:-1]:
+        x = b.bit_length()
+        odd += (seen >> x).bit_count() + x + 1
+        seen |= b
+    return -1 if odd % 2 else 1
 
 
-def blowdown_matrices(cells: dict, simplex: SimplexComplex, signs=None) -> dict:
-    """Blow-down on P_n or a quotient of it, degree by degree: the class
-    of a representative alpha in ``cells`` whose blocks other than the
-    least are singletons goes to its least block, with
-    ``blowdown_coefficient`` times the sign of alpha's own class,
-    ``signs[r][j]`` for ``cells[r][j]`` (None for P_n itself, where
-    every sign is 1); every other class goes to zero."""
-    matrices = {}
-    for r in sorted(cells):
-        columns = [{} for _ in cells[r]]
-        for j, alpha in enumerate(cells[r]):
+def blowdown_table(cells: dict, simplex: SimplexComplex, images=None) -> dict:
+    """Blow-down on P_n or a quotient of it, a row table per degree with
+    a supported cell (see ``ChainMap``): a representative alpha in
+    ``cells`` whose other blocks are singletons goes to its least block,
+    with ``blowdown_coefficient`` times the sign of alpha's class,
+    ``images[alpha][1]`` (1 when ``images`` is None, for P_n itself)."""
+    table = {}
+    for r, alphas in sorted(cells.items()):
+        hits = [None] * len(alphas)
+        for j, alpha in enumerate(alphas):
             block = blowdown_support(alpha)
-            if block is None:
-                continue
-            p = block.bit_count()
-            sign = 1 if signs is None else signs[r][j]
-            columns[j][simplex.rows[block]] = sign * blowdown_coefficient(alpha)
-        if any(columns):
-            matrices[r] = SparseMatrix(simplex.complex.dim(p - 1), tuple(columns))
-    return matrices
+            if block is not None:
+                sign = 1 if images is None else images[alpha][1]
+                hits[j] = (simplex.rows[block], sign * blowdown_coefficient(alpha))
+        if any(hits):
+            table[r] = tuple(hits)
+    return table
 
 
 def perm_to_simplex(perm: PermComplex, simplex: SimplexComplex) -> ChainMap:
@@ -143,8 +142,7 @@ def perm_to_simplex(perm: PermComplex, simplex: SimplexComplex) -> ChainMap:
     if simplex.n != perm.n:
         raise ValueError(f"perm_to_simplex needs the simplex on {perm.n} vertices "
                          f"for P_{perm.n}, got {simplex.n} vertices")
-    matrices = blowdown_matrices(perm.cells, simplex)
     # P1 has a single cell, mapped with +1: the unit sign.
     convention = "unit" if perm.n == 1 else "ordering_parity"
-    return ChainMap.build(perm.complex, simplex.complex, 0, matrices,
-                          note=f"sign convention: {convention}")
+    return ChainMap(perm.complex, simplex.complex, 0, blowdown_table(perm.cells, simplex),
+                    note=f"sign convention: {convention}")

@@ -131,7 +131,7 @@ def perm_columns(n: int) -> list:
     in P_m' shifted by start(m, k+1, C).  The layers are built with k
     descending, so the (k+1)-block layer, with its starts, is complete
     before any k-block column points into it.  The rows come in the
-    order of ``splits``.  No two terms share a row: the split terms
+    order of ``block_splits``.  No two terms share a row: the split terms
     begin with distinct proper parts of C, and the others with C.
     """
     columns: list = [[[{}]]]   # P_0: the empty partition, with d = 0
@@ -143,7 +143,7 @@ def perm_columns(n: int) -> list:
         # (B', the mask of B'' on the ids outside B') for each split of C
         squeeze = [{mask: j for j, mask in enumerate(spread(full ^ b))}
                    for b in range(full)]
-        parts = {c: [(b, squeeze[b][b2]) for (b, b2), _ in splits((c,))]
+        parts = {c: [(b, squeeze[b][b2]) for b, b2 in block_splits(c)]
                  for c in first_blocks(m)}
         layer: list = [[] for _ in range(m + 1)]
         start: list = [{} for _ in range(m + 1)]
@@ -199,20 +199,30 @@ def spread(rest: int) -> list:
     return masks
 
 
+@cache
+def block_splits(block: int) -> tuple:
+    """The 2**|B| - 2 ordered splits (B', B'') of a block mask B in two,
+    with B' ascending as a mask: one table per mask."""
+    pairs = []
+    first = -block & block
+    while first != block:
+        pairs.append((first, block ^ first))
+        first = first - block & block
+    return tuple(pairs)
+
+
 def splits(blocks: tuple) -> Iterator[tuple]:
     """(block masks, sign) of each ordered split of one of ``blocks`` in two.
 
     Splitting the i-th block from the left (1-based) into B' > B''
-    carries the sign (-1)**(i-1); there are 2**|B| - 2 ordered splits
-    of a block B, taken with B' ascending as a mask.
+    carries the sign (-1)**(i-1); the splits of a block come in the
+    order of ``block_splits``.
     """
     for i, block in enumerate(blocks):
         sign = -1 if i % 2 else 1
         head, tail = blocks[:i], blocks[i + 1:]
-        first = -block & block
-        while first != block:
-            yield head + (first, block ^ first) + tail, sign
-            first = first - block & block
+        for pair in block_splits(block):
+            yield head + pair + tail, sign
 
 
 def differential_terms(alpha: TOPartition) -> list:

@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections import deque
 from fractions import Fraction
 from itertools import combinations
-from math import comb, factorial
+from math import comb, factorial, gcd, lcm
 
 
 def dense_rank(matrix) -> int:
@@ -39,6 +39,60 @@ def dense_rank(matrix) -> int:
         if r == nrows:
             break
     return r
+
+
+def reference_pivots(m, rows=None, cols=None, cleared=()) -> list:
+    """``linalg.pivots`` as it stood before it paired a column as it
+    stands: the (row, col) pivot pairs of the lowest-pivot column
+    reduction of the SparseMatrix m over the integers, columns in the
+    order ``cols``, pivots latest in ``rows``, the columns in
+    ``cleared`` skipped.  Every column is re-keyed to row positions and
+    made primitive (integral, divided by its gcd) before it is reduced
+    by the earlier columns, until its pivot row is new or it is zero."""
+    def integral(column):
+        if any(type(v) is not int for v in column.values()):
+            denom = lcm(*(v.denominator for v in column.values()))
+            column = {k: v.numerator * (denom // v.denominator) for k, v in column.items()}
+        g = gcd(*column.values())
+        return {k: v // g for k, v in column.items()} if g > 1 else column
+
+    rows = range(m.rows) if rows is None else rows
+    position = [0] * m.rows
+    for k, i in enumerate(rows):
+        position[i] = k
+    reduced = {}
+    pairs = []
+    for j in range(len(m.columns)) if cols is None else cols:
+        column = m.columns[j]
+        if j in cleared or not column:
+            continue
+        col = integral({position[i]: v for i, v in column.items()})
+        while col:
+            low = max(col)
+            other = reduced.get(low)
+            if other is None:
+                reduced[low] = col
+                pairs.append((rows[low], j))
+                break
+            g = gcd(other[low], col[low])
+            a, b = other[low] // g, col[low] // g
+            if a != 1:
+                for k in col:
+                    col[k] *= a
+            for k, v in other.items():
+                new = col.get(k, 0) - b * v
+                if new:
+                    col[k] = new
+                else:
+                    del col[k]
+            if col:
+                g = gcd(*col.values())
+                if g > 1:
+                    for k in col:
+                        col[k] //= g
+        if len(reduced) == m.rows:
+            break
+    return pairs
 
 
 def page_dims_dense(levels, basis, differentials, r: int) -> dict:

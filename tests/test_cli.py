@@ -117,9 +117,12 @@ def test_maps_above_the_perm_ceiling(capsys, monkeypatch, tmp_path, corpus_dir):
 def test_fibers_past_the_budget_exit_2(capsys, monkeypatch, tmp_path):
     """The 9-edge star (P9, 7,087,261 trees) and K4 with three edges
     doubled are within FIBER_CAP but past the tree budget: the walk stops
-    there, and fiber exits 2 with one line naming the bound.  Any other
-    ValueError of build_fiber is not turned into exit 2."""
+    there, and fiber exits 2 with one line naming the bound.  The --out
+    directories the run made are taken back, and one that was there
+    before is left as it was.  Any other ValueError of build_fiber is not
+    turned into exit 2."""
     import permfiber.cli as cli
+    import permfiber.fiber as fiber
     graphs = {"star9": [(0, v) for v in range(1, 10)],
               "k4doubled": [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3),
                             (0, 1), (0, 2), (0, 3)]}
@@ -129,6 +132,18 @@ def test_fibers_past_the_budget_exit_2(capsys, monkeypatch, tmp_path):
         code, out, err = run_cli(capsys, "fiber", "--graph", str(path), "--checks", "d2")
         assert (code, out) == (2, ""), name
         assert err == "error: fiber has more than the budget of 545835 trees\n", name
+    # a budget of 100 trees refuses the star at once, after the --out checks
+    monkeypatch.setattr(fiber, "TREE_BUDGET", 100)
+    star9 = str(tmp_path / "star9.edges")
+    refusal = (2, "", "error: fiber has more than the budget of 100 trees\n")
+    (tmp_path / "kept").mkdir()
+    assert run_cli(capsys, "fiber", "--graph", star9, "--checks", "d2",
+                   "--out", str(tmp_path / "new" / "a" / "b")) == refusal
+    assert run_cli(capsys, "fiber", "--graph", star9, "--checks", "d2",
+                   "--out", str(tmp_path / "kept")) == refusal
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "k4doubled.edges", "kept", "star9.edges"]
+    assert not any((tmp_path / "kept").iterdir())
 
     def other(graph):
         raise ValueError("some other fault")
@@ -528,8 +543,9 @@ def test_maps_failure_names_degree_and_cell(capsys, monkeypatch, perms, corpus_f
 
 def test_maps_failure_names_the_lost_class(capsys, monkeypatch, perms):
     """With no cell in the blow-down's support the map is zero: it
-    commutes and sends the class of the first unpaired vertex of P3 to
-    a boundary, which the FAIL line names."""
+    commutes, misses the first vertex of the simplex and sends the class
+    of the first unpaired vertex of P3 to a boundary, which the FAIL
+    line names."""
     import permfiber.polytopes as polytopes
     from permfiber.complexes import unpaired_cells
     monkeypatch.setattr(polytopes, "blowdown_support", lambda alpha: None)
@@ -538,7 +554,8 @@ def test_maps_failure_names_the_lost_class(capsys, monkeypatch, perms):
     [line] = [line for line in out.splitlines() if line.startswith("check maps")]
     v = unpaired_cells(perms[3].complex, 0)[0]
     assert line == ("check maps: FAIL (blow-down [sign convention: ordering_parity], "
-                    "surjective=false, cone acyclic=false; blow-down sends the class "
+                    "surjective=false, cone acyclic=false; blow-down is not onto at "
+                    "degree 0, cell 1; blow-down sends the class "
                     f"of cell {v} at degree 0 to a boundary)")
 
 
@@ -555,8 +572,8 @@ PINNED_FAILING_LINES = {
     ],
     "P3 with a zero blow-down": [
         "check maps: FAIL (blow-down [sign convention: ordering_parity], "
-        "surjective=false, cone acyclic=false; blow-down sends the class of "
-        "cell 1>2>3 at degree 0 to a boundary)",
+        "surjective=false, cone acyclic=false; blow-down is not onto at degree 0, "
+        "cell 1; blow-down sends the class of cell 1>2>3 at degree 0 to a boundary)",
     ],
     "P4 with the blow-down flipped on three blocks": [
         "check maps: FAIL (blow-down [sign convention: ordering_parity], "
@@ -660,8 +677,9 @@ def test_class_test_runs_on_each_commuting_map_whose_ends_pass_d2(
         monkeypatch, perms, corpus_fibers):
     """One gate for every map: the class test runs iff the map commutes
     and d^2 holds at its own two ends, whatever the other map does.  A
-    zero fiber->simplex commutes but is not surjective; it is tested and
-    loses the class, and perm->fiber is tested beside it.  A
+    zero fiber->simplex commutes but is not surjective, missing the
+    first vertex; it is tested and loses the class, and perm->fiber is
+    tested beside it.  A
     fiber->simplex that does not commute is not tested; perm->fiber is."""
     import permfiber.cli as cli
     tested = []
@@ -680,7 +698,8 @@ def test_class_test_runs_on_each_commuting_map_whose_ends_pass_d2(
     assert tested == ["alpha -> t_alpha", "root block of singleton-fringe trees"]
     assert col.lines[-1] == (
         "check maps: FAIL (chain maps=false, cones acyclic=false, "
-        "factorization=false, well-defined=true; fiber->simplex sends the "
+        "factorization=false, well-defined=true; fiber->simplex is not onto at "
+        "degree 0, cell 1; fiber->simplex sends the "
         "class of cell ({1} ({2} ({3}))) at degree -3 to a boundary)")
     tested.clear()
     monkeypatch.setattr(cli, "fiber_to_simplex", lambda fib, simplex:

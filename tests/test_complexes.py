@@ -176,6 +176,12 @@ def test_build_rejects_shape_mismatch():
     with pytest.raises(ValueError):
         ChainComplex.build({0: ("a",), 1: ("e",)},
                            {1: SparseMatrix.from_entries(3, 1, {(0, 0): 1})})
+    # a row table has one entry per source cell, and is refused as its matrix
+    c = ChainComplex.build({0: ("a", "b")}, {})
+    for table in ([(0, 1)], [(0, 1), None, None]):
+        with pytest.raises(ValueError, match=f"map matrix at degree 0 is "
+                                             f"2x{len(table)}, expected 2x2"):
+            ChainMap.build(c, c, 0, {0: table})
 
 
 def test_build_rejects_duplicate_labels():
@@ -643,9 +649,13 @@ def test_chain_map_report_is_cached_for_the_cone(perms, monkeypatch):
     import permfiber.complexes as complexes
     products = []
     kernel, vanishes = complexes.first_mismatch, complexes.product_vanishes
-    # the chain-map check compares its products in one kernel call per degree
+    tables = complexes._first_noncommuting
+    # the chain-map check compares its products in one kernel call per
+    # degree: the row-table kernel here, since the identity has one-entry columns
     monkeypatch.setattr(complexes, "first_mismatch", lambda a, xs, b, ys:
                         products.append((a, b)) or kernel(a, xs, b, ys))
+    monkeypatch.setattr(complexes, "_first_noncommuting", lambda *args:
+                        products.append(args) or tables(*args))
     monkeypatch.setattr(complexes, "product_vanishes", lambda a, b, cols:
                         products.append((a, b)) or vanishes(a, b, cols))
     f = identity_map(perms[3].complex)
@@ -675,9 +685,10 @@ def test_rows_outside_a_matrix_are_refused_where_it_joins(perms):
             with pytest.raises(ValueError, match=f"differential at degree 1 has an "
                                                  f"entry in row {row}, outside its 2 rows"):
                 ChainComplex.build(basis, {1: bad}, levels)
-            with pytest.raises(ValueError, match=f"map matrix at degree 0 has an "
-                                                 f"entry in row {row}, outside its 2 rows"):
-                ChainMap.build(c, c, 0, {0: SparseMatrix(2, ({row: 1}, {}))})
+            for matrix in (SparseMatrix(2, ({row: 1}, {})), [(row, 1), None]):
+                with pytest.raises(ValueError, match=f"map matrix at degree 0 has an entry "
+                                                     f"in row {row}, outside its 2 rows"):
+                    ChainMap.build(c, c, 0, {0: matrix})
     p3 = perms[3].complex
     for row in (p3.dim(0), -1):
         columns = list(p3.d(1).columns)
@@ -722,6 +733,13 @@ def test_explicit_zeros_and_inexact_values_are_refused_where_they_join():
                                        "float, not int or Fraction")):
         with pytest.raises(ValueError, match=message):
             ChainMap.build(c, c, 0, {0: SparseMatrix(2, (column, {}))})
+        with pytest.raises(ValueError, match=message):   # the same, as a row table
+            ChainMap.build(c, c, 0, {0: [next(iter(column.items())), None]})
+    # a valid table is the map its matrix builds, and renders as that matrix
+    half = SparseMatrix(2, ({1: Fraction(1, 2)}, {}))
+    assert ChainMap.build(c, c, 0, {0: [(1, Fraction(1, 2)), None]}) \
+        == ChainMap.build(c, c, 0, {0: half})
+    assert ChainMap.build(c, c, 0, {0: [(1, Fraction(1, 2)), None]}).matrix(0) == half
 
 
 def test_json_refuses_a_label_that_is_not_a_string():

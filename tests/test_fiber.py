@@ -232,17 +232,53 @@ def assert_fiber_is_its_face_lattice(fib, context):
     graph's graph associahedron, read off the labels alone, and the
     column of N holds +-1 at exactly the nested sets with one more
     member that contain N."""
-    c = fib.complex
-    families = {r: [nested_set_of(label) for label in c.labels(r)] for r in c.degrees()}
-    assert {family for r in families for family in families[r]} \
-        == set(nested_sets(fib.graph.edges)), context
+    families = assert_fiber_columns_cover(fib.complex, context)
+    assert set(families) == set(nested_sets(fib.graph.edges)), context
+
+
+def assert_fiber_columns_cover(c, context) -> list:
+    """The half of ``assert_fiber_is_its_face_lattice`` linear in the
+    cells and entries of the fiber complex c, without the nested-set
+    oracle: the degree -k labels read as distinct families of k edge
+    sets, and the column of N holds +-1 at exactly the families N + {S}
+    of the degree below, found by dropping each member of each of them.
+    Returns every family.  Equal members are held once."""
+    members: dict = {}
+    families = {r: [frozenset(members.setdefault(s, s) for s in nested_set_of(label))
+                    for label in c.labels(r)] for r in c.degrees()}
     assert all(len(family) == -r for r in families for family in families[r]), context
+    covers = {family: set() for r in families for family in families[r]}
+    assert len(covers) == sum(map(len, families.values())), context
+    for r in families:
+        for i, family in enumerate(families[r]):
+            for member in family:
+                covered = covers.get(family - {member})
+                if covered is not None:
+                    covered.add(i)
     for r in c.degrees():
-        below = families.get(r - 1, [])
         for j, column in enumerate(c.d(r).columns):
             assert set(column.values()) <= {1, -1}, (context, r, j)
-            want = {i for i, family in enumerate(below) if families[r][j] < family}
-            assert set(column) == want, (context, c.labels(r)[j])
+            assert set(column) == covers[families[r][j]], (context, c.labels(r)[j])
+    return list(covers)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("name, edges", [
+    ("path8", [(v, v + 1) for v in range(8)]),
+    ("path9", [(v, v + 1) for v in range(9)]),
+    ("cycle9", [(v, (v + 1) % 9) for v in range(9)])])
+def test_north_star_fibers_are_their_face_lattices(name, edges):
+    """The covering half of the face-lattice check at north-star size:
+    the 8- and 9-edge paths and the 9-edge cycle, 20,793, 103,049 and
+    265,729 cells."""
+    c = build_fiber(MultiGraph.from_edges(edges)).complex
+    assert len(assert_fiber_columns_cover(c, name)) == {
+        "path8": 20_793, "path9": 103_049, "cycle9": 265_729}[name]
+
+
+@pytest.mark.slow
+def test_p8_is_its_face_lattice():
+    assert_perm_is_its_face_lattice(build_perm(8))
 
 
 def assert_perm_is_its_face_lattice(perm):
@@ -250,7 +286,9 @@ def assert_perm_is_its_face_lattice(perm):
     the TO partitions that split one block in two, sum(2**|B| - 2) of
     them."""
     n, c = perm.n, perm.complex
-    cells = {r: [tuple(frozenset(map(int, block)) for block in label.split(">"))
+    blocks: dict = {}   # block text -> its ids, held once
+    cells = {r: [tuple(blocks.get(text) or blocks.setdefault(text, frozenset(map(int, text)))
+                       for text in label.split(">"))
                  for label in c.labels(r)] for r in c.degrees()}
     for r in c.degrees():
         row_of = {alpha: i for i, alpha in enumerate(cells.get(r - 1, []))}
@@ -816,13 +854,30 @@ def extreme_flips(f: ChainMap):
                 **f.matrices, r: SparseMatrix.from_entries(m.rows, m.cols, entries)})
 
 
+def with_a_two_entry_column(f: ChainMap) -> ChainMap:
+    """f with a second entry, 1 in the next row round, added to the first
+    one-entry column of its lowest degree with more than one row: that
+    degree becomes a SparseMatrix, so checks through it take the general
+    kernel, ``linalg.first_mismatch``."""
+    r, m = next((r, m) for r, m in sorted(f.matrices.items()) if m.rows > 1)
+    j, column = next((j, column) for j, column in enumerate(m.columns) if column)
+    [i] = column
+    entries = {**dict(m.items()), ((i + 1) % m.rows, j): 1}
+    wide = ChainMap.build(f.source, f.target, f.shift, {
+        **f.matrices, r: SparseMatrix.from_entries(m.rows, m.cols, entries)})
+    assert type(wide.table[r]) is SparseMatrix
+    return wide
+
+
 def test_map_checks_match_dense_products_under_extreme_flips(perms, simplexes,
                                                              corpus_fibers):
     """With the least or the greatest entry of one map matrix negated,
     ``verify_chain_map`` and ``verify_factorization`` return the reports
     of the whole dense products, witness included: on the blow-downs of
     P3-P5, and on perm->fiber, fiber->simplex and the factorization of
-    the blow-down through them for every corpus fiber of 3 to 5 edges."""
+    the blow-down through them for every corpus fiber of 3 to 5 edges.
+    So they do with one two-entry column added to a map, which takes
+    the general kernel through that degree."""
     dense = DenseProducts()
     blowdowns = {n: perm_to_simplex(perms[n], simplexes[n]) for n in (3, 4, 5)}
     reports = []
@@ -850,6 +905,24 @@ def test_map_checks_match_dense_products_under_extreme_flips(perms, simplexes,
             assert reports[-1] == dense.factorization(h_, g_, f_), fib.graph.edges
     assert len(fibers) == 11 and len(reports) == 396
     assert {report.passed for report in reports} == {True, False}
+    general = []
+    for h in blowdowns.values():
+        wide = with_a_two_entry_column(h)
+        general.append(verify_chain_map(wide))
+        assert general[-1] == dense.chain_map(wide), wide.note
+    for fib in fibers:
+        h = blowdowns[fib.n]
+        f = perm_to_fiber(fib, perm=perms[fib.n])
+        g = fiber_to_simplex(fib, simplex=simplexes[fib.n])
+        for slot in range(3):
+            triangle = [h, g, f]
+            wide = triangle[slot] = with_a_two_entry_column(triangle[slot])
+            general.append(verify_chain_map(wide))
+            assert general[-1] == dense.chain_map(wide), (fib.graph.edges, wide.note)
+            general.append(verify_factorization(*triangle))
+            assert general[-1] == dense.factorization(*triangle), fib.graph.edges
+    assert len(general) == 3 + 6 * len(fibers)
+    assert {report.passed for report in general} == {False}
 
 
 def test_passing_checks_form_no_product_column(capsys, monkeypatch, corpus_dir):
@@ -895,11 +968,18 @@ def test_push_forward_well_defined_theta_and_paths(corpus_fibers):
 
 
 def test_class_test_matches_the_cone_on_every_fiber(perms, simplexes, corpus_fibers):
+    """The class test agrees with the cone on both maps of every corpus
+    fiber.  The row tables that the three map builders hand the
+    ``ChainMap`` constructor unvalidated are the ones ``ChainMap.build``
+    reads off their matrices."""
     for name, fib in sorted(corpus_fibers.items()):
         for f in (perm_to_fiber(fib, perms[fib.n]),
                   fiber_to_simplex(fib, simplexes[fib.n])):
             cone_acyclic = all(v == 0 for v in homology_dims(mapping_cone(f)).values())
             assert quasi_isomorphism_report(f).passed is cone_acyclic is True, name
+        for f in (perm_to_fiber(fib, perms[fib.n]), fiber_to_simplex(fib, simplexes[fib.n]),
+                  perm_to_simplex(perms[fib.n], simplexes[fib.n])):
+            assert ChainMap.build(f.source, f.target, f.shift, f.matrices, f.note) == f, name
 
 
 def test_perm_to_fiber_commutes_exactly_when_well_defined(perms, corpus_fibers):

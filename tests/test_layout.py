@@ -1,9 +1,11 @@
 """Each design decision lives in one module: the modules import only
 from the layers below them, the label-order tables of
 ``topartitions`` stay inside it, the quotient builder is ``fiber``'s,
-only ``complexes`` keeps a ``_cache``, no module composes maps, and a
-cell is a tuple of block masks outside the input and witness text.
-Read from the source with ``ast``; nothing is imported."""
+only ``complexes`` keeps a ``_cache`` or reads a map's row table, the
+one general product kernel is ``linalg``'s, no module composes maps,
+the map builders hand their tables to the ``ChainMap`` constructor,
+and a cell is a tuple of block masks outside the input and witness
+text.  Read from the source with ``ast``; nothing is imported."""
 
 import ast
 from pathlib import Path
@@ -108,3 +110,54 @@ def test_cells_are_block_tuples_past_the_input_boundary():
                          and "TOPartition" in {n.id for n in ast.walk(call.func)
                                                if isinstance(n, ast.Name)}}
     assert builders == {"push_forward_well_defined"}
+
+
+def test_only_complexes_reads_a_row_table():
+    """A map's ``table`` is read where the checks and the renderings are,
+    in ``complexes``; every other module reads ``matrix`` or
+    ``matrices`` if it needs a map's entries."""
+    for name, tree in _trees().items():
+        reads = [node.lineno for node in ast.walk(tree)
+                 if isinstance(node, ast.Attribute) and node.attr == "table"]
+        assert name == "complexes" or not reads, (name, reads)
+
+
+def test_only_linalg_defines_the_general_kernel():
+    """``first_mismatch`` is the one kernel for products with longer
+    columns: d^2 and any map that is not a row table."""
+    for name, tree in _trees().items():
+        defined = {node.name for node in ast.walk(tree)
+                   if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))}
+        assert name == "linalg" or "first_mismatch" not in defined, name
+    assert "first_mismatch" in {node.name for node in ast.walk(_trees()["linalg"])
+                                if isinstance(node, ast.FunctionDef)}
+
+
+def _calls(node, name: str) -> list:
+    """The calls under node of ``name`` or of an attribute of it
+    (``ChainMap`` and ``ChainMap.build``)."""
+    return [call for call in ast.walk(node) if isinstance(call, ast.Call)
+            and name in {n.id for n in ast.walk(call.func) if isinstance(n, ast.Name)}]
+
+
+def test_map_builders_hand_tables_to_the_constructor():
+    """Outside ``complexes``, the builders of the three maps pass the row
+    tables they make to the ``ChainMap`` constructor itself, not through
+    ``ChainMap.build`` or a SparseMatrix; ``blowdown_table``, which makes
+    the blow-down's, is called only by them."""
+    trees = _trees()
+    builders = {}
+    for name, tree in trees.items():
+        for node in ast.walk(tree):
+            if name != "complexes" and isinstance(node, ast.FunctionDef) \
+                    and _calls(node, "ChainMap"):
+                builders[node.name] = node
+    assert set(builders) == {"perm_to_simplex", "perm_to_fiber", "fiber_to_simplex"}
+    for name, node in builders.items():
+        [call] = _calls(node, "ChainMap")
+        assert isinstance(call.func, ast.Name), name
+        assert not _calls(node, "SparseMatrix"), name
+    for name, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef) and _calls(node, "blowdown_table"):
+                assert node.name in builders, (name, node.name)

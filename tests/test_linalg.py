@@ -11,7 +11,7 @@ import permfiber.linalg as linalg
 from permfiber.linalg import (SparseMatrix, first_mismatch, multiply, pivots,
                               product_vanishes, rank)
 
-from oracles import dense_multiply, dense_rank
+from oracles import dense_multiply, dense_rank, reference_pivots
 
 
 def random_matrix(rng, nrows, ncols, density=0.5, values=(-1, 1)):
@@ -162,6 +162,39 @@ def test_reductions_leave_their_input_alone(perms, corpus_fibers):
             answers.append((homology_dims(fresh), [page_dims(fresh, r) for r in range(3)]))
         assert answers[0] == answers[1]
         assert c.differentials == before
+
+
+def test_pivots_pair_as_the_reference_reduction(perms, simplexes, corpus_fibers):
+    """Pairing a column as it stands changes no pair: ``pivots`` gives
+    the pairs of the reduction it replaced (``oracles.reference_pivots``)
+    on random int and Fraction matrices, in random row and column orders
+    with random cleared columns, and in the one reduction of P1-P6, of
+    every corpus fiber and of the cones of its two maps."""
+    from permfiber.complexes import _pairs, mapping_cone
+    from permfiber.fiber import fiber_to_simplex, perm_to_fiber
+
+    rng = random.Random(41)
+    for _ in range(400):
+        values = rng.choice([(-1, 1), (-2, -1, 1, 3, Fraction(1, 2), Fraction(-2, 3))])
+        m = random_matrix(rng, rng.randint(0, 12), rng.randint(0, 12),
+                          density=rng.choice([0.15, 0.4, 0.7]), values=values)
+        rows = rng.sample(range(m.rows), m.rows) if rng.random() < 0.5 else None
+        cols = rng.sample(range(m.cols), m.cols) if rng.random() < 0.5 else None
+        cleared = set(rng.sample(range(m.cols), rng.randint(0, m.cols // 2)))
+        assert pivots(m, rows, cols, cleared) == reference_pivots(m, rows, cols, cleared)
+    complexes = [perm.complex for perm in perms.values()]
+    for fib in corpus_fibers.values():
+        complexes += [fib.complex, mapping_cone(perm_to_fiber(fib, perms[fib.n])),
+                      mapping_cone(fiber_to_simplex(fib, simplexes[fib.n]))]
+    for c in complexes:
+        order = {n: sorted(range(len(ps)), key=ps.__getitem__)
+                 for n, ps in (c.levels or {}).items()}
+        want: dict = {}
+        for n in sorted(c.differentials, reverse=True):
+            boundaries = {row for row, _ in want.get(n + 1, ())}
+            want[n] = reference_pivots(c.differentials[n], order.get(n - 1), order.get(n),
+                                       boundaries)
+        assert _pairs(c) == want
 
 
 def test_dense_and_sparse_paths_agree():
