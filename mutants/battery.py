@@ -1,0 +1,130 @@
+"""A battery of mutants: small, deliberate faults in the package, each
+with the tier-1 tests that must catch it.
+
+A mutant names a file under ``src/permfiber``, an exact text that occurs
+once in it, the text that replaces it, and the test ids that must fail
+once it is applied.  ``run`` applies one mutant to a temporary copy of
+the checkout (``src``, ``tests``, ``corpus``, ``pyproject.toml`` and
+``README.md``) and runs those tests there in a fresh interpreter; the
+checkout itself is never written.  Stdlib only.
+
+    python -m pytest -q mutants
+    python -m pytest -q mutants -k rank-off-by-one
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+COPIED = ("src", "tests", "corpus", "pyproject.toml", "README.md")
+
+
+class Mutant(NamedTuple):
+    name: str
+    file: str      # relative to src/permfiber
+    old: str       # occurs exactly once in that file
+    new: str
+    tests: tuple   # pytest ids, relative to the checkout, that must fail
+
+
+MUTANTS = (
+    Mutant("rank-off-by-one", "linalg.py",
+           "    return len(pivots(m))\n",
+           "    return len(pivots(m)) - 1\n",
+           ("tests/test_linalg.py::test_rank_identity_and_zero",
+            "tests/test_linalg.py::test_rank_of_map_matrices_is_their_row_count")),
+    Mutant("blowdown-id-count-dropped", "polytopes.py",
+           "(-1) ** (sum(ids) + len(ids))",
+           "(-1) ** sum(ids)",
+           ("tests/test_polytopes.py::test_blowdown_coefficient_is_the_fused_loop",
+            "tests/test_polytopes.py::test_perm_to_simplex_is_surjective_chain_map")),
+    Mutant("minus-term-unsigned", "topartitions.py",
+           "[tuple(-v for v in column.values())",
+           "[tuple(v for v in column.values())",
+           ("tests/test_polytopes.py::test_build_perm_matches_the_label_oracle",)),
+    Mutant("one-ended-line-graph", "fiber.py",
+           "return tuple(touching[u] | touching[v] for u, v in self.edges)",
+           "return tuple(touching[u] for u, v in self.edges)",
+           ("tests/test_fiber.py::test_cluster_table_rows_are_edge_components",
+            "tests/test_fiber.py::test_fiber_dims_match_independent_oracle")),
+    Mutant("cluster-table-writes-only-the-top-edge", "fiber.py",
+           "        rest = cluster\n"
+           "        while rest:\n"
+           "            row[(rest & -rest).bit_length() - 1] = cluster\n"
+           "            rest &= rest - 1\n",
+           "        row[top] = cluster\n",
+           ("tests/test_fiber.py::test_cluster_table_rows_are_edge_components",)),
+    Mutant("first-mismatch-ignores-y", "linalg.py",
+           "acc[i] = get(i, 0) - vb * vy",
+           "acc[i] = get(i, 0)",
+           ("tests/test_linalg.py::test_first_mismatch_matches_dense_products",)),
+    Mutant("zip-without-strict", "linalg.py",
+           "zip(xs, ys, strict=True)",
+           "zip(xs, ys)",
+           ("tests/test_linalg.py::test_first_mismatch_matches_dense_products",)),
+    Mutant("d2-witness-one-column-late", "complexes.py",
+           "for j, col in enumerate(product) if col",
+           "for j, col in enumerate(product, 1) if col",
+           ("tests/test_cli.py::test_failing_lines_are_pinned",)),
+    Mutant("json-degree-keys-in-int-order", "complexes.py",
+           "for key, labels in sorted((str(r), labels) for r, labels in c.basis.items()):",
+           "for key, labels in ((str(r), labels) for r, labels in sorted(c.basis.items())):",
+           ("tests/test_complexes.py::test_streamed_json_is_the_dumped_document",)),
+    Mutant("json-labels-unescaped", "complexes.py",
+           '",\\n   ".join(map(encode_basestring_ascii, labels))',
+           '",\\n   ".join(f\'"{label}"\' for label in labels)',
+           ("tests/test_complexes.py::test_streamed_json_is_the_dumped_document",)),
+    Mutant("pushforward-entry-doubled", "fiber.py",
+           "acc.get(hit[0], 0) + sign * hit[1]",
+           "acc.get(hit[0], 0) + 2 * sign * hit[1]",
+           ("tests/test_fiber.py::test_differentials_are_the_face_lattice",)),
+)
+
+
+def copy_checkout(dest: Path) -> None:
+    """The parts of the checkout that the tests read, without caches."""
+    ignore = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
+    for name in COPIED:
+        path = ROOT / name
+        if path.is_dir():
+            shutil.copytree(path, dest / name, ignore=ignore)
+        else:
+            shutil.copy2(path, dest / name)
+
+
+def apply(mutant: Mutant, dest: Path) -> None:
+    """Write the mutant into the copy at dest; its old text must occur
+    exactly once."""
+    path = dest / "src" / "permfiber" / mutant.file
+    text = path.read_text(encoding="utf-8")
+    if text.count(mutant.old) != 1:
+        raise ValueError(f"{mutant.name}: old text occurs {text.count(mutant.old)} times "
+                         f"in {mutant.file}")
+    path.write_text(text.replace(mutant.old, mutant.new), encoding="utf-8")
+
+
+def run(mutant: Mutant | None) -> tuple:
+    """Apply the mutant to a fresh copy of the checkout and run the tests
+    it names there (with no mutant, the control: every named test); the
+    exit code, the ids that failed, and the output."""
+    tests = (mutant.tests if mutant else
+             sorted({test for m in MUTANTS for test in m.tests}))
+    with tempfile.TemporaryDirectory(prefix="permfiber-mutant-") as tmp:
+        dest = Path(tmp)
+        copy_checkout(dest)
+        if mutant is not None:
+            apply(mutant, dest)
+        env = dict(os.environ, PYTHONPATH=str(dest / "src"), PYTHONDONTWRITEBYTECODE="1")
+        done = subprocess.run([sys.executable, "-m", "pytest", "-q", "-rf", "-p",
+                               "no:cacheprovider", *tests], cwd=dest, env=env,
+                              capture_output=True, text=True, timeout=300)
+    failed = {line.split()[1] for line in done.stdout.splitlines()
+              if line.startswith("FAILED ")}
+    return done.returncode, failed, done.stdout + done.stderr

@@ -22,6 +22,7 @@ from .complexes import (
     complex_json_pieces,
     homology_dims,
     is_surjective,
+    page_cell,
     page_dims,
     point_degree,
     quasi_isomorphism_report,
@@ -172,13 +173,21 @@ def _unexpected_class(c, h: dict, bottom: int) -> str:
     return "" if h[bottom] else f"; no class at degree {bottom}"
 
 
-def _koszul_failure(failure: tuple) -> str:
-    """Witness suffix for a failing koszul line: its first failing part."""
+def _koszul_failure(c, failure: tuple) -> str:
+    """Witness suffix for a failing koszul line: its first failing part,
+    and for a page cell with too many dimensions a cell there that
+    survives to the page, with too few one that cancels before it."""
     if failure[:1] == ("d2",):
         return "; skipped: d2 failed"
     if failure[:1] == ("homology",):
         return f"; no single class at degree {failure[1]}"
-    return "; E{0} has dim {2} at {1}, expected {3}".format(*failure) if failure else ""
+    if not failure:
+        return ""
+    r, (p, q), dim, want = failure
+    text = f"; E{r} has dim {dim} at {(p, q)}, expected {want}"
+    cell = page_cell(c, r, p, q, survives=dim > want)
+    fate = "survives to" if dim > want else "cancels before"
+    return text if cell is None else f"{text}, cell {cell} {fate} E{r}"
 
 
 def _fails(what: str, report) -> str:
@@ -308,7 +317,7 @@ def _run_checks(col: Collector, name: str, obj, checks, pages: int = -1,
         detail = (f"homology {homology}; pages indexed by "
                   "(p, q) = (width, degree - width); the binomial row sits at q = -n-1"
                   if fiber else "E1 binomial row at q=-1, E2 single class at p=1")
-        col.check(name, "koszul", rep.passed, detail + _koszul_failure(rep.failure))
+        col.check(name, "koszul", rep.passed, detail + _koszul_failure(c, rep.failure))
     if "maps" in checks:
         col.check(name, "maps", *(_fiber_maps(obj, maps) if fiber
                                   else _perm_maps((maps or _maps(obj)).blowdown)))

@@ -6,12 +6,15 @@ Complexes are graded homologically with a sparse differential matrix
 per degree.  Basis labels are opaque strings, unique across the whole
 complex, so one engine serves permutohedra, simplices and fibers.  A
 filtered complex is a complex with one level per cell, held by index.
-d^2, homology, the class test and every spectral page are read off one
-reduction of the whole complex (``linalg.pivots``, top degree down,
-with clearing), cached on the complex; it proves d^2 = 0 as it goes,
-a mapping cone's included.  It takes a filtered complex's cells in
-(level, index) order, so its pivot pairs are the persistence pairs, and
-an unfiltered one's in index order.  No verdict multiplies whole matrices.
+d^2, homology and every spectral page are read off one reduction of
+the whole complex (``linalg.pivots``, top degree down, with clearing),
+cached on the complex; it proves d^2 = 0 as it goes, a mapping cone's
+included.  It takes a filtered complex's cells in (level, index) order,
+so its pivot pairs are the persistence pairs, and an unfiltered one's
+in index order.  The class test takes its generator and the target's
+boundary basis from those reductions, then reduces that basis again
+with one image column appended (``linalg.rank``), once per map.  No
+verdict multiplies whole matrices.
 """
 
 from __future__ import annotations
@@ -239,19 +242,25 @@ def unpaired_cells(c: ChainComplex, r: int) -> tuple:
     return tuple(labels[k] for k in _unpaired(c, r))
 
 
+def _cell_spans(c: ChainComplex) -> dict:
+    """degree -> the span of each cell in basis order: e - b for a cell in
+    a persistence pair (b, e) of the cached reduction, None for an
+    unpaired cell."""
+    pairs, levels = _pairs(c), c.levels
+    if levels is None:
+        raise ValueError("complex has no filtration levels")
+    spans = {n: [None] * c.dim(n) for n in c.degrees()}
+    for n, ps in pairs.items():
+        for i, j in ps:
+            spans[n][j] = spans[n - 1][i] = levels[n][j] - levels[n - 1][i]
+    return spans
+
+
 def _spans(c: ChainComplex) -> dict:
-    """(p, q) -> Counter of spans over the cells of level p and degree
-    p + q: e - b for a cell in a persistence pair (b, e) of the cached
-    reduction, None for an unpaired cell.  Cached on the complex."""
+    """(p, q) -> Counter of the spans (``_cell_spans``) of the cells of
+    level p and degree p + q.  Cached on the complex."""
     if "spans" not in c._cache:
-        pairs = _pairs(c)
-        levels = c.levels
-        if levels is None:
-            raise ValueError("complex has no filtration levels")
-        spans = {n: [None] * c.dim(n) for n in c.degrees()}
-        for n, ps in pairs.items():
-            for i, j in ps:
-                spans[n][j] = spans[n - 1][i] = levels[n][j] - levels[n - 1][i]
+        spans, levels = _cell_spans(c), c.levels
         out: dict = {}
         for n in c.degrees():
             for p, span in zip(levels[n], spans[n]):
@@ -261,6 +270,17 @@ def _spans(c: ChainComplex) -> dict:
                 counts[span] += 1
         c._cache["spans"] = out
     return c._cache["spans"]
+
+
+def page_cell(c: ChainComplex, r: int, p: int, q: int, survives: bool) -> str | None:
+    """The label of the first cell in basis order of level p and degree
+    p + q that survives to page r (no pair holds it, or its pair spans r
+    or more) when ``survives``, else of one whose pair cancels before
+    page r; None when there is no such cell."""
+    n = p + q
+    spans = _cell_spans(c).get(n, ())
+    return next((c.labels(n)[k] for k, span in enumerate(spans)
+                 if c.levels[n][k] == p and (span is None or span >= r) == survives), None)
 
 
 class PageTable(NamedTuple):
@@ -525,9 +545,9 @@ def quasi_isomorphism_report(f: ChainMap) -> ChainMapReport:
     generator.  Its image f(v) is a cycle, since f commutes,
     and its class is nonzero exactly when f(v) is not a boundary: when
     appending f(v) to the pivot columns of d_{b+1}, a basis of the
-    boundaries, raises their rank.  That one ``linalg.rank`` is the
-    only reduction; the ranks and unpaired cells come from the
-    reductions cached on A and B.
+    boundaries, raises their rank.  That ``linalg.rank`` reduces the
+    whole basis again, f(v) included, for each map tested; the basis
+    and the unpaired cells come from the reductions cached on A and B.
 
     A failing report names a and v.  When a side is not a point, or A's
     class sits where d_a does not vanish, the cone decides

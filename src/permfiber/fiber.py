@@ -359,10 +359,11 @@ def build_fiber(g: MultiGraph) -> FiberComplex:
     (``_label``); no FiberTree is made.
 
     The sign of t_alpha is the parity of its order, which lists the
-    canonical ranks of alpha's blocks, so it is the parity of the
+    canonical ranks of alpha's blocks, so it is ``parity`` of the
     blocks' least edges in alpha's order.  Each prefix carries that
-    parity so far, with the mask of the least edges seen: a block with
-    least edge m adds one inversion for each seen least edge above m.
+    rule's count so far, with the mask of the least edges seen: a block
+    with least edge m adds one inversion for each seen least edge above
+    m, so a leaf costs one step, not one ``parity`` call over its blocks.
     ``images`` holds a tree's number, complemented when the sign is -1,
     until the sorted labels give its row.
 

@@ -230,11 +230,5 @@ def pivots(m: SparseMatrix, rows=None, cols=None, cleared=()) -> list:
 
 
 def rank(m: SparseMatrix) -> int:
-    """Rank of m over the rationals.  When the one-entry columns of m
-    between them have an entry in every row, the rank is ``m.rows``: each
-    such column is a nonzero multiple of a unit vector (stored values are
-    nonzero), so they span every row.  Otherwise it is the number of
-    ``pivots``."""
-    if len({i for column in m.columns if len(column) == 1 for i in column}) == m.rows:
-        return m.rows
+    """Rank of m over the rationals: the number of its ``pivots``."""
     return len(pivots(m))

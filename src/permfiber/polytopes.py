@@ -19,6 +19,7 @@ from .topartitions import (
     enumerate_topartitions,
     format_block,
     labels,
+    parity,
     perm_columns,
     width,
 )
@@ -104,14 +105,11 @@ def blowdown_support(blocks: tuple):
 
 def blowdown_coefficient(blocks: tuple) -> int:
     """Sign on the image of a supported cell making the blow-down a chain
-    map: (-1) to the inversions of the singletons' order plus the sum of
-    (id + 1) over them.  Normalised so the top cell maps with +1."""
-    seen = odd = 0
-    for b in blocks[:-1]:
-        x = b.bit_length()
-        odd += (seen >> x).bit_count() + x + 1
-        seen |= b
-    return -1 if odd % 2 else 1
+    map: the ``parity`` of the singletons' ids in block order, times (-1)
+    to the sum of (id + 1) over them.  Normalised so the top cell maps
+    with +1."""
+    ids = [b.bit_length() for b in blocks[:-1]]
+    return parity(ids) * (-1) ** (sum(ids) + len(ids))
 
 
 def blowdown_table(cells: dict, simplex: SimplexComplex, images=None) -> dict:

@@ -95,6 +95,19 @@ def reference_pivots(m, rows=None, cols=None, cleared=()) -> list:
     return pairs
 
 
+def reference_blowdown_coefficient(blocks) -> int:
+    """``polytopes.blowdown_coefficient`` as it stood before it read
+    ``parity``: one pass over the singleton masks of a supported cell
+    (every block but the last), counting for each id x the ids seen
+    before it that are above it, plus x + 1; -1 when the count is odd."""
+    seen = odd = 0
+    for b in blocks[:-1]:
+        x = b.bit_length()
+        odd += (seen >> x).bit_count() + x + 1
+        seen |= b
+    return -1 if odd % 2 else 1
+
+
 def page_dims_dense(levels, basis, differentials, r: int) -> dict:
     """(p, q) -> dim E^r_{p,q} of the filtration spectral sequence, by
     the textbook formula on dense blocks.

@@ -8,8 +8,9 @@ from pathlib import Path
 
 import pytest
 
-from permfiber.cli import CHECK_TOKENS, Collector, _atomic_write, _maps, _run_checks, main
-from permfiber.complexes import ChainComplex, ChainMap
+from permfiber.cli import (CHECK_TOKENS, Collector, _atomic_write, _koszul_failure, _maps,
+                           _run_checks, main)
+from permfiber.complexes import ChainComplex, ChainMap, page_cell, unpaired_cells
 from permfiber.fiber import FiberComplex
 from permfiber.linalg import SparseMatrix
 from permfiber.polytopes import SimplexComplex
@@ -222,24 +223,35 @@ def test_python_dash_m_runs_the_cli():
     assert done.stdout.splitlines()[-1] == "result: PASS"
 
 
-def test_reports_do_not_depend_on_the_hash_seed():
-    """Runs stay deterministic across processes: suite over the corpus
-    and fiber with every check print the same bytes and exit codes under
-    two PYTHONHASHSEED values."""
+def test_reports_do_not_depend_on_the_hash_seed(tmp_path):
+    """Runs stay deterministic across processes: suite over the corpus,
+    fiber with every check, and perm and fiber exporting with --out
+    print the same bytes, exit with the same codes and write the same
+    files, byte for byte, under two PYTHONHASHSEED values."""
     root = Path(__file__).resolve().parent.parent
-    runs = {}
+    runs, exports = {}, {}
     for seed in ("0", "1"):
         env = dict(os.environ, PYTHONHASHSEED=seed)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"),
                                                          env.get("PYTHONPATH")]))
+        out = tmp_path / seed
         runs[seed] = [subprocess.run([sys.executable, "-m", "permfiber", *argv],
                                      capture_output=True, env=env, cwd=root, timeout=300)
                       for argv in (("suite", "--corpus", "corpus"),
                                    ("fiber", "--graph", "corpus/theta.edges",
-                                    "--checks", "all", "--pages", "3"))]
+                                    "--checks", "all", "--pages", "3"),
+                                   ("perm", "--n", "5", "--checks", "all", "--pages", "2",
+                                    "--out", str(out / "perm")),
+                                   ("fiber", "--graph", "corpus/theta.edges", "--checks",
+                                    "all", "--pages", "3", "--out", str(out / "fiber")))]
+        exports[seed] = {path.relative_to(out): path.read_bytes()
+                         for path in sorted(out.rglob("*")) if path.is_file()}
     for first, second in zip(runs["0"], runs["1"], strict=True):
         assert first.returncode == second.returncode == 0
-        assert first.stdout == second.stdout and first.stdout.endswith(b"result: PASS\n")
+        assert first.stdout.endswith(b"result: PASS\n")
+        assert first.stdout == second.stdout
+    assert {path.parts[0] for path in exports["0"]} == {"perm", "fiber"}
+    assert exports["0"] == exports["1"]
 
 
 def test_unknown_check_token(capsys):
@@ -595,7 +607,7 @@ PINNED_FAILING_LINES = {
     # d2 and homology pass; E1 keeps one class, at width 1
     "P3 with every level set to 1": [
         "check koszul: FAIL (E1 binomial row at q=-1, E2 single class at p=1; "
-        "E1 has dim 1 at (1, -1), expected 3)",
+        "E1 has dim 1 at (1, -1), expected 3, cell 1>3>2 cancels before E1)",
     ],
     "P3 with one sign of d_1 flipped": [
         "check koszul: FAIL (E1 binomial row at q=-1, E2 single class at p=1; "
@@ -671,6 +683,27 @@ def test_failing_lines_are_pinned(monkeypatch, perms, corpus_fibers):
         got["P4 with the blow-down flipped on three blocks"] = failing(
             "P4", perms[4], ("maps",))
     assert got == PINNED_FAILING_LINES
+
+
+def test_a_failing_page_names_a_cell_at_its_page_cell(perms):
+    """Too many dimensions at a page cell name its first cell that
+    survives to the page; too few, its first cell whose pair cancels
+    before it; no cell at all, none.  Levels one above the degree make
+    every pair span 1, so all six vertices of P3 survive to E1; levels
+    all 1 make every pair span 0, so only the unpaired class survives."""
+    c3 = perms[3].complex
+    head = "check koszul: FAIL (E1 binomial row at q=-1, E2 single class at p=1; "
+    raised = ChainComplex(c3.basis, c3.differentials,
+                          {r: (r + 1,) * c3.dim(r) for r in c3.degrees()})
+    col = Collector()
+    _run_checks(col, "P3", _with_complex(perms[3], raised), ("koszul",))
+    assert col.lines[-1] == head + (f"E1 has dim 6 at (1, -1), expected 3, "
+                                    f"cell {c3.labels(0)[0]} survives to E1)")
+    flat = ChainComplex(c3.basis, c3.differentials, {r: (1,) * c3.dim(r) for r in c3.degrees()})
+    assert page_cell(flat, 1, 1, -1, survives=False) == "1>3>2"
+    assert page_cell(flat, 1, 1, -1, survives=True) == unpaired_cells(flat, 0)[0] != "1>3>2"
+    assert page_cell(flat, 1, 5, -1, survives=False) is None
+    assert _koszul_failure(flat, (1, (5, -1), 0, 3)) == "; E1 has dim 0 at (5, -1), expected 3"
 
 
 def test_class_test_runs_on_each_commuting_map_whose_ends_pass_d2(

@@ -20,7 +20,8 @@ from permfiber.polytopes import (
 )
 from permfiber.topartitions import labels, parse_topartition
 
-from oracles import fubini, ids, perm_differential, stirling2
+from oracles import (fubini, ids, perm_differential, reference_blowdown_coefficient,
+                     stirling2)
 
 
 def test_perm_dimensions(perms):
@@ -146,6 +147,19 @@ def test_blowdown_top_cell_has_unit_coefficient():
     for n in range(1, 7):
         top = parse_topartition("".join(str(i) for i in range(1, n + 1))).blocks
         assert blowdown_coefficient(top) == 1
+
+
+def test_blowdown_coefficient_is_the_fused_loop(perms, perm7):
+    """The coefficient read from ``parity`` equals the one-pass loop it
+    replaced (``oracles.reference_blowdown_coefficient``) on every
+    supported cell of P1-P7; there are sum_p C(n, p) (n - p)! of them."""
+    for perm in (*perms.values(), perm7):
+        n = perm.n
+        supported = [alpha for alphas in perm.cells.values() for alpha in alphas
+                     if blowdown_support(alpha) is not None]
+        assert len(supported) == sum(comb(n, p) * factorial(n - p) for p in range(1, n + 1))
+        for alpha in supported:
+            assert blowdown_coefficient(alpha) == reference_blowdown_coefficient(alpha), alpha
 
 
 def test_perm_to_simplex_examples(perms, simplexes):
