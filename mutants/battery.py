@@ -2,11 +2,11 @@
 with the tier-1 tests that must catch it.
 
 A mutant names a file under ``src/permfiber``, an exact text that occurs
-once in it, the text that replaces it, and the test ids that must fail
-once it is applied.  ``run`` applies one mutant to a temporary copy of
-the checkout (``src``, ``tests``, ``corpus``, ``pyproject.toml`` and
-``README.md``) and runs those tests there in a fresh interpreter; the
-checkout itself is never written.  Stdlib only.
+once in it, the text that replaces it, and the test ids that must fail,
+or error in setup, once it is applied.  ``run`` applies one mutant to a
+temporary copy of the checkout (``src``, ``tests``, ``corpus``,
+``pyproject.toml`` and ``README.md``) and runs those tests there in a
+fresh interpreter; the checkout itself is never written.  Stdlib only.
 
     python -m pytest -q mutants
     python -m pytest -q mutants -k rank-off-by-one
@@ -61,14 +61,29 @@ MUTANTS = (
            "            rest &= rest - 1\n",
            "        row[top] = cluster\n",
            ("tests/test_fiber.py::test_cluster_table_rows_are_edge_components",)),
-    Mutant("first-mismatch-ignores-y", "linalg.py",
-           "acc[i] = get(i, 0) - vb * vy",
-           "acc[i] = get(i, 0)",
-           ("tests/test_linalg.py::test_first_mismatch_matches_dense_products",)),
-    Mutant("zip-without-strict", "linalg.py",
-           "zip(xs, ys, strict=True)",
-           "zip(xs, ys)",
-           ("tests/test_linalg.py::test_first_mismatch_matches_dense_products",)),
+    Mutant("product-vanishes-skips-the-last-column", "linalg.py",
+           "    for j in cols:\n",
+           "    for j in list(cols)[:-1]:\n",
+           ("tests/test_linalg.py::test_product_vanishes_matches_dense_products",
+            "tests/test_linalg.py::test_product_vanishes_matches_dense_product_columns")),
+    Mutant("two-entry-refusal-off-by-one", "complexes.py",
+           "max(map(len, m.columns), default=0) > 1",
+           "max(map(len, m.columns), default=0) > 2",
+           ("tests/test_complexes.py::test_class_test_matches_the_cone",
+            "tests/test_fiber.py::test_map_checks_match_dense_products_under_extreme_flips")),
+    Mutant("split-rows-off-by-one", "topartitions.py",
+           "bases = [start[k + 1][b] + starts[m - b.bit_count()][k][b2]",
+           "bases = [start[k + 1][b] + starts[m - b.bit_count()][k][b2] + 1",
+           ("tests/test_polytopes.py::test_build_perm_matches_the_label_oracle",)),
+    Mutant("composed-value-not-multiplied", "complexes.py",
+           "else (image[0], hit[1] * image[1])",
+           "else (image[0], image[1])",
+           ("tests/test_fiber.py::test_map_checks_match_dense_products_under_extreme_flips",
+            "tests/test_properties.py::test_one_entry_maps_match_dense_products")),
+    Mutant("unreached-names-a-covered-row", "complexes.py",
+           "missed = next(i for i in range(f.target.dim(r + f.shift)) if i not in held)",
+           "missed = next(i for i in range(f.target.dim(r + f.shift)) if i in held)",
+           ("tests/test_properties.py::test_one_entry_maps_match_dense_products",)),
     Mutant("d2-witness-one-column-late", "complexes.py",
            "for j, col in enumerate(product) if col",
            "for j, col in enumerate(product, 1) if col",
@@ -84,7 +99,8 @@ MUTANTS = (
     Mutant("pushforward-entry-doubled", "fiber.py",
            "acc.get(hit[0], 0) + sign * hit[1]",
            "acc.get(hit[0], 0) + 2 * sign * hit[1]",
-           ("tests/test_fiber.py::test_differentials_are_the_face_lattice",)),
+           ("tests/test_fiber.py::test_differentials_are_the_face_lattice",
+            "tests/test_fiber.py::test_pushforward_is_the_label_differential_sent_through_images")),
 )
 
 
@@ -113,7 +129,7 @@ def apply(mutant: Mutant, dest: Path) -> None:
 def run(mutant: Mutant | None) -> tuple:
     """Apply the mutant to a fresh copy of the checkout and run the tests
     it names there (with no mutant, the control: every named test); the
-    exit code, the ids that failed, and the output."""
+    exit code, the ids that failed or errored in setup, and the output."""
     tests = (mutant.tests if mutant else
              sorted({test for m in MUTANTS for test in m.tests}))
     with tempfile.TemporaryDirectory(prefix="permfiber-mutant-") as tmp:
@@ -122,9 +138,9 @@ def run(mutant: Mutant | None) -> tuple:
         if mutant is not None:
             apply(mutant, dest)
         env = dict(os.environ, PYTHONPATH=str(dest / "src"), PYTHONDONTWRITEBYTECODE="1")
-        done = subprocess.run([sys.executable, "-m", "pytest", "-q", "-rf", "-p",
+        done = subprocess.run([sys.executable, "-m", "pytest", "-q", "-rfE", "-p",
                                "no:cacheprovider", *tests], cwd=dest, env=env,
                               capture_output=True, text=True, timeout=300)
     failed = {line.split()[1] for line in done.stdout.splitlines()
-              if line.startswith("FAILED ")}
+              if line.startswith(("FAILED ", "ERROR "))}
     return done.returncode, failed, done.stdout + done.stderr

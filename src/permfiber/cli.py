@@ -375,16 +375,8 @@ def cmd_fiber(args) -> int:
     if "maps" in checks and graph.n > PERM_CAP:
         raise InvalidInput(f"check maps builds P{graph.n}, "
                            f"above the ceiling {PERM_CAP}")
-    out = [Path(args.out), *Path(args.out).parents] if args.out else []
-    made = [path for path in out if not path.exists()]   # deepest first
     col = _collector(args)
-    try:
-        fib = build_fiber(graph)
-    except FiberTooLarge:   # take back the --out directories made, each while empty
-        with suppress(OSError):
-            for path in made:
-                path.rmdir()
-        raise
+    fib = build_fiber(graph)
     maps = _maps(build_perm(graph.n)) if "maps" in checks else None
     name = path.stem
     _run_checks(col, name, fib, checks, args.pages, maps)
@@ -547,13 +539,52 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _refuse(message: str) -> int:
+    print(f"error: {message}", file=sys.stderr)
+    return EXIT_INVALID
+
+
+def _command(args) -> str:
+    """The command and the size it was given, as an error line names them."""
+    if args.command == "fiber":
+        return f"fiber --graph {args.graph}"
+    if args.command == "suite":
+        return f"suite --corpus {args.corpus}"
+    return f"{args.command} --n {args.n}"
+
+
 def main(argv=None) -> int:
+    """Run one command.  Input that is invalid, or too large for a fiber's
+    budget or for memory, exits 2 with one ``error:`` line on stderr and
+    nothing on stdout; a run too large takes back the --out directories
+    it made, each while empty.  Any other exception is a bug and keeps
+    its traceback."""
     try:
         args = build_parser().parse_args(argv)
+    except InvalidInput as exc:
+        return _refuse(str(exc))
+    out = [Path(args.out), *Path(args.out).parents] if args.out else []
+    made = [path for path in out if not path.exists()]   # deepest first
+    oom = f"out of memory in {_command(args)}"   # formed while memory is free
+    try:
         return args.func(args)
-    except (InvalidInput, FiberTooLarge) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+    except InvalidInput as exc:
+        return _refuse(str(exc))
+    except FiberTooLarge as exc:
+        message = str(exc)
+    except MemoryError:
+        message = oom
+    except SystemError as exc:
+        # CPython 3.11 drops a MemoryError when it cannot allocate the
+        # frame object for its traceback, and raises this one instead
+        if str(exc) != "error return without exception set":
+            raise
+        message = oom
+    # the failed run's frames are released here, before anything is printed
+    with suppress(OSError):
+        for path in made:
+            path.rmdir()
+    return _refuse(message)
 
 
 if __name__ == "__main__":

@@ -11,10 +11,14 @@ the whole complex (``linalg.pivots``, top degree down, with clearing),
 cached on the complex; it proves d^2 = 0 as it goes, a mapping cone's
 included.  It takes a filtered complex's cells in (level, index) order,
 so its pivot pairs are the persistence pairs, and an unfiltered one's
-in index order.  The class test takes its generator and the target's
-boundary basis from those reductions, then reduces that basis again
-with one image column appended (``linalg.rank``), once per map.  No
-verdict multiplies whole matrices.
+in index order.  A chain map is a signed row table per degree: each
+source cell goes to a multiple of one target cell or to zero, and a
+map with a column of two or more entries is refused.  Its commuting,
+factorization and surjectivity checks read the tables.  The class test
+takes its generator and the target's boundary basis from the cached
+reductions, then reduces that basis again with one image column
+appended (``linalg.rank``), once per map.  No verdict multiplies whole
+matrices.
 """
 
 from __future__ import annotations
@@ -25,8 +29,7 @@ from itertools import chain
 from json.encoder import encode_basestring_ascii
 from typing import Mapping, NamedTuple
 
-from .linalg import (SparseMatrix, _times, first_mismatch, pivots,
-                     product_vanishes, rank)
+from .linalg import SparseMatrix, _times, pivots, product_vanishes, rank
 
 
 class ChainComplex:
@@ -315,12 +318,12 @@ def page_dims(c: ChainComplex, r: int) -> PageTable:
 
 class ChainMap:
     """Degree-shifted map f_r : source_r -> target_{r+shift}; missing
-    degrees are zero.  ``table`` holds a degree whose columns each have
-    at most one entry as a signed row table, one entry per source cell,
-    ``(target row, value)`` or None, and any other as its SparseMatrix,
-    which ``matrix(r)`` and ``matrices`` render for general readers.
-    Maps compare by source, target, shift and table, not by ``note``;
-    ``_cache`` starts empty with each instance."""
+    degrees are zero.  ``table`` holds each degree as a signed row table,
+    one entry per source cell, ``(target row, value)`` or None: the
+    paper's maps send a cell to a multiple of one cell or to zero.
+    ``matrix(r)`` and ``matrices`` render the tables as columns for
+    general readers.  Maps compare by source, target, shift and table,
+    not by ``note``; ``_cache`` starts empty with each instance."""
 
     def __init__(self, source: ChainComplex, target: ChainComplex, shift: int,
                  table: dict, note: str = ""):
@@ -344,7 +347,8 @@ class ChainMap:
     @staticmethod
     def build(source, target, shift, maps, note="") -> ChainMap:
         """Validated map from degree -> row table or SparseMatrix, refused as
-        ``_check_matrix`` refuses its matrix; a zero degree is dropped."""
+        ``_check_matrix`` refuses its matrix, or when a column has two or
+        more entries; a zero degree is dropped."""
         if type(shift) is not int:   # a bool is not one
             raise ValueError(f"shift {shift!r} is not an int")
         clean = {}
@@ -352,16 +356,17 @@ class ChainMap:
             rows = target.dim(r + shift)
             if type(m) is not SparseMatrix:
                 m = _render(rows, m)
-            _check_matrix(m, rows, source.dim(r), f"map matrix at degree {r}")
-            if max(map(len, m.columns), default=0) <= 1:
-                m = tuple(next(iter(column.items()), None) for column in m.columns)
-            if type(m) is SparseMatrix or any(m):
-                clean[r] = m
+            what = f"map matrix at degree {r}"
+            _check_matrix(m, rows, source.dim(r), what)
+            if max(map(len, m.columns), default=0) > 1:
+                raise ValueError(f"{what} has a column with two or more entries")
+            table = tuple(next(iter(column.items()), None) for column in m.columns)
+            if any(table):
+                clean[r] = table
         return ChainMap(source, target, shift, clean, note)
 
     def matrix(self, r: int) -> SparseMatrix:
-        rows = _rows(self, r)
-        return self.table[r] if rows is None else _render(self.target.dim(r + self.shift), rows)
+        return _render(self.target.dim(r + self.shift), _rows(self, r))
 
     @property
     def matrices(self) -> dict:
@@ -374,12 +379,9 @@ def _render(rows: int, table) -> SparseMatrix:
     return SparseMatrix(rows, tuple(dict([hit]) if hit else {} for hit in table))
 
 
-def _rows(f: ChainMap, r: int):
-    """f's row table at r (all None where f_r is 0), or None for a SparseMatrix."""
-    m = f.table.get(r)
-    if m is None:
-        return (None,) * f.source.dim(r)
-    return None if type(m) is SparseMatrix else m
+def _rows(f: ChainMap, r: int) -> tuple:
+    """f's row table at r, all None where f_r is 0."""
+    return f.table.get(r) or (None,) * f.source.dim(r)
 
 
 class ChainMapReport(NamedTuple):
@@ -390,21 +392,16 @@ class ChainMapReport(NamedTuple):
 
 def verify_chain_map(f: ChainMap) -> ChainMapReport:
     """Pass iff d_target . f = f . d_source in every degree, with neither
-    side formed: by ``_first_noncommuting`` where f_r and f_{r-1} are row
-    tables, else by one ``linalg.first_mismatch``.  A failing report names
-    the lowest failing degree and, in it, the first source cell whose
-    columns differ.  It is cached on the map, as d^2's is on a complex."""
+    side formed: ``_first_noncommuting`` on f's row tables.  A failing
+    report names the lowest failing degree and, in it, the first source
+    cell whose columns differ.  It is cached on the map, as d^2's is on
+    a complex."""
     if "commutes" in f._cache:
         return f._cache["commutes"]
     report = ChainMapReport(True)
     for r in f.source.degrees():
-        here, below = _rows(f, r), _rows(f, r - 1)
-        if here is None or below is None:
-            j = first_mismatch(f.target.d(r + f.shift), f.matrix(r).columns,
-                               f.matrix(r - 1), f.source.d(r).columns)
-        else:
-            j = _first_noncommuting(f.target.d(r + f.shift).columns, here, below,
-                                    f.source.d(r).columns)
+        j = _first_noncommuting(f.target.d(r + f.shift).columns, _rows(f, r),
+                                _rows(f, r - 1), f.source.d(r).columns)
         if j is not None:
             report = ChainMapReport(False, r, f.source.labels(r)[j])
             break
@@ -437,35 +434,27 @@ def _first_noncommuting(targets: tuple, here, below, sources: tuple) -> int | No
 
 def verify_factorization(h: ChainMap, g: ChainMap, f: ChainMap) -> ChainMapReport:
     """Pass iff h: A -> C equals g: B -> C after f: A -> B: g's row table
-    composed with f's against h's, else one ``linalg.first_mismatch`` per
-    degree, so no product is formed.  A failing report names the lowest
-    failing degree and the first cell of A in it that differs."""
+    composed with f's against h's, so no product is formed.  A failing
+    report names the lowest failing degree and the first cell of A in it
+    that differs."""
     if (g.source != f.target or h.source != f.source or h.target != g.target
             or h.shift != f.shift + g.shift):
         raise ValueError("h, g and f do not form a triangle")
     for r in f.source.degrees():
-        fr, gr, hr = _rows(f, r), _rows(g, r + f.shift), _rows(h, r)
-        if fr is None or gr is None or hr is None:
-            j = first_mismatch(g.matrix(r + f.shift), f.matrix(r).columns,
-                               None, h.matrix(r).columns)
-        else:
-            both = [None if hit is None or (image := gr[hit[0]]) is None
-                    else (image[0], hit[1] * image[1]) for hit in fr]
-            j = None if both == list(hr) else next(
-                k for k, (x, y) in enumerate(zip(both, hr)) if x != y)
-        if j is not None:
+        gr, hr = _rows(g, r + f.shift), _rows(h, r)
+        both = [None if hit is None or (image := gr[hit[0]]) is None
+                else (image[0], hit[1] * image[1]) for hit in _rows(f, r)]
+        if both != list(hr):
+            j = next(k for k, (x, y) in enumerate(zip(both, hr)) if x != y)
             return ChainMapReport(False, r, f.source.labels(r)[j])
     return ChainMapReport(True)
 
 
 def unreached(f: ChainMap) -> ChainMapReport:
     """The first target degree where f is not onto and its first row f
-    misses, a row no table entry covers or no pivot of a SparseMatrix
-    holds (its reduced columns span the image), as a failing report."""
+    misses, a row no table entry covers, as a failing report."""
     for r in sorted(set(f.source.degrees()) | {r - f.shift for r in f.target.degrees()}):
-        m = f.table.get(r, ())
-        held = ({i for i, _ in pivots(m)} if type(m) is SparseMatrix
-                else {hit[0] for hit in m if hit is not None})
+        held = {hit[0] for hit in f.table.get(r, ()) if hit is not None}
         if len(held) < f.target.dim(r + f.shift):
             missed = next(i for i in range(f.target.dim(r + f.shift)) if i not in held)
             return ChainMapReport(False, r + f.shift, f.target.labels(r + f.shift)[missed])
@@ -561,13 +550,12 @@ def quasi_isomorphism_report(f: ChainMap) -> ChainMapReport:
         return ChainMapReport(is_quasi_isomorphism(f))
     v = _unpaired(f.source, a)[0]
     lost = ChainMapReport(False, a, f.source.labels(a)[v])
-    rows = _rows(f, a)
-    image = f.matrix(a).columns[v] if rows is None else dict([rows[v]] if rows[v] else [])
-    if a + f.shift != b or not image:
+    hit = _rows(f, a)[v]
+    if a + f.shift != b or hit is None:
         return lost
     d = f.target.d(b + 1)
     basis = [d.columns[j] for _, j in _pairs(f.target).get(b + 1, ())]
-    if rank(SparseMatrix(d.rows, (*basis, image))) > len(basis):
+    if rank(SparseMatrix(d.rows, (*basis, dict([hit])))) > len(basis):
         return ChainMapReport(True)
     return lost
 

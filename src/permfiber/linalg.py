@@ -2,13 +2,13 @@
 
 Sparse matrices held column by column, with exact rational entries (a
 plain int for an integral entry, a Fraction otherwise), their products
-one column at a time, one test of where two products first differ
-(``first_mismatch``, which forms neither), and one elimination: the
-lowest-pivot column reduction ``pivots``, over the integers.  Its
-(row, col) pivot pairs give the rank, and, taken in a filtration order,
-the persistence pairs from which ``complexes`` reads homology and every
-spectral page.  No tolerance, modulus or random choice ever enters a
-decision.
+one column at a time, one product kernel, ``product_vanishes``, which
+tests listed columns of a product for zero without forming them, and
+one elimination: the lowest-pivot column reduction ``pivots``, over the
+integers.  Its (row, col) pivot pairs give the rank, and, taken in a
+filtration order, the persistence pairs from which ``complexes`` reads
+homology and every spectral page.  No tolerance, modulus or random
+choice ever enters a decision.
 """
 
 from __future__ import annotations
@@ -112,44 +112,24 @@ def multiply(a: SparseMatrix, b: SparseMatrix) -> SparseMatrix:
     return SparseMatrix(a.rows, tuple(_times(a, column) for column in b.columns))
 
 
-def first_mismatch(a: SparseMatrix, xs, b: SparseMatrix | None, ys) -> int | None:
-    """The first k at which a @ xs[k] != b @ ys[k], or None if there is none.
-
-    ``xs`` and ``ys`` are columns held as {row: value}; ``b=None`` stands
-    for the identity, so the test is a @ xs[k] != ys[k].  Each pair of
-    columns gets one accumulator, a @ x - b @ y, that is tested for a
-    nonzero entry and dropped: no product column is formed or kept, and
-    the arithmetic stays exact.  Columns are paired with
-    ``zip(strict=True)``: lists of unequal length raise ValueError
-    rather than pass on a cut-short comparison, unless a pair of columns
-    that differ comes first."""
-    a_columns = a.columns
-    b_columns = None if b is None else b.columns
-    for k, (x, y) in enumerate(zip(xs, ys, strict=True)):
-        acc: dict = {}
-        get = acc.get
-        for j, vx in x.items():
-            for i, va in a_columns[j].items():
-                acc[i] = get(i, 0) + va * vx
-        if b_columns is None:
-            for i, vy in y.items():
-                acc[i] = get(i, 0) - vy
-        else:
-            for j, vy in y.items():
-                for i, vb in b_columns[j].items():
-                    acc[i] = get(i, 0) - vb * vy
-        if any(acc.values()):
-            return k
-    return None
-
-
 def product_vanishes(a: SparseMatrix, b: SparseMatrix, cols) -> bool:
-    """Whether the columns ``cols`` of a @ b are all zero, decided by
-    ``first_mismatch`` against zero columns, so no product is kept."""
+    """Whether the columns ``cols`` of a @ b are all zero: the one product
+    kernel, which the d^2 reduction calls.  Each listed column gets one
+    accumulator, a @ (column of b), that is tested for a nonzero entry
+    and dropped: no product column is formed or kept, and the arithmetic
+    stays exact."""
     if a.cols != b.rows:
         raise ValueError(f"cannot multiply {a.rows}x{a.cols} by {b.rows}x{b.cols}")
-    xs = [b.columns[j] for j in cols]
-    return first_mismatch(a, xs, None, [{}] * len(xs)) is None
+    a_columns, b_columns = a.columns, b.columns
+    for j in cols:
+        acc: dict = {}
+        get = acc.get
+        for k, vb in b_columns[j].items():
+            for i, va in a_columns[k].items():
+                acc[i] = get(i, 0) + va * vb
+        if any(acc.values()):
+            return False
+    return True
 
 
 def _integral(column: dict) -> dict:

@@ -154,6 +154,69 @@ def test_fibers_past_the_budget_exit_2(capsys, monkeypatch, tmp_path):
         main(["fiber", "--graph", str(tmp_path / "star9.edges"), "--checks", "d2"])
 
 
+def test_running_out_of_memory_exits_2(tmp_path):
+    """perm --n 8 under an address-space limit, set on the child alone,
+    exits 2 with one line naming the command and its size, prints
+    nothing on stdout, and takes back the --out directories it made.
+    The limit is the interpreter's own start-up size, its peak address
+    space probed in a child, plus 230 MB: P8 needs about 330 MB more.
+    (A child's ru_maxrss would count the RSS of the forked test process.)"""
+    resource = pytest.importorskip("resource")
+    status = Path("/proc/self/status")
+    if not status.exists():
+        pytest.skip("no /proc/self/status to probe the start-up size")
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"),
+                                                     env.get("PYTHONPATH")]))
+    probe = ("import re, permfiber.cli; print(re.search(r'VmPeak:\\s+(\\d+) kB', "
+             f"open({str(status)!r}).read())[1])")
+    started = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                             text=True, env=env, timeout=120, check=True)
+    limit = int(started.stdout) * 1024 + (230 << 20)
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    out = tmp_path / "new" / "a"
+    done = subprocess.run([sys.executable, "-m", "permfiber", "perm", "--n", "8",
+                           "--out", str(out)], capture_output=True, text=True,
+                          env=env, timeout=300, preexec_fn=cap)
+    assert (done.returncode, done.stdout) == (2, ""), done.stderr
+    assert done.stderr == "error: out of memory in perm --n 8\n"
+    assert not any(tmp_path.iterdir())
+
+
+def test_memory_errors_exit_2_and_other_faults_keep_their_traceback(
+        capsys, monkeypatch, tmp_path, corpus_dir):
+    """A MemoryError, or the SystemError that CPython 3.11 raises when it
+    loses one, exits 2 with one line for every command, taking back the
+    --out directories the run made and leaving one that was there
+    before; any other exception, another SystemError included, is raised."""
+    import permfiber.cli as cli
+    theta = str(corpus_dir / "theta.edges")
+    runs = {"perm --n 8": ("perm", "--n", "8"), "simplex --n 3": ("simplex", "--n", "3"),
+            f"fiber --graph {theta}": ("fiber", "--graph", theta),
+            f"suite --corpus {corpus_dir}": ("suite", "--corpus", str(corpus_dir))}
+    (tmp_path / "kept").mkdir()
+    for fault in (MemoryError(), SystemError("error return without exception set")):
+        def fail(n, fault=fault):
+            raise fault
+        for name in ("build_perm", "build_simplex", "build_fiber"):
+            monkeypatch.setattr(cli, name, fail)
+        for what, argv in runs.items():
+            for out in (tmp_path / "new" / "a", tmp_path / "kept"):
+                assert run_cli(capsys, *argv, "--out", str(out)) \
+                    == (2, "", f"error: out of memory in {what}\n"), (fault, what)
+                assert sorted(p.name for p in tmp_path.iterdir()) == ["kept"]
+    for fault in (RuntimeError("a bug"), SystemError("another fault")):
+        def fail(n, fault=fault):
+            raise fault
+        monkeypatch.setattr(cli, "build_perm", fail)
+        with pytest.raises(type(fault), match=str(fault)):
+            main(["perm", "--n", "3"])
+
+
 def test_size_refusals_come_before_any_line_graph(capsys, monkeypatch, tmp_path,
                                                   corpus_dir):
     """A graph above the cap is refused before its line graph is formed:

@@ -442,16 +442,20 @@ def test_class_test_matches_the_cone(perms, simplexes):
         report = quasi_isomorphism_report(zero)
         assert report.passed is cone_is_acyclic(zero) is False, n
         assert (report.degree, report.label) == (0, unpaired_cells(perms[n].complex, 0)[0])
-    # x -> a + b carries the class of the interval; one flipped entry
-    # makes it x -> b - a, the boundary of the edge
-    for entries, carries in (({(0, 0): 1, (1, 0): 1}, True),
-                             ({(0, 0): -1, (1, 0): 1}, False)):
-        f = ChainMap.build(point_complex("x"), interval_complex(), 0,
-                           {0: SparseMatrix.from_entries(2, 1, entries)})
+    # into a complex where the vertex a bounds the edge e: x -> b carries
+    # the class, x -> a, a boundary, loses it
+    pointed = ChainComplex.build({0: ("a", "b"), 1: ("e",)},
+                                 {1: SparseMatrix.from_entries(2, 1, {(0, 0): 1})})
+    for row, carries in ((1, True), (0, False)):
+        f = ChainMap.build(point_complex("x"), pointed, 0, {0: ((row, 1),)})
         assert verify_chain_map(f).passed
         report = quasi_isomorphism_report(f)
         assert report.passed is cone_is_acyclic(f) is carries
         assert report.label == (None if carries else "x")
+    # x -> a + b is not a row table
+    with pytest.raises(ValueError, match="map matrix at degree 0 has a column with two"):
+        ChainMap.build(point_complex("x"), pointed, 0,
+                       {0: SparseMatrix.from_entries(2, 1, {(0, 0): 1, (1, 0): 1})})
     # a class in the wrong degree goes to zero
     shifted = ChainMap.build(point_complex("x", 1), interval_complex(), 0, {})
     assert quasi_isomorphism_report(shifted) == ChainMapReport(False, 1, "x")
@@ -648,12 +652,9 @@ def test_pages_need_levels(simplexes):
 def test_chain_map_report_is_cached_for_the_cone(perms, monkeypatch):
     import permfiber.complexes as complexes
     products = []
-    kernel, vanishes = complexes.first_mismatch, complexes.product_vanishes
-    tables = complexes._first_noncommuting
-    # the chain-map check compares its products in one kernel call per
-    # degree: the row-table kernel here, since the identity has one-entry columns
-    monkeypatch.setattr(complexes, "first_mismatch", lambda a, xs, b, ys:
-                        products.append((a, b)) or kernel(a, xs, b, ys))
+    vanishes, tables = complexes.product_vanishes, complexes._first_noncommuting
+    # the chain-map check compares its products in one row-table kernel
+    # call per degree
     monkeypatch.setattr(complexes, "_first_noncommuting", lambda *args:
                         products.append(args) or tables(*args))
     monkeypatch.setattr(complexes, "product_vanishes", lambda a, b, cols:

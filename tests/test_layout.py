@@ -123,14 +123,14 @@ def test_only_complexes_reads_a_row_table():
 
 
 def test_only_linalg_defines_the_general_kernel():
-    """``first_mismatch`` is the one kernel for products with longer
-    columns: d^2 and any map that is not a row table."""
+    """``product_vanishes`` is the one product kernel, which the d^2
+    reduction calls; a map is a row table and needs none."""
     for name, tree in _trees().items():
         defined = {node.name for node in ast.walk(tree)
                    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))}
-        assert name == "linalg" or "first_mismatch" not in defined, name
-    assert "first_mismatch" in {node.name for node in ast.walk(_trees()["linalg"])
-                                if isinstance(node, ast.FunctionDef)}
+        assert name == "linalg" or "product_vanishes" not in defined, name
+    assert "product_vanishes" in {node.name for node in ast.walk(_trees()["linalg"])
+                                  if isinstance(node, ast.FunctionDef)}
 
 
 def _calls(node, name: str) -> list:

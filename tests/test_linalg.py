@@ -7,8 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from permfiber.complexes import ChainComplex, homology_dims, page_dims
-from permfiber.linalg import (SparseMatrix, first_mismatch, multiply, pivots,
-                              product_vanishes, rank)
+from permfiber.linalg import SparseMatrix, multiply, pivots, product_vanishes, rank
 
 from oracles import dense_multiply, dense_rank, reference_pivots
 
@@ -83,55 +82,41 @@ def columns(draw, rows: int, count: int) -> list:
 
 @st.composite
 def kernel_cases(draw):
-    """(a, xs, b, ys) for ``first_mismatch``.  a holds the negation of
-    one of its own columns, so a column of xs can cancel to zero; b is
-    None or a followed by more columns, and many pairs are made equal
-    (ys[k] = xs[k], or a @ xs[k] written out when b is None) and then
-    perhaps changed in one entry, so both answers occur at any k."""
+    """(a, b, cols) for ``product_vanishes``.  a holds the negation of one
+    of its own columns, and some columns of b meet that pair with one
+    value, so their product columns cancel to zero; ``cols`` lists
+    columns of b in a drawn order, repeats allowed."""
     rows, inner = draw(st.integers(0, 4)), draw(st.integers(1, 4))
     a_cols = columns(draw, rows, inner)
-    a_cols.append({i: -v for i, v in a_cols[draw(st.integers(0, inner - 1))].items()})
+    twin = draw(st.integers(0, inner - 1))
+    a_cols.append({i: -v for i, v in a_cols[twin].items()})
     a = SparseMatrix(rows, tuple(a_cols))
-    b = None
-    if draw(st.booleans()):
-        b = SparseMatrix(rows, a.columns + tuple(columns(draw, rows, draw(st.integers(0, 2)))))
-    count = draw(st.integers(0, 5))
-    xs = columns(draw, a.cols, count)
-    ys = columns(draw, rows if b is None else b.cols, count)
-    for k in range(count):
+    b_cols = columns(draw, a.cols, draw(st.integers(0, 5)))
+    for k in range(len(b_cols)):
         if draw(st.booleans()):
-            ys[k] = dict(xs[k]) if b is not None else dense_column(a, xs[k])
-            if ys[k] and draw(st.booleans()):
-                key = draw(st.sampled_from(sorted(ys[k])))
-                ys[k][key] *= -2
-    return a, xs, b, ys
-
-
-def dense_column(a: SparseMatrix, x: dict) -> dict:
-    """a @ x by the triple loop, zeros dropped."""
-    product = dense_multiply(a.dense(), [[x.get(k, 0)] for k in range(a.cols)])
-    return {i: row[0] for i, row in enumerate(product) if row[0]}
+            value = draw(VALUES)
+            b_cols[k] = {twin: value, inner: value}
+    b = SparseMatrix(a.cols, tuple(b_cols))
+    cols = draw(st.lists(st.integers(0, b.cols - 1), max_size=4)) if b.cols else []
+    return a, b, cols
 
 
 @settings(max_examples=300, derandomize=True, deadline=None)
 @given(kernel_cases())
-def test_first_mismatch_matches_dense_products(case):
-    """The kernel returns the first k at which the triple-loop products
-    a @ xs[k] and b @ ys[k] (ys[k] itself when b is None) differ, for int
-    and Fraction entries, columns that cancel to zero and empty columns;
-    a length mismatch raises ValueError rather than being cut short."""
-    a, xs, b, ys = case
-    want = next((k for k, (x, y) in enumerate(zip(xs, ys))
-                 if dense_column(a, x) != (y if b is None else dense_column(b, y))),
-                None)
-    assert first_mismatch(a, xs, b, ys) == want
-    if want is None:
-        with pytest.raises(ValueError):
-            first_mismatch(a, xs, b, ys + [{}])
-        with pytest.raises(ValueError):
-            first_mismatch(a, xs + [{}], b, ys)
-    else:   # the answer is read before the shorter list runs out
-        assert first_mismatch(a, xs + [{}], b, ys) == want
+def test_product_vanishes_matches_dense_product_columns(case):
+    """The kernel answers whether the listed columns of the triple-loop
+    product a @ b are all zero, for int and Fraction entries, columns
+    that cancel to zero and empty columns: over the columns that
+    vanish, over every column, over a drawn list, and over the columns
+    that vanish with one that does not listed last."""
+    a, b, cols = case
+    product = dense_multiply(a.dense(), b.dense())
+    zero = [j for j in range(b.cols) if not any(row[j] for row in product)]
+    for chosen in (zero, range(b.cols), cols):
+        want = all(product[i][j] == 0 for i in range(a.rows) for j in chosen)
+        assert product_vanishes(a, b, chosen) is want
+    for j in sorted(set(range(b.cols)) - set(zero)):
+        assert not product_vanishes(a, b, [*zero, j])
 
 
 def test_reductions_leave_their_input_alone(perms, corpus_fibers):
