@@ -101,6 +101,43 @@ MUTANTS = (
            "acc.get(hit[0], 0) + 2 * sign * hit[1]",
            ("tests/test_fiber.py::test_differentials_are_the_face_lattice",
             "tests/test_fiber.py::test_pushforward_is_the_label_differential_sent_through_images")),
+    # builder faults that only ChainComplex.build refuses: the builders
+    # call the constructor, so the tests must catch them
+    Mutant("fiber-basis-as-lists", "fiber.py",
+           "basis = {r: tuple(map(labels.__getitem__, ts))",
+           "basis = {r: list(map(labels.__getitem__, ts))",
+           ("tests/test_complexes.py::test_builders_hand_the_constructor_what_build_returns",
+            "tests/test_complexes.py::test_json_round_trip")),
+    Mutant("perm-levels-from-the-other-blocks", "polytopes.py",
+           "levels[n - k] = tuple(map(width, cells[n - k]))",
+           "levels[n - k] = tuple(n - width(blocks) for blocks in cells[n - k])",
+           ("tests/test_complexes.py::test_builders_hand_the_constructor_what_build_returns",
+            "tests/test_polytopes.py::test_perm_filtration_is_width")),
+    Mutant("simplex-keeps-an-empty-degree", "polytopes.py",
+           "    for p in range(1, n + 1):\n",
+           "    for p in range(1, n + 2):\n",
+           ("tests/test_complexes.py::test_builders_hand_the_constructor_what_build_returns",
+            "tests/test_complexes.py::test_json_without_levels")),
+    Mutant("main-skips-the-out-cleanup", "cli.py",
+           "made = [path for path in out if not path.exists()]",
+           "made = []",
+           ("tests/test_cli.py::test_fibers_past_the_budget_exit_2",
+            "tests/test_cli.py::test_memory_errors_exit_2_and_other_faults_keep_their_traceback")),
+    Mutant("noncommuting-drops-the-unit", "complexes.py",
+           "acc[k] = acc[k] + v * w * unit if k in acc else v * w * unit",
+           "acc[k] = acc[k] + v * w if k in acc else v * w",
+           ("tests/test_complexes.py::test_chain_map_witness_matches_dense_products",
+            "tests/test_fiber.py::test_map_checks_match_dense_products_under_extreme_flips")),
+    Mutant("noncommuting-leaves-values-unscaled", "complexes.py",
+           "            if unit != 1 and unit != -1:\n"
+           "                want, unit = {i: unit * v for i, v in want.items()}, 1\n",
+           "",
+           ("tests/test_complexes.py::test_cone_of_fraction_valued_map_keeps_exactness",)),
+    Mutant("pivots-keeps-standing-columns-unkeyed", "linalg.py",
+           "{position[i]: v for i, v in standing.pop(low).items()})",
+           "dict(standing.pop(low)))",
+           ("tests/test_linalg.py::test_pivots_pair_as_the_reference_reduction",
+            "tests/test_complexes.py::test_unpaired_bottom_cells_complete_the_boundaries_to_a_basis")),
 )
 
 

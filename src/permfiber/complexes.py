@@ -4,21 +4,22 @@ one-class quasi-isomorphism test.
 
 Complexes are graded homologically with a sparse differential matrix
 per degree.  Basis labels are opaque strings, unique across the whole
-complex, so one engine serves permutohedra, simplices and fibers.  A
-filtered complex is a complex with one level per cell, held by index.
-d^2, homology and every spectral page are read off one reduction of
-the whole complex (``linalg.pivots``, top degree down, with clearing),
-cached on the complex; it proves d^2 = 0 as it goes, a mapping cone's
-included.  It takes a filtered complex's cells in (level, index) order,
-so its pivot pairs are the persistence pairs, and an unfiltered one's
-in index order.  A chain map is a signed row table per degree: each
-source cell goes to a multiple of one target cell or to zero, and a
-map with a column of two or more entries is refused.  Its commuting,
-factorization and surjectivity checks read the tables.  The class test
-takes its generator and the target's boundary basis from the cached
-reductions, then reduces that basis again with one image column
-appended (``linalg.rank``), once per map.  No verdict multiplies whole
-matrices.
+complex, so one engine serves permutohedra, simplices and fibers; their
+builders call the ``ChainComplex`` constructor, and
+``ChainComplex.build`` validates outside input.  A filtered complex is
+a complex with one level per cell, held by index.  d^2, homology and
+every spectral page are read off one reduction of the whole complex
+(``linalg.pivots``, top degree down, with clearing), cached on the
+complex; it proves d^2 = 0 as it goes, a mapping cone's included.  It
+takes a filtered complex's cells in (level, index) order, so its pivot
+pairs are the persistence pairs, and an unfiltered one's in index
+order.  A chain map is a signed row table per degree: each source cell
+goes to a multiple of one target cell or to zero, and a map with a
+column of two or more entries is refused.  Its commuting, factorization
+and surjectivity checks read the tables.  The class test takes its
+generator and the target's boundary basis from the cached reductions,
+then reduces that basis again with one image column appended
+(``linalg.rank``), once per map.  No verdict multiplies whole matrices.
 """
 
 from __future__ import annotations
@@ -57,8 +58,9 @@ class ChainComplex:
     @staticmethod
     def build(basis: Mapping, differentials: Mapping,
               levels: Mapping | None = None) -> ChainComplex:
-        """Validated complex; ``levels``, when given, filters it: one
-        natural number per cell, and d never raises a level."""
+        """Validated complex, for outside input and ``mapping_cone``, with
+        no empty degree or zero matrix; ``levels``, when given, filters
+        it: one natural number per cell, and d never raises a level."""
         basis_t = {r: tuple(labels) for r, labels in _by_degree(basis) if labels}
         all_labels = [lab for labs in basis_t.values() for lab in labs]
         if set(map(type, all_labels)) - {str}:
@@ -132,7 +134,7 @@ def _check_matrix(m: SparseMatrix, rows: int, cols: int, what: str) -> None:
     negative row included, which a list would index silently, and every
     stored value a nonzero int or Fraction: an explicit zero would be
     paired as a pivot, and a float is not exact.  A matrix is checked
-    here, once, where it joins a complex or a map.  The keys of its
+    here where it enters from outside, through a ``build``.  The keys of its
     nonempty columns are read once, into the set of rows it uses."""
     if (m.rows, m.cols) != (rows, cols):
         raise ValueError(f"{what} is {m.rows}x{m.cols}, expected {rows}x{cols}")

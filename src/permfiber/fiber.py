@@ -401,20 +401,18 @@ def build_fiber(g: MultiGraph) -> FiberComplex:
                                 "nondegenerate orders")
     heads = ["({" + format_block(block, n) + "}" for block in range(full + 1)]
     labels = [_label(table, heads, alpha) for alpha in found]
-    basis: dict = {}
-    cells: dict = {}
     row = [0] * len(found)
+    members: dict = {}    # degree -> its trees in label order
     for t in sorted(range(len(found)), key=labels.__getitem__):
-        r = -len(found[t])
-        degree = basis.setdefault(r, [])
+        degree = members.setdefault(-len(found[t]), [])
         row[t] = len(degree)
-        degree.append(labels[t])
-        cells.setdefault(r, []).append(found[t])
+        degree.append(t)
     plus = [(i, 1) for i in row]
     minus = [(i, -1) for i in row]
     for alpha, t in images.items():
         images[alpha] = plus[t] if t >= 0 else minus[~t]
-    cells = {r: tuple(alphas) for r, alphas in cells.items()}
+    basis = {r: tuple(map(labels.__getitem__, ts)) for r, ts in members.items()}
+    cells = {r: tuple(map(found.__getitem__, ts)) for r, ts in members.items()}
     return FiberComplex(g, quotient_complex(basis, cells, images), images, cells)
 
 
@@ -501,7 +499,8 @@ def quotient_complex(basis: dict, cells: dict, images: dict) -> ChainComplex:
     cells[r][j] to row j with some sign.  Column j of d_r is the
     pushforward of d(cells[r][j]) divided by that sign.  With the
     identity image it gives P_n itself, which the tests compare with
-    ``build_perm``."""
+    ``build_perm``.  It calls the ``ChainComplex`` constructor, which
+    takes ``basis`` as given: a tuple of labels per nonempty degree."""
     diffs = {}
     for r in sorted(cells):
         if r - 1 not in cells:
@@ -514,7 +513,7 @@ def quotient_complex(basis: dict, cells: dict, images: dict) -> ChainComplex:
                            {i: sign * v for i, v in column.items()})
         diffs[r] = SparseMatrix(len(cells[r - 1]), tuple(columns))
     levels = {r: tuple(map(width, alphas)) for r, alphas in cells.items()}
-    return ChainComplex.build(basis, diffs, levels)
+    return ChainComplex(basis, diffs, levels)
 
 
 def perm_to_fiber(fiber: FiberComplex, perm: PermComplex) -> ChainMap:

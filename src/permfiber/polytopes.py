@@ -56,7 +56,8 @@ def build_perm(n: int) -> PermComplex:
     """P_n, its cells enumerated in label order degree by degree
     (``enumerate_topartitions``) and its differential assembled from
     those of smaller permutohedra by index arithmetic (``perm_columns``);
-    each degree's labels are rendered at once (``labels``)."""
+    each degree's labels are rendered at once (``labels``).  The parts
+    go to the ``ChainComplex`` constructor as they stand."""
     if not 1 <= n <= PERM_CAP:
         raise ValueError(f"n must satisfy 1 <= n <= {PERM_CAP}, got {n}")
     columns = perm_columns(n)[n]
@@ -70,7 +71,7 @@ def build_perm(n: int) -> PermComplex:
     del alphas
     diffs = {n - k: SparseMatrix(len(cells[n - k - 1]), tuple(columns[k]))
              for k in range(n - 1, 0, -1)}
-    return PermComplex(n, ChainComplex.build(basis, diffs, levels), cells)
+    return PermComplex(n, ChainComplex(basis, diffs, levels), cells)
 
 
 def build_simplex(n: int) -> SimplexComplex:
@@ -91,7 +92,7 @@ def build_simplex(n: int) -> SimplexComplex:
             columns.append({rows[whole ^ bit]: -1 if i % 2 else 1
                             for i, bit in enumerate(s)})
         diffs[p - 1] = SparseMatrix(len(basis[p - 2]), tuple(columns))
-    return SimplexComplex(n, ChainComplex.build(basis, diffs), rows)
+    return SimplexComplex(n, ChainComplex(basis, diffs), rows)
 
 
 def blowdown_support(blocks: tuple):

@@ -248,11 +248,16 @@ def parity(sequence) -> int:
 
 
 def parse_topartition(text: str, n: int | None = None) -> TOPartition:
-    """Parse '13|24', '13>24' or '{1,3}>{2,4}' into a TOPartition."""
+    """Parse '13|24', '13>24' or '{1,3}>{2,4}' into a TOPartition.  A
+    block without a comma is one id when n > 9, when it is in braces or
+    when the text has a comma anywhere, as in '10>1,2,3,4,5,6,7,8,9';
+    otherwise each of its digits is one id."""
+    separated = "," in text or n is not None and n > 9
     blocks = []
     for part in text.strip().replace("|", ">").split(">"):
-        part = part.strip().strip("{}")
-        if not part:
+        ids = part.strip().strip("{}")
+        if not ids:
             raise ValueError(f"empty block in {text!r}")
-        blocks.append(list(map(int, part.split(",") if "," in part else part)))
+        braced = ids != part.strip()
+        blocks.append(list(map(int, ids.split(",") if separated or braced else ids)))
     return TOPartition.of(sum(map(len, blocks)) if n is None else n, *blocks)

@@ -27,7 +27,7 @@ from permfiber.complexes import (
 )
 from permfiber.fiber import MultiGraph, build_fiber
 from permfiber.linalg import SparseMatrix
-from permfiber.polytopes import build_perm
+from permfiber.polytopes import build_perm, build_simplex
 
 from oracles import (coreduction_critical_cells, dense_multiply, dense_rank,
                      page_dims_dense)
@@ -222,6 +222,40 @@ def test_builders_refuse_a_degree_key_that_is_not_an_int():
         assert str(error.value) == f"degree key {key!r} is not an int"
     assert ChainMap.build(c, c, -1, {1: one}).matrix(1) == one
     assert c.differentials == {1: one}
+
+
+def assert_build_returns_it(c: ChainComplex, context) -> None:
+    """``ChainComplex.build`` on c's parts returns c itself: the builder
+    that made c handed the constructor what ``build`` would, a tuple of
+    labels per nonempty degree, no zero matrix, and natural-number
+    levels that d never raises."""
+    assert ChainComplex.build(c.basis, c.differentials, c.levels) == c, context
+
+
+def test_builders_hand_the_constructor_what_build_returns(perms, perm7, simplexes,
+                                                           corpus_fibers):
+    """P1-P7, the simplices on 1-8 vertices (every one the command line
+    admits) and every corpus fiber; the Hypothesis graphs are checked in
+    ``test_random_multigraph_fibers``, and P8 and the 9-edge fibers by a
+    slow test."""
+    for n, perm in [*perms.items(), (7, perm7)]:
+        assert_build_returns_it(perm.complex, f"P{n}")
+    for n in range(1, 9):
+        simplex = simplexes.get(n) or build_simplex(n)
+        assert_build_returns_it(simplex.complex, f"simplex {n}")
+    for name, fib in sorted(corpus_fibers.items()):
+        assert_build_returns_it(fib.complex, name)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("name, edges", [
+    ("P8", None),
+    ("path8", [(v, v + 1) for v in range(8)]),
+    ("path9", [(v, v + 1) for v in range(9)]),
+    ("cycle9", [(v, (v + 1) % 9) for v in range(9)])])
+def test_north_star_complexes_are_what_build_returns(name, edges):
+    built = build_perm(8) if edges is None else build_fiber(MultiGraph.from_edges(edges))
+    assert_build_returns_it(built.complex, name)
 
 
 def test_chain_map_refuses_a_shift_that_is_not_an_int():
@@ -580,7 +614,7 @@ def test_page_table_csv_rows(perms):
     assert t2.csv_rows() == ["2,1,-1,1"]
 
 
-def test_json_round_trip(perms):
+def test_json_round_trip(perms, corpus_fibers):
     c = perms[3].complex
     doc = complex_to_json(c)
     text = json.dumps(doc)
@@ -597,6 +631,9 @@ def test_json_round_trip(perms):
     assert loaded == mixed
     assert loaded.d(1).columns == ({0: 2, 1: Fraction(1, 2)},)
     assert type(loaded.d(1).get(0, 0)) is int
+    for name, fib in sorted(corpus_fibers.items()):
+        text = json.dumps(complex_to_json(fib.complex))
+        assert complex_from_json(json.loads(text)) == fib.complex, name
 
 
 def test_json_without_levels(simplexes):

@@ -4,6 +4,8 @@ from the layers below them, the label-order tables of
 only ``complexes`` keeps a ``_cache`` or reads a map's row table, the
 one general product kernel is ``linalg``'s, no module composes maps,
 the map builders hand their tables to the ``ChainMap`` constructor,
+the complex builders their parts to the ``ChainComplex`` constructor,
+the validating entries are called only where outside input enters,
 and a cell is a tuple of block masks outside the input and witness
 text.  Read from the source with ``ast``; nothing is imported."""
 
@@ -161,3 +163,41 @@ def test_map_builders_hand_tables_to_the_constructor():
         for node in ast.walk(tree):
             if isinstance(node, ast.FunctionDef) and _calls(node, "blowdown_table"):
                 assert node.name in builders, (name, node.name)
+
+
+# a validating entry -> the (module, function) pairs that call it: where
+# outside input enters, and the mapping cone, whose parts mix two complexes
+VALIDATING = {
+    ("ChainComplex", "build"): {("complexes", "mapping_cone"),
+                                ("complexes", "complex_from_json")},
+    ("ChainMap", "build"): set(),
+    ("SparseMatrix", "from_entries"): {("complexes", "complex_from_json")},
+    ("TOPartition", "of"): {("topartitions", "parse_topartition")},
+    ("MultiGraph", "from_edges"): {("fiber", "parse_graph")},
+}
+
+
+def _callers(is_callee) -> set:
+    """(module, function) of each function with a call whose callee
+    ``is_callee`` accepts."""
+    return {(name, node.name) for name, tree in _trees().items()
+            for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)
+            and any(isinstance(call, ast.Call) and is_callee(call.func)
+                    for call in ast.walk(node))}
+
+
+def test_validating_entries_are_called_only_where_outside_input_enters():
+    for (owner, entry), pinned in VALIDATING.items():
+        callers = _callers(lambda f: isinstance(f, ast.Attribute) and f.attr == entry
+                           and isinstance(f.value, ast.Name) and f.value.id == owner)
+        assert callers == pinned, (owner, entry, callers)
+
+
+def test_complex_builders_hand_their_parts_to_the_constructor():
+    """Outside ``complexes``, P_n's, the simplex's and the fibers'
+    builders call the ``ChainComplex`` constructor itself, and nothing
+    else calls it; ``ChainComplex.build`` is pinned above."""
+    callers = _callers(lambda f: isinstance(f, ast.Name) and f.id == "ChainComplex")
+    assert {caller for caller in callers if caller[0] != "complexes"} == {
+        ("polytopes", "build_perm"), ("polytopes", "build_simplex"),
+        ("fiber", "quotient_complex")}

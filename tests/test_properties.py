@@ -32,7 +32,10 @@ from permfiber.fiber import (  # noqa: E402
 )
 from permfiber.polytopes import perm_to_simplex  # noqa: E402
 
-from test_complexes import check_homology_by_coreduction  # noqa: E402
+from test_complexes import (  # noqa: E402
+    assert_build_returns_it,
+    check_homology_by_coreduction,
+)
 from test_fiber import (  # noqa: E402
     DenseProducts,
     assert_built_from_representatives,
@@ -79,6 +82,7 @@ def test_random_multigraph_fibers(perms, edges):
     assert_built_from_representatives(fib, edges)
     assert_fiber_is_its_face_lattice(fib, edges)
     check_homology_by_coreduction(fib.complex, edges)
+    assert_build_returns_it(fib.complex, edges)
     assert_clusters_match_oracle(g, edges)
     # renaming the vertices and reversing edges keeps the line graph, so the fiber
     rng = random.Random(repr(edges))

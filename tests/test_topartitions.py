@@ -1,3 +1,4 @@
+import random
 from collections import Counter
 from itertools import combinations, permutations
 
@@ -132,6 +133,30 @@ def test_parse_accepts_both_text_forms():
     ten = parse_topartition("{2,10}>{1,3,4,5,6,7,8,9}")
     assert ten.label() == "2,10>1,3,4,5,6,7,8,9"
     assert ten.pretty() == "{2,10}>{1,3,4,5,6,7,8,9}"
+
+
+def test_labels_and_pretty_read_back_past_nine():
+    """Past n = 9 the ids of a block are comma separated, so a block that
+    holds one id of 10 or more has no comma, and must not be read as its
+    digits ("10" as ids 1 and 0).  Seeded partitions of 1..n for n =
+    10..12 read back from both text forms."""
+    rng = random.Random(12)
+    for n in range(10, 13):
+        rest = (1 << n - 1) - 1
+        cases = [TOPartition(n, (1 << n - 1, rest)), TOPartition(n, (rest, 1 << n - 1))]
+        for _ in range(60):
+            ids = rng.sample(range(1, n + 1), n)
+            cuts = sorted(rng.sample(range(1, n), rng.randint(0, n - 1)))
+            blocks = [ids[a:b] for a, b in zip([0, *cuts], [*cuts, n])]
+            cases.append(TOPartition.of(n, *blocks))
+        assert any(block.bit_length() >= 10 and block.bit_count() == 1
+                   for alpha in cases[2:] for block in alpha.blocks), n
+        for alpha in cases:
+            assert parse_topartition(alpha.label(), n) == alpha, alpha.label()
+            assert parse_topartition(alpha.pretty(), n) == alpha, alpha.pretty()
+            assert parse_topartition(alpha.pretty()) == alpha, alpha.pretty()
+    assert parse_topartition("10>1,2,3,4,5,6,7,8,9", 10).blocks == (1 << 9, (1 << 9) - 1)
+    assert parse_topartition("{10}>{1,2,3,4,5,6,7,8,9}").blocks == (1 << 9, (1 << 9) - 1)
 
 
 def test_parse_rejects_garbage():
