@@ -133,6 +133,31 @@ MUTANTS = (
            "                want, unit = {i: unit * v for i, v in want.items()}, 1\n",
            "",
            ("tests/test_complexes.py::test_cone_of_fraction_valued_map_keeps_exactness",)),
+    Mutant("blowdown-least-block-off-by-one", "polytopes.py",
+           "least = simplex.n + 1 - len(alphas[0])",
+           "least = simplex.n - len(alphas[0])",
+           ("tests/test_polytopes.py::test_blowdown_tables_are_the_oracles",
+            "tests/test_polytopes.py::test_perm_to_simplex_is_surjective_chain_map")),
+    Mutant("export-moves-each-file-as-written", "cli.py",
+           "                handle.writelines(pieces)\n"
+           "        for tmp, path in staged:\n"
+           "            os.replace(tmp, path)\n",
+           "                handle.writelines(pieces)\n"
+           "            os.replace(tmp, path)\n",
+           ("tests/test_cli.py::test_a_refused_export_leaves_out_as_it_found_it",
+            "tests/test_cli.py::"
+            "test_a_failing_writer_leaves_no_temporary_file_and_the_target_unchanged")),
+    Mutant("write-error-keeps-made-directories", "cli.py",
+           "    except (InvalidInput, FiberTooLarge) as exc:\n",
+           "    except InvalidInput as exc:\n"
+           "        return _refuse(str(exc))\n"
+           "    except FiberTooLarge as exc:\n",
+           ("tests/test_cli.py::test_a_refused_export_leaves_out_as_it_found_it",)),
+    Mutant("cone-skips-the-map-column", "complexes.py",
+           "for col, hit in zip(columns, _rows(f, src_deg)):",
+           "for col, hit in zip(columns[:-1], _rows(f, src_deg)):",
+           ("tests/test_polytopes.py::test_perm_to_simplex_cone_acyclic_small",
+            "tests/test_complexes.py::test_class_test_matches_the_cone")),
     Mutant("pivots-keeps-standing-columns-unkeyed", "linalg.py",
            "{position[i]: v for i, v in standing.pop(low).items()})",
            "dict(standing.pop(low)))",

@@ -10,6 +10,7 @@ byte-identical output.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import os
 import sys
@@ -89,18 +90,24 @@ def _parse_checks(raw: str, allowed=CHECK_TOKENS) -> tuple:
     return tokens
 
 
-def _atomic_write(path: Path, pieces) -> None:
-    """Write the text pieces to a new file beside path, then move it over
-    path; if any piece fails, remove the new file and leave path as it was."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
-    handle = open(tmp, "x", encoding="utf-8")
+def _atomic_write(exports) -> None:
+    """Write each (path, pieces) to a new file beside path, and move the
+    files over their paths once all are written; on failure, remove them."""
+    staged = []
     try:
-        with handle:
-            handle.writelines(pieces)
-        os.replace(tmp, path)
+        for path, pieces in exports:
+            path.parent.mkdir(parents=True, exist_ok=True)
+            if path.is_dir():   # os.replace would refuse it after earlier moves
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
+            tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+            with open(tmp, "x", encoding="utf-8") as handle:
+                staged.append((tmp, path))
+                handle.writelines(pieces)
+        for tmp, path in staged:
+            os.replace(tmp, path)
     except BaseException:
-        tmp.unlink(missing_ok=True)
+        for tmp, _ in staged:
+            tmp.unlink(missing_ok=True)
         raise
 
 
@@ -150,13 +157,14 @@ class Collector:
             self.pages_rows.extend(f"{obj},{row}" for row in table.csv_rows())
 
     def write_outputs(self, out_dir: Path) -> None:
-        for name, header, rows in (("dims", "object,degree,dim", self.dims_rows),
-                                   ("pages", "object,r,p,q,dim", self.pages_rows),
-                                   ("checks", "object,check,pass", self.checks_rows)):
-            if rows:
-                _atomic_write(out_dir / f"{name}.csv", ["\n".join([header] + rows) + "\n"])
-        for name, c in sorted(self.complexes.items()):
-            _atomic_write(out_dir / f"{name}.json", complex_json_pieces(c))
+        """CSV tables with rows and complexes' JSON, all written before any moves in."""
+        tables = (("dims", "object,degree,dim", self.dims_rows),
+                  ("pages", "object,r,p,q,dim", self.pages_rows),
+                  ("checks", "object,check,pass", self.checks_rows))
+        _atomic_write([*((out_dir / f"{name}.csv", ["\n".join([header] + rows) + "\n"])
+                         for name, header, rows in tables if rows),
+                       *((out_dir / f"{name}.json", complex_json_pieces(c))
+                         for name, c in sorted(self.complexes.items()))])
 
 
 def _homology_detail(h: dict) -> str:
@@ -556,9 +564,9 @@ def _command(args) -> str:
 def main(argv=None) -> int:
     """Run one command.  Input that is invalid, or too large for a fiber's
     budget or for memory, exits 2 with one ``error:`` line on stderr and
-    nothing on stdout; a run too large takes back the --out directories
-    it made, each while empty.  Any other exception is a bug and keeps
-    its traceback."""
+    nothing on stdout, and leaves --out as it found it: it moves in no
+    export unless all are written, and takes back the directories it
+    made, each while empty.  Any other exception keeps its traceback."""
     try:
         args = build_parser().parse_args(argv)
     except InvalidInput as exc:
@@ -568,9 +576,7 @@ def main(argv=None) -> int:
     oom = f"out of memory in {_command(args)}"   # formed while memory is free
     try:
         return args.func(args)
-    except InvalidInput as exc:
-        return _refuse(str(exc))
-    except FiberTooLarge as exc:
+    except (InvalidInput, FiberTooLarge) as exc:
         message = str(exc)
     except MemoryError:
         message = oom

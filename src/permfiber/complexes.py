@@ -5,8 +5,8 @@ one-class quasi-isomorphism test.
 Complexes are graded homologically with a sparse differential matrix
 per degree.  Basis labels are opaque strings, unique across the whole
 complex, so one engine serves permutohedra, simplices and fibers; their
-builders call the ``ChainComplex`` constructor, and
-``ChainComplex.build`` validates outside input.  A filtered complex is
+builders and ``mapping_cone`` call the ``ChainComplex`` constructor,
+and ``ChainComplex.build`` validates outside input.  A filtered complex is
 a complex with one level per cell, held by index.  d^2, homology and
 every spectral page are read off one reduction of the whole complex
 (``linalg.pivots``, top degree down, with clearing), cached on the
@@ -58,7 +58,7 @@ class ChainComplex:
     @staticmethod
     def build(basis: Mapping, differentials: Mapping,
               levels: Mapping | None = None) -> ChainComplex:
-        """Validated complex, for outside input and ``mapping_cone``, with
+        """Validated complex, for outside input (``complex_from_json``), with
         no empty degree or zero matrix; ``levels``, when given, filters
         it: one natural number per cell, and d never raises a level."""
         basis_t = {r: tuple(labels) for r, labels in _by_degree(basis) if labels}
@@ -323,9 +323,10 @@ class ChainMap:
     degrees are zero.  ``table`` holds each degree as a signed row table,
     one entry per source cell, ``(target row, value)`` or None: the
     paper's maps send a cell to a multiple of one cell or to zero.
-    ``matrix(r)`` and ``matrices`` render the tables as columns for
-    general readers.  Maps compare by source, target, shift and table,
-    not by ``note``; ``_cache`` starts empty with each instance."""
+    ``matrix(r)`` and ``matrices`` render the tables as columns for tests
+    and outside readers; no check reads them, nor the cone.  Maps compare
+    by source, target, shift and table, not by ``note``; ``_cache``
+    starts empty with each instance."""
 
     def __init__(self, source: ChainComplex, target: ChainComplex, shift: int,
                  table: dict, note: str = ""):
@@ -475,8 +476,9 @@ def mapping_cone(f: ChainMap) -> ChainComplex:
     that ``quasi_isomorphism_report`` is checked against.
 
     f must commute, and ``_pairs`` refuses a source or target whose d^2
-    fails.  The cone proves its own D^2 = 0, like any complex, in the
-    one reduction its homology reads."""
+    fails.  The map's part is read off its row tables (``_rows``), and
+    the parts go to the ``ChainComplex`` constructor.  The cone proves
+    its own D^2 = 0 in the one reduction its homology reads."""
     report = verify_chain_map(f)
     if not report.passed:
         raise ValueError(f"mapping cone of a non-chain-map (fails at degree {report.degree})")
@@ -496,13 +498,14 @@ def mapping_cone(f: ChainMap) -> ChainComplex:
         src_deg = r - 1 - s           # source degree shown in cone degree r
         top = src.dim(src_deg - 1)    # rows of the source part; the target's follow
         columns = [{i: -v for i, v in col.items()} for col in src.d(src_deg).columns]
-        for col, image in zip(columns, f.matrix(src_deg).columns):
-            col.update({top + i: v for i, v in image.items()})
+        for col, hit in zip(columns, _rows(f, src_deg)):
+            if hit:
+                col[top + hit[0]] = hit[1]
         columns += [{top + i: v for i, v in col.items()} for col in tgt.d(r).columns]
         m = SparseMatrix(top + tgt.dim(r - 1), tuple(columns))
         if not m.is_zero():
             diffs[r] = m
-    return ChainComplex.build(basis, diffs)
+    return ChainComplex(basis, diffs)
 
 
 def is_quasi_isomorphism(f: ChainMap) -> bool:

@@ -5,7 +5,7 @@ P_n takes its cells and the columns of its differential, both in label
 order, from ``topartitions`` (``enumerate_topartitions``,
 ``perm_columns``).  The blow-down, a row table per degree, serves P_n
 and, given the signs of their representatives, the fibers, which
-``fiber`` builds as quotients of P_n.
+``fiber`` builds as quotients of P_n; its support is one width per degree.
 """
 
 from __future__ import annotations
@@ -95,15 +95,6 @@ def build_simplex(n: int) -> SimplexComplex:
     return SimplexComplex(n, ChainComplex(basis, diffs), rows)
 
 
-def blowdown_support(blocks: tuple):
-    """The least block when every other block is a singleton, else None:
-    the other blocks are all singletons exactly when they hold as many
-    elements as there are of them.  The blocks are disjoint, so their
-    sum is their union."""
-    singletons = sum(blocks).bit_count() - blocks[-1].bit_count() == len(blocks) - 1
-    return blocks[-1] if singletons else None
-
-
 def blowdown_coefficient(blocks: tuple) -> int:
     """Sign on the image of a supported cell making the blow-down a chain
     map: the ``parity`` of the singletons' ids in block order, times (-1)
@@ -118,15 +109,17 @@ def blowdown_table(cells: dict, simplex: SimplexComplex, images=None) -> dict:
     a supported cell (see ``ChainMap``): a representative alpha in
     ``cells`` whose other blocks are singletons goes to its least block,
     with ``blowdown_coefficient`` times the sign of alpha's class,
-    ``images[alpha][1]`` (1 when ``images`` is None, for P_n itself)."""
+    ``images[alpha][1]`` (1 when ``images`` is None, for P_n itself).
+    That holds exactly when alpha's least block has n + 1 - len(alpha)
+    ids, one width for every cell of the degree."""
     table = {}
     for r, alphas in sorted(cells.items()):
+        least = simplex.n + 1 - len(alphas[0])
         hits = [None] * len(alphas)
         for j, alpha in enumerate(alphas):
-            block = blowdown_support(alpha)
-            if block is not None:
+            if alpha[-1].bit_count() == least:
                 sign = 1 if images is None else images[alpha][1]
-                hits[j] = (simplex.rows[block], sign * blowdown_coefficient(alpha))
+                hits[j] = (simplex.rows[alpha[-1]], sign * blowdown_coefficient(alpha))
         if any(hits):
             table[r] = tuple(hits)
     return table
@@ -134,10 +127,8 @@ def blowdown_table(cells: dict, simplex: SimplexComplex, images=None) -> dict:
 
 def perm_to_simplex(perm: PermComplex, simplex: SimplexComplex) -> ChainMap:
     """Surjective chain map from the permutohedron complex onto the
-    simplex complex: a cell with least block of size p+1 and all other
-    blocks singletons goes to its least block in degree p with
-    coefficient ``blowdown_coefficient``, everything else to zero.
-    The map is not checked here; ``verify_chain_map`` does that."""
+    simplex complex, read off P_n's cells by ``blowdown_table``.  The
+    map is not checked here; ``verify_chain_map`` does that."""
     if simplex.n != perm.n:
         raise ValueError(f"perm_to_simplex needs the simplex on {perm.n} vertices "
                          f"for P_{perm.n}, got {simplex.n} vertices")

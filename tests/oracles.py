@@ -95,6 +95,16 @@ def reference_pivots(m, rows=None, cols=None, cleared=()) -> list:
     return pairs
 
 
+def reference_blowdown_support(blocks: tuple):
+    """The blow-down's support as ``polytopes`` decided it per cell before
+    it compared widths: the least block when every other block is a
+    singleton, else None.  The other blocks are all singletons exactly
+    when they hold as many elements as there are of them; the blocks
+    are disjoint, so their sum is their union."""
+    singletons = sum(blocks).bit_count() - blocks[-1].bit_count() == len(blocks) - 1
+    return blocks[-1] if singletons else None
+
+
 def reference_blowdown_coefficient(blocks) -> int:
     """``polytopes.blowdown_coefficient`` as it stood before it read
     ``parity``: one pass over the singleton masks of a supported cell

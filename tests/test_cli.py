@@ -456,7 +456,7 @@ def test_a_failing_writer_leaves_no_temporary_file_and_the_target_unchanged(
         return pieces
 
     with pytest.raises(RuntimeError, match="writer failed"):
-        _atomic_write(target, failing(RuntimeError("writer failed"))())
+        _atomic_write([(target, failing(RuntimeError("writer failed"))())])
     assert [p.name for p in tmp_path.iterdir()] == ["P3.json"]
     assert target.read_bytes() == old
 
@@ -465,9 +465,40 @@ def test_a_failing_writer_leaves_no_temporary_file_and_the_target_unchanged(
     code, out, err = run_cli(capsys, "perm", "--n", "3", "--out", str(tmp_path))
     assert (code, out) == (2, "")
     assert err == f"error: cannot write --out {tmp_path}: No space left on device\n"
-    assert sorted(p.name for p in tmp_path.iterdir()) == [
-        "P3.json", "checks.csv", "dims.csv", "pages.csv"]
+    assert [p.name for p in tmp_path.iterdir()] == ["P3.json"]
     assert target.read_bytes() == old
+
+
+def test_a_refused_export_leaves_out_as_it_found_it(capsys, tmp_path, monkeypatch):
+    """A writer that runs out of memory after the first JSON piece, or
+    finds the disk full, exits 2 with one error line and nothing on
+    stdout: no export is moved in until all are written, so a new nested
+    --out is taken back whole, and one that was there keeps its bytes
+    and gains no temporary file.  So does a target that is a directory,
+    though the exports before it could be moved."""
+    kept = tmp_path / "kept"
+    kept.mkdir()
+    (kept / "P3.json").write_text("old export\n")
+    (kept / "dims.csv").write_text("old dims\n")
+    before = {p.name: p.read_bytes() for p in kept.iterdir()}
+    for error, message in ((MemoryError(), "out of memory in perm --n 3"),
+                           (OSError(28, "No space left on device"),
+                            "cannot write --out {}: No space left on device")):
+        def pieces(c, error=error):
+            yield "{\n"
+            raise error
+        monkeypatch.setattr("permfiber.cli.complex_json_pieces", pieces)
+        for out in (tmp_path / "new" / "a" / "b", kept):
+            assert run_cli(capsys, "perm", "--n", "3", "--out", str(out)) \
+                == (2, "", f"error: {message.format(out)}\n"), (error, out)
+            assert [p.name for p in tmp_path.iterdir()] == ["kept"], (error, out)
+            assert {p.name: p.read_bytes() for p in kept.iterdir()} == before, (error, out)
+    monkeypatch.undo()
+    (kept / "pages.csv").mkdir()
+    assert run_cli(capsys, "perm", "--n", "3", "--out", str(kept)) \
+        == (2, "", f"error: cannot write --out {kept}: Is a directory\n")
+    assert sorted(p.name for p in kept.iterdir()) == ["P3.json", "dims.csv", "pages.csv"]
+    assert {p.name: p.read_bytes() for p in kept.iterdir() if p.is_file()} == before
 
 
 def test_importing_the_cli_loads_no_dataclasses():
@@ -623,7 +654,7 @@ def test_maps_failure_names_the_lost_class(capsys, monkeypatch, perms):
     line names."""
     import permfiber.polytopes as polytopes
     from permfiber.complexes import unpaired_cells
-    monkeypatch.setattr(polytopes, "blowdown_support", lambda alpha: None)
+    monkeypatch.setattr(polytopes, "blowdown_table", lambda *args: {})
     code, out, _ = run_cli(capsys, "perm", "--n", "3", "--checks", "maps")
     assert code == 1
     [line] = [line for line in out.splitlines() if line.startswith("check maps")]
@@ -731,7 +762,7 @@ def test_failing_lines_are_pinned(monkeypatch, perms, corpus_fibers):
     }
     # P_n without maps builds its own blow-down, through the patched module
     with monkeypatch.context() as patch:
-        patch.setattr(polytopes, "blowdown_support", lambda alpha: None)
+        patch.setattr(polytopes, "blowdown_table", lambda *args: {})
         got["P3 with a zero blow-down"] = failing("P3", perms[3], ("maps",))
     to_simplex = cli.fiber_to_simplex
     with monkeypatch.context() as patch:

@@ -831,6 +831,19 @@ def test_cone_differential_squares_to_zero_when_multiplied(perms, simplexes):
         assert verify_d_squared(fresh).passed, n
 
 
+def test_cones_of_the_checked_maps_are_what_build_returns(perms, simplexes, corpus_fibers):
+    """The cone of each map the maps check builds, on P1-P5's blow-downs
+    and every corpus fiber's perm->fiber and fiber->simplex: the parts
+    ``mapping_cone`` hands the constructor are what ``build`` returns."""
+    from permfiber.fiber import fiber_to_simplex, perm_to_fiber
+    from permfiber.polytopes import perm_to_simplex
+    for n in range(1, 6):
+        assert_build_returns_it(mapping_cone(perm_to_simplex(perms[n], simplexes[n])), n)
+    for name, fib in sorted(corpus_fibers.items()):
+        for f in (perm_to_fiber(fib, perms[fib.n]), fiber_to_simplex(fib, simplexes[fib.n])):
+            assert_build_returns_it(mapping_cone(f), (name, f.note))
+
+
 def test_json_refuses_a_zero_denominator(perms):
     doc = complex_to_json(perms[2].complex)
     i, j, _ = doc["differentials"]["1"][0]

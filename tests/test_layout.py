@@ -166,10 +166,9 @@ def test_map_builders_hand_tables_to_the_constructor():
 
 
 # a validating entry -> the (module, function) pairs that call it: where
-# outside input enters, and the mapping cone, whose parts mix two complexes
+# outside input enters
 VALIDATING = {
-    ("ChainComplex", "build"): {("complexes", "mapping_cone"),
-                                ("complexes", "complex_from_json")},
+    ("ChainComplex", "build"): {("complexes", "complex_from_json")},
     ("ChainMap", "build"): set(),
     ("SparseMatrix", "from_entries"): {("complexes", "complex_from_json")},
     ("TOPartition", "of"): {("topartitions", "parse_topartition")},
@@ -191,6 +190,14 @@ def test_validating_entries_are_called_only_where_outside_input_enters():
         callers = _callers(lambda f: isinstance(f, ast.Attribute) and f.attr == entry
                            and isinstance(f.value, ast.Name) and f.value.id == owner)
         assert callers == pinned, (owner, entry, callers)
+
+
+def test_map_matrices_are_rendered_for_readers_only():
+    """No check and no cone renders a map's table as a matrix: within the
+    package only ``ChainMap.matrices`` calls ``matrix``."""
+    callers = _callers(lambda f: isinstance(f, ast.Attribute)
+                       and f.attr in ("matrix", "matrices"))
+    assert callers == {("complexes", "matrices")}
 
 
 def test_complex_builders_hand_their_parts_to_the_constructor():

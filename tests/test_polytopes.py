@@ -9,11 +9,10 @@ from permfiber.complexes import (
     verify_chain_map,
     verify_d_squared,
 )
-from permfiber.fiber import quotient_complex
+from permfiber.fiber import MultiGraph, build_fiber, fiber_to_simplex, quotient_complex
 import permfiber.polytopes as polytopes
 from permfiber.polytopes import (
     blowdown_coefficient,
-    blowdown_support,
     build_perm,
     build_simplex,
     perm_to_simplex,
@@ -21,7 +20,7 @@ from permfiber.polytopes import (
 from permfiber.topartitions import labels, parse_topartition
 
 from oracles import (fubini, ids, perm_differential, reference_blowdown_coefficient,
-                     stirling2)
+                     reference_blowdown_support, stirling2)
 
 
 def test_perm_dimensions(perms):
@@ -137,10 +136,52 @@ def test_simplex_dimensions_and_homology(simplexes):
 
 
 def test_blowdown_support_rule():
-    assert blowdown_support(parse_topartition("13|24").blocks) is None
+    assert reference_blowdown_support(parse_topartition("13|24").blocks) is None
     top = parse_topartition("{1,2,3,4}").blocks
-    assert ids(blowdown_support(top)) == (1, 2, 3, 4)
-    assert ids(blowdown_support(parse_topartition("3>1>24").blocks)) == (2, 4)
+    assert ids(reference_blowdown_support(top)) == (1, 2, 3, 4)
+    assert ids(reference_blowdown_support(parse_topartition("3>1>24").blocks)) == (2, 4)
+
+
+def assert_blowdown_is_the_oracles(f, cells: dict, simplex, images, context) -> None:
+    """The cells with an entry in f's table are exactly the cells the
+    oracle supports (``reference_blowdown_support``), each sent to its
+    least block's row with ``blowdown_coefficient`` times the sign of
+    its class, ``images[alpha][1]``, or 1 when ``images`` is None."""
+    assert set(f.table) <= set(cells), context
+    for r, alphas in cells.items():
+        want = []
+        for alpha in alphas:
+            block = reference_blowdown_support(alpha)
+            sign = 1 if images is None else images[alpha][1]
+            want.append(None if block is None else
+                        (simplex.rows[block], sign * blowdown_coefficient(alpha)))
+        assert f.table.get(r, (None,) * len(alphas)) == tuple(want), (context, r)
+
+
+def test_blowdown_tables_are_the_oracles(perms, perm7, simplexes, corpus_fibers):
+    """P1-P7 and every corpus fiber; the Hypothesis graphs are checked in
+    ``test_random_multigraph_fibers``, and P8 and path8 by a slow test."""
+    for n, perm in [*perms.items(), (7, perm7)]:
+        assert_blowdown_is_the_oracles(perm_to_simplex(perm, simplexes[n]), perm.cells,
+                                       simplexes[n], None, f"P{n}")
+    for name, fib in sorted(corpus_fibers.items()):
+        simplex = simplexes[fib.n]
+        assert_blowdown_is_the_oracles(fiber_to_simplex(fib, simplex), fib.cells, simplex,
+                                       fib.images, name)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("name", ["P8", "path8"])
+def test_north_star_blowdowns_are_the_oracles(name):
+    simplex = build_simplex(8)
+    if name == "P8":
+        perm = build_perm(8)
+        assert_blowdown_is_the_oracles(perm_to_simplex(perm, simplex), perm.cells, simplex,
+                                       None, name)
+    else:
+        fib = build_fiber(MultiGraph.from_edges([(v, v + 1) for v in range(8)]))
+        assert_blowdown_is_the_oracles(fiber_to_simplex(fib, simplex), fib.cells, simplex,
+                                       fib.images, name)
 
 
 def test_blowdown_top_cell_has_unit_coefficient():
@@ -156,7 +197,7 @@ def test_blowdown_coefficient_is_the_fused_loop(perms, perm7):
     for perm in (*perms.values(), perm7):
         n = perm.n
         supported = [alpha for alphas in perm.cells.values() for alpha in alphas
-                     if blowdown_support(alpha) is not None]
+                     if reference_blowdown_support(alpha) is not None]
         assert len(supported) == sum(comb(n, p) * factorial(n - p) for p in range(1, n + 1))
         for alpha in supported:
             assert blowdown_coefficient(alpha) == reference_blowdown_coefficient(alpha), alpha
@@ -193,7 +234,7 @@ def test_perm_to_simplex_records_working_convention(perms, simplexes):
             targets = simplex.complex.labels(r)
             for j, lab in enumerate(perm.complex.labels(r)):
                 alpha = parse_topartition(lab, n).blocks
-                block = blowdown_support(alpha)
+                block = reference_blowdown_support(alpha)
                 column = {targets[i]: v for i, v in m.columns[j].items()}
                 if block is None:
                     assert column == {}, lab

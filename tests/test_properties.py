@@ -36,6 +36,7 @@ from test_complexes import (  # noqa: E402
     assert_build_returns_it,
     check_homology_by_coreduction,
 )
+from test_polytopes import assert_blowdown_is_the_oracles  # noqa: E402
 from test_fiber import (  # noqa: E402
     DenseProducts,
     assert_built_from_representatives,
@@ -92,8 +93,11 @@ def test_random_multigraph_fibers(perms, edges):
                                   else (rename[u], rename[v]) for u, v in edges)
     assert moved.line_graph() == g.line_graph(), edges
     assert_equal_fibers(build_fiber(moved), fib, edges)
+    maps = _maps(perms[g.n])
+    assert_blowdown_is_the_oracles(fiber_to_simplex(fib, maps.simplex), fib.cells,
+                                   maps.simplex, fib.images, edges)
     col = Collector()
-    _run_checks(col, "g", fib, CHECK_TOKENS, pages=2, maps=_maps(perms[g.n]))
+    _run_checks(col, "g", fib, CHECK_TOKENS, pages=2, maps=maps)
     assert not col.failed, (edges, col.lines)
     assert sorted(row.split(",")[1] for row in col.checks_rows) == sorted(CHECK_TOKENS)
 
